@@ -35,7 +35,7 @@ Commands
     instead of paying a cold start per invocation (see docs/serving.md).
 
 ``predict`` and ``sweep`` accept ``--metrics`` to print the process-wide
-metrics registry (FF fast-path decisions, DRAM solves, preemptions, ...)
+metrics registry (FF emulations, DRAM solves, preemptions, ...)
 after the run, and ``--selfcheck`` to enable the runtime invariant
 checker for the run (non-zero exit if anything trips).
 
@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import ParallelProphet
+from repro.core.prophet import BACKENDS
 from repro.core.report import error_ratio
 from repro.core.serialize import load_profile, save_profile
 from repro.obs import get_metrics
@@ -620,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-real", action="store_true", help="skip the ground-truth replay"
     )
     p_predict.add_argument(
-        "--backend", choices=("auto", "columnar", "eager"), default="auto",
-        help="evaluation backend: auto/columnar = vectorized engine with "
+        "--backend", choices=BACKENDS, default="auto",
+        help="evaluation backend: auto = vectorized engine with "
         "per-point eager fallback; eager = scalar path everywhere",
     )
     p_predict.add_argument(
@@ -686,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("-o", "--output", help="write a markdown report here")
     p_sweep.add_argument(
-        "--backend", choices=("auto", "columnar", "eager"), default="auto",
-        help="evaluation backend: auto/columnar = vectorized engine with "
+        "--backend", choices=BACKENDS, default="auto",
+        help="evaluation backend: auto = vectorized engine with "
         "per-point eager fallback; eager = scalar path everywhere",
     )
     p_sweep.add_argument(
@@ -773,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in-process, which is what keeps the replay caches warm)",
     )
     p_serve.add_argument(
-        "--backend", choices=("auto", "columnar", "eager"), default="auto",
+        "--backend", choices=BACKENDS, default="auto",
         help="evaluation backend baked into every cached predictor",
     )
     p_serve.add_argument(

@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from repro.core.executor import ParallelExecutor, ReplayMode
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.profiler import ProgramProfile
+from repro.core.prophet import check_backend
 from repro.core.report import SpeedupEstimate, SpeedupReport
 from repro.core.synthesizer import Synthesizer
 from repro.errors import BatchError, ConfigurationError
@@ -297,7 +298,7 @@ def _run_taskset(
     With ``collect_metrics=True`` (the process-pool path) the worker's
     process-wide metrics registry is reset at chunk start and its snapshot
     returned alongside the results, so the parent can fold worker-side
-    counters (FF fast-path decisions, DRAM solves, ...) into its own
+    counters (FF emulations, DRAM solves, ...) into its own
     registry.  The in-process path passes ``False``: increments land on
     the parent registry directly and must not be double-counted.
     """
@@ -386,9 +387,9 @@ class BatchPredictor:
         the serial run the natural determinism baseline).  ``chunks_per_job``
         controls work-stealing granularity: each worker receives roughly
         this many chunks so an expensive grid point cannot straggle the
-        whole sweep.  ``backend`` is ``"auto"``/``"columnar"`` (vectorized
-        engine with per-point eager fallback) or ``"eager"`` (scalar path
-        everywhere).  ``tier`` is the default answer tier for sweeps
+        whole sweep.  ``backend`` is ``"auto"`` (vectorized engine with
+        per-point eager fallback) or ``"eager"`` (scalar path everywhere).
+        ``tier`` is the default answer tier for sweeps
         (``"exact"``, ``"surrogate"``, or ``"auto"`` — see
         ``docs/surrogate.md``); ``surrogate`` overrides the process-default
         model for non-exact tiers."""
@@ -403,12 +404,7 @@ class BatchPredictor:
                 f"chunks_per_job must be >= 1, got {chunks_per_job}"
             )
         self.chunks_per_job = chunks_per_job
-        if backend not in ("auto", "columnar", "eager"):
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected 'auto', 'columnar' "
-                f"or 'eager'"
-            )
-        self.backend = backend
+        self.backend = check_backend(backend)
         if tier not in ("exact", "surrogate", "auto"):
             raise ConfigurationError(
                 f"unknown tier {tier!r}; expected 'exact', 'surrogate' "

@@ -1,9 +1,9 @@
 """Columnar sweep engine: numpy-vectorized analytic backend (ISSUE 6).
 
-The FF fast path, the coalesced RLE replay, and the DRAM contention solve
-are all *analytic* — each grid point of a sweep is a closed-form function
-of the program's RLE runs, the schedule's ownership map, and the machine
-constants.  The eager path nevertheless re-derives that function one grid
+The FF heap walk over lock-free leaf sections, the coalesced RLE replay,
+and the DRAM contention solve are all *analytic* — each grid point of a
+sweep is a closed-form function of the program's RLE runs, the
+schedule's ownership map, and the machine constants.  The eager path nevertheless re-derives that function one grid
 point at a time through scalar Python (and, for SYN/REAL, through the DES
 kernel's fork/join machinery).  This module lowers a workload's program
 tree **once** into flat numpy arrays and then evaluates grid points
@@ -23,11 +23,12 @@ against those arrays:
   :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of
   them with a shared convergence loop and per-lane early-exit masks.
 
-The eager kernel remains the parity oracle: every closed form here
-mirrors the corresponding eager code path (``ffemu._closed_form``,
-``executor._coalesce_shares`` / ``_coalesced_member_body``,
-``openmp.parallel_aggregated``, ``simos.kernel``'s segment rating) and is
-property-tested to agree within 1e-9 relative.  Sections the analytic
+The eager paths remain the parity oracles: the FF closed form is checked
+against the FF heap walk (``ffemu`` keeps no scalar copy of it), and every
+other closed form mirrors the corresponding eager code path
+(``executor._coalesce_shares`` / ``_coalesced_member_body``,
+``openmp.parallel_aggregated``, ``simos.kernel``'s segment rating); all
+are property-tested to agree within 1e-9 relative.  Sections the analytic
 model cannot represent exactly — locks, nested sections, pipelines,
 nowait chains, dynamic-family schedules, oversubscribed teams, mixed
 demand signatures — make the engine return ``None`` so callers fall back
@@ -287,9 +288,12 @@ class ColumnarEngine:
     ) -> Optional[tuple[float, list[FFSectionResult]]]:
         """Whole-program FF prediction, or None for the eager emulator.
 
-        Mirrors ``FastForwardEmulator._closed_form`` plus the
-        ``emulate_profile`` assembly (per-section repeat scaling, result
-        records, invariant checks)."""
+        With only unlocked leaf tasks under a static-family schedule, the
+        heap walk in ``FastForwardEmulator.emulate_section`` has no
+        cross-walker interaction, so each CPU finishes at
+        ``fork + (#dispatches)·dispatch + owned work``; this evaluates that
+        per compressed run, plus the ``emulate_profile`` assembly
+        (per-section repeat scaling, result records, invariant checks)."""
         m = get_metrics()
         if self._lowering() is None or schedule.is_dynamic_family:
             m.inc("columnar.fallbacks")
@@ -637,12 +641,11 @@ def _missy_walk(machine, shares, fork, ts, jb, disp, t):
 
 
 class _WalkState:
-    __slots__ = ("gen", "memo", "warm_hi", "result", "hits", "misses")
+    __slots__ = ("gen", "memo", "result", "hits", "misses")
 
     def __init__(self, gen) -> None:
         self.gen = gen
         self.memo: OrderedDict = OrderedDict()
-        self.warm_hi = 0.0
         self.result = None
         self.hits = 0
         self.misses = 0
@@ -654,9 +657,9 @@ _START = object()
 def _drive_walks(walks, machine: MachineConfig) -> list[float]:
     """Run missy walks in lockstep, batching their DRAM solves.
 
-    Each walk keeps its own LRU memo and warm-start bracket (one eager
-    kernel — hence one DRAM pool — per section replay); every round, all
-    walks blocked on an unmemoised solve are answered by a single
+    Each walk keeps its own LRU memo (one eager kernel — hence one DRAM
+    pool — per section replay); every round, all walks blocked on an
+    unmemoised solve are answered by a single
     :meth:`DramModel.solve_batch` call."""
     dram = DramModel(
         machine,
@@ -707,16 +710,13 @@ def _drive_walks(walks, machine: MachineConfig) -> list[float]:
         width = max(len(prs) for _, _, prs in blocked)
         fr = np.zeros((len(blocked), width))
         dm = np.zeros((len(blocked), width))
-        wh = np.zeros(len(blocked))
         for i, (st, _, prs) in enumerate(blocked):
             for j, (f, d) in enumerate(prs):
                 fr[i, j] = f
                 dm[i, j] = d
-            wh[i] = st.warm_hi
-        ks, wh_out = dram.solve_batch(fr, dm, wh)
+        ks = dram.solve_batch(fr, dm)
         for i, (st, key, _) in enumerate(blocked):
             k = float(ks[i])
-            st.warm_hi = float(wh_out[i])
             if key is not None:
                 st.memo[key] = k
                 while len(st.memo) > cap:

@@ -27,7 +27,6 @@ Burden factors multiply every terminal node length in the section (Fig. 4).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Mapping, Optional
@@ -103,17 +102,10 @@ class FastForwardEmulator:
         self,
         overheads: RuntimeOverheads = DEFAULT_OVERHEADS,
         max_steps: int = 50_000_000,
-        fast_path: bool = True,
         tracer=None,
     ) -> None:
         self.overheads = overheads
         self.max_steps = max_steps
-        #: When True, sections made of pure-U homogeneous task runs under a
-        #: static-family schedule are predicted in closed form per compressed
-        #: run instead of per logical iteration (see :meth:`_closed_form`).
-        #: The fast path agrees with the heap walk up to float summation
-        #: order (<= 1e-9 relative); set False to force the exact walk.
-        self.fast_path = fast_path
         #: Structured event tracer (defaults to the process-global one).
         self.obs = tracer if tracer is not None else get_tracer()
         #: Runtime invariant checker: per-section FF speedups are bounded
@@ -121,28 +113,20 @@ class FastForwardEmulator:
         self.inv = get_checker()
         #: Tree-node visits performed by the last emulate_profile call — the
         #: FF's dominant cost (the paper reports 30×+ slowdowns on FFT from
-        #: exactly this traversal plus heap pressure).
+        #: exactly this traversal plus heap pressure).  Instances are shared
+        #: across grid points, so this is a *per-emulation* scratch counter
+        #: that :meth:`emulate_profile` resets on entry; the cumulative total
+        #: lives on the metrics registry (``ff.nodes_visited``).
         self.nodes_visited = 0
-        #: Sections predicted in closed form / forced onto the exact walk
-        #: since the last :meth:`reset_counters`.  Instances are shared
-        #: across grid points (the facade and the batch engine hoist one
-        #: emulator per worker), so these are *per-emulation* scratch
-        #: counters — :meth:`emulate_profile` resets them on entry.  The
-        #: cumulative, cross-run totals live on the process-wide metrics
-        #: registry (``ff.fast_path.hits`` / ``ff.fast_path.misses``).
-        self.fast_path_hits = 0
-        self.fast_path_misses = 0
 
     # ----------------------------------------------------------------- API
 
     def reset_counters(self) -> None:
-        """Zero the per-emulation counters (``nodes_visited``, fast-path
-        hit/miss).  Called automatically by :meth:`emulate_profile`; callers
-        driving :meth:`emulate_section` directly should call it between
-        logical runs so counts never leak across workloads."""
+        """Zero the per-emulation ``nodes_visited`` counter.  Called
+        automatically by :meth:`emulate_profile`; callers driving
+        :meth:`emulate_section` directly should call it between logical
+        runs so counts never leak across workloads."""
         self.nodes_visited = 0
-        self.fast_path_hits = 0
-        self.fast_path_misses = 0
 
     def emulate_profile(
         self,
@@ -164,7 +148,6 @@ class FastForwardEmulator:
         traced = self.obs.enabled
         for item in group_nowait_chains(tree.root.children):
             t0 = total
-            hits0, misses0 = self.fast_path_hits, self.fast_path_misses
             if isinstance(item, list):
                 cycles = self.emulate_chain(
                     item, n_threads, schedule, burdens, cache=cache
@@ -208,8 +191,7 @@ class FastForwardEmulator:
                     where=f"ff:{results[-1].name}",
                 )
             if traced:
-                # One span per top-level section on the predicted timeline,
-                # tagged with the fast-path-vs-heap-walk decision.
+                # One span per top-level section on the predicted timeline.
                 self.obs.span(
                     results[-1].name,
                     ts=t0,
@@ -217,8 +199,6 @@ class FastForwardEmulator:
                     track="ff",
                     cat="ff",
                     args={
-                        "fast_path": self.fast_path_hits > hits0,
-                        "heap_walk": self.fast_path_misses > misses0,
                         "threads": n_threads,
                         "schedule": schedule.label,
                     },
@@ -245,118 +225,10 @@ class FastForwardEmulator:
             return ff_pipeline_cycles(
                 sec, n_threads, burden=burden, overheads=self.overheads
             )
-        if self.fast_path:
-            cycles = self._closed_form(sec, n_threads, schedule, burden)
-            if cycles is not None:
-                self.fast_path_hits += 1
-                get_metrics().inc("ff.fast_path.hits")
-                return cycles
-            self.fast_path_misses += 1
-            get_metrics().inc("ff.fast_path.misses")
         engine = _Engine(self, n_threads, schedule, burden)
         end = engine.run(sec)
         self.nodes_visited += engine.nodes_visited
         return end
-
-    def _closed_form(
-        self, sec: Node, n_threads: int, schedule: Schedule, burden: float
-    ) -> Optional[float]:
-        """RLE-aware closed-form prediction, or None when inapplicable.
-
-        Applicable when the schedule is in the static family and every task
-        of ``sec`` consists purely of unlocked computation (U nodes): the
-        heap walk then has no cross-walker interaction (no lock availability,
-        no nested activations, no run-time chunk grabbing), so each CPU's
-        finish time is simply ``fork + (#dispatches)·dispatch + owned work``.
-        Owned work is summed per *compressed run* of identical tasks (one
-        representative task is costed, then replicated analytically across
-        the run and across threads), making the cost O(stored nodes + t)
-        instead of O(logical iterations) — the §VI-B compression win carried
-        through to emulation time.
-
-        The columnar sweep backend (``repro.core.columnar``) evaluates this
-        same closed form vectorized over whole sweep columns, with this
-        scalar path as its parity oracle (<=1e-9 relative, property-tested);
-        any change to the formulas here must be mirrored there.
-        """
-        if schedule.is_dynamic_family:
-            return None
-        runs: list[tuple[int, float]] = []  # (iterations, cycles per task)
-        visits = 0
-        for task in sec.children:
-            dur = 0.0
-            for child in task.children:
-                if child.kind is not NodeKind.U:
-                    return None
-                dur += child.length * child.repeat
-                visits += 1
-            runs.append((task.repeat, dur * burden))
-        self.nodes_visited += visits
-        oh = self.overheads
-        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (n_threads - 1)
-        n_iters = sum(count for count, _ in runs)
-        if n_iters == 0:
-            return fork + oh.omp_join_barrier
-        dispatch = oh.omp_static_dispatch
-        # Prefix sums over runs: iteration index -> cumulative work.
-        starts = [0] * len(runs)
-        prefix = [0.0] * (len(runs) + 1)
-        acc = 0
-        for i, (count, dur) in enumerate(runs):
-            starts[i] = acc
-            acc += count
-            prefix[i + 1] = prefix[i] + count * dur
-
-        def work_range(a: int, b: int) -> float:
-            """Serial work of logical iterations [a, b)."""
-            if b <= a:
-                return 0.0
-            total = 0.0
-            i = bisect_right(starts, a) - 1
-            while i < len(runs) and starts[i] < b:
-                count, dur = runs[i]
-                lo = max(a, starts[i])
-                hi = min(b, starts[i] + count)
-                if lo == starts[i] and hi == starts[i] + count:
-                    total += prefix[i + 1] - prefix[i]
-                else:
-                    total += (hi - lo) * dur
-                i += 1
-            return total
-
-        end = fork
-        if schedule.kind is ScheduleKind.STATIC:
-            # Contiguous blocks, one dispatch entry per non-empty thread.
-            base, extra = divmod(n_iters, n_threads)
-            start = 0
-            for tid in range(n_threads):
-                count = base + (1 if tid < extra else 0)
-                if count == 0:
-                    break
-                finish = fork + dispatch + work_range(start, start + count)
-                start += count
-                if finish > end:
-                    end = finish
-        else:  # STATIC_CHUNK: chunks of c dealt round-robin.
-            c = schedule.chunk
-            n_chunks = -(-n_iters // c)
-            period = n_threads * c
-
-            def owned_below(x: int, tid: int) -> int:
-                """|{i < x : iteration i owned by thread tid}|."""
-                full, rem = divmod(x, period)
-                return full * c + min(max(rem - tid * c, 0), c)
-
-            for tid in range(min(n_threads, n_chunks)):
-                q = (n_chunks - 1 - tid) // n_threads + 1
-                owned = 0.0
-                for i, (count, dur) in enumerate(runs):
-                    a, b = starts[i], starts[i] + count
-                    owned += dur * (owned_below(b, tid) - owned_below(a, tid))
-                finish = fork + q * dispatch + owned
-                if finish > end:
-                    end = finish
-        return end + oh.omp_join_barrier
 
     def emulate_chain(
         self,

@@ -37,6 +37,19 @@ from repro.runtime.tasks import Schedule
 from repro.simhw.machine import WESTMERE_12, MachineConfig
 from repro.validate.invariants import get_checker, has_nested_sections
 
+#: Evaluation backends: ``"auto"`` consults the columnar engine per grid
+#: point with per-point eager fallback; ``"eager"`` forces the scalar path.
+BACKENDS = ("auto", "eager")
+
+
+def check_backend(backend: str) -> str:
+    """Return ``backend`` or raise ConfigurationError if it is unknown."""
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    return backend
+
 
 class ParallelProphet:
     """Facade tying together profiling, the memory model, and the emulators."""
@@ -127,16 +140,10 @@ class ParallelProphet:
     def _make_engine(self, backend: str, profile: ProgramProfile):
         """Resolve a ``backend`` selector into a columnar engine or None.
 
-        ``"auto"``/``"columnar"`` return an engine (consulted per grid
-        point, with per-point eager fallback); ``"eager"`` returns None.
-        Tracing forces the eager path — the analytic engine emits no
-        events."""
-        if backend not in ("auto", "columnar", "eager"):
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected 'auto', 'columnar' "
-                f"or 'eager'"
-            )
-        if backend == "eager" or self.obs.enabled:
+        ``"auto"`` returns an engine (consulted per grid point, with
+        per-point eager fallback); ``"eager"`` returns None.  Tracing
+        forces the eager path — the analytic engine emits no events."""
+        if check_backend(backend) == "eager" or self.obs.enabled:
             return None
         from repro.core.columnar import ColumnarEngine
 
@@ -160,11 +167,11 @@ class ParallelProphet:
         (program synthesis).  With ``memory_model=True`` burden factors are
         calibrated and applied; otherwise every β is 1.
 
-        ``backend`` selects the evaluation strategy: ``"auto"`` (or its
-        alias ``"columnar"``) consults the vectorized columnar engine per
-        grid point and falls back to the eager emulators wherever the
-        engine declines (locks, nesting, dynamic schedules, ...);
-        ``"eager"`` forces the scalar per-point path everywhere.
+        ``backend`` selects the evaluation strategy: ``"auto"`` consults
+        the vectorized columnar engine per grid point and falls back to
+        the eager emulators wherever the engine declines (locks, nesting,
+        dynamic schedules, ...); ``"eager"`` forces the scalar per-point
+        path everywhere.
 
         ``tier`` selects *who* answers (see ``docs/surrogate.md``):
         ``"exact"`` (default) runs the emulators; ``"surrogate"`` answers

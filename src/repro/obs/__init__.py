@@ -17,8 +17,8 @@ emulation inspectable:
   and histograms with a ``snapshot()``/``reset()``/``merge()`` contract
   that works across ``ProcessPoolExecutor`` workers (each worker returns
   its snapshot with its result chunk; the parent merges deterministically).
-  It unifies the previously ad-hoc stats: FF fast-path hit/miss counters,
-  DRAM-solve cache hits/misses, preemption counts.
+  It unifies the previously ad-hoc stats: FF node visits, DRAM-solve
+  cache hits/misses, preemption counts.
 - :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON timeline export
   (one track per simulated core plus per-thread state tracks) and a
   plain-text metrics dump.

@@ -1,8 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 This unifies the previously ad-hoc stats surfaces — the FF emulator's
-``fast_path_hits``/``fast_path_misses``, the DRAM model's
-``cache_info()``, the kernel's ``preemptions`` — behind one API with a
+``nodes_visited``, the DRAM model's ``cache_info()``, the kernel's ``preemptions`` — behind one API with a
 ``snapshot()``/``reset()``/``merge()`` contract:
 
 - **snapshot()** returns a plain, JSON-serialisable, deterministically

@@ -74,7 +74,7 @@ class RequestBudgets:
     def check_threads(self, threads) -> None:
         """Refuse absurd thread counts before they reach the simulator."""
         for t in threads:
-            if not isinstance(t, int) or t < 1:
+            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
                 raise ServeError(f"thread counts must be positive integers, got {t!r}")
             if t > self.max_threads:
                 raise BudgetExceeded(

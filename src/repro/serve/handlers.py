@@ -27,6 +27,7 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ReproError, ServeError
 from repro.obs import get_metrics
+from repro.runtime.tasks import Schedule
 from repro.serve.budgets import Deadline, RequestBudgets
 from repro.serve.cachelayer import CacheLayer
 from repro.serve.workqueue import WorkQueue
@@ -36,6 +37,17 @@ _METHODS = ("ff", "syn", "real")
 
 #: Prediction tiers a request may select (see ``docs/surrogate.md``).
 _TIERS = ("exact", "surrogate", "auto")
+
+#: Paradigms a request may force (``None`` takes the workload's own).
+_PARADIGMS = ("omp", "cilk", "omp_task")
+
+
+def _int_field(payload: dict, name: str, default: int) -> int:
+    """An integer request field; booleans, floats and strings are refused."""
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def estimate_to_dict(est) -> dict[str, Any]:
@@ -157,6 +169,13 @@ class ServeState:
         schedules = payload.get("schedules", ["static"])
         if isinstance(schedules, str):
             schedules = [s for s in schedules.split(";") if s]
+        if not isinstance(schedules, list):
+            raise ServeError(f"schedules must be a list, got {schedules!r}")
+        for s in schedules:
+            try:
+                Schedule.parse(str(s))
+            except (ReproError, ValueError):
+                raise ServeError(f"unknown schedule {s!r}") from None
         methods = payload.get("methods", ["syn"])
         if isinstance(methods, str):
             methods = [m for m in methods.split(",") if m]
@@ -166,6 +185,11 @@ class ServeState:
         tier = str(payload.get("tier", self.default_tier))
         if tier not in _TIERS:
             raise ServeError(f"unknown tier {tier!r} (expected one of {_TIERS})")
+        paradigm = payload.get("paradigm")
+        if paradigm is not None and paradigm not in _PARADIGMS:
+            raise ServeError(
+                f"unknown paradigm {paradigm!r} (expected one of {_PARADIGMS})"
+            )
         n_points = len(workloads) * len(schedules) * len(threads) * len(methods)
         self.budgets.check_grid(n_points)
         return {
@@ -173,9 +197,9 @@ class ServeState:
             "threads": [int(t) for t in threads],
             "schedules": [str(s) for s in schedules],
             "methods": [str(m) for m in methods],
-            "paradigm": payload.get("paradigm"),
+            "paradigm": paradigm,
             "memory_model": bool(payload.get("memory_model", True)),
-            "cores": int(payload.get("cores", 12)),
+            "cores": _int_field(payload, "cores", 12),
             # The tier is part of the canonical request — surrogate and
             # exact answers for the same grid cache separately.
             "tier": tier,
@@ -321,7 +345,7 @@ class ServeState:
 
     def _explore(self, payload: dict) -> dict:
         request = self._grid(payload, workloads_field="workload")
-        samples = int(payload.get("samples", 6))
+        samples = _int_field(payload, "samples", 6)
         if samples < 1:
             raise ServeError(f"samples must be >= 1, got {samples}")
         # Each grid point is replayed once per handoff variant.
@@ -330,7 +354,7 @@ class ServeState:
             where="explore request",
         )
         request["samples"] = samples
-        request["seed"] = int(payload.get("seed", 0))
+        request["seed"] = _int_field(payload, "seed", 0)
 
         def run() -> dict:
             from repro.explore import Explorer

@@ -120,9 +120,6 @@ class DramModel:
         )
         #: LRU memo: quantized (mem_fraction, demand) multiset -> k.
         self._cache: OrderedDict[tuple, float] = OrderedDict()
-        #: Warm-start bracket: the last saturated solve's upper bound, reused
-        #: as the initial ``hi`` so the doubling search rarely re-runs.
-        self._warm_hi = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -186,9 +183,9 @@ class DramModel:
         # saturation), so it is worth a process-wide counter; the per-call
         # hit/miss totals are bridged from cache_info() at replay end.
         get_metrics().inc("dram.solve.bisections")
+        # The bracket is a pure function of the running set, so a solve never
+        # depends on earlier ones and the memo is a pure cache.
         lo, hi = k_queue, max(2.0 * k_queue, 2.0)
-        if self._warm_hi > hi:
-            hi = self._warm_hi
         while self._achieved(segments, hi) > self._peak:
             hi *= 2.0
             if hi > _K_MAX:
@@ -196,7 +193,6 @@ class DramModel:
                 # fraction) cannot be throttled below peak: saturate the
                 # multiplier instead of diverging.
                 return _K_MAX
-        self._warm_hi = hi
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if self._achieved(segments, mid) > self._peak:
@@ -207,17 +203,14 @@ class DramModel:
                 break
         return 0.5 * (lo + hi)
 
-    def solve_batch(self, mem_fractions, demands, warm_hi=None):
+    def solve_batch(self, mem_fractions, demands):
         """Vectorized :meth:`stall_multiplier` over independent lanes.
 
         ``mem_fractions`` and ``demands`` are ``(n_lanes, n_segs)`` arrays
         describing one running set per lane, padded with zero-demand
         columns (which are exact no-ops, as in the scalar path).
-        ``warm_hi`` optionally carries each lane's warm-start bracket; the
-        updated brackets are returned so callers can thread them through
-        successive rounds exactly like ``_solve`` threads ``_warm_hi``.
 
-        Returns ``(k, warm_hi_out)`` float64 arrays.  Every lane follows
+        Returns ``k`` as a float64 array.  Every lane follows
         the scalar solve bit for bit — same queue-factor expression, same
         test-then-double bracket growth with the ``_K_MAX`` cap, same
         200-step bisection with the post-update tolerance check — via
@@ -225,20 +218,14 @@ class DramModel:
         changes a result.  The columnar sweep engine uses this to answer
         many concurrent replay walks with one convergence loop.
 
-        This entry point is stateless with respect to the pool: it does
-        not read or write ``_cache``/``_warm_hi`` (each caller owns its
-        own memo, mirroring the one-pool-per-kernel structure).
+        This entry point does not read or write ``_cache`` (each caller
+        owns its own memo, mirroring the one-pool-per-kernel structure).
         """
         import numpy as np
 
         F = np.asarray(mem_fractions, dtype=np.float64)
         D = np.asarray(demands, dtype=np.float64)
         n, width = D.shape
-        wh_in = (
-            np.zeros(n)
-            if warm_hi is None
-            else np.asarray(warm_hi, dtype=np.float64)
-        )
 
         # Sequential per-segment accumulation: matches the scalar sum()
         # (adding 0.0 for padded columns is an exact identity).
@@ -260,15 +247,13 @@ class DramModel:
         k_queue = 1.0 + self._kappa * uc * uc / (1.0 + uc)
         k = k_queue.copy()
         sat = achieved(k_queue) > self._peak
-        wh_out = wh_in.copy()
         n_sat = int(sat.sum())
         if n_sat == 0:
-            return k, wh_out
+            return k
         get_metrics().inc("dram.solve.bisections", float(n_sat))
 
         lo = k_queue.copy()
         hi = np.maximum(2.0 * k_queue, 2.0)
-        hi = np.where(wh_in > hi, wh_in, hi)
         capped = np.zeros(n, dtype=bool)
         active = sat.copy()
         while True:
@@ -281,7 +266,6 @@ class DramModel:
                 k = np.where(newly, _K_MAX, k)
                 capped |= newly
                 active = active & ~newly
-        wh_out = np.where(sat & ~capped, hi, wh_out)
 
         solving = sat & ~capped
         done = ~solving
@@ -293,8 +277,7 @@ class DramModel:
             lo = np.where(~done & over, mid, lo)
             hi = np.where(~done & ~over, mid, hi)
             done = done | (hi - lo <= _SOLVE_TOL * hi)
-        k = np.where(solving, 0.5 * (lo + hi), k)
-        return k, wh_out
+        return np.where(solving, 0.5 * (lo + hi), k)
 
     @property
     def peak_bytes_per_sec(self) -> float:
@@ -319,7 +302,6 @@ class DramModel:
     def clear_cache(self) -> None:
         """Drop all memoised solves and reset the counters."""
         self._cache.clear()
-        self._warm_hi = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
 

@@ -1,6 +1,6 @@
 """Runtime invariant checks for the simulation and emulation pipeline.
 
-Three PRs of aggressive fast paths (closed-form FF, DRAM-solve memo,
+Aggressive fast paths (the columnar closed forms, DRAM-solve memo,
 event-sparse kernel, coalesced replay, cross-grid section memo) mean the
 predictor's correctness rests on a web of parity claims that were verified
 once, at PR time.  This module turns them into *standing* checks, wired

@@ -342,7 +342,7 @@ class TestPersistentCaches:
         assert info["executors"]["size"] > 0
 
     def test_engine_cache_hits_on_repeat(self, prophet, profiles):
-        predictor = BatchPredictor(prophet, jobs=1, backend="columnar")
+        predictor = BatchPredictor(prophet, jobs=1, backend="auto")
         kwargs = dict(threads=[2, 4], methods=("syn",), memory_model=False)
         predictor.sweep(profiles, **kwargs)
         cold = predictor.cache_info()["engines"]

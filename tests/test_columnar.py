@@ -118,7 +118,7 @@ def _both_backends(prophet, profile, **kwargs):
     eager = BatchPredictor(prophet, jobs=1, backend="eager").sweep(
         profile, **kwargs
     )["workload"]
-    columnar = BatchPredictor(prophet, jobs=1, backend="columnar").sweep(
+    columnar = BatchPredictor(prophet, jobs=1, backend="auto").sweep(
         profile, **kwargs
     )["workload"]
     return eager, columnar
@@ -247,7 +247,7 @@ class TestFixtureParity:
         )
         eager = prophet.predict(profiles["mixed"], backend="eager", **kwargs)
         columnar = prophet.predict(
-            profiles["mixed"], backend="columnar", **kwargs
+            profiles["mixed"], backend="auto", **kwargs
         )
         assert columnar.to_table() == eager.to_table()
 
@@ -309,7 +309,7 @@ class TestFallbacks:
             threads=[2],
             methods=("ff", "syn"),
             memory_model=False,
-            backend="columnar",
+            backend="auto",
         )
         assert len(report.estimates) == 2
         assert fresh_metrics.counter_value("columnar.hits") == 0
@@ -333,24 +333,14 @@ class TestFallbacks:
 
 class TestBackendSelection:
     def test_bad_backend_rejected_by_predict(self, prophet, profiles):
-        with pytest.raises(ConfigurationError):
-            prophet.predict(profiles["cpu"], threads=[2], backend="bogus")
+        for backend in ("bogus", "columnar"):
+            with pytest.raises(ConfigurationError):
+                prophet.predict(profiles["cpu"], threads=[2], backend=backend)
 
     def test_bad_backend_rejected_by_batch(self, prophet):
-        with pytest.raises(ConfigurationError):
-            BatchPredictor(prophet, backend="bogus")
-
-    def test_columnar_is_alias_of_auto(self, prophet, profiles):
-        a = prophet.predict(
-            profiles["cpu"], threads=[2], memory_model=False, backend="auto"
-        )
-        b = prophet.predict(
-            profiles["cpu"],
-            threads=[2],
-            memory_model=False,
-            backend="columnar",
-        )
-        assert a.estimates == b.estimates
+        for backend in ("bogus", "columnar"):
+            with pytest.raises(ConfigurationError):
+                BatchPredictor(prophet, backend=backend)
 
     def test_jobs_do_not_change_columnar_results(self, prophet, profiles):
         """Batch composition must not leak into per-point values."""
@@ -413,27 +403,11 @@ class TestSolveBatch:
             for j, (f, d) in enumerate(case):
                 F[i, j] = f
                 D[i, j] = d
-        ks, wh = self._dram().solve_batch(F, D)
+        ks = self._dram().solve_batch(F, D)
         for i, case in enumerate(self.CASES):
             segs = [SegmentDemand(f, d) for f, d in case]
             scalar = self._dram().stall_multiplier(segs)
             assert float(ks[i]) == scalar, f"case {i}"
-
-    def test_warm_start_threads_like_scalar(self):
-        np = pytest.importorskip("numpy")
-        case = self.CASES[2]
-        F = np.asarray([[f for f, _ in case]])
-        D = np.asarray([[d for _, d in case]])
-        dram = self._dram()
-        k1, wh = dram.solve_batch(F, D)
-        k2, _ = dram.solve_batch(F, D, wh)
-        segs = [SegmentDemand(f, d) for f, d in case]
-        scalar = self._dram()
-        total = sum(d for _, d in case)
-        s1 = scalar._solve(segs, total)
-        s2 = scalar._solve(segs, total)  # second call reuses _warm_hi
-        assert float(k1[0]) == s1
-        assert float(k2[0]) == s2
 
 
 # ------------------------------------------------------------ metrics/cal

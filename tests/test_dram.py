@@ -1,9 +1,12 @@
 """Tests for the self-consistent DRAM contention model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.simhw import DramModel, MachineConfig, SegmentDemand
+from repro.simhw.dram import _quantize
 
 
 @pytest.fixture
@@ -114,11 +117,8 @@ class TestStallMultiplier:
 
 class TestSolveMemoization:
     def test_cached_matches_uncached(self):
-        """Cached and cache-free models agree on randomized segment sets.
-
-        The warm-started bisection bracket makes results weakly
-        history-dependent, so the comparison is to solver tolerance, not
-        bit-exact."""
+        """Cached and cache-free models agree bit for bit on randomized
+        segment sets: a solve is a pure function of the running set."""
         import random
 
         rng = random.Random(2012)
@@ -138,7 +138,7 @@ class TestSolveMemoization:
             a1 = cached.stall_multiplier(segs)
             a2 = cached.stall_multiplier(segs)
             assert a1 == a2
-            assert a1 == pytest.approx(plain.stall_multiplier(segs), rel=1e-6)
+            assert a1 == plain.stall_multiplier(segs)
         assert cached.cache_hits >= 40
 
     def test_order_insensitive_key(self, model):
@@ -216,3 +216,55 @@ class TestSolveMemoization:
                 assert model.aggregate_achieved_bandwidth(segs) <= peak * (
                     1 + 1e-6
                 )
+
+
+# Running sets straddling the 12 GB/s peak, zero-demand members included.
+_segments = st.builds(
+    SegmentDemand,
+    mem_fraction=st.floats(0.0, 1.0),
+    demand_bytes_per_sec=st.one_of(st.just(0.0), st.floats(1e6, 4e10)),
+)
+_running_sets = st.lists(_segments, min_size=1, max_size=8)
+
+
+def _key(segs):
+    return tuple(
+        sorted(
+            (_quantize(s.mem_fraction), _quantize(s.demand_bytes_per_sec))
+            for s in segs
+            if s.demand_bytes_per_sec > 0
+        )
+    )
+
+
+class TestSolvePurity:
+    """A DRAM solve is a pure function of the running set: no history."""
+
+    @given(history=st.lists(_running_sets, max_size=6), segs=_running_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_history_never_changes_a_solve(self, history, segs):
+        machine = MachineConfig(n_cores=12, dram_peak_gbs=12.0)
+        cached = DramModel(machine)
+        for other in history:
+            if _key(other) != _key(segs):
+                cached.stall_multiplier(other)
+        expected = DramModel(machine, cache_size=0).stall_multiplier(segs)
+        assert cached.stall_multiplier(segs) == expected
+        assert cached.stall_multiplier(segs) == expected  # memo hit
+
+    @given(lanes=st.lists(_running_sets, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_solve_batch_lanes_match_scalar(self, lanes):
+        np = pytest.importorskip("numpy")
+        machine = MachineConfig(n_cores=12, dram_peak_gbs=12.0)
+        width = max(len(segs) for segs in lanes)
+        F = np.zeros((len(lanes), width))
+        D = np.zeros((len(lanes), width))
+        for i, segs in enumerate(lanes):
+            for j, s in enumerate(segs):
+                F[i, j] = s.mem_fraction
+                D[i, j] = s.demand_bytes_per_sec
+        ks = DramModel(machine).solve_batch(F, D)
+        for i, segs in enumerate(lanes):
+            scalar = DramModel(machine, cache_size=0).stall_multiplier(segs)
+            assert float(ks[i]) == scalar, f"lane {i}"

@@ -1,12 +1,15 @@
 """Tests for the fast-forward emulator (paper Section IV-C/D)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import ColumnarEngine
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.profiler import IntervalProfiler
-from repro.core.tree import Node, NodeKind
+from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import EmulationError
 from repro.runtime import RuntimeOverheads, Schedule
 from repro.simhw import MachineConfig
@@ -248,33 +251,34 @@ class TestOverheadModelling:
 
     def test_nodes_visited_counted(self):
         profile = balanced_loop(10)
-        ff = FastForwardEmulator(ZERO_OH, fast_path=False)
+        ff = FastForwardEmulator(ZERO_OH)
         ff.emulate_profile(profile.tree, 2, Schedule.static())
         assert ff.nodes_visited >= 10
-        # The RLE fast path costs one visit per *stored* node, not per
-        # logical iteration (the compressed loop is a single repeated task).
-        fast = FastForwardEmulator(ZERO_OH)
-        fast.emulate_profile(profile.tree, 2, Schedule.static())
-        assert 1 <= fast.nodes_visited < ff.nodes_visited
 
 
 class TestFastPathParity:
-    """The closed-form RLE fast path must match the exact heap walk on every
-    tree it claims (static family, U-only tasks) and fall back otherwise."""
+    """The columnar FF closed form (``ColumnarEngine.ff_point``, the only FF
+    fast path) must match the heap walk on every tree it claims (static
+    family, U-only tasks) and decline otherwise."""
 
     @staticmethod
-    def _both(sec, n_threads, schedule, burden=1.0):
-        fast = FastForwardEmulator(ZERO_OH)
-        exact = FastForwardEmulator(ZERO_OH, fast_path=False)
-        a = fast.emulate_section(sec, n_threads, schedule, burden=burden)
-        b = exact.emulate_section(sec, n_threads, schedule, burden=burden)
-        return fast, a, b
+    def _both(sec, n_threads, schedule, burden=1.0, oh=ZERO_OH):
+        root = Node(NodeKind.ROOT)
+        root.add(sec)
+        profile = SimpleNamespace(tree=ProgramTree(root), machine=M)
+        point = ColumnarEngine(profile, oh).ff_point(
+            schedule, n_threads, {sec.name: burden}
+        )
+        walk = FastForwardEmulator(oh).emulate_section(
+            sec, n_threads, schedule, burden=burden
+        )
+        return point, walk
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_exact_walk(self, data):
         """Random compressed runs x {static, static,c, dynamic} x 1-12
-        threads: fast-path result within 1e-9 relative of the heap walk."""
+        threads: closed form within 1e-9 relative of the heap walk."""
         root = Node(NodeKind.ROOT)
         sec = root.add(Node(NodeKind.SEC, name="s"))
         for _ in range(data.draw(st.integers(1, 6), label="runs")):
@@ -299,13 +303,14 @@ class TestFastPathParity:
         n_threads = data.draw(st.integers(1, 12), label="threads")
         burden = data.draw(st.sampled_from([1.0, 1.37]), label="burden")
 
-        fast, a, b = self._both(sec, n_threads, schedule, burden)
-        assert a == pytest.approx(b, rel=1e-9)
-        if not schedule.is_dynamic_family:
-            assert fast.fast_path_hits == 1
+        point, walk = self._both(sec, n_threads, schedule, burden)
+        if schedule.is_dynamic_family:
+            assert point is None
+        else:
+            assert point[0] == pytest.approx(walk, rel=1e-9)
 
     def test_overheads_included(self):
-        # Fork/dispatch/join charging matches the exact walk too.
+        # Fork/dispatch/join charging matches the heap walk too.
         sec = Node(NodeKind.SEC, name="s")
         Node(NodeKind.ROOT).add(sec)
         task = sec.add(Node(NodeKind.TASK, repeat=23))
@@ -313,12 +318,8 @@ class TestFastPathParity:
         oh = RuntimeOverheads()
         for sched in (Schedule.static(), Schedule.static_chunk(3)):
             for t in (1, 4, 6):
-                fast = FastForwardEmulator(oh)
-                exact = FastForwardEmulator(oh, fast_path=False)
-                a = fast.emulate_section(sec, t, sched)
-                b = exact.emulate_section(sec, t, sched)
-                assert a == pytest.approx(b, rel=1e-9)
-                assert fast.fast_path_hits == 1
+                point, walk = self._both(sec, t, sched, oh=oh)
+                assert point[0] == pytest.approx(walk, rel=1e-9)
 
     def test_lock_falls_back(self):
         def program(tr):
@@ -329,9 +330,10 @@ class TestFastPathParity:
                             tr.compute(10_000)
 
         profile = profile_of(program)
+        engine = ColumnarEngine(profile, ZERO_OH)
+        assert engine.ff_point(Schedule.static_chunk(1), 4, {}) is None
         ff = FastForwardEmulator(ZERO_OH)
         time, _ = ff.emulate_profile(profile.tree, 4, Schedule.static_chunk(1))
-        assert ff.fast_path_misses >= 1 and ff.fast_path_hits == 0
         assert time == pytest.approx(40_000.0, rel=0.01)
 
     def test_nested_section_falls_back(self):
@@ -344,18 +346,11 @@ class TestFastPathParity:
                                 tr.compute(5_000)
 
         profile = profile_of(program)
+        engine = ColumnarEngine(profile, ZERO_OH)
+        assert engine.ff_point(Schedule.static(), 4, {}) is None
         ff = FastForwardEmulator(ZERO_OH)
-        exact = FastForwardEmulator(ZERO_OH, fast_path=False)
-        a, _ = ff.emulate_profile(profile.tree, 4, Schedule.static())
-        b, _ = exact.emulate_profile(profile.tree, 4, Schedule.static())
-        assert a == b
-        assert ff.fast_path_misses >= 1
-
-    def test_disabled_takes_no_fast_path(self):
-        profile = balanced_loop(16)
-        ff = FastForwardEmulator(ZERO_OH, fast_path=False)
-        ff.emulate_profile(profile.tree, 4, Schedule.static())
-        assert ff.fast_path_hits == 0 and ff.fast_path_misses == 0
+        time, _ = ff.emulate_profile(profile.tree, 4, Schedule.static())
+        assert time == pytest.approx(5_000.0, rel=0.01)
 
     def test_more_threads_than_chunks(self):
         # Threads beyond the chunk count contribute fork time only.
@@ -363,9 +358,8 @@ class TestFastPathParity:
         Node(NodeKind.ROOT).add(sec)
         task = sec.add(Node(NodeKind.TASK, repeat=3))
         task.add(Node(NodeKind.U, length=1000.0))
-        fast, a, b = self._both(sec, 8, Schedule.static_chunk(2))
-        assert a == pytest.approx(b, rel=1e-9)
-        assert fast.fast_path_hits == 1
+        point, walk = self._both(sec, 8, Schedule.static_chunk(2))
+        assert point[0] == pytest.approx(walk, rel=1e-9)
 
 
 class TestCompressedTrees:
@@ -390,19 +384,19 @@ class TestCompressedTrees:
 
 
 class TestCounterSemantics:
-    """The bugfix: fast-path hit/miss attributes are per-emulation scratch
-    (emulate_profile resets them on entry), while cumulative totals live on
+    """The bugfix: ``nodes_visited`` is per-emulation scratch
+    (emulate_profile resets it on entry), while cumulative totals live on
     the process metrics registry."""
 
     def test_emulate_profile_resets_instance_counters(self):
         ff = FastForwardEmulator(ZERO_OH)
         profile = balanced_loop(8)
         ff.emulate_profile(profile.tree, 4, Schedule.static())
-        first = (ff.fast_path_hits, ff.fast_path_misses, ff.nodes_visited)
+        first = ff.nodes_visited
         ff.emulate_profile(profile.tree, 4, Schedule.static())
         # A shared emulator reused across grid points reports the *last*
         # emulation, not an ever-growing sum (the seed leaked counts).
-        assert (ff.fast_path_hits, ff.fast_path_misses, ff.nodes_visited) == first
+        assert ff.nodes_visited == first > 0
 
     def test_reset_counters_between_direct_section_calls(self):
         sec = Node(NodeKind.SEC, name="s")
@@ -411,11 +405,10 @@ class TestCounterSemantics:
         task.add(Node(NodeKind.U, length=1000.0))
         ff = FastForwardEmulator(ZERO_OH)
         ff.emulate_section(sec, 2, Schedule.static())
+        once = ff.nodes_visited
         ff.emulate_section(sec, 4, Schedule.static())
-        assert ff.fast_path_hits == 2
+        assert ff.nodes_visited == 2 * once > 0
         ff.reset_counters()
-        assert ff.fast_path_hits == 0
-        assert ff.fast_path_misses == 0
         assert ff.nodes_visited == 0
 
     def test_registry_accumulates_across_emulations(self):
@@ -427,11 +420,13 @@ class TestCounterSemantics:
             ff = FastForwardEmulator(ZERO_OH)
             profile = balanced_loop(8)
             ff.emulate_profile(profile.tree, 2, Schedule.static())
+            visited = ff.nodes_visited
             ff.emulate_profile(profile.tree, 4, Schedule.static())
             assert mine.counter_value("ff.emulations") == 2.0
-            # Cumulative: two emulations x one fast-path hit each, even
-            # though the instance attribute was reset in between.
-            assert mine.counter_value("ff.fast_path.hits") == 2.0
-            assert mine.counter_value("ff.nodes_visited") > 0.0
+            # Cumulative, even though the instance attribute was reset in
+            # between.
+            assert mine.counter_value("ff.nodes_visited") == (
+                visited + ff.nodes_visited
+            )
         finally:
             set_metrics(old)

@@ -159,11 +159,11 @@ class TestMetricsRegistry:
     def test_render(self):
         m = MetricsRegistry()
         assert m.render() == "(no metrics recorded)"
-        m.inc("ff.fast_path.hits", 3)
+        m.inc("ff.emulations", 3)
         m.gauge("g", 1.5)
         m.observe("h", 2.0)
         text = m.render()
-        assert "ff.fast_path.hits" in text
+        assert "ff.emulations" in text
         assert "counters:" in text
         assert "gauges:" in text
         assert "histograms:" in text

@@ -363,6 +363,36 @@ class TestServeState:
         assert status == 400
         state.queue.shutdown(timeout=5.0)
 
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("/predict", {"cores": None}),
+            ("/predict", {"cores": "twelve"}),
+            ("/predict", {"cores": 4.5}),
+            ("/explore", {"samples": "many"}),
+            ("/explore", {"samples": 2.5}),
+            ("/explore", {"seed": None}),
+            ("/explore", {"seed": "zero"}),
+            ("/predict", {"threads": [True]}),
+            ("/sweep", {"threads": [2, False]}),
+            ("/predict", {"schedules": ["static", "fastest"]}),
+            ("/predict", {"schedules": ["static,x"]}),
+            ("/predict", {"schedules": "dynamic,2;bogus"}),
+            ("/predict", {"paradigm": "mpi"}),
+        ],
+    )
+    def test_bad_fields_rejected(self, path, fields):
+        state = ServeState()
+        field = "workloads" if path == "/sweep" else "workload"
+        payload = {field: "npb_ep", "threads": [2], **fields}
+        try:
+            status, body = state.handle("POST", path, payload)
+        finally:
+            state.queue.shutdown(timeout=5.0)
+        assert status == 400, body
+        assert body["error"] == "bad_request"
+        assert state.queue.stats()["submitted"] == 0
+
     def test_server_wires_config_through(self):
         srv = ReproServer(ServeConfig(port=0, queue_depth=7, predictor_cache=3))
         try:
