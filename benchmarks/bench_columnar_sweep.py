@@ -3,7 +3,9 @@
 Not a paper artifact: this bench tracks the vectorized analytic backend
 (``repro.core.columnar``) behind ``repro sweep``.  It evaluates the same
 FF/SYN sweep columns — an RLE-rich static loop across thread counts ×
-schedules — through the eager scalar path and through the columnar engine,
+schedules — through the reference emulators (the batch worker with no
+engine, ``_predict_point(..., engine=None)`` per grid point) and through
+``ParallelProphet.predict``, where the columnar engine answers,
 asserts report-precision parity (the engine's ≤1e-9 contract), and times
 both.  The wall-clock ratio feeds docs/performance.md §5 and is recorded
 machine-readably in ``BENCH_sweep.json`` by ``run_all.py``.
@@ -21,7 +23,10 @@ import time
 from _common import MACHINE, THREADS
 
 from repro import ParallelProphet
+from repro.core.batch import SweepTask, _predict_point
 from repro.core.executor import clear_section_memo
+from repro.core.ffemu import FastForwardEmulator
+from repro.core.report import SpeedupReport
 
 #: Sweep columns: the Fig. 12 thread axis × two static-family schedules.
 SCHEDULES = ["static", "static,4"]
@@ -56,26 +61,39 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def run_columnar_sweep(quick: bool = False) -> dict:
-    """Time the FF/SYN sweep columns under both backends; verify parity."""
+    """Time the FF/SYN sweep columns on both evaluators; verify parity."""
     repeats = 1 if quick else 3
     prophet = ParallelProphet(machine=MACHINE)
     profile = prophet.profile(_rle_rich)
     n_runs = len(profile.tree.top_level_sections()[0].children)
 
+    tasks = [
+        SweepTask("workload", s, t, ("ff", "syn"), memory_model=False)
+        for s in SCHEDULES
+        for t in THREADS
+    ]
+
+    def run_eager():
+        clear_section_memo()
+        ff = FastForwardEmulator(prophet.overheads)
+        report = SpeedupReport()
+        for task in tasks:
+            report.extend(_predict_point(profile, prophet.overheads, task, ff))
+        return report
+
+    def run_columnar():
+        clear_section_memo()
+        return prophet.predict(
+            profile,
+            threads=THREADS,
+            schedules=SCHEDULES,
+            methods=("ff", "syn"),
+            memory_model=False,
+        )
+
     reports = {}
     results = {}
-    for label, backend in (("eager", "eager"), ("columnar", "auto")):
-        def run():
-            clear_section_memo()
-            return prophet.predict(
-                profile,
-                threads=THREADS,
-                schedules=SCHEDULES,
-                methods=("ff", "syn"),
-                memory_model=False,
-                backend=backend,
-            )
-
+    for label, run in (("eager", run_eager), ("columnar", run_columnar)):
         secs = _time(run, repeats)
         reports[label] = run()
         results[label] = dict(secs=secs)

@@ -59,12 +59,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import ParallelProphet
-from repro.core.prophet import BACKENDS
+from repro.core.batch import TIERS
+from repro.core.profiler import ProgramProfile
 from repro.core.report import error_ratio
 from repro.core.serialize import load_profile, save_profile
+from repro.errors import ConfigurationError
 from repro.obs import get_metrics
 from repro.simhw.machine import MachineConfig
 from repro.workloads import get_workload, workload_names
+
+
+_TIER_HELP = (
+    "prediction tier: exact = emulators; surrogate = learned model wherever "
+    "it has standing; auto = surrogate only where confident, exact fallback "
+    "elsewhere (see docs/surrogate.md)"
+)
 
 
 def _parse_threads(text: str) -> list[int]:
@@ -125,13 +134,60 @@ def _maybe_print_metrics(args: argparse.Namespace) -> None:
         print(get_metrics().render())
 
 
-def _machine_from_args(args: argparse.Namespace) -> MachineConfig:
-    return MachineConfig(n_cores=args.cores)
+def _prophet_for(
+    args: argparse.Namespace, targets: Sequence[str] = ()
+) -> tuple[ParallelProphet, dict[str, Optional[ProgramProfile]]]:
+    """The prophet, and ``{target: saved profile, or None for a name}``.
+
+    A loaded profile's machine is the machine: predictions run on
+    ``profile.machine``, so calibration, replay and profiling the other
+    targets must too.  Otherwise ``--cores`` (default 12) sizes it.  A
+    ``--cores`` that disagrees, or profiles from several machines, raise
+    ConfigurationError.
+    """
+    saved = {
+        t: load_profile(t) if Path(t).suffix == ".json" and Path(t).exists()
+        else None
+        for t in targets
+    }
+    machines = {p.machine for p in saved.values() if p is not None}
+    if len(machines) > 1:
+        raise ConfigurationError(
+            "saved profiles were taken on different machines: "
+            + ", ".join(sorted(f"{m.n_cores} cores" for m in machines))
+        )
+    if not machines:
+        machine = MachineConfig(n_cores=12 if args.cores is None else args.cores)
+    else:
+        (machine,) = machines
+        if args.cores is not None and args.cores != machine.n_cores:
+            raise ConfigurationError(
+                f"--cores {args.cores} disagrees with the saved profile's "
+                f"{machine.n_cores}-core machine"
+            )
+    return ParallelProphet(machine=machine), saved
+
+
+def _profiles_for(
+    prophet: ParallelProphet, saved: dict[str, Optional[ProgramProfile]]
+) -> dict[str, ProgramProfile]:
+    """Name → profile of every target: saved profiles under their file
+    stem, workload names profiled on the prophet's machine."""
+    profiles = {}
+    for target, profile in saved.items():
+        if profile is not None:
+            profiles[Path(target).stem] = profile
+        else:
+            wl = get_workload(target)
+            profiles[wl.name] = prophet.profile(wl.program)
+    return profiles
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--cores", type=int, default=12, help="simulated core count (default 12)"
+        "--cores", type=int, default=None,
+        help="simulated core count (default: a saved profile's machine, "
+        "else 12)",
     )
 
 
@@ -146,8 +202,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """``profile``: interval-profile a workload; optionally save JSON."""
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
+    prophet, _ = _prophet_for(args)
+    machine = prophet.machine
     wl = get_workload(args.workload)
     profile = prophet.profile(wl.program)
     print(f"profiled {wl.name}: {profile.serial_cycles() / 1e6:.2f} Mcycles serial, "
@@ -171,14 +227,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     checker = prev = None
     if args.selfcheck:
         checker, prev = _selfcheck_begin()
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
+    target = args.target
+    prophet, saved = _prophet_for(args, [target])
+    machine = prophet.machine
     threads = _parse_threads(args.threads)
     schedules = args.schedules.split(";")
 
-    target = args.target
-    if Path(target).suffix == ".json" and Path(target).exists():
-        profile = load_profile(target)
+    if saved[target] is not None:
+        profile = saved[target]
         paradigm = args.paradigm or "omp"
         label = target
     else:
@@ -198,7 +254,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         schedules=schedules,
         methods=tuple(args.methods.split(",")),
         memory_model=not args.no_memory_model,
-        backend=args.backend,
         tier=args.tier,
     )
     print(report.to_table())
@@ -226,12 +281,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.core.diagnose import BottleneckDiagnoser
     from repro.runtime.tasks import Schedule
 
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
-
     target = args.target
-    if Path(target).suffix == ".json" and Path(target).exists():
-        profile = load_profile(target)
+    prophet, saved = _prophet_for(args, [target])
+    if saved[target] is not None:
+        profile = saved[target]
         schedule = Schedule.parse(args.schedule)
         label = target
     else:
@@ -260,28 +313,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     checker = prev = None
     if args.selfcheck:
         checker, prev = _selfcheck_begin()
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
+    targets = [t.strip() for t in args.workloads.split(",") if t.strip()]
+    prophet, saved = _prophet_for(args, targets)
     threads = _parse_threads(args.threads)
     schedules = args.schedules.split(";")
     methods = tuple(args.methods.split(","))
+    profiles = _profiles_for(prophet, saved)
 
-    profiles = {}
-    for target in args.workloads.split(","):
-        target = target.strip()
-        if not target:
-            continue
-        if Path(target).suffix == ".json" and Path(target).exists():
-            profiles[Path(target).stem] = load_profile(target)
-        else:
-            wl = get_workload(target)
-            profiles[wl.name] = prophet.profile(wl.program)
-
-    predictor = BatchPredictor(prophet, jobs=args.jobs, backend=args.backend)
+    predictor = BatchPredictor(prophet, jobs=args.jobs)
     print(
         f"sweeping {len(profiles)} workload(s) × {len(schedules)} schedule(s) "
         f"× {len(threads)} thread count(s), methods={list(methods)}, "
-        f"jobs={predictor.jobs}, backend={predictor.backend}"
+        f"jobs={predictor.jobs}"
     )
     reports = predictor.sweep(
         profiles,
@@ -308,7 +351,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 prophet,
                 samples=args.explore,
                 jobs=args.jobs,
-                backend=args.backend,
             ).explore(
                 locky,
                 threads=threads,
@@ -374,15 +416,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     checker, prev = _selfcheck_begin()
     try:
-        machine = _machine_from_args(args)
-        prophet = ParallelProphet(machine=machine)
-        profiles = {}
-        for target in workload_list:
-            if Path(target).suffix == ".json" and Path(target).exists():
-                profiles[Path(target).stem] = load_profile(target)
-            else:
-                wl = get_workload(target)
-                profiles[wl.name] = prophet.profile(wl.program)
+        prophet, saved = _prophet_for(args, workload_list)
+        profiles = _profiles_for(prophet, saved)
         harness = DifferentialHarness(prophet)
         print(
             f"differential-validating {len(profiles)} workload(s) × "
@@ -399,26 +434,30 @@ def cmd_check(args: argparse.Namespace) -> int:
             report.merge(run_fuzz(n_programs=n_fuzz, seed=args.seed))
         print(report.summary())
         rc = 1 if report.violations else 0
-        # Columnar backend: sampled re-verification against the *uncached*
+        # Columnar engine: sampled re-verification against the *uncached*
         # eager path (same pattern as the section-memo invariant) — the
-        # vectorized engine must agree within 1e-9 wherever it engages.
+        # vectorized engine must agree within 1e-9 wherever it engages,
+        # FF/SYN predictions and REAL ground truth alike.
         from repro.core.columnar import verify_points
 
-        col_checked = col_skipped = 0
+        col = {m: [0, 0] for m in ("ff", "syn", "real")}
         for name, profile in profiles.items():
             if memory_model and profile.sections:
                 prophet.attach_burdens(profile, threads)
-            checked, skipped, mismatches = verify_points(
-                prophet, profile, threads, schedules
-            )
-            col_checked += checked
-            col_skipped += skipped
-            for msg in mismatches:
-                print(f"columnar: {name}: {msg}", file=sys.stderr)
-                rc = 1
+            for method, counts in col.items():
+                checked, skipped, mismatches = verify_points(
+                    prophet, profile, threads, schedules, methods=(method,)
+                )
+                counts[0] += checked
+                counts[1] += skipped
+                for msg in mismatches:
+                    print(f"columnar: {name}: {msg}", file=sys.stderr)
+                    rc = 1
         print(
-            f"columnar backend: {col_checked} grid point(s) re-verified "
-            f"against uncached eager replay, {col_skipped} fallback(s)"
+            "columnar engine: "
+            + ", ".join(f"{m} {c[0]}" for m, c in col.items())
+            + " grid point(s) re-verified against uncached eager replay, "
+            f"{sum(c[1] for c in col.values())} fallback(s)"
         )
         # Surrogate tier: every confident answer of the default model on
         # this grid — exactly the answers tier="auto" would serve without
@@ -489,7 +528,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             timeout_s=args.timeout,
         ),
         jobs=args.jobs,
-        backend=args.backend,
         tier=args.tier,
         section_memo=args.section_memo,
         log_requests=args.log_requests,
@@ -500,7 +538,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"repro serve listening on {server.address} "
         f"(workers={config.workers}, queue depth={config.queue_depth}, "
-        f"jobs={config.jobs}, backend={config.backend})",
+        f"jobs={config.jobs})",
         flush=True,
     )
     print(
@@ -519,12 +557,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, write_chrome_trace
     from repro.runtime.tasks import Schedule
 
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
-
     target = args.target
-    if Path(target).suffix == ".json" and Path(target).exists():
-        profile = load_profile(target)
+    prophet, saved = _prophet_for(args, [target])
+    machine = prophet.machine
+    if saved[target] is not None:
+        profile = saved[target]
         paradigm = args.paradigm or "omp"
         schedule = Schedule.parse(args.schedule)
         label = target
@@ -572,8 +609,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """``calibrate``: print the machine's fitted Eqs. 6-7."""
-    machine = _machine_from_args(args)
-    prophet = ParallelProphet(machine=machine)
+    prophet, _ = _prophet_for(args)
     threads = _parse_threads(args.threads)
     cal = prophet.calibration(threads)
     print(cal.summary())
@@ -621,15 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-real", action="store_true", help="skip the ground-truth replay"
     )
     p_predict.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="evaluation backend: auto = vectorized engine with "
-        "per-point eager fallback; eager = scalar path everywhere",
-    )
-    p_predict.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
-        help="prediction tier: exact = emulators; surrogate = learned model "
-        "wherever it has standing; auto = surrogate only where confident, "
-        "exact fallback elsewhere (see docs/surrogate.md)",
+        "--tier", choices=TIERS, default="exact", help=_TIER_HELP
     )
     p_predict.add_argument(
         "--metrics", action="store_true",
@@ -687,15 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("-o", "--output", help="write a markdown report here")
     p_sweep.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="evaluation backend: auto = vectorized engine with "
-        "per-point eager fallback; eager = scalar path everywhere",
-    )
-    p_sweep.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
-        help="prediction tier: exact = emulators; surrogate = learned model "
-        "wherever it has standing; auto = surrogate only where confident, "
-        "exact fallback elsewhere (see docs/surrogate.md)",
+        "--tier", choices=TIERS, default="exact", help=_TIER_HELP
     )
     p_sweep.add_argument(
         "--metrics", action="store_true",
@@ -774,11 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in-process, which is what keeps the replay caches warm)",
     )
     p_serve.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="evaluation backend baked into every cached predictor",
-    )
-    p_serve.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
+        "--tier", choices=TIERS, default="exact",
         help="default prediction tier for requests that don't set \"tier\" "
         "themselves (see docs/surrogate.md)",
     )

@@ -44,7 +44,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from repro.core.executor import ParallelExecutor, ReplayMode
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.profiler import ProgramProfile
-from repro.core.prophet import check_backend
 from repro.core.report import SpeedupEstimate, SpeedupReport
 from repro.core.synthesizer import Synthesizer
 from repro.errors import BatchError, ConfigurationError
@@ -56,6 +55,18 @@ from repro.validate.invariants import get_checker, has_nested_sections
 
 #: Prediction methods a sweep task may request.
 SWEEP_METHODS = ("ff", "syn", "real")
+
+#: Answer tiers (see ``docs/surrogate.md``).
+TIERS = ("exact", "surrogate", "auto")
+
+
+def _check_tier(tier: str) -> str:
+    """Return ``tier`` or raise ConfigurationError if it is unknown."""
+    if tier not in TIERS:
+        raise ConfigurationError(
+            f"unknown tier {tier!r}; expected 'exact', 'surrogate' or 'auto'"
+        )
+    return tier
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,8 @@ class SweepTask:
                 f"n_threads must be >= 1, got {self.n_threads}"
             )
         # Canonicalise ("seeded-random" → "random", seed pinned to 0 for
-        # policies that ignore it) so task equality and executor cache keys
-        # reflect replay behaviour, not spelling.
+        # policies that ignore it) so task equality reflects replay
+        # behaviour, not spelling.
         object.__setattr__(self, "handoff", normalize_handoff(self.handoff))
         if self.handoff != "random":
             object.__setattr__(self, "handoff_seed", 0)
@@ -128,40 +139,35 @@ def _predict_point(
     overheads: RuntimeOverheads,
     task: SweepTask,
     ff: FastForwardEmulator,
-    executors: Optional[dict[tuple, ParallelExecutor]] = None,
     engine=None,
+    serial: Optional[float] = None,
 ) -> list[SpeedupEstimate]:
-    """Evaluate one grid point; runs identically in-process or in a worker.
+    """Evaluate one grid point; the only code that does.
 
-    Uses ``profile.machine`` (the machine the profile was taken on) for the
-    synthesizer and ground-truth replays, mirroring how the facade's
-    prediction paths behave.  ``executors`` (keyed by machine × paradigm ×
-    schedule × handoff) reuses REAL-replay executors across grid points —
-    chunk-scoped in pool workers, predictor-lifetime on the in-process
-    path (:attr:`BatchPredictor._executors`); section results themselves
-    recur through the process-wide
-    :class:`~repro.core.executor.SectionMemo` either way.
+    ``engine`` (a columnar engine for ``profile``, or None) answers each
+    method first; a method it declines — or every method when ``engine``
+    is None — runs on the reference emulators: the FF heap walk, the
+    :class:`~repro.core.synthesizer.Synthesizer` and a
+    :class:`~repro.core.executor.ParallelExecutor` REAL replay.  Runs
+    identically in-process and in a pool worker.
 
-    ``engine`` (chunk-scoped columnar engine, or None) is consulted first
-    for each method; a point the engine declines falls back to the exact
-    eager path below, preserving the per-point fallback contract.
+    Everything runs on ``profile.machine``, the machine the profile was
+    taken on.  Replays recur through the process-wide
+    :class:`~repro.core.executor.SectionMemo`.  ``serial`` is
+    ``profile.serial_cycles()`` if the caller already has it (a tree walk
+    per chunk instead of per FF point).  With the invariant checker on,
+    every estimate is bounds-checked before it is returned.
     """
     if task.handoff != "fifo":
         # The columnar engine models the FIFO handoff analytically; an
         # explored interleaving must replay eagerly to be sound.
         engine = None
     schedule = Schedule.parse(task.schedule)
-    executor_key = (
-        profile.machine,
-        task.paradigm,
-        schedule.label,
-        task.handoff,
-        task.handoff_seed,
-    )
-    serial = profile.serial_cycles()
     estimates: list[SpeedupEstimate] = []
     for method in task.methods:
         if method == "ff":
+            if serial is None:
+                serial = profile.serial_cycles()
             burdens = (
                 {
                     name: profile.burden_for(name, task.n_threads)
@@ -222,20 +228,14 @@ def _predict_point(
             if est is not None:
                 estimates.append(est)
                 continue
-            executor = (
-                executors.get(executor_key) if executors is not None else None
+            executor = ParallelExecutor(
+                machine=profile.machine,
+                paradigm=task.paradigm,
+                schedule=schedule,
+                overheads=overheads,
+                handoff=task.handoff,
+                handoff_seed=task.handoff_seed,
             )
-            if executor is None:
-                executor = ParallelExecutor(
-                    machine=profile.machine,
-                    paradigm=task.paradigm,
-                    schedule=schedule,
-                    overheads=overheads,
-                    handoff=task.handoff,
-                    handoff_seed=task.handoff_seed,
-                )
-                if executors is not None:
-                    executors[executor_key] = executor
             result = executor.execute_profile(
                 profile.tree, task.n_threads, ReplayMode.REAL
             )
@@ -272,9 +272,7 @@ def _run_taskset(
     overheads: RuntimeOverheads,
     indexed_tasks: Sequence[tuple[int, SweepTask]],
     collect_metrics: bool = False,
-    backend: str = "auto",
-    executors: Optional[dict[tuple, ParallelExecutor]] = None,
-    engines: Optional["OrderedDict"] = None,
+    engine=None,
 ) -> tuple[
     list[tuple[int, Union[list[SpeedupEstimate], SweepTaskFailure]]],
     Optional[dict],
@@ -282,14 +280,12 @@ def _run_taskset(
     """Worker entry point: evaluate a chunk of one workload's grid points.
 
     One FF emulator instance is shared across the chunk (it is stateless
-    between ``emulate_profile`` calls), so repeated grid points amortise
-    its setup the same way the facade's hoisted loop does.
-
-    ``executors``/``engines`` (both optional) are the caller's persistent
-    caches: the in-process path passes :class:`BatchPredictor`'s own so
-    replay executors and columnar lowerings survive across sweeps (the
-    serve daemon's warm state); pool workers pass neither and fall back to
-    chunk-scoped instances.
+    between ``emulate_profile`` calls).  ``engine`` is the caller's
+    persistent columnar engine for ``profile``: the in-process path passes
+    :class:`BatchPredictor`'s, so lowerings and point caches survive across
+    sweeps; pool workers pass None and get one engine per chunk.  While the
+    global tracer is on, no engine is used — the analytic engine emits no
+    events, so every point takes the eager path.
 
     A failing task yields a :class:`SweepTaskFailure` in its grid slot
     instead of poisoning the whole chunk: the remaining tasks still run,
@@ -315,33 +311,13 @@ def _run_taskset(
             inv.mode = "raise"
             inv.reset()
     ff = FastForwardEmulator(overheads)
-    if executors is None:
-        executors = {}
-    engine = None
-    if backend != "eager" and not get_tracer().enabled:
+    serial = profile.serial_cycles()
+    if get_tracer().enabled:
+        engine = None
+    elif engine is None:
         from repro.core.columnar import ColumnarEngine
 
-        if engines is None:
-            # One engine per chunk: its lowering and per-point caches are
-            # shared by every grid point of this workload's chunk.
-            engine = ColumnarEngine(profile, overheads)
-        else:
-            # Persistent path: one engine per live profile object, reused
-            # across sweeps so the lowering and per-point caches survive.
-            # The profile rides along in the value to pin the id() key.
-            # Hit/miss counters live on the cache object, not the metrics
-            # registry: pool chunking would make registry counts diverge
-            # between jobs=1 and jobs>1 sweeps of the same grid.
-            key = id(profile)
-            cached = engines.get(key)
-            if cached is not None and cached[0] is profile:
-                engine = cached[1]
-                engines.move_to_end(key)
-                engines.hits = getattr(engines, "hits", 0) + 1
-            else:
-                engine = ColumnarEngine(profile, overheads)
-                engines[key] = (profile, engine)
-                engines.misses = getattr(engines, "misses", 0) + 1
+        engine = ColumnarEngine(profile, overheads)
     results: list[tuple[int, Union[list[SpeedupEstimate], SweepTaskFailure]]] = []
     for index, task in indexed_tasks:
         try:
@@ -349,7 +325,7 @@ def _run_taskset(
                 (
                     index,
                     _predict_point(
-                        profile, overheads, task, ff, executors, engine
+                        profile, overheads, task, ff, engine, serial
                     ),
                 )
             )
@@ -378,7 +354,6 @@ class BatchPredictor:
         prophet=None,
         jobs: Optional[int] = None,
         chunks_per_job: int = 4,
-        backend: str = "auto",
         tier: str = "exact",
         surrogate=None,
     ) -> None:
@@ -387,9 +362,7 @@ class BatchPredictor:
         the serial run the natural determinism baseline).  ``chunks_per_job``
         controls work-stealing granularity: each worker receives roughly
         this many chunks so an expensive grid point cannot straggle the
-        whole sweep.  ``backend`` is ``"auto"`` (vectorized engine with
-        per-point eager fallback) or ``"eager"`` (scalar path everywhere).
-        ``tier`` is the default answer tier for sweeps
+        whole sweep.  ``tier`` is the default answer tier for sweeps
         (``"exact"``, ``"surrogate"``, or ``"auto"`` — see
         ``docs/surrogate.md``); ``surrogate`` overrides the process-default
         model for non-exact tiers."""
@@ -404,25 +377,20 @@ class BatchPredictor:
                 f"chunks_per_job must be >= 1, got {chunks_per_job}"
             )
         self.chunks_per_job = chunks_per_job
-        self.backend = check_backend(backend)
-        if tier not in ("exact", "surrogate", "auto"):
-            raise ConfigurationError(
-                f"unknown tier {tier!r}; expected 'exact', 'surrogate' "
-                f"or 'auto'"
-            )
-        self.tier = tier
+        self.tier = _check_tier(tier)
         self.surrogate = surrogate
-        #: Bounds of the predictor-lifetime caches below (entries, LRU).
-        self.executor_cache_size = 64
-        self.engine_cache_size = 32
-        #: REAL-replay executors, keyed by machine × paradigm × schedule ×
-        #: handoff; live across sweeps on the in-process path so a daemon's
-        #: repeat traffic replays into warm kernels.  Manage through
-        #: :meth:`cache_info` / :meth:`reset`, not directly.
-        self._executors: OrderedDict[tuple, ParallelExecutor] = OrderedDict()
         #: Columnar engines keyed by live profile object (the profile is
-        #: pinned in the value so the ``id()`` key stays unambiguous).
+        #: pinned in the value so the ``id()`` key stays unambiguous), LRU
+        #: up to ``engine_cache_size`` entries.  They live across sweeps on
+        #: the in-process path, so repeat traffic reuses lowerings and point
+        #: caches.  Manage through :meth:`cache_info` / :meth:`reset`.
+        self.engine_cache_size = 32
         self._engines: OrderedDict[int, tuple] = OrderedDict()
+        #: Engine-cache lookups that reused / built an engine.  Kept here,
+        #: not in the metrics registry: pool chunking would make registry
+        #: counts diverge between jobs=1 and jobs>1 sweeps of the same grid.
+        self.engine_hits = 0
+        self.engine_misses = 0
 
     # ------------------------------------------------------------------ API
 
@@ -519,12 +487,7 @@ class BatchPredictor:
             raise ConfigurationError(
                 f'on_error must be "raise" or "collect", got {on_error!r}'
             )
-        tier = tier if tier is not None else self.tier
-        if tier not in ("exact", "surrogate", "auto"):
-            raise ConfigurationError(
-                f"unknown tier {tier!r}; expected 'exact', 'surrogate' "
-                f"or 'auto'"
-            )
+        tier = _check_tier(tier if tier is not None else self.tier)
         for task in tasks:
             if task.workload not in profiles:
                 raise ConfigurationError(
@@ -565,20 +528,16 @@ class BatchPredictor:
         if jobs <= 1:
             # In-process: metric increments land on this registry directly,
             # so the worker must not reset/snapshot it.  The predictor's
-            # persistent executor/engine caches keep replay state warm
-            # across run() calls (and are trimmed to their bounds after).
+            # persistent engine cache keeps lowerings warm across run()s.
             for name, chunk_items in chunks:
                 results, _ = _run_taskset(
                     profiles[name],
                     overheads,
                     chunk_items,
                     False,
-                    self.backend,
-                    executors=self._executors,
-                    engines=self._engines,
+                    None if obs.enabled else self._engine_for(profiles[name]),
                 )
                 gathered.extend(results)
-            self._trim_caches()
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = []
@@ -600,7 +559,6 @@ class BatchPredictor:
                             overheads,
                             chunk_items,
                             True,
-                            self.backend,
                         )
                     )
                 # Merge worker metric snapshots in *submission* order —
@@ -757,23 +715,19 @@ class BatchPredictor:
         """Sizes and hit counters of every cache this predictor feeds.
 
         The explicit surface the serve cache layer and tests use instead
-        of reaching into ``_executors``/``_engines``: predictor-lifetime
-        executor and columnar-engine caches, plus the process-wide section
-        memo the replays recur through.
+        of reaching into ``_engines``: the predictor-lifetime columnar
+        engine cache, plus the process-wide section memo the replays recur
+        through.
         """
         from repro.core.executor import section_memo_info
 
         engines = [engine for _profile, engine in self._engines.values()]
         return {
-            "executors": {
-                "size": len(self._executors),
-                "maxsize": self.executor_cache_size,
-            },
             "engines": {
                 "size": len(engines),
                 "maxsize": self.engine_cache_size,
-                "hits": getattr(self._engines, "hits", 0),
-                "misses": getattr(self._engines, "misses", 0),
+                "hits": self.engine_hits,
+                "misses": self.engine_misses,
                 "point_entries": sum(
                     e.cache_info()["points"] for e in engines
                 ),
@@ -782,24 +736,33 @@ class BatchPredictor:
         }
 
     def reset(self) -> None:
-        """Drop the predictor-lifetime caches (executors, engines).
+        """Drop the predictor-lifetime engine cache and its counters.
 
         The process-wide section memo is shared with other predictors and
         the facade, so it is *not* cleared here — use
         :func:`repro.core.executor.clear_section_memo` (or the serve cache
         layer's ``clear()``, which does both) for a fully cold state.
         """
-        self._executors.clear()
         self._engines.clear()
-        self._engines.hits = 0
-        self._engines.misses = 0
+        self.engine_hits = 0
+        self.engine_misses = 0
 
-    def _trim_caches(self) -> None:
-        """Evict least-recently-used executors/engines over their bounds."""
-        while len(self._executors) > self.executor_cache_size:
-            self._executors.popitem(last=False)
+    def _engine_for(self, profile: ProgramProfile):
+        """The cached columnar engine of a live profile object (LRU)."""
+        key = id(profile)
+        cached = self._engines.get(key)
+        if cached is not None and cached[0] is profile:
+            self._engines.move_to_end(key)
+            self.engine_hits += 1
+            return cached[1]
+        from repro.core.columnar import ColumnarEngine
+
+        engine = ColumnarEngine(profile, self.prophet.overheads)
+        self._engines[key] = (profile, engine)
+        self.engine_misses += 1
         while len(self._engines) > self.engine_cache_size:
             self._engines.popitem(last=False)
+        return engine
 
     # ------------------------------------------------------------- internals
 
@@ -837,11 +800,10 @@ def sweep(
     jobs: Optional[int] = None,
     prophet=None,
     on_error: str = "raise",
-    backend: str = "auto",
     tier: str = "exact",
 ) -> dict[str, SpeedupReport]:
     """Module-level convenience wrapper around :meth:`BatchPredictor.sweep`."""
-    return BatchPredictor(prophet, jobs=jobs, backend=backend, tier=tier).sweep(
+    return BatchPredictor(prophet, jobs=jobs, tier=tier).sweep(
         profiles,
         threads=threads,
         schedules=schedules,

@@ -1,4 +1,4 @@
-"""Columnar sweep engine: numpy-vectorized analytic backend (ISSUE 6).
+"""Columnar sweep engine: the numpy-vectorized analytic grid-point evaluator.
 
 The FF heap walk over lock-free leaf sections, the coalesced RLE replay,
 and the DRAM contention solve are all *analytic* — each grid point of a
@@ -746,12 +746,17 @@ def verify_points(
 ) -> tuple[int, int, list[str]]:
     """Sampled columnar-vs-eager re-verification (``repro check --quick``).
 
-    Evaluates every (method, schedule, t) grid point through the columnar
-    engine and through the *uncached* eager path (fresh emulator /
-    synthesizer, section memo cleared), returning ``(checked, skipped,
-    mismatches)``.  A point the engine declines counts as skipped — the
-    fallback contract makes it eager by construction."""
-    from repro.core.executor import clear_section_memo
+    Evaluates every (method, schedule, t) grid point — ``methods`` any of
+    ``"ff"``, ``"syn"`` and ``"real"`` — through the columnar engine and
+    through the *uncached* eager path (fresh emulator / synthesizer /
+    REAL-replay executor, section memo cleared), returning ``(checked,
+    skipped, mismatches)``.  A point the engine declines counts as skipped
+    — the fallback contract makes it eager by construction."""
+    from repro.core.executor import (
+        ParallelExecutor,
+        ReplayMode,
+        clear_section_memo,
+    )
     from repro.core.ffemu import FastForwardEmulator
     from repro.core.synthesizer import Synthesizer
 
@@ -781,7 +786,7 @@ def verify_points(
                     eager_speedup = (
                         serial / eager_time if eager_time > 0 else 1.0
                     )
-                else:
+                elif method == "syn":
                     est = engine.syn_point(schedule, t, memory_model, "omp")
                     if est is None:
                         skipped += 1
@@ -794,6 +799,21 @@ def verify_points(
                     eager_speedup = syn.predict(
                         profile, t, use_memory_model=memory_model
                     ).estimate.speedup
+                else:
+                    est = engine.real_point(schedule, t, "omp")
+                    if est is None:
+                        skipped += 1
+                        continue
+                    col_speedup = est.speedup
+                    clear_section_memo()
+                    executor = ParallelExecutor(
+                        machine=profile.machine,
+                        schedule=schedule,
+                        overheads=prophet.overheads,
+                    )
+                    eager_speedup = executor.execute_profile(
+                        profile.tree, t, ReplayMode.REAL
+                    ).speedup
                 checked += 1
                 ref = max(abs(eager_speedup), 1e-30)
                 if abs(col_speedup - eager_speedup) / ref > rel_tol:

@@ -97,11 +97,10 @@ class Explorer:
         seed: int = 0,
         variants: Optional[Sequence[ScheduleVariant]] = None,
         jobs: Optional[int] = 1,
-        backend: str = "auto",
     ) -> None:
         """``variants`` overrides the default policy set; a missing fifo
         variant is prepended so the envelope always brackets the default
-        prediction.  ``jobs``/``backend`` are forwarded to the batch
+        prediction.  ``jobs`` is forwarded to the batch
         fan-out — results are byte-identical for any ``jobs`` (the sweep's
         determinism guarantee)."""
         if variants is None:
@@ -112,7 +111,7 @@ class Explorer:
                 variants = (ScheduleVariant("fifo"),) + variants
         self.variants = tuple(variants)
         self.seed = seed
-        self.batch = BatchPredictor(prophet, jobs=jobs, backend=backend)
+        self.batch = BatchPredictor(prophet, jobs=jobs)
         self.prophet = self.batch.prophet
 
     # ------------------------------------------------------------------ API

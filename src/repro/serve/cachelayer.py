@@ -13,7 +13,7 @@ cache classes:
 - ``predictor`` — one (:class:`~repro.core.prophet.ParallelProphet`,
   :class:`~repro.core.batch.BatchPredictor`) pair per machine shape.  The
   prophet carries the calibration cache (the single most expensive warmup)
-  and the predictor carries the persistent executor/columnar-engine caches
+  and the predictor carries the persistent columnar-engine cache
   (:meth:`BatchPredictor.cache_info`).  Evicting a predictor resets it.
 - ``profile`` — interval profiles keyed by (workload, machine), with
   their attached burden tables riding along.
@@ -45,7 +45,7 @@ class LRUCache:
 
     ``on_evict`` (if given) runs for every value leaving the cache —
     capacity eviction and :meth:`clear` alike — so cache classes holding
-    stateful values (e.g. predictors with executor caches) can release
+    stateful values (e.g. predictors with engine caches) can release
     them deterministically.
     """
 
@@ -130,7 +130,7 @@ class LRUCache:
         two racing creators may both build; the insert is then
         insert-if-absent under the lock.  The first value in stays (and is
         what *every* racer returns); the loser's build is discarded through
-        ``on_evict`` so stateful values (predictors with executor caches,
+        ``on_evict`` so stateful values (predictors with engine caches,
         registered metrics) are released instead of leaking.
         """
         value = self.get(key)
@@ -189,10 +189,10 @@ class LRUCache:
 class CacheLayer:
     """All process-lifetime caches of one daemon, behind one surface.
 
-    ``jobs`` and ``backend`` are the sweep-execution knobs baked into
-    every predictor this layer creates; requests select only the machine
-    shape (``cores``), keeping the predictor key small and the executor
-    caches hot across differently-phrased requests.
+    ``jobs`` is the sweep-execution knob baked into every predictor this
+    layer creates; requests select only the machine shape (``cores``),
+    keeping the predictor key small and the engine caches hot across
+    differently-phrased requests.
     """
 
     def __init__(
@@ -202,10 +202,8 @@ class CacheLayer:
         response_size: int = 256,
         section_memo_size: Optional[int] = None,
         jobs: int = 1,
-        backend: str = "auto",
     ) -> None:
         self.jobs = jobs
-        self.backend = backend
         self.predictors = LRUCache(
             "predictor",
             predictor_size,
@@ -224,7 +222,7 @@ class CacheLayer:
         """The (prophet, predictor) pair for a machine shape, cached.
 
         The prophet owns the calibration cache; the predictor owns the
-        persistent executor and columnar-engine caches.  Together they are
+        persistent columnar-engine cache.  Together they are
         the warm state a repeat request hits.
         """
 
@@ -234,11 +232,7 @@ class CacheLayer:
             from repro.simhw.machine import MachineConfig
 
             prophet = ParallelProphet(machine=MachineConfig(n_cores=cores))
-            return prophet, BatchPredictor(
-                prophet,
-                jobs=self.jobs,
-                backend=self.backend,
-            )
+            return prophet, BatchPredictor(prophet, jobs=self.jobs)
 
         return self.predictors.get_or_create(int(cores), build)
 
@@ -278,7 +272,7 @@ class CacheLayer:
     def clear(self) -> dict[str, int]:
         """Drop every cache class; returns per-class dropped-entry counts.
 
-        Predictor eviction hooks reset their executor/engine caches, and
+        Predictor eviction hooks reset their engine caches, and
         the process-wide section memo is cleared alongside so ``POST
         /cache/clear`` really does return the daemon to a cold state.
         """

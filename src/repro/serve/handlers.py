@@ -369,7 +369,6 @@ class ServeState:
                 samples=request["samples"],
                 seed=request["seed"],
                 jobs=self.cache.jobs,
-                backend=self.cache.backend,
             ).explore(
                 profiles,
                 threads=request["threads"],

@@ -49,7 +49,6 @@ class ServeConfig:
     budgets: RequestBudgets = field(default_factory=RequestBudgets)
     #: Sweep-execution knobs baked into every cached predictor.
     jobs: int = 1
-    backend: str = "auto"
     #: Default prediction tier for requests that don't pass ``tier``
     #: themselves ("exact" | "surrogate" | "auto"; see docs/surrogate.md).
     tier: str = "exact"
@@ -126,7 +125,6 @@ class ReproServer:
                 response_size=config.response_cache,
                 section_memo_size=config.section_memo,
                 jobs=config.jobs,
-                backend=config.backend,
             ),
             queue=WorkQueue(workers=config.workers, depth=config.queue_depth),
             budgets=config.budgets,

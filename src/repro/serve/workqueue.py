@@ -6,8 +6,8 @@ drains the queue, which is bounded — a full queue refuses admission
 (:class:`~repro.serve.budgets.QueueFull` → 429) instead of buffering
 unbounded work the clients have long given up on.
 
-Why one worker by default: the cache layer's values (executor caches,
-section memo, columnar engines) are plain dicts tuned for the GIL, not for
+Why one worker by default: the cache layer's values (section memo,
+columnar engines) are plain dicts tuned for the GIL, not for
 concurrent mutation, and a single simulated sweep already saturates a
 core.  ``workers > 1`` is supported for mixed traffic (the caches degrade
 to occasional double-compute, never corruption of returned results), but

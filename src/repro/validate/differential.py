@@ -390,7 +390,6 @@ def verify_surrogate(
         surrogate = get_default_surrogate()
     if tolerance is None:
         tolerance = SURROGATE_TOLERANCE
-    machine = prophet.machine
     checked = abstained = 0
     mismatches: list[str] = []
     metrics = get_metrics()
@@ -400,7 +399,7 @@ def verify_surrogate(
             for method in ("ff", "syn"):
                 ans = surrogate.answer(
                     profile,
-                    machine,
+                    profile.machine,
                     method,
                     paradigm,
                     schedule,

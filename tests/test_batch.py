@@ -4,9 +4,11 @@ import pytest
 
 from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, SweepTaskFailure, sweep
+from repro.core.executor import clear_section_memo
 from repro.errors import BatchError, ConfigurationError
 from repro.obs import MetricsRegistry, set_metrics
 from repro.simhw import MachineConfig
+from repro.workloads import get_workload
 
 M = MachineConfig(n_cores=8)
 
@@ -322,27 +324,31 @@ class TestMetricsMerge:
 
 class TestPersistentCaches:
     """The daemon-facing cache surface: reset(), cache_info(), and warm
-    executor/engine reuse across run() calls on one predictor instance."""
+    columnar-engine reuse across run() calls on one predictor instance."""
 
     def test_cache_info_shape(self, prophet):
         info = BatchPredictor(prophet, jobs=1).cache_info()
-        assert set(info) == {"executors", "engines", "section_memo"}
-        assert info["executors"] == {"size": 0, "maxsize": 64}
-        assert info["engines"]["size"] == 0
+        assert set(info) == {"engines", "section_memo"}
+        assert info["engines"] == {
+            "size": 0,
+            "maxsize": 32,
+            "hits": 0,
+            "misses": 0,
+            "point_entries": 0,
+        }
         assert "hits" in info["section_memo"]
 
     def test_run_populates_persistent_caches(self, prophet, profiles):
-        # Eager backend: the columnar engine would answer these REAL
-        # points analytically and never build a replay executor.
-        predictor = BatchPredictor(prophet, jobs=1, backend="eager")
+        predictor = BatchPredictor(prophet, jobs=1)
         predictor.sweep(
             profiles, threads=[2, 4], methods=("real",), memory_model=False
         )
         info = predictor.cache_info()
-        assert info["executors"]["size"] > 0
+        assert info["engines"]["size"] == len(profiles)
+        assert info["engines"]["misses"] == len(profiles)
 
     def test_engine_cache_hits_on_repeat(self, prophet, profiles):
-        predictor = BatchPredictor(prophet, jobs=1, backend="auto")
+        predictor = BatchPredictor(prophet, jobs=1)
         kwargs = dict(threads=[2, 4], methods=("syn",), memory_model=False)
         predictor.sweep(profiles, **kwargs)
         cold = predictor.cache_info()["engines"]
@@ -377,12 +383,13 @@ class TestPersistentCaches:
         )
         predictor.reset()
         info = predictor.cache_info()
-        assert info["executors"]["size"] == 0
         assert info["engines"]["size"] == 0
+        assert info["engines"]["hits"] == info["engines"]["misses"] == 0
 
     def test_caches_trimmed_to_bound(self, prophet, profiles):
+        assert len(profiles) > 1
         predictor = BatchPredictor(prophet, jobs=1)
-        predictor.executor_cache_size = 2
+        predictor.engine_cache_size = 1
         predictor.sweep(
             profiles,
             threads=[2, 4],
@@ -390,7 +397,7 @@ class TestPersistentCaches:
             methods=("real",),
             memory_model=False,
         )
-        assert predictor.cache_info()["executors"]["size"] <= 2
+        assert predictor.cache_info()["engines"]["size"] == 1
 
     def test_pool_path_unaffected_by_instance_caches(self, prophet, profiles):
         kwargs = dict(threads=[2, 4], methods=("syn",), memory_model=False)
@@ -406,3 +413,107 @@ class TestPersistentCaches:
                 (e.method, e.schedule, e.n_threads, e.speedup)
                 for e in warm_again[name].estimates
             ]
+
+
+# -------------------------------------------------- one answer per grid point
+
+#: Registered workloads: locks (EP), memory saturation (FT), and the
+#: lock-free MD kernel.
+ONE_ANSWER_WORKLOADS = ("npb_ep", "npb_ft", "ompscr_md")
+ONE_ANSWER_GRID = dict(
+    threads=[2, 4, 8],
+    schedules=["static", "static,1", "dynamic,1"],
+    methods=("ff", "syn", "real"),
+)
+
+
+def _keyed(report):
+    """(schedule, t, method) → estimate; the grid must not repeat a key."""
+    keyed = {(e.schedule, e.n_threads, e.method): e for e in report}
+    assert len(keyed) == len(report.estimates)
+    return keyed
+
+
+@pytest.fixture(scope="module")
+def registered():
+    prophet = ParallelProphet(machine=M)
+    # Burden factors depend on the thread counts the Ψ/Φ fit covers: pin
+    # the calibration set so every path below shares one fit.
+    prophet.calibration(ONE_ANSWER_GRID["threads"])
+    profiles = {
+        name: prophet.profile(get_workload(name).program)
+        for name in ONE_ANSWER_WORKLOADS
+    }
+    return prophet, profiles
+
+
+class TestOneAnswerPerGridPoint:
+    """A grid point's estimate is a pure function of (profile, machine,
+    point): the facade, cold and warm sweeps, the pool and the thread order
+    all give ``==`` estimates, ``sections`` included."""
+
+    @pytest.mark.parametrize("name", ONE_ANSWER_WORKLOADS)
+    def test_every_path_gives_the_same_estimates(self, registered, name):
+        prophet, profiles = registered
+        profile = profiles[name]
+        paradigm = get_workload(name).paradigm
+        grid = dict(ONE_ANSWER_GRID, paradigm=paradigm)
+
+        clear_section_memo()
+        predictor = BatchPredictor(prophet, jobs=1)
+        cold = _keyed(predictor.sweep(profile, **grid)["workload"])
+        assert len(cold) == 3 * 3 * 3
+
+        facade = _keyed(
+            prophet.predict(
+                profile,
+                grid["threads"],
+                paradigm=paradigm,
+                schedules=grid["schedules"],
+                methods=("ff", "syn"),
+            )
+        )
+        for schedule in grid["schedules"]:
+            facade.update(
+                _keyed(
+                    prophet.measure_real(
+                        profile,
+                        grid["threads"],
+                        paradigm=paradigm,
+                        schedule=schedule,
+                    )
+                )
+            )
+        assert facade == cold
+
+        other = next(p for n, p in profiles.items() if n != name)
+        predictor.sweep(other, **grid)
+        clear_section_memo()
+        warm = _keyed(predictor.sweep(profile, **grid)["workload"])
+        assert predictor.cache_info()["engines"]["hits"] > 0
+        assert warm == cold
+
+        pooled = BatchPredictor(prophet, jobs=2).sweep(profile, **grid)
+        assert _keyed(pooled["workload"]) == cold
+
+        backwards = dict(grid, threads=grid["threads"][::-1])
+        reordered = BatchPredictor(prophet, jobs=1).sweep(profile, **backwards)
+        assert _keyed(reordered["workload"]) == cold
+
+
+class TestProfileMachine:
+    """Every grid point runs on the machine the profile was taken on, so a
+    prophet built for another machine gives the same ground truth."""
+
+    def test_measure_real_uses_the_profile_machine(self):
+        prophet12 = ParallelProphet(machine=MachineConfig(n_cores=12))
+        profile = prophet12.profile(get_workload("ompscr_md").program)
+        prophet8 = ParallelProphet(machine=M)
+        real = prophet8.measure_real(profile, [12])
+        swept = BatchPredictor(prophet8, jobs=1).sweep(
+            profile, threads=[12], methods=("real",)
+        )["workload"]
+        assert real.estimates == swept.estimates
+        assert real.estimates == prophet12.measure_real(profile, [12]).estimates
+        # Twelve threads on the profile's twelve cores: no oversubscription.
+        assert real.speedup(n_threads=12) > 8.0

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import repro
+from repro import ParallelProphet
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 class TestParser:
@@ -41,8 +43,6 @@ class TestProfile:
         assert path.exists()
 
     def test_unknown_workload_errors(self):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             main(["profile", "npb_dt"])
 
@@ -146,6 +146,66 @@ class TestPredict:
         )
         out = capsys.readouterr().out
         assert "cilk" in out
+
+
+class TestSavedProfileMachine:
+    """A loaded profile's machine is the machine: calibration, replay and
+    the header all use it, ``--cores`` defaults to it, and an explicit
+    ``--cores`` that disagrees is a one-line ConfigurationError."""
+
+    COMMANDS = {
+        "predict": ["predict", "{p}", "--threads", "2", "--no-memory-model"],
+        "predict-mm": ["predict", "{p}", "--threads", "2", "--no-real"],
+        "sweep": ["sweep", "{p},npb_ep", "--threads", "2", "--methods",
+                  "ff,syn,real"],
+        "diagnose": ["diagnose", "{p}", "--threads", "2"],
+        "trace": ["trace", "{p}", "--threads", "2", "--out", "{out}"],
+        "check": ["check", "--workloads", "{p}", "--threads", "2",
+                  "--fuzz", "0", "--no-memory-model"],
+    }
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("saved") / "ep8.json"
+        assert main(["profile", "npb_ep", "-o", str(path), "--cores", "8"]) == 0
+        return path
+
+    def _argv(self, command, saved, tmp_path):
+        return [
+            arg.format(p=saved, out=tmp_path / "trace.json")
+            for arg in self.COMMANDS[command]
+        ]
+
+    @pytest.mark.parametrize("cores", [[], ["--cores", "8"]],
+                             ids=["default", "agreeing"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_runs_on_the_profile_machine(self, saved, tmp_path, monkeypatch,
+                                         capsys, command, cores):
+        import repro.cli as cli
+
+        machines = []
+
+        class Recording(ParallelProphet):
+            def __init__(self, machine, **kwargs):
+                machines.append(machine)
+                super().__init__(machine, **kwargs)
+
+        monkeypatch.setattr(cli, "ParallelProphet", Recording)
+        assert main(self._argv(command, saved, tmp_path) + cores) == 0
+        assert [m.n_cores for m in machines] == [8]
+        if command.startswith("predict"):
+            assert "on 8 cores" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_disagreeing_cores_rejected(self, saved, tmp_path, command):
+        with pytest.raises(ConfigurationError, match="--cores 12 disagrees"):
+            main(self._argv(command, saved, tmp_path) + ["--cores", "12"])
+
+    def test_profiles_from_different_machines_rejected(self, saved, tmp_path):
+        other = tmp_path / "ep4.json"
+        main(["profile", "npb_ep", "-o", str(other), "--cores", "4"])
+        with pytest.raises(ConfigurationError, match="different machines"):
+            main(["sweep", f"{saved},{other}", "--threads", "2"])
 
 
 class TestTrace:
@@ -401,7 +461,6 @@ class TestServeCommand:
         assert args.workers == 1
         assert args.queue_depth == 16
         assert args.max_grid_points == 4096
-        assert args.backend == "auto"
         assert args.jobs == 1
 
     def test_serve_flags_parse(self):
@@ -414,8 +473,6 @@ class TestServeCommand:
                 "4",
                 "--timeout",
                 "5",
-                "--backend",
-                "eager",
                 "--section-memo",
                 "128",
             ]
@@ -423,9 +480,4 @@ class TestServeCommand:
         assert args.port == 0
         assert args.queue_depth == 4
         assert args.timeout == 5.0
-        assert args.backend == "eager"
         assert args.section_memo == 128
-
-    def test_serve_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "magic"])

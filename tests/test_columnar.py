@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ParallelProphet
-from repro.core.batch import BatchPredictor
+from repro.core.batch import BatchPredictor, SweepTask, _predict_point
 from repro.core.columnar import verify_points
-from repro.errors import ConfigurationError
+from repro.core.ffemu import FastForwardEmulator
+from repro.core.report import SpeedupReport
 from repro.obs import MetricsRegistry, set_metrics
 from repro.simhw import MachineConfig
 from repro.simhw.dram import DramModel, SegmentDemand
@@ -114,14 +115,28 @@ def _assert_parity(eager, columnar, rel=REL):
         )
 
 
+def _eager_reference(prophet, profile, threads, schedules=("static",),
+                     methods=("syn",), memory_model=True):
+    """The grid through the reference emulators only: the batch worker
+    with no columnar engine (burdens are attached by the caller's sweep)."""
+    ff = FastForwardEmulator(prophet.overheads)
+    report = SpeedupReport()
+    for label in schedules:
+        for t in threads:
+            task = SweepTask("workload", label, t, tuple(methods),
+                             memory_model=memory_model)
+            report.extend(
+                _predict_point(profile, prophet.overheads, task, ff, engine=None)
+            )
+    return report
+
+
 def _both_backends(prophet, profile, **kwargs):
-    eager = BatchPredictor(prophet, jobs=1, backend="eager").sweep(
-        profile, **kwargs
-    )["workload"]
-    columnar = BatchPredictor(prophet, jobs=1, backend="auto").sweep(
-        profile, **kwargs
-    )["workload"]
-    return eager, columnar
+    """(eager reference, default sweep) reports of one grid."""
+    columnar = BatchPredictor(prophet, jobs=1).sweep(profile, **kwargs)[
+        "workload"
+    ]
+    return _eager_reference(prophet, profile, **kwargs), columnar
 
 
 # ------------------------------------------------------------ property test
@@ -245,10 +260,8 @@ class TestFixtureParity:
             methods=("ff", "syn"),
             memory_model=True,
         )
-        eager = prophet.predict(profiles["mixed"], backend="eager", **kwargs)
-        columnar = prophet.predict(
-            profiles["mixed"], backend="auto", **kwargs
-        )
+        columnar = prophet.predict(profiles["mixed"], **kwargs)
+        eager = _eager_reference(prophet, profiles["mixed"], **kwargs)
         assert columnar.to_table() == eager.to_table()
 
 
@@ -309,7 +322,6 @@ class TestFallbacks:
             threads=[2],
             methods=("ff", "syn"),
             memory_model=False,
-            backend="auto",
         )
         assert len(report.estimates) == 2
         assert fresh_metrics.counter_value("columnar.hits") == 0
@@ -332,16 +344,6 @@ class TestFallbacks:
 
 
 class TestBackendSelection:
-    def test_bad_backend_rejected_by_predict(self, prophet, profiles):
-        for backend in ("bogus", "columnar"):
-            with pytest.raises(ConfigurationError):
-                prophet.predict(profiles["cpu"], threads=[2], backend=backend)
-
-    def test_bad_backend_rejected_by_batch(self, prophet):
-        for backend in ("bogus", "columnar"):
-            with pytest.raises(ConfigurationError):
-                BatchPredictor(prophet, backend=backend)
-
     def test_jobs_do_not_change_columnar_results(self, prophet, profiles):
         """Batch composition must not leak into per-point values."""
         kwargs = dict(
@@ -373,6 +375,34 @@ class TestVerifyPoints:
         assert mismatches == []
         assert checked == 0
         assert skipped == 4
+
+    def test_real_points_verified(self, prophet, profiles):
+        """REAL ground truth (the batched-DRAM missy walk included) is
+        re-verified against an uncached eager executor replay."""
+        for name in ("cpu", "mem"):
+            checked, skipped, mismatches = verify_points(
+                prophet, profiles[name], threads=[2, 4, 8], methods=("real",)
+            )
+            assert mismatches == []
+            assert (checked, skipped) == (3, 0)
+
+    def test_real_mismatch_reported(self, prophet, profiles, monkeypatch):
+        from dataclasses import replace
+
+        import repro.core.columnar as columnar_mod
+
+        served = columnar_mod.ColumnarEngine.real_point
+
+        def skewed(self, schedule, t, paradigm):
+            est = served(self, schedule, t, paradigm)
+            return replace(est, speedup=est.speedup * (1 + 1e-6))
+
+        monkeypatch.setattr(columnar_mod.ColumnarEngine, "real_point", skewed)
+        checked, _, mismatches = verify_points(
+            prophet, profiles["mem"], threads=[4], methods=("real",)
+        )
+        assert checked == 1
+        assert len(mismatches) == 1 and "real/static/t=4" in mismatches[0]
 
 
 # --------------------------------------------------------- batched DRAM solve

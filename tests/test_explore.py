@@ -260,7 +260,6 @@ class TestExplorer:
         profile = self._locky_profile()
         plain = prophet.predict(
             profile, threads=[4], methods=("syn",), memory_model=False,
-            backend="eager",
         )
         explored = prophet.explore(profile, threads=[4], memory_model=False)
         assert explored.speedup(method="syn", n_threads=4) == plain.speedup(

@@ -377,7 +377,8 @@ class TestCoalesceFallbacks:
 class TestSectionMemo:
     MACHINE = MachineConfig(n_cores=4)
 
-    def test_identical_sections_hit_across_executors(self):
+    def test_identical_sections_hit_across_executor_instances(self):
+        """The memo is process-wide: a fresh executor replays into it."""
         tree = _leaf_section()
         before = section_memo_info()["hits"]
         r1 = ParallelExecutor(self.MACHINE).execute_profile(

@@ -335,9 +335,9 @@ class TestCacheLayer:
     def test_evicted_predictor_is_reset(self):
         layer = CacheLayer(predictor_size=1)
         _, predictor = layer.predictor_for(4)
-        predictor._executors["sentinel"] = object()
+        predictor._engines["sentinel"] = object()
         layer.predictor_for(6)  # evicts the 4-core pair
-        assert len(predictor._executors) == 0
+        assert len(predictor._engines) == 0
 
     def test_stats_shape(self):
         layer = CacheLayer()
@@ -347,17 +347,17 @@ class TestCacheLayer:
         for name in ("predictor", "profile", "response", "section_memo"):
             assert name in stats["classes"]
         assert "4" in stats["predictors"]
-        assert "executors" in stats["predictors"]["4"]
+        assert "engines" in stats["predictors"]["4"]
 
     def test_clear_returns_counts_and_resets(self):
         layer = CacheLayer()
         prophet, predictor = layer.predictor_for(4)
         layer.profile_for("npb_ep", 4, prophet)
         layer.responses.put("k", {"v": 1})
-        predictor._executors["sentinel"] = object()
+        predictor._engines["sentinel"] = object()
         cleared = layer.clear()
         assert cleared["predictor"] == 1
         assert cleared["profile"] == 1
         assert cleared["response"] == 1
-        assert len(predictor._executors) == 0
+        assert len(predictor._engines) == 0
         assert len(layer.predictors) == 0
