@@ -437,16 +437,21 @@ def cmd_check(args: argparse.Namespace) -> int:
         # Columnar engine: sampled re-verification against the *uncached*
         # eager path (same pattern as the section-memo invariant) — the
         # vectorized engine must agree within 1e-9 wherever it engages,
-        # FF/SYN predictions and REAL ground truth alike.
+        # FF/SYN predictions and REAL ground truth alike.  --quick covers
+        # the paper's three schedules whatever the harness ran, so the
+        # team walk's static,1 and dynamic chunk cursor are re-verified.
         from repro.core.columnar import verify_points
 
+        col_schedules = (
+            ("static", "static,1", "dynamic,1") if args.quick else schedules
+        )
         col = {m: [0, 0] for m in ("ff", "syn", "real")}
         for name, profile in profiles.items():
             if memory_model and profile.sections:
                 prophet.attach_burdens(profile, threads)
             for method, counts in col.items():
                 checked, skipped, mismatches = verify_points(
-                    prophet, profile, threads, schedules, methods=(method,)
+                    prophet, profile, threads, col_schedules, methods=(method,)
                 )
                 counts[0] += checked
                 counts[1] += skipped

@@ -17,23 +17,33 @@ against those arrays:
 - the fork / thread-start / barrier / join skeleton of
   ``OpenMPRuntime.parallel_aggregated`` collapses to a closed form over
   the member totals (``_gross``);
-- memory-demanding REAL sections are replayed by a miniature event walk
-  whose DRAM solves are *batched*: every walk in flight yields its
+- everything the closed forms cannot express exactly — memory-demanding
+  REAL sections, ``static,N`` interleaving with demand, and every
+  dynamic/guided section — replays one OpenMP team in ``_team_walk``, a
+  lean event walk over per-member op streams (demand-free segments and
+  missy lanes).  A member's ops come from a chain built once from the RLE
+  runs (the fused lane of a coalesced ``static`` member, or the expanded
+  per-chunk dispatch + per-leaf stream of ``OmpRuntime._member_work``) or
+  from a shared ``Schedule.chunks`` cursor for the dynamic family.  The
+  walks' DRAM solves are *batched*: every walk in flight yields its
   (mem-fraction, demand) multiset, and one
   :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of
   them with a shared convergence loop and per-lane early-exit masks.
 
 The eager paths remain the parity oracles: the FF closed form is checked
-against the FF heap walk (``ffemu`` keeps no scalar copy of it), and every
-other closed form mirrors the corresponding eager code path
+against the FF heap walk (``ffemu`` keeps no scalar copy of it), the closed
+forms mirror the corresponding eager code paths
 (``executor._coalesce_shares`` / ``_coalesced_member_body``,
-``openmp.parallel_aggregated``, ``simos.kernel``'s segment rating); all
-are property-tested to agree within 1e-9 relative.  Sections the analytic
-model cannot represent exactly — locks, nested sections, pipelines,
-nowait chains, dynamic-family schedules, oversubscribed teams, mixed
-demand signatures — make the engine return ``None`` so callers fall back
+``openmp.parallel_aggregated``) within 1e-9 relative, and the team walk
+reproduces the DES kernel's arithmetic bit for bit (``simos.kernel``'s
+absolute-form segment rating, its demand-signature cache and its
+``(time, core)`` event order).  Sections the engine cannot represent
+exactly — locks, nested sections, pipelines, nowait chains, oversubscribed
+teams, mixed demand signatures, several DRAM sockets, FF under a
+dynamic-family schedule — make it return ``None`` so callers fall back
 per-point to the exact executor.  The ``columnar.hits`` /
-``columnar.fallbacks`` counters record each decision.
+``columnar.fallbacks`` counters record each decision, and
+``columnar.declines.<reason>`` says why each fallback happened.
 
 Determinism: results are pure functions of (profile, schedule, t) — only
 elementwise ops and per-row reductions are used (no BLAS), so a grid
@@ -42,7 +52,6 @@ point's value never depends on which other points share its batch.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from typing import Optional
 
@@ -71,7 +80,7 @@ class _SecCols:
     __slots__ = (
         "node", "name", "repeat", "serial", "n_runs", "n_iters",
         "counts", "bounds", "unit", "oh", "rc", "rm",
-        "rc_list", "rm_list", "total_misses", "real_ok", "sig_ok",
+        "rc_list", "rm_list", "real_ops", "total_misses", "real_ok", "sig_ok",
     )
 
     def __init__(self, node: Node, machine: MachineConfig) -> None:
@@ -85,6 +94,8 @@ class _SecCols:
         oh: list[float] = []
         rc: list[float] = []
         rm: list[float] = []
+        #: Per-run REAL ops of one iteration for the team walk.
+        real_ops: list[tuple] = []
         sigs: set = set()
         total_misses = 0.0
         real_ok = True
@@ -92,12 +103,15 @@ class _SecCols:
             c_f = 0.0
             c_r = m_r = 0.0
             n_leaves = 0
+            ops = []
             for leaf in task.children:
                 # Leaf-only eligibility is checked by the caller.
                 c_f += leaf.length * leaf.repeat
                 n_leaves += 1
                 cc = (leaf.cpu_cycles + leaf.llc_misses * stall) * leaf.repeat
                 mm = leaf.llc_misses * leaf.repeat
+                if cc > 0.0:  # executor._leaf_compute × repeat; else instant
+                    ops.append(_lane(machine, cc, mm) if mm else float(cc))
                 if mm > 0.0 and cc <= 0.0:
                     # Instant misses have no demand in the expanded
                     # lowering; fusing them would invent some (same rule
@@ -108,6 +122,7 @@ class _SecCols:
                     m_r += mm
                     if cc > 0.0:
                         sigs.add(_demand_sig(machine, cc, mm) if mm > 0.0 else None)
+            real_ops.append(tuple(ops))
             counts.append(task.repeat)
             unit.append(c_f)
             oh.append(OVERHEAD_ACCESS_NODE * n_leaves)
@@ -127,6 +142,7 @@ class _SecCols:
         #: Plain-float copies for the bit-exact missy share accumulation.
         self.rc_list = rc
         self.rm_list = rm
+        self.real_ops = real_ops
         self.total_misses = total_misses
         self.real_ok = real_ok
         self.sig_ok = len(sigs) == 1 and None not in sigs
@@ -138,16 +154,6 @@ def _demand_sig(machine: MachineConfig, cycles: float, misses: float):
     seconds = machine.cycles_to_seconds(cycles)
     d = misses * machine.line_size / seconds if seconds > 0 else 0.0
     return (float(f"{f:.12g}"), float(f"{d:.12g}"))
-
-
-def _lane_fd(machine: MachineConfig, wc: float, wm: float) -> tuple[float, float]:
-    """Raw (mem-fraction, demand) of one fused missy segment — the exact
-    formulas of ``SimKernel._attach_segment`` (zero switch debt)."""
-    miss_stall = wm * machine.base_miss_stall
-    f = min(1.0, miss_stall / wc) if wc > 0 else 0.0
-    seconds = machine.cycles_to_seconds(wc) if wc > 0 else 0.0
-    d = (wm * machine.line_size / seconds) if seconds > 0 else 0.0
-    return f, d
 
 
 class ColumnarEngine:
@@ -294,11 +300,11 @@ class ColumnarEngine:
         ``fork + (#dispatches)·dispatch + owned work``; this evaluates that
         per compressed run, plus the ``emulate_profile`` assembly
         (per-section repeat scaling, result records, invariant checks)."""
-        m = get_metrics()
-        if self._lowering() is None or schedule.is_dynamic_family:
-            m.inc("columnar.fallbacks")
-            return None
-        m.inc("columnar.hits")
+        if self._lowering() is None:
+            return _decline("numpy" if np is None else "lowering")
+        if schedule.is_dynamic_family:
+            return _decline("dynamic")
+        get_metrics().inc("columnar.hits")
         oh = self.overheads
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
         jb = oh.omp_join_barrier
@@ -357,24 +363,32 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------- SYN point
 
-    def _team_ok(self, schedule: Schedule, t: int, paradigm: str) -> bool:
-        """Shared replay eligibility: an OpenMP static-family team that the
-        DES kernel would run without preemption or core migration."""
-        return (
-            paradigm == "omp"
-            and not schedule.is_dynamic_family
-            and t <= self.machine.n_cores
-            and (t == 1 or self.machine.context_switch_cycles == 0.0)
-        )
+    def _team_reason(self, t: int, paradigm: str) -> Optional[str]:
+        """Why a SYN/REAL replay at ``t`` is declined, or None: the engine
+        replays an OpenMP team that the DES kernel would run without
+        preemption or core migration, so member ``w`` stays on core ``w``."""
+        if self._lowering() is None:
+            return "numpy" if np is None else "lowering"
+        if paradigm != "omp":
+            return "paradigm"
+        if t > self.machine.n_cores:
+            return "oversubscribed"
+        if t > 1 and self.machine.context_switch_cycles != 0.0:
+            return "context_switch"
+        return None
 
     def syn_point(
         self, schedule: Schedule, t: int, memory_model: bool, paradigm: str
     ) -> Optional[SpeedupEstimate]:
-        """Synthesizer (FAKE replay) estimate, or None for the eager path."""
+        """Synthesizer (FAKE replay) estimate, or None for the eager path.
+
+        Static-family sections use the closed form; dynamic-family ones
+        replay through the team walk, which also tracks each member's
+        traversal overhead for the Fig. 8 net."""
+        reason = self._team_reason(t, paradigm)
+        if reason is not None:
+            return _decline(reason)
         m = get_metrics()
-        if self._lowering() is None or not self._team_ok(schedule, t, paradigm):
-            m.inc("columnar.fallbacks")
-            return None
         m.inc("syn.replays")
         m.inc("columnar.hits")
         profile = self.profile
@@ -384,6 +398,19 @@ class ColumnarEngine:
             if memory_model
             else {}
         )
+        dynamic = schedule.is_dynamic_family
+        if dynamic:
+            walks, walk_keys = [], []
+            for sc in self._secs:
+                beta = burdens.get(sc.name, 1.0)
+                key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
+                if key not in self._point_cache:
+                    walks.append(self._walk(sc, schedule, t, beta))
+                    walk_keys.append(key)
+            for key, (gross, trav) in zip(
+                walk_keys, _drive_walks(walks, self.machine)
+            ):
+                self._point_cache[key] = max(0.0, gross - trav)
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
         ts = oh.omp_thread_start
         jb = oh.omp_join_barrier
@@ -410,7 +437,14 @@ class ColumnarEngine:
                     net = 0.0
                 self._point_cache[key] = net
             total += net * sc.repeat
-            net_by_name[sc.name] = net_by_name.get(sc.name, 0.0) + net * sc.repeat
+            acc = net_by_name.get(sc.name, 0.0)
+            if dynamic:
+                # The synthesizer adds one replay per activation.
+                for _ in range(sc.repeat):
+                    acc += net
+            else:
+                acc += net * sc.repeat
+            net_by_name[sc.name] = acc
         speedup = self._serial / total if total > 0 else 1.0
         sections = {
             name: (self._serial_by_name.get(name, 0.0) / net if net else 0.0)
@@ -433,49 +467,43 @@ class ColumnarEngine:
     ) -> Optional[SpeedupEstimate]:
         """Ground-truth (REAL replay) estimate, or None for the eager path.
 
-        Demand-free sections collapse to the same closed form as SYN
-        (with hardware-derived cycle columns); memory-demanding sections
-        run the miniature event walk with batched DRAM solves."""
-        m = get_metrics()
-        ok = self._lowering() is not None and self._team_ok(schedule, t, paradigm)
-        if ok:
+        Demand-free sections under a static-family schedule collapse to the
+        same closed form as SYN (with hardware-derived cycle columns);
+        memory-demanding sections and every dynamic-family section replay
+        through the team walk, whose DRAM solves are batched."""
+        reason = self._team_reason(t, paradigm)
+        if reason is None:
             for sc in self._secs:
-                if not sc.real_ok:
-                    ok = False
-                    break
-                if sc.total_misses > 0.0 and (
-                    schedule.kind is not ScheduleKind.STATIC
-                    or not sc.sig_ok
-                    or self.machine.n_sockets != 1
-                ):
-                    ok = False
-                    break
-        if not ok:
-            m.inc("columnar.fallbacks")
-            return None
-        m.inc("columnar.hits")
+                if sc.total_misses > 0.0:
+                    if not sc.sig_ok:
+                        reason = "mixed_signature"
+                        break
+                    if self.machine.n_sockets != 1:
+                        reason = "sockets"
+                        break
+        if reason is not None:
+            return _decline(reason)
+        get_metrics().inc("columnar.hits")
         oh = self.overheads
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
         ts = oh.omp_thread_start
         jb = oh.omp_join_barrier
         disp = oh.omp_static_dispatch
+        dynamic = schedule.is_dynamic_family
 
-        # Resolve every uncached missy section first so their walks share
+        # Resolve every uncached walked section first so the walks share
         # one lockstep driver (batched DRAM bisection).
         walks = []
         walk_keys = []
         for sc in self._secs:
-            if sc.total_misses <= 0.0:
+            if sc.total_misses <= 0.0 and not dynamic:
                 continue
             key = ("real", id(sc), schedule.kind, schedule.chunk, t)
-            if key in self._point_cache:
-                continue
-            shares = self._member_shares(sc, schedule, t)
-            walks.append(_missy_walk(self.machine, shares, fork, ts, jb, disp, t))
-            walk_keys.append(key)
-        if walks:
-            for key, gross in zip(walk_keys, _drive_walks(walks, self.machine)):
-                self._point_cache[key] = gross  # net == gross (no traversal)
+            if key not in self._point_cache:
+                walks.append(self._walk(sc, schedule, t, None))
+                walk_keys.append(key)
+        for key, (gross, _) in zip(walk_keys, _drive_walks(walks, self.machine)):
+            self._point_cache[key] = gross  # net == gross (no traversal)
 
         total = 0.0
         for item in self._items:
@@ -501,6 +529,107 @@ class ColumnarEngine:
             speedup=speedup,
         )
 
+    # ------------------------------------------------------------ team walks
+
+    def _walk(self, sc: _SecCols, schedule: Schedule, t: int, beta):
+        """The team walk of ``sc`` at (schedule, t): the REAL replay when
+        ``beta`` is None, else the FAKE replay at burden ``beta``.
+
+        Op streams follow the eager lowering: a coalesced plain-``static``
+        REAL member is one fused lane (``_coalesced_member_body``); any
+        other member runs ``OmpRuntime._member_work``'s expanded stream —
+        a dispatch per chunk (per iteration in a one-member team) followed
+        by the iterations' leaf ops — from a chain, or from a shared chunk
+        cursor under a dynamic-family schedule."""
+        oh = self.overheads
+        machine = self.machine
+        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
+        start = float(fork) if fork > 0.0 else 0.0
+        jb = oh.omp_join_barrier
+        cap = machine.dram_solve_cache
+        prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
+        trav = [0.0] * t
+        if beta is None and schedule.kind is ScheduleKind.STATIC and sc.real_ok:
+            disp = oh.omp_static_dispatch
+            chains = []
+            for w, (wc, wm, n_dispatch) in enumerate(
+                self._member_shares(sc, schedule, t)
+            ):
+                dispatch = n_dispatch * disp
+                ops = list(prefix) if w else []
+                if wm > 0.0:
+                    # Dispatch is kept out of the missy segment so its
+                    # mem-fraction matches the certified signature.
+                    if dispatch > 0.0:
+                        ops.append(float(dispatch))
+                    ops.append(_lane(machine, wc, wm))
+                elif dispatch + wc > 0.0:
+                    ops.append(float(dispatch + wc))
+                chains.append(ops)
+            return _team_walk(t, start, jb, chains, trav, cap)
+
+        dynamic = schedule.is_dynamic_family
+        disp = float(
+            oh.omp_dynamic_dispatch if dynamic else oh.omp_static_dispatch
+        )
+        head = [disp] if disp > 0.0 else []
+        iters: list = []
+        iter_trav: list = []
+        for r, count in enumerate(sc.counts.tolist()):
+            if beta is None:
+                ops, oh_run = sc.real_ops[r], 0.0
+            else:
+                # The synthesizer's FakeDelay: a traversal-overhead segment,
+                # then (length*beta)*repeat cycles, per leaf.
+                ops = []
+                leaves = sc.node.children[r].children
+                for leaf in leaves:
+                    if OVERHEAD_ACCESS_NODE > 0.0:
+                        ops.append(OVERHEAD_ACCESS_NODE)
+                    cycles = float((leaf.length * beta) * leaf.repeat)
+                    if cycles > 0.0:
+                        ops.append(cycles)
+                oh_run = OVERHEAD_ACCESS_NODE * len(leaves)
+            iters += [ops] * count
+            iter_trav += [oh_run] * count
+
+        n = sc.n_iters
+        if dynamic and t > 1:
+            chunk_ops = []
+            chunk_trav = []
+            for chunk in schedule.chunks(n, t):
+                if len(chunk) == 1:  # share the iteration's ops, no copy
+                    chunk_ops.append(iters[chunk[0]])
+                    chunk_trav.append(iter_trav[chunk[0]])
+                    continue
+                ops = []
+                tr = 0.0
+                for i in chunk:
+                    ops += iters[i]
+                    tr += iter_trav[i]
+                chunk_ops.append(ops)
+                chunk_trav.append(tr)
+            chains = [[]] + [prefix] * (t - 1)
+            return _team_walk(
+                t, start, jb, chains, trav, cap, (chunk_ops, chunk_trav, disp)
+            )
+
+        if t == 1:
+            owned, c = [range(n)], 1  # the inline team dispatches per iteration
+        else:
+            owned = schedule.static_assignment(n, t)
+            c = schedule.chunk if schedule.kind is ScheduleKind.STATIC_CHUNK else n
+        chains = []
+        for w in range(t):
+            ops = list(prefix) if w else []
+            for p, i in enumerate(owned[w]):
+                if p % c == 0:
+                    ops += head
+                ops += iters[i]
+                trav[w] += iter_trav[i]
+            chains.append(ops)
+        return _team_walk(t, start, jb, chains, trav, cap)
+
     def _member_shares(
         self, sc: _SecCols, schedule: Schedule, t: int
     ) -> list[tuple[float, float, float]]:
@@ -522,215 +651,261 @@ class ColumnarEngine:
         return shares
 
 
-# ----------------------------------------------------------- missy event walk
+#: Decline reasons, counted as ``columnar.declines.<reason>`` beside
+#: ``columnar.fallbacks`` (they sum to it).
+DECLINE_REASONS = (
+    "numpy",
+    "lowering",
+    "paradigm",
+    "oversubscribed",
+    "context_switch",
+    "dynamic",
+    "mixed_signature",
+    "sockets",
+)
 
 
-def _missy_walk(machine, shares, fork, ts, jb, disp, t):
-    """Replay one memory-demanding section as a miniature event walk.
+def _decline(reason: str) -> None:
+    """Count one declined grid point and its reason; returns None."""
+    m = get_metrics()
+    m.inc("columnar.fallbacks")
+    m.inc(f"columnar.declines.{reason}")
+    return None
+
+
+def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
+    """A missy lane op: ``(cycles, (f, d), memo key)``.  ``(f, d)`` are the
+    exact formulas of ``SimKernel._attach_segment`` (zero switch debt); the
+    key is quantized once here rather than per DRAM solve."""
+    f = min(1.0, misses * machine.base_miss_stall / cycles) if cycles > 0 else 0.0
+    seconds = machine.cycles_to_seconds(cycles) if cycles > 0 else 0.0
+    d = (misses * machine.line_size / seconds) if seconds > 0 else 0.0
+    return (float(cycles), (f, d), (_quantize(f), _quantize(d)))
+
+
+# ------------------------------------------------------------- the team walk
+
+
+_NEVER = float("inf")
+
+
+def _team_walk(t, start, jb, chains, trav, cap, cursor=None):
+    """Replay one OpenMP team over per-member op streams.
 
     A generator that yields the running missy multiset ``[(f, d), ...]``
-    (tid order) whenever the eager kernel would re-solve DRAM contention,
-    receives the solved stall multiplier ``k``, and finally returns the
-    section's gross cycles.  Mirrors the kernel's semantics exactly:
-    demand-free segments (fork, thread start, dispatch, zero-miss bodies)
-    never trigger a solve; a missy attach or completion re-rates every
-    running lane via the absolute-form anchor math of
-    ``_advance_segment`` / ``_rerate_socket``.
+    in member order when the DES kernel would solve DRAM contention and
+    the walk's own LRU memo (``cap`` entries, keyed like the kernel pool's
+    by the quantized multiset) misses; it receives the stall multiplier
+    ``k`` and finally returns ``(gross cycles, longest per-member
+    traversal overhead, memo hits, memo misses)``.
+
+    ``chains[w]`` are member ``w``'s ops: a float is a demand-free segment,
+    a tuple a missy lane (``_lane``).  With ``cursor = (chunk_ops,
+    chunk_trav, dispatch)`` a member whose ops run out pays ``dispatch``
+    and then grabs the next chunk; the grab happens when that dispatch
+    completes, and the last, failed grab still pays it.  The team forks at
+    ``start``; the barrier releases at the last arrival and the master then
+    pays ``jb`` (a one-member team runs inline).
+
+    Mirrors the kernel's arithmetic bit for bit: a segment completes at
+    ``now + remaining * s``; demand-free segments (``s == 1``) never
+    interact, so a run of them is summed in order without events; a lane
+    attach or completion re-checks the running multiset against the
+    cached signature and re-solves only when it changed; a continuing lane
+    re-anchors in absolute form only when its ``s`` changes.  Each member
+    has at most one pending event, and same-time events go by ``(time,
+    member)`` — the kernel's ``(time, core)``, since member ``w`` runs on
+    core ``w``.
     """
-    chains: dict[int, list] = {}
-    for tid in range(t):
-        wc, wm, n_dispatch = shares[tid]
-        dispatch = n_dispatch * disp
-        ops: list = []
-        if tid > 0 and ts > 0.0:
-            ops.append(ts)
-        if wm > 0.0:
-            # Dispatch is kept out of the missy segment so its
-            # mem-fraction matches the certified per-iteration signature.
-            if dispatch > 0.0:
-                ops.append(dispatch)
-            f, d = _lane_fd(machine, wc, wm)
-            ops.append(("lane", wc, f, d))
-        else:
-            tot = dispatch + wc
-            if tot > 0.0:
-                ops.append(tot)
-        chains[tid] = ops
-
-    arrival = [0.0] * t
-    #: tid -> [anchor_time, anchor_remaining, slowdown|None, f, d, epoch]
-    lanes: dict[int, list] = {}
-    heap: list = []
-
-    def attach(tid: int, now: float) -> bool:
-        """Advance thread ``tid`` to its next blocking segment; True when
-        a missy lane attached (a demand transition)."""
-        if chains[tid]:
-            op = chains[tid].pop(0)
-            if isinstance(op, tuple):
-                _, wc, f, d = op
-                lanes[tid] = [now, wc, None, f, d, 0]
-                return True
-            heapq.heappush(heap, (now + op, tid, "cf", 0))
-            return False
-        arrival[tid] = now
-        return False
-
-    def pairs():
-        return [(lanes[tid][3], lanes[tid][4]) for tid in sorted(lanes)]
-
-    def rerate(now: float, k: float) -> None:
-        for tid in sorted(lanes):
-            lane = lanes[tid]
-            anchor_t, anchor_rem, s_old, f, d, epoch = lane
-            s_new = 1.0 - f + f * k
-            if s_old is None:
-                # Fresh segment: rate and schedule its completion.
-                lane[0] = now
-                lane[2] = s_new
-                heapq.heappush(heap, (now + anchor_rem * s_new, tid, "lane", epoch))
-            elif s_new != s_old:
-                # Rate change: advance in absolute form, re-anchor.
-                rem = anchor_rem - (now - anchor_t) / s_old
-                if rem < 0.0:
-                    rem = 0.0
-                epoch += 1
-                lane[0] = now
-                lane[1] = rem
-                lane[2] = s_new
-                lane[5] = epoch
-                heapq.heappush(heap, (now + rem * s_new, tid, "lane", epoch))
-            # Unchanged rate: the in-heap completion event stays valid.
-
-    if fork > 0.0:
-        heapq.heappush(heap, (fork, 0, "spawn", 0))
+    if cursor is None:
+        chunk_ops, chunk_trav, disp = (), (), 0.0
     else:
-        changed = attach(0, 0.0)
-        for w in range(1, t):
-            changed = attach(w, 0.0) or changed
-        if changed and lanes:
-            k = yield pairs()
-            rerate(0.0, k)
+        chunk_ops, chunk_trav, disp = cursor
+    n_chunks = len(chunk_ops)
+    nxt = 0
+    ops = list(chains)
+    pos = [0] * t
+    grab = [False] * t
+    #: Each member's pending event time (a lane completion, or the end of
+    #: a run of demand-free segments).
+    times = [_NEVER] * t
+    arrival = [0.0] * t
+    #: member -> [anchor_time, anchor_remaining, slowdown|None, f, lane op]
+    lanes: dict[int, list] = {}
+    fresh: list[int] = []
+    #: The running multiset, kept as counts: exact (f, d) pairs for the
+    #: kernel's signature check, quantized pairs for the memo key.
+    exact: dict = {}
+    quant: dict = {}
+    memo: OrderedDict = OrderedDict()
+    hits = misses = 0
 
-    while heap:
-        now, tid, kind, epoch = heapq.heappop(heap)
-        if kind == "lane":
-            lane = lanes.get(tid)
-            if lane is None or lane[5] != epoch:
-                continue  # stale event from a superseded rating
-            del lanes[tid]
-            arrival[tid] = now  # a lane is always a chain's last segment
-            if lanes:
-                k = yield pairs()
-                rerate(now, k)
-            continue
-        if kind == "spawn":
-            changed = attach(0, now)
-            for w in range(1, t):
-                changed = attach(w, now) or changed
-        else:  # demand-free segment completion
-            changed = attach(tid, now)
-        if changed and lanes:
-            k = yield pairs()
-            rerate(now, k)
+    def step(w: int, now: float) -> bool:
+        """Advance member ``w`` from ``now`` to its next blocking point;
+        True when it attached a missy lane."""
+        nonlocal nxt
+        while True:
+            if grab[w]:
+                grab[w] = False
+                if nxt == n_chunks:
+                    arrival[w] = now
+                    return False
+                ops[w] = chunk_ops[nxt]
+                trav[w] += chunk_trav[nxt]
+                nxt += 1
+                pos[w] = 0
+            o = ops[w]
+            p = pos[w]
+            n = len(o)
+            end = now
+            timed = False
+            while p < n:
+                op = o[p]
+                if op.__class__ is float:
+                    end += op
+                    timed = True
+                    p += 1
+                elif timed:
+                    break  # the lane attaches when the segments end
+                else:
+                    pos[w] = p + 1
+                    fd = op[1]
+                    lanes[w] = [now, op[0], None, fd[0], op]
+                    exact[fd] = exact.get(fd, 0) + 1
+                    quant[op[2]] = quant.get(op[2], 0) + 1
+                    fresh.append(w)
+                    return True
+            pos[w] = p
+            if p < n or cursor is not None:
+                if p == n:
+                    if disp > 0.0:
+                        end += disp
+                        timed = True
+                    grab[w] = True
+                if timed:
+                    times[w] = end
+                    return False
+                continue  # a zero-cost dispatch grabs at once
+            arrival[w] = end
+            return False
 
-    if t == 1:
-        # An inline team: no barrier, no join barrier.
-        return arrival[0]
-    return max(arrival) + jb
-
-
-class _WalkState:
-    __slots__ = ("gen", "memo", "result", "hits", "misses")
-
-    def __init__(self, gen) -> None:
-        self.gen = gen
-        self.memo: OrderedDict = OrderedDict()
-        self.result = None
-        self.hits = 0
-        self.misses = 0
+    dirty = False
+    for w in range(t):
+        dirty = step(w, start) or dirty
+    now = start
+    sig: dict = {}
+    k = 1.0
+    while True:
+        if lanes:
+            if dirty:
+                dirty = False
+                if exact != sig:
+                    sig = dict(exact)
+                    key = frozenset(quant.items())
+                    k = memo.get(key) if cap > 0 else None
+                    if k is not None:
+                        hits += 1
+                        memo.move_to_end(key)
+                    else:
+                        misses += 1
+                        k = yield [lanes[m][4][1] for m in sorted(lanes)]
+                        if cap > 0:
+                            memo[key] = k
+                            if len(memo) > cap:
+                                memo.popitem(last=False)
+                    for m, lane in lanes.items():
+                        f = lane[3]
+                        s = 1.0 - f + f * k
+                        s_old = lane[2]
+                        if s_old is None:
+                            lane[0] = now
+                            lane[2] = s
+                            times[m] = now + lane[1] * s
+                        elif s != s_old:
+                            # Rate change: advance in absolute form.
+                            rem = lane[1] - (now - lane[0]) / s_old
+                            if rem < 0.0:
+                                rem = 0.0
+                            lane[0] = now
+                            lane[1] = rem
+                            lane[2] = s
+                            times[m] = now + rem * s
+                    fresh.clear()
+            if fresh:
+                # Unchanged multiset: rate only the new lanes.
+                for m in fresh:
+                    lane = lanes[m]
+                    f = lane[3]
+                    s = 1.0 - f + f * k
+                    lane[2] = s
+                    times[m] = now + lane[1] * s
+                fresh.clear()
+        now = min(times)
+        if now == _NEVER:
+            break
+        w = times.index(now)
+        times[w] = _NEVER
+        lane = lanes.pop(w, None)
+        if lane is not None:
+            op = lane[4]
+            for counts, x in ((exact, op[1]), (quant, op[2])):
+                if counts[x] == 1:
+                    del counts[x]
+                else:
+                    counts[x] -= 1
+            dirty = True
+        dirty = step(w, now) or dirty
+    gross = arrival[0] if t == 1 else max(arrival) + jb
+    return gross, max(trav), hits, misses
 
 
 _START = object()
 
 
-def _drive_walks(walks, machine: MachineConfig) -> list[float]:
-    """Run missy walks in lockstep, batching their DRAM solves.
+def _drive_walks(walks, machine: MachineConfig) -> list:
+    """Run team walks in lockstep, batching their DRAM solves.
 
     Each walk keeps its own LRU memo (one eager kernel — hence one DRAM
     pool — per section replay); every round, all walks blocked on an
     unmemoised solve are answered by a single
-    :meth:`DramModel.solve_batch` call."""
+    :meth:`DramModel.solve_batch` call.  Returns each walk's
+    ``(gross, traversal)``."""
     dram = DramModel(
         machine,
         peak_bytes_per_sec=machine.dram_peak_bytes_per_sec_per_socket,
     )
-    cap = machine.dram_solve_cache
-    states = [_WalkState(gen) for gen in walks]
-
-    def advance(st: _WalkState, value):
-        """Returns the next solve request, or None when the walk finished."""
-        try:
-            if value is _START:
-                return next(st.gen)
-            return st.gen.send(value)
-        except StopIteration as stop:
-            st.result = stop.value
-            return None
-
-    runnable: list[tuple[_WalkState, object]] = [(st, _START) for st in states]
-    blocked: list[tuple[_WalkState, Optional[tuple], list]] = []
-    while runnable or blocked:
-        while runnable:
-            st, value = runnable.pop()
-            prs = advance(st, value)
-            if prs is None:
+    results: list = [None] * len(walks)
+    runnable: list = [(i, _START) for i in range(len(walks))]
+    while runnable:
+        blocked: list = []
+        for i, value in runnable:
+            gen = walks[i]
+            try:
+                pairs = next(gen) if value is _START else gen.send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
                 continue
-            total = sum(d for _, d in prs)
-            if total <= 0.0:
-                runnable.append((st, 1.0))
-                continue
-            key = None
-            if cap > 0:
-                key = tuple(
-                    sorted(
-                        (_quantize(f), _quantize(d)) for f, d in prs if d > 0.0
-                    )
-                )
-                k = st.memo.get(key)
-                if k is not None:
-                    st.hits += 1
-                    st.memo.move_to_end(key)
-                    runnable.append((st, k))
-                    continue
-            st.misses += 1
-            blocked.append((st, key, prs))
+            blocked.append((i, pairs))
+        runnable = []
         if not blocked:
             break
-        width = max(len(prs) for _, _, prs in blocked)
+        width = max(len(pairs) for _, pairs in blocked)
         fr = np.zeros((len(blocked), width))
         dm = np.zeros((len(blocked), width))
-        for i, (st, _, prs) in enumerate(blocked):
-            for j, (f, d) in enumerate(prs):
-                fr[i, j] = f
-                dm[i, j] = d
+        for row, (_, pairs) in enumerate(blocked):
+            for j, (f, d) in enumerate(pairs):
+                fr[row, j] = f
+                dm[row, j] = d
         ks = dram.solve_batch(fr, dm)
-        for i, (st, key, _) in enumerate(blocked):
-            k = float(ks[i])
-            if key is not None:
-                st.memo[key] = k
-                while len(st.memo) > cap:
-                    st.memo.popitem(last=False)
-            runnable.append((st, k))
-        blocked = []
+        runnable = [(i, float(ks[row])) for row, (i, _) in enumerate(blocked)]
+    hits = sum(r[2] for r in results)
+    misses = sum(r[3] for r in results)
     m = get_metrics()
-    hits = sum(st.hits for st in states)
-    misses = sum(st.misses for st in states)
     if hits:
         m.inc("dram.solve.hits", float(hits))
     if misses:
         m.inc("dram.solve.misses", float(misses))
-    return [st.result for st in states]
+    return [r[:2] for r in results]
 
 
 # --------------------------------------------------------------- verification

@@ -408,6 +408,9 @@ class TestCheck:
         assert "differential:" in out
         assert "0 violation(s)" in out
         assert "0 violations" in out  # invariant selfcheck line
+        # static / static,1 / dynamic,1 whatever the harness ran: FF
+        # declines dynamic-family points, SYN/REAL take the team walk.
+        assert "columnar engine: ff 4, syn 6, real 6 grid point(s)" in out
         assert (get_checker().enabled, get_checker().mode) == before
 
     def test_check_explicit_grid(self, capsys):

@@ -1,8 +1,9 @@
 """Tests for the columnar sweep engine (``repro.core.columnar``).
 
 The engine's contract is *parity, not approximation*: every grid point it
-serves must agree with the eager kernel within 1e-9 relative, and every
-point it declines must reach the eager path untouched.  The property test
+serves must agree with the eager kernel within 1e-9 relative — exactly
+(``==``) where the team walk replays the whole point — and every point it
+declines must reach the eager path untouched.  The property test
 reuses the ``test_fuzz_pipeline`` program generator so the parity claim is
 exercised across random program shapes, not just hand-picked fixtures.
 """
@@ -13,14 +14,18 @@ from hypothesis import strategies as st
 
 from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, _predict_point
-from repro.core.columnar import verify_points
+from repro.core.columnar import DECLINE_REASONS, ColumnarEngine, verify_points
+from repro.core.executor import clear_section_memo
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.report import SpeedupReport
 from repro.obs import MetricsRegistry, set_metrics
+from repro.runtime.overhead import RuntimeOverheads
+from repro.runtime.tasks import Schedule
 from repro.simhw import MachineConfig
 from repro.simhw.dram import DramModel, SegmentDemand
 from repro.simhw.memtrace import AccessPattern, MemSpec
 from repro.validate.fuzz import build_program
+from repro.workloads import get_workload
 
 from tests.test_fuzz_pipeline import programs
 
@@ -47,6 +52,19 @@ def memory_loop(tr):
                 tr.compute(
                     20_000,
                     mem=MemSpec(AccessPattern.STREAMING, bytes_touched=1_000_000),
+                )
+
+
+def memory_imbalanced_loop(tr):
+    """Memory-bound iterations of four sizes with one demand signature
+    (cycles and misses scale together)."""
+    with tr.section("memi"):
+        for i in range(12):
+            k = 1 + i % 4
+            with tr.task():
+                tr.compute(
+                    20_000 * k,
+                    mem=MemSpec(AccessPattern.STREAMING, bytes_touched=250_000 * k),
                 )
 
 
@@ -85,6 +103,7 @@ def profiles(prophet):
     return {
         "cpu": prophet.profile(imbalanced_loop),
         "mem": prophet.profile(memory_loop),
+        "memi": prophet.profile(memory_imbalanced_loop),
         "locked": prophet.profile(locked_loop),
         "nested": prophet.profile(nested_loop),
         "mixed": prophet.profile(mixed_workload),
@@ -115,10 +134,38 @@ def _assert_parity(eager, columnar, rel=REL):
         )
 
 
+def _walk_served(profile, prophet, estimate):
+    """True when the team walk answers every section of ``estimate``'s
+    grid point: SYN/REAL under a dynamic-family schedule, and REAL when
+    every section demands memory.  Such points must be ``==`` eager."""
+    if estimate.method == "ff":
+        return False
+    if Schedule.parse(estimate.schedule).is_dynamic_family:
+        return True
+    engine = ColumnarEngine(profile, prophet.overheads)
+    if engine._lowering() is None:
+        return False
+    return estimate.method == "real" and all(
+        sc.total_misses > 0.0 for sc in engine._secs
+    )
+
+
+def _assert_walk_parity(prophet, profile, eager, columnar):
+    """``_assert_parity``, and ``==`` for every walk-served point."""
+    _assert_parity(eager, columnar)
+    for e, c in zip(eager.estimates, columnar.estimates):
+        if _walk_served(profile, prophet, c):
+            assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
+
+
 def _eager_reference(prophet, profile, threads, schedules=("static",),
                      methods=("syn",), memory_model=True):
     """The grid through the reference emulators only: the batch worker
-    with no columnar engine (burdens are attached by the caller's sweep)."""
+    with no columnar engine (burdens are attached by the caller's sweep).
+    The section memo is cleared first: it keys burdens at 12 significant
+    digits, so a replay left by an earlier grid could answer for a burden
+    that differs below that, and ``==`` checks need a history-free oracle."""
+    clear_section_memo()
     ff = FastForwardEmulator(prophet.overheads)
     report = SpeedupReport()
     for label in schedules:
@@ -133,6 +180,7 @@ def _eager_reference(prophet, profile, threads, schedules=("static",),
 
 def _both_backends(prophet, profile, **kwargs):
     """(eager reference, default sweep) reports of one grid."""
+    clear_section_memo()
     columnar = BatchPredictor(prophet, jobs=1).sweep(profile, **kwargs)[
         "workload"
     ]
@@ -171,20 +219,22 @@ class TestColumnarParityProperty:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_matches_eager_on_random_programs(self, items, n_threads):
-        """FF/SYN/REAL parity at <=1e-9 across random eligible programs
-        (t=5,6 oversubscribe the 4-core machine, exercising the syn/real
-        fallback; memory specs exercise the batched-DRAM missy walk and
-        its mixed-signature fallback)."""
+        """FF/SYN/REAL parity at <=1e-9 across random eligible programs,
+        and ``==`` wherever the team walk serves the whole point (t=5,6
+        oversubscribe the 4-core machine, exercising the syn/real
+        fallback; memory specs exercise the batched-DRAM walks — fused
+        ``static`` lanes, ``static,N`` interleaving, the dynamic chunk
+        cursor — and the mixed-signature fallback)."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(_strip_to_eligible(items)))
         kwargs = dict(
             threads=[n_threads],
-            schedules=["static", "static,2"],
+            schedules=["static", "static,2", "static,1", "dynamic,1", "guided,2"],
             methods=("ff", "syn", "real"),
             memory_model=False,
         )
         eager, columnar = _both_backends(prophet, profile, **kwargs)
-        _assert_parity(eager, columnar)
+        _assert_walk_parity(prophet, profile, eager, columnar)
 
     @given(programs(), st.integers(min_value=1, max_value=4))
     @settings(
@@ -240,6 +290,95 @@ class TestFixtureParity:
         _assert_parity(eager, columnar)
         assert fresh_metrics.counter_value("columnar.hits") > 0
 
+    @pytest.mark.parametrize(
+        "schedule",
+        ["static", "static,1", "static,3", "dynamic,1", "dynamic,3", "guided,2"],
+    )
+    @pytest.mark.parametrize("name", ["mem", "memi", "mixed"])
+    def test_walk_grid(self, prophet, profiles, fresh_metrics, schedule, name):
+        """Memory demand under ``static`` (fused lanes) and ``static,N``
+        (interleaved per-leaf lanes), and the dynamic family, replay
+        through the team walk at ``==`` parity, with the memory model's
+        burdens on the SYN side."""
+        eager, columnar = _both_backends(
+            prophet,
+            profiles[name],
+            threads=[1, 2, 3, 4, 8],
+            schedules=[schedule],
+            methods=("ff", "syn", "real"),
+            memory_model=True,
+        )
+        _assert_walk_parity(prophet, profiles[name], eager, columnar)
+        dynamic = Schedule.parse(schedule).is_dynamic_family
+        assert fresh_metrics.counter_value("columnar.hits") == (
+            10.0 if dynamic else 15.0
+        )
+
+    def test_same_time_ties_go_by_member(self):
+        """Free fork, thread start, dispatch and join make members finish
+        together; same-time events must go by member (the kernel's core
+        order) — the reverse order lands an ulp away on this grid."""
+        free = RuntimeOverheads().with_(
+            omp_fork_base=0.0,
+            omp_fork_per_thread=0.0,
+            omp_thread_start=0.0,
+            omp_dynamic_dispatch=0.0,
+            omp_join_barrier=0.0,
+        )
+        prophet = ParallelProphet(machine=M4, overheads=free)
+
+        def ties(tr):
+            with tr.section("ties"):
+                for cycles in (1000, 2000, 1000, 2000, 3000):
+                    with tr.task():
+                        tr.compute(
+                            cycles,
+                            mem=MemSpec(AccessPattern.STREAMING, bytes_touched=64_000),
+                        )
+
+        profile = prophet.profile(ties)
+        eager, columnar = _both_backends(
+            prophet,
+            profile,
+            threads=[2, 3, 4],
+            schedules=["dynamic,1", "dynamic,2", "guided,1"],
+            methods=("syn", "real"),
+            memory_model=False,
+        )
+        assert columnar.estimates == eager.estimates
+
+    def test_repeated_leaves_and_sections(self, prophet):
+        """Repeated activations and repeated leaves under burdens: FAKE
+        leaf cycles are ``(length*beta)*repeat`` and the synthesizer sums
+        one replay per activation."""
+
+        def repeated(tr):
+            for _ in range(7):
+                with tr.section("rep"):
+                    for i in range(5):
+                        with tr.task():
+                            tr.compute(
+                                7_000 + 1_000 * (i % 2),
+                                mem=MemSpec(
+                                    AccessPattern.STREAMING, bytes_touched=300_000
+                                ),
+                            )
+
+        profile = prophet.profile(repeated)
+        (sec,) = profile.tree.top_level_sections()
+        assert sec.repeat == 7
+        for task in sec.children:
+            task.children[0].repeat = 7
+        eager, columnar = _both_backends(
+            prophet,
+            profile,
+            threads=[2, 3, 4, 8],
+            schedules=["static,1", "dynamic,1", "guided,2"],
+            methods=("syn", "real"),
+            memory_model=True,
+        )
+        _assert_walk_parity(prophet, profile, eager, columnar)
+
     def test_memory_model_burdens(self, prophet, profiles):
         eager, columnar = _both_backends(
             prophet,
@@ -288,18 +427,25 @@ class TestFallbacks:
         assert fresh_metrics.counter_value("columnar.fallbacks") > 0
         assert fresh_metrics.counter_value("columnar.hits") == 0
 
-    def test_dynamic_schedule_falls_back(self, prophet, profiles,
-                                         fresh_metrics):
-        eager, columnar = self._run(
-            prophet,
-            profiles["cpu"],
-            threads=[2, 4],
-            schedules=["dynamic,1"],
-            methods=("ff", "syn"),
-        )
-        _assert_parity(eager, columnar)
-        assert fresh_metrics.counter_value("columnar.hits") == 0
-        assert fresh_metrics.counter_value("columnar.fallbacks") == 4.0
+    def test_dynamic_schedule_ff_declines_syn_real_walk(
+        self, prophet, profiles, fresh_metrics
+    ):
+        """Dynamic-family FF is interleaving-dependent and stays on the
+        heap walk; SYN and REAL replay through the team walk's shared
+        chunk cursor, bit for bit (demand-free and memory-bound)."""
+        for name in ("cpu", "mem"):
+            eager, columnar = self._run(
+                prophet,
+                profiles[name],
+                threads=[1, 2, 4],
+                schedules=["dynamic,1", "guided,2"],
+                methods=("ff", "syn", "real"),
+            )
+            for e, c in zip(eager.estimates, columnar.estimates):
+                assert c == e, f"{name}: {e.method}/{e.schedule}/t={e.n_threads}"
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 12.0
+        assert fresh_metrics.counter_value("columnar.declines.dynamic") == 12.0
+        assert fresh_metrics.counter_value("columnar.hits") == 24.0
 
     def test_oversubscription_replay_falls_back(self, prophet, profiles,
                                                 fresh_metrics):
@@ -338,6 +484,102 @@ class TestFallbacks:
             memory_model=False,
         )
         assert fresh_metrics.counter_value("syn.replays") == 4.0
+
+
+def mixed_signature_loop(tr):
+    """Memory-demanding and demand-free iterations in one section."""
+    with tr.section("mixsig"):
+        for i in range(6):
+            with tr.task():
+                if i % 2:
+                    tr.compute(
+                        2_000_000,
+                        mem=MemSpec(AccessPattern.STREAMING, bytes_touched=256_000),
+                    )
+                else:
+                    tr.compute(20_000)
+
+
+class TestDeclineReasons:
+    def test_every_reason_counted_and_summed(self, profiles, fresh_metrics,
+                                             monkeypatch):
+        """One decline per reason; ``columnar.declines.*`` sum to
+        ``columnar.fallbacks``."""
+        import repro.core.columnar as columnar_mod
+
+        static = Schedule.static()
+
+        def engine(profile, machine=M8):
+            return ColumnarEngine(profile, ParallelProphet(machine=machine).overheads)
+
+        def profiled(program, machine):
+            return ParallelProphet(machine=machine).profile(program)
+
+        assert engine(profiles["locked"]).syn_point(static, 2, False, "omp") is None
+        assert engine(profiles["cpu"]).syn_point(static, 2, False, "cilk") is None
+        assert engine(profiles["cpu"]).real_point(static, 16, "omp") is None
+        switching = MachineConfig(n_cores=8, context_switch_cycles=500.0)
+        assert engine(profiled(imbalanced_loop, switching), switching).syn_point(
+            static, 2, False, "omp"
+        ) is None
+        assert engine(profiles["cpu"]).ff_point(Schedule.dynamic(1), 2, {}) is None
+        mixed = profiled(mixed_signature_loop, M8)
+        assert engine(mixed).real_point(static, 2, "omp") is None
+        numa = MachineConfig(n_cores=8, n_sockets=2)
+        assert engine(profiled(memory_loop, numa), numa).real_point(
+            static, 2, "omp"
+        ) is None
+        monkeypatch.setattr(columnar_mod, "np", None)
+        assert engine(profiles["cpu"]).ff_point(static, 2, {}) is None
+
+        declines = {
+            reason: fresh_metrics.counter_value(f"columnar.declines.{reason}")
+            for reason in DECLINE_REASONS
+        }
+        assert declines == {reason: 1.0 for reason in DECLINE_REASONS}
+        assert sum(declines.values()) == fresh_metrics.counter_value(
+            "columnar.fallbacks"
+        )
+        assert fresh_metrics.counter_value("columnar.hits") == 0
+
+
+# ------------------------------------------------------- Fig. 12 workloads
+
+
+class TestFig12Walk:
+    """The four lowerable Fig. 12 workloads at reduced scales: the default
+    sweep's ``static,1`` REAL and ``dynamic,1`` PredM SYN points come from
+    the team walk and equal the eager reference exactly."""
+
+    SCALES = {
+        "ompscr_lu": dict(size=24),
+        "ompscr_md": dict(particles=64, steps=1),
+        "npb_ft": dict(planes=12, timesteps=1),
+        "npb_mg": dict(fine_planes=12, cycles_count=1),
+    }
+    THREADS = [2, 4, 8, 12]
+
+    @pytest.mark.parametrize("name", sorted(SCALES))
+    def test_walk_serves_static1_real_and_dynamic_predm(self, name,
+                                                        fresh_metrics):
+        prophet = ParallelProphet(machine=MachineConfig(n_cores=12))
+        spec = get_workload(name, **self.SCALES[name])
+        profile = prophet.profile(spec.program)
+        predictor = BatchPredictor(prophet, jobs=1)
+        n = len(self.THREADS)
+        grids = [("static,1", "real", False), ("dynamic,1", "syn", True)]
+        for i, (schedule, method, memory_model) in enumerate(grids, 1):
+            kwargs = dict(
+                threads=self.THREADS,
+                schedules=[schedule],
+                methods=(method,),
+                memory_model=memory_model,
+            )
+            served = predictor.sweep(profile, **kwargs)["workload"]
+            assert fresh_metrics.counter_value("columnar.hits") == i * n
+            assert fresh_metrics.counter_value("columnar.fallbacks") == 0
+            eager = _eager_reference(prophet, profile, **kwargs)
+            assert served.estimates == eager.estimates
 
 
 # ------------------------------------------------------------- configuration
