@@ -1,29 +1,23 @@
-"""Kernel hot-path microbenches — event sparsity and replay coalescing.
+"""Kernel hot-path microbenches — event sparsity.
 
-Not a paper artifact: these benches track the three fast-path layers behind
-``repro sweep`` (lazy quantum arming + incremental reconfigure in the DES
-kernel, RLE-aware coalesced OpenMP lowering, and the cross-grid section
-memo).  Each bench runs the eager/exact variant and the optimized variant
-of the *same* workload and asserts the deterministic wins (event counts,
-solve counts, identical results); the wall-clock speedups feed the numbers
-recorded in docs/performance.md §4.
+Not a paper artifact: these benches track the DES kernel's fast paths
+behind ``repro sweep`` (lazy quantum arming + incremental reconfigure).
+Each bench runs the eager variant and the optimized variant of the *same*
+workload and asserts the deterministic wins (event counts, solve counts,
+identical results); the wall-clock speedups feed the numbers recorded in
+docs/performance.md §4.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core.executor import ParallelExecutor, ReplayMode, clear_section_memo
-from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.simhw import MachineConfig
 from repro.simos import Compute, Join, SimKernel, Spawn
 
 #: Quantum-churn machine: a short timeslice makes the eager kernel pay one
 #: heap event per slice per core even when nobody is waiting.
 CHURN_MACHINE = MachineConfig(n_cores=4, timeslice_cycles=5_000.0)
-
-#: Replay machine for the coalescing bench (the paper's 12-core platform).
-REPLAY_MACHINE = MachineConfig(n_cores=12)
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -134,64 +128,11 @@ def run_zero_demand(quick: bool = False) -> dict:
     return results
 
 
-# --------------------------------------------------- coalesced replay
-
-
-def _repeat_tree(repeat: int) -> ProgramTree:
-    """One section of four RLE-compressed tasks, ``repeat`` iterations each."""
-    root = Node(NodeKind.ROOT)
-    sec = root.add(Node(NodeKind.SEC, name="loop"))
-    for _ in range(4):
-        task = sec.add(Node(NodeKind.TASK, repeat=repeat))
-        task.add(
-            Node(
-                NodeKind.U,
-                length=10_000.0,
-                cpu_cycles=10_000.0,
-                instructions=20_000.0,
-            )
-        )
-    return ProgramTree(root)
-
-
-def run_coalesce(quick: bool = False) -> dict:
-    """Exact per-iteration lowering vs the aggregated-member fast path on a
-    high-trip-count static loop."""
-    repeat = 500 if quick else 5_000
-    tree = _repeat_tree(repeat)
-    n_bodies = 4 * repeat
-    results = {}
-    for label, coalesce in (("exact", False), ("coalesced", True)):
-        clear_section_memo()
-        ex = ParallelExecutor(
-            REPLAY_MACHINE, paradigm="omp", coalesce=coalesce, memoize=False
-        )
-
-        def run():
-            return ex.execute_profile(tree, 8, ReplayMode.REAL)
-
-        secs = _time(run, repeats=1)
-        res = run()
-        results[label] = dict(
-            secs=secs,
-            total=res.total_cycles,
-            coalesced=ex.coalesced_sections,
-            exact=ex.exact_sections,
-        )
-    exact, co = results["exact"], results["coalesced"]
-    assert co["coalesced"] >= 1 and exact["coalesced"] == 0
-    assert abs(co["total"] - exact["total"]) <= 1e-9 * exact["total"]
-    results["speedup"] = exact["secs"] / co["secs"]
-    results["bodies_per_s"] = n_bodies / co["secs"]
-    return results
-
-
 def run_hotpath(quick: bool = False) -> dict:
-    """All three layers, for ``run_all.py``'s report table."""
+    """Both benches, for ``run_all.py``'s report table."""
     return {
         "churn": run_churn(quick),
         "zero_demand": run_zero_demand(quick),
-        "coalesce": run_coalesce(quick),
     }
 
 
@@ -208,9 +149,3 @@ def test_zero_demand_skips(benchmark):
     """Demand-free churn: zero DRAM solves on the sparse path."""
     r = benchmark.pedantic(run_zero_demand, kwargs=dict(quick=True), rounds=1)
     assert r["sparse"]["solves"] == 0
-
-
-def test_coalesced_replay_throughput(benchmark):
-    """Aggregated-member lowering vs exact expansion, identical results."""
-    r = benchmark.pedantic(run_coalesce, kwargs=dict(quick=True), rounds=1)
-    assert r["coalesced"]["coalesced"] >= 1

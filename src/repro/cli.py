@@ -490,8 +490,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         if args.quick:
             # Sample one explored point and re-verify its envelope extremes
-            # by uncached eager replay (same contract as the columnar
-            # check): EP is lock-bearing, so its envelope is live.
+            # from cold caches (fresh columnar engine, cleared section
+            # memo): EP is lock-bearing, so its envelope is live.
             from repro.explore import verify_envelope
 
             env_checked, env_mismatches = verify_envelope(
@@ -502,7 +502,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             print(
                 f"explore: {env_checked} envelope extreme(s) of npb_ep/t=2 "
-                f"re-verified by uncached eager replay, "
+                f"re-verified from cold caches, "
                 f"{env_mismatches} mismatch(es)"
             )
             if env_mismatches:

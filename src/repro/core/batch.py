@@ -158,10 +158,6 @@ def _predict_point(
     per chunk instead of per FF point).  With the invariant checker on,
     every estimate is bounds-checked before it is returned.
     """
-    if task.handoff != "fifo":
-        # The columnar engine models the FIFO handoff analytically; an
-        # explored interleaving must replay eagerly to be sound.
-        engine = None
     schedule = Schedule.parse(task.schedule)
     estimates: list[SpeedupEstimate] = []
     for method in task.methods:
@@ -201,7 +197,12 @@ def _predict_point(
         elif method == "syn":
             est = (
                 engine.syn_point(
-                    schedule, task.n_threads, task.memory_model, task.paradigm
+                    schedule,
+                    task.n_threads,
+                    task.memory_model,
+                    task.paradigm,
+                    task.handoff,
+                    task.handoff_seed,
                 )
                 if engine is not None
                 else None
@@ -221,7 +222,13 @@ def _predict_point(
             estimates.append(est)
         else:  # "real" — simulated ground-truth replay
             est = (
-                engine.real_point(schedule, task.n_threads, task.paradigm)
+                engine.real_point(
+                    schedule,
+                    task.n_threads,
+                    task.paradigm,
+                    task.handoff,
+                    task.handoff_seed,
+                )
                 if engine is not None
                 else None
             )

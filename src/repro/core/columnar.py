@@ -1,53 +1,59 @@
-"""Columnar sweep engine: the numpy-vectorized analytic grid-point evaluator.
+"""Columnar sweep engine: the numpy-vectorized grid-point evaluator.
 
-The FF heap walk over lock-free leaf sections, the coalesced RLE replay,
-and the DRAM contention solve are all *analytic* — each grid point of a
-sweep is a closed-form function of the program's RLE runs, the
-schedule's ownership map, and the machine constants.  The eager path nevertheless re-derives that function one grid
-point at a time through scalar Python (and, for SYN/REAL, through the DES
-kernel's fork/join machinery).  This module lowers a workload's program
-tree **once** into flat numpy arrays and then evaluates grid points
-against those arrays:
+The paper's emulators replay a program one top-level parallel section at a
+time (Fig. 8, ``EmulTopLevelParSec``), and each section's result depends
+on that section alone.  The eager path nevertheless re-derives every grid
+point through scalar Python and the DES kernel's fork/join machinery.
+This module lowers a workload's program tree **once**, section by
+section, and evaluates grid points against the lowering:
 
 - per-run iteration counts become prefix-sum ``bounds``; static and
   static-chunk ownership is a clipped-interval intersection evaluated for
   all team members at once (``_ownership``);
 - per-iteration FAKE/REAL cycle columns broadcast against the ownership
-  matrix give every member's aggregated share in one reduction;
+  matrix give every member's share in one reduction;
 - the fork / thread-start / barrier / join skeleton of
-  ``OpenMPRuntime.parallel_aggregated`` collapses to a closed form over
-  the member totals (``_gross``);
-- everything the closed forms cannot express exactly — memory-demanding
-  REAL sections, ``static,N`` interleaving with demand, and every
-  dynamic/guided section — replays one OpenMP team in ``_team_walk``, a
-  lean event walk over per-member op streams (demand-free segments and
-  missy lanes).  A member's ops come from a chain built once from the RLE
-  runs (the fused lane of a coalesced ``static`` member, or the expanded
-  per-chunk dispatch + per-leaf stream of ``OmpRuntime._member_work``) or
-  from a shared ``Schedule.chunks`` cursor for the dynamic family.  The
-  walks' DRAM solves are *batched*: every walk in flight yields its
-  (mem-fraction, demand) multiset, and one
-  :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of
-  them with a shared convergence loop and per-lane early-exit masks.
+  ``OmpRuntime.parallel_for`` collapses to a closed form over the member
+  totals (``_gross``) for demand-free static-family sections;
+- memory-demanding REAL sections and every dynamic/guided section replay
+  one OpenMP team in ``_team_walk``, a lean event walk over per-member op
+  streams (demand-free segments and missy lanes).  A member's ops are
+  ``OmpRuntime._member_work``'s expanded stream — a dispatch per chunk
+  (per iteration in a one-member team), then the iterations' leaf ops —
+  from a chain built once from the RLE runs, or from a shared
+  ``Schedule.chunks`` cursor for the dynamic family.  The walks' DRAM
+  solves are *batched*: every walk in flight yields its (mem-fraction,
+  demand) multiset, and one :meth:`~repro.simhw.dram.DramModel.solve_batch`
+  call bisects all of them with a shared convergence loop and per-lane
+  early-exit masks.
+
+Sections outside that model — lock-bearing, nested and pipeline sections,
+nowait chains, and memory-demanding REAL sections on a multi-socket
+machine — are *delegated*: one :class:`~repro.core.executor.ParallelExecutor`
+replays each of them (``execute_section`` / ``execute_chain``, through the
+section memo) with the point's lock-handoff policy, and the point's totals
+and per-section speedups are summed exactly as ``execute_profile`` and
+``Synthesizer.predict`` sum them.  Only ``SimMutex`` consults the handoff
+policy, so lowered sections cannot observe it: their cached results serve
+every explored handoff variant.
 
 The eager paths remain the parity oracles: the FF closed form is checked
-against the FF heap walk (``ffemu`` keeps no scalar copy of it), the closed
-forms mirror the corresponding eager code paths
-(``executor._coalesce_shares`` / ``_coalesced_member_body``,
-``openmp.parallel_aggregated``) within 1e-9 relative, and the team walk
-reproduces the DES kernel's arithmetic bit for bit (``simos.kernel``'s
-absolute-form segment rating, its demand-signature cache and its
-``(time, core)`` event order).  Sections the engine cannot represent
-exactly — locks, nested sections, pipelines, nowait chains, oversubscribed
-teams, mixed demand signatures, several DRAM sockets, FF under a
-dynamic-family schedule — make it return ``None`` so callers fall back
-per-point to the exact executor.  The ``columnar.hits`` /
-``columnar.fallbacks`` counters record each decision, and
-``columnar.declines.<reason>`` says why each fallback happened.
+against the FF heap walk (``ffemu`` keeps no scalar copy of it), the
+SYN/REAL closed forms match the expanded kernel replay within 1e-9
+relative, and the team walk reproduces the DES kernel's arithmetic bit for
+bit (``simos.kernel``'s absolute-form segment rating, its demand-signature
+cache and its ``(time, core)`` event order).  A whole grid point is
+declined — the engine returns ``None`` and the caller runs the eager
+emulators — only when numpy is missing, the paradigm is not OpenMP, the
+team oversubscribes the machine or context switches cost cycles; FF also
+declines programs with a delegated section and dynamic-family schedules.
+The ``columnar.hits`` / ``columnar.fallbacks`` counters record each
+decision, and ``columnar.declines.<reason>`` says why each fallback
+happened.
 
-Determinism: results are pure functions of (profile, schedule, t) — only
-elementwise ops and per-row reductions are used (no BLAS), so a grid
-point's value never depends on which other points share its batch.
+Determinism: results are pure functions of (profile, schedule, t, handoff)
+— only elementwise ops and per-row reductions are used (no BLAS), so a
+grid point's value never depends on which other points share its batch.
 """
 
 from __future__ import annotations
@@ -60,6 +66,11 @@ try:  # numpy is a declared dependency, but stay importable without it
 except ImportError:  # pragma: no cover - exercised via _np_missing tests
     np = None
 
+from repro.core.executor import (
+    OVERHEAD_ACCESS_NODE,
+    ParallelExecutor,
+    ReplayMode,
+)
 from repro.core.ffemu import FFSectionResult
 from repro.core.report import SpeedupEstimate
 from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
@@ -70,17 +81,13 @@ from repro.simhw.dram import DramModel, _quantize
 from repro.simhw.machine import MachineConfig
 from repro.validate.invariants import get_checker
 
-#: Per-node traversal cost of the FAKE replay (mirrors executor's value).
-from repro.core.executor import OVERHEAD_ACCESS_NODE
-
 
 class _SecCols:
     """One top-level section lowered to flat per-run columns."""
 
     __slots__ = (
-        "node", "name", "repeat", "serial", "n_runs", "n_iters",
-        "counts", "bounds", "unit", "oh", "rc", "rm",
-        "rc_list", "rm_list", "real_ops", "total_misses", "real_ok", "sig_ok",
+        "node", "name", "repeat", "serial", "n_iters",
+        "counts", "bounds", "unit", "oh", "rc", "real_ops", "missy",
     )
 
     def __init__(self, node: Node, machine: MachineConfig) -> None:
@@ -93,15 +100,11 @@ class _SecCols:
         unit: list[float] = []
         oh: list[float] = []
         rc: list[float] = []
-        rm: list[float] = []
         #: Per-run REAL ops of one iteration for the team walk.
         real_ops: list[tuple] = []
-        sigs: set = set()
-        total_misses = 0.0
-        real_ok = True
+        missy = False
         for task in node.children:
-            c_f = 0.0
-            c_r = m_r = 0.0
+            c_f = c_r = 0.0
             n_leaves = 0
             ops = []
             for leaf in task.children:
@@ -112,24 +115,13 @@ class _SecCols:
                 mm = leaf.llc_misses * leaf.repeat
                 if cc > 0.0:  # executor._leaf_compute × repeat; else instant
                     ops.append(_lane(machine, cc, mm) if mm else float(cc))
-                if mm > 0.0 and cc <= 0.0:
-                    # Instant misses have no demand in the expanded
-                    # lowering; fusing them would invent some (same rule
-                    # as executor._coalesce_shares).
-                    real_ok = False
-                else:
                     c_r += cc
-                    m_r += mm
-                    if cc > 0.0:
-                        sigs.add(_demand_sig(machine, cc, mm) if mm > 0.0 else None)
+                    missy = missy or bool(mm)
             real_ops.append(tuple(ops))
             counts.append(task.repeat)
             unit.append(c_f)
             oh.append(OVERHEAD_ACCESS_NODE * n_leaves)
             rc.append(c_r)
-            rm.append(m_r)
-            total_misses += m_r * task.repeat
-        self.n_runs = len(counts)
         self.counts = np.asarray(counts, dtype=np.int64)
         self.bounds = np.concatenate(
             ([0], np.cumsum(self.counts))
@@ -138,32 +130,33 @@ class _SecCols:
         self.unit = np.asarray(unit, dtype=np.float64)
         self.oh = np.asarray(oh, dtype=np.float64)
         self.rc = np.asarray(rc, dtype=np.float64)
-        self.rm = np.asarray(rm, dtype=np.float64)
-        #: Plain-float copies for the bit-exact missy share accumulation.
-        self.rc_list = rc
-        self.rm_list = rm
         self.real_ops = real_ops
-        self.total_misses = total_misses
-        self.real_ok = real_ok
-        self.sig_ok = len(sigs) == 1 and None not in sigs
+        #: Whether a timed compute demands memory (REAL replays walk it).
+        self.missy = missy
 
 
-def _demand_sig(machine: MachineConfig, cycles: float, misses: float):
-    """Quantized (mem-fraction, demand) — executor._demand_sig's formulas."""
-    f = min(1.0, misses * machine.base_miss_stall / cycles)
-    seconds = machine.cycles_to_seconds(cycles)
-    d = misses * machine.line_size / seconds if seconds > 0 else 0.0
-    return (float(f"{f:.12g}"), float(f"{d:.12g}"))
+def _lowerable(item: Node) -> bool:
+    """A plain leaf-only section: SEC -> TASK -> U, no pipeline."""
+    return (
+        item.kind is NodeKind.SEC
+        and not item.pipeline
+        and all(
+            task.kind is NodeKind.TASK
+            and all(leaf.kind is NodeKind.U for leaf in task.children)
+            for task in item.children
+        )
+    )
 
 
 class ColumnarEngine:
-    """Analytic evaluator for one profile's sweep grid points.
+    """Section-by-section evaluator for one profile's sweep grid points.
 
     Construct once per (profile, overheads) and consult per grid point:
     :meth:`ff_point`, :meth:`syn_point`, :meth:`real_point` each return a
-    result or ``None`` (meaning: use the eager path).  The lowering and
-    the per-(schedule, t) ownership matrices are cached on the engine, so
-    a whole sweep column shares one tree walk.
+    result or ``None`` (meaning: use the eager path).  The lowering, the
+    per-(schedule, t) ownership matrices and every section's per-point
+    result are cached on the engine, so a whole sweep column shares one
+    tree walk and a section replays once across handoff variants.
     """
 
     def __init__(self, profile, overheads: RuntimeOverheads) -> None:
@@ -171,14 +164,16 @@ class ColumnarEngine:
         self.machine: MachineConfig = profile.machine
         self.overheads = overheads
         self._lowered = False
-        #: Program as floats (serial U cycles) and _SecCols, in tree order;
-        #: None when the tree is outside the analytic model.
+        #: Program in tree order: floats (serial U cycles), _SecCols, and
+        #: delegated items (a section Node or a nowait chain list); None
+        #: without numpy.
         self._items: Optional[list] = None
         self._secs: list[_SecCols] = []
+        self._delegated = False
         self._serial = 0.0
         self._serial_by_name: dict[str, float] = {}
         self._own_cache: dict[tuple, tuple] = {}
-        self._point_cache: dict[tuple, float] = {}
+        self._point_cache: dict[tuple, object] = {}
 
     def cache_info(self) -> dict[str, int]:
         """Sizes of this engine's per-point caches (serve-layer stats)."""
@@ -198,26 +193,18 @@ class ColumnarEngine:
             return None
         tree: ProgramTree = self.profile.tree
         items: list = []
-        secs: list[_SecCols] = []
         for item in group_nowait_chains(tree.root.children):
-            if isinstance(item, list):  # nowait chain: exact path only
-                return None
-            if item.kind is NodeKind.U:
+            if isinstance(item, Node) and item.kind is NodeKind.U:
                 items.append(item.length * item.repeat)
-                continue
-            if item.kind is not NodeKind.SEC or item.pipeline:
-                return None
-            for task in item.children:
-                if task.kind is not NodeKind.TASK:
-                    return None
-                for leaf in task.children:
-                    if leaf.kind is not NodeKind.U:
-                        return None  # locks / nested sections
-            sc = _SecCols(item, self.machine)
-            items.append(sc)
-            secs.append(sc)
+            elif isinstance(item, Node) and _lowerable(item):
+                sc = _SecCols(item, self.machine)
+                items.append(sc)
+                self._secs.append(sc)
+            else:
+                # Locks, nesting, pipelines, nowait chains: exact replay.
+                items.append(item)
+                self._delegated = True
         self._items = items
-        self._secs = secs
         self._serial = tree.serial_cycles()
         by_name: dict[str, float] = {}
         for sec in tree.top_level_sections():
@@ -228,8 +215,8 @@ class ColumnarEngine:
     def _ownership(self, sc: _SecCols, schedule: Schedule, t: int):
         """(K, owned, n_disp): iteration-ownership matrix of shape (t, runs),
         per-member owned-iteration counts, and per-member dispatch counts.
-        Mirrors ``executor._owned_in`` / the dispatch-count rules of
-        ``_coalesce_shares``; cached per (section, schedule, t)."""
+        Mirrors ``Schedule.static_assignment`` and the dispatch rules of
+        ``OmpRuntime._member_work``; cached per (section, schedule, t)."""
         key = (id(sc), schedule.kind, schedule.chunk, t)
         cached = self._own_cache.get(key)
         if cached is not None:
@@ -275,10 +262,11 @@ class ColumnarEngine:
     # --------------------------------------------------------- fork/join form
 
     def _gross(self, totals, t: int, fork: float, ts: float, jb: float) -> float:
-        """Closed form of ``parallel_aggregated``: master attaches its body
-        at ``fork``, worker ``w`` at ``fork + thread_start``; the barrier
-        releases at the latest arrival and the master then pays the join
-        barrier.  A one-member team runs inline (no barrier, no join)."""
+        """Closed form of ``parallel_for`` over member totals: the master
+        starts its share at ``fork``, worker ``w`` at ``fork +
+        thread_start``; the barrier releases at the latest arrival and the
+        master then pays the join barrier.  A one-member team runs inline
+        (no barrier, no join)."""
         if t == 1:
             return fork + float(totals[0])
         b = fork + float(totals[0])
@@ -301,7 +289,9 @@ class ColumnarEngine:
         per compressed run, plus the ``emulate_profile`` assembly
         (per-section repeat scaling, result records, invariant checks)."""
         if self._lowering() is None:
-            return _decline("numpy" if np is None else "lowering")
+            return _decline("numpy")
+        if self._delegated:
+            return _decline("lowering")
         if schedule.is_dynamic_family:
             return _decline("dynamic")
         get_metrics().inc("columnar.hits")
@@ -361,14 +351,14 @@ class ColumnarEngine:
                 )
         return total, results
 
-    # ------------------------------------------------------------- SYN point
+    # ------------------------------------------------------- SYN/REAL points
 
     def _team_reason(self, t: int, paradigm: str) -> Optional[str]:
         """Why a SYN/REAL replay at ``t`` is declined, or None: the engine
         replays an OpenMP team that the DES kernel would run without
         preemption or core migration, so member ``w`` stays on core ``w``."""
         if self._lowering() is None:
-            return "numpy" if np is None else "lowering"
+            return "numpy"
         if paradigm != "omp":
             return "paradigm"
         if t > self.machine.n_cores:
@@ -377,14 +367,58 @@ class ColumnarEngine:
             return "context_switch"
         return None
 
+    def _delegate(
+        self,
+        item,
+        schedule: Schedule,
+        t: int,
+        mode: ReplayMode,
+        burdens: dict,
+        handoff: str,
+        handoff_seed: int,
+    ) -> tuple[str, float]:
+        """``(name, net cycles)`` of one delegated section or nowait chain,
+        replayed exactly as ``ParallelExecutor.execute_profile`` replays it
+        (section memo included) and cached on the engine per point."""
+        if isinstance(item, list):
+            beta = tuple(burdens.get(sec.name, 1.0) for sec in item)
+        else:
+            beta = burdens.get(item.name, 1.0)
+        key = (mode, id(item), schedule.kind, schedule.chunk, t, beta,
+               handoff, handoff_seed)
+        cached = self._point_cache.get(key)
+        if cached is not None:
+            return cached
+        executor = ParallelExecutor(
+            machine=self.machine,
+            schedule=schedule,
+            overheads=self.overheads,
+            handoff=handoff,
+            handoff_seed=handoff_seed,
+        )
+        if isinstance(item, list):
+            run = executor.execute_chain(item, t, mode, burdens)
+        else:
+            run = executor.execute_section(item, t, mode, burden=beta)
+        result = (run.name, run.net_cycles)
+        self._point_cache[key] = result
+        return result
+
     def syn_point(
-        self, schedule: Schedule, t: int, memory_model: bool, paradigm: str
+        self,
+        schedule: Schedule,
+        t: int,
+        memory_model: bool,
+        paradigm: str,
+        handoff: str = "fifo",
+        handoff_seed: int = 0,
     ) -> Optional[SpeedupEstimate]:
         """Synthesizer (FAKE replay) estimate, or None for the eager path.
 
         Static-family sections use the closed form; dynamic-family ones
         replay through the team walk, which also tracks each member's
-        traversal overhead for the Fig. 8 net."""
+        traversal overhead for the Fig. 8 net.  Delegated sections replay
+        through the executor under ``handoff``."""
         reason = self._team_reason(t, paradigm)
         if reason is not None:
             return _decline(reason)
@@ -398,8 +432,7 @@ class ColumnarEngine:
             if memory_model
             else {}
         )
-        dynamic = schedule.is_dynamic_family
-        if dynamic:
+        if schedule.is_dynamic_family:
             walks, walk_keys = [], []
             for sc in self._secs:
                 beta = burdens.get(sc.name, 1.0)
@@ -421,30 +454,35 @@ class ColumnarEngine:
             if isinstance(item, float):
                 total += item
                 continue
-            sc = item
-            beta = burdens.get(sc.name, 1.0)
-            key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
-            net = self._point_cache.get(key)
-            if net is None:
-                K, owned, n_disp = self._ownership(sc, schedule, t)
-                wc = (K * (sc.unit * beta)).sum(axis=1)
-                woh = (K * sc.oh).sum(axis=1)
-                totals = (n_disp * disp + wc) + woh
-                gross = self._gross(totals, t, fork, ts, jb)
-                # Fig. 8 line 26: subtract the longest per-worker traversal.
-                net = gross - float(woh.max())
-                if net < 0.0:
-                    net = 0.0
-                self._point_cache[key] = net
-            total += net * sc.repeat
-            acc = net_by_name.get(sc.name, 0.0)
-            if dynamic:
-                # The synthesizer adds one replay per activation.
-                for _ in range(sc.repeat):
-                    acc += net
+            if not isinstance(item, _SecCols):
+                name, net = self._delegate(
+                    item, schedule, t, ReplayMode.FAKE, burdens,
+                    handoff, handoff_seed,
+                )
+                repeat = 1 if isinstance(item, list) else item.repeat
             else:
-                acc += net * sc.repeat
-            net_by_name[sc.name] = acc
+                sc = item
+                name, repeat = sc.name, sc.repeat
+                beta = burdens.get(sc.name, 1.0)
+                key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
+                net = self._point_cache.get(key)
+                if net is None:
+                    K, owned, n_disp = self._ownership(sc, schedule, t)
+                    wc = (K * (sc.unit * beta)).sum(axis=1)
+                    woh = (K * sc.oh).sum(axis=1)
+                    totals = (n_disp * disp + wc) + woh
+                    gross = self._gross(totals, t, fork, ts, jb)
+                    # Fig. 8 line 26: subtract the longest per-worker traversal.
+                    net = gross - float(woh.max())
+                    if net < 0.0:
+                        net = 0.0
+                    self._point_cache[key] = net
+            total += net * repeat
+            # The synthesizer adds one replay per activation.
+            acc = net_by_name.get(name, 0.0)
+            for _ in range(repeat):
+                acc += net
+            net_by_name[name] = acc
         speedup = self._serial / total if total > 0 else 1.0
         sections = {
             name: (self._serial_by_name.get(name, 0.0) / net if net else 0.0)
@@ -460,27 +498,24 @@ class ColumnarEngine:
             sections=sections,
         )
 
-    # ------------------------------------------------------------ REAL point
-
     def real_point(
-        self, schedule: Schedule, t: int, paradigm: str
+        self,
+        schedule: Schedule,
+        t: int,
+        paradigm: str,
+        handoff: str = "fifo",
+        handoff_seed: int = 0,
     ) -> Optional[SpeedupEstimate]:
         """Ground-truth (REAL replay) estimate, or None for the eager path.
 
         Demand-free sections under a static-family schedule collapse to the
         same closed form as SYN (with hardware-derived cycle columns);
         memory-demanding sections and every dynamic-family section replay
-        through the team walk, whose DRAM solves are batched."""
+        through the team walk, whose DRAM solves are batched.  Delegated
+        sections — and memory-demanding ones on a multi-socket machine,
+        whose DRAM pools the walk does not model — replay through the
+        executor under ``handoff``."""
         reason = self._team_reason(t, paradigm)
-        if reason is None:
-            for sc in self._secs:
-                if sc.total_misses > 0.0:
-                    if not sc.sig_ok:
-                        reason = "mixed_signature"
-                        break
-                    if self.machine.n_sockets != 1:
-                        reason = "sockets"
-                        break
         if reason is not None:
             return _decline(reason)
         get_metrics().inc("columnar.hits")
@@ -490,13 +525,14 @@ class ColumnarEngine:
         jb = oh.omp_join_barrier
         disp = oh.omp_static_dispatch
         dynamic = schedule.is_dynamic_family
+        multi_socket = self.machine.n_sockets != 1
 
         # Resolve every uncached walked section first so the walks share
         # one lockstep driver (batched DRAM bisection).
         walks = []
         walk_keys = []
         for sc in self._secs:
-            if sc.total_misses <= 0.0 and not dynamic:
+            if (sc.missy and multi_socket) or not (sc.missy or dynamic):
                 continue
             key = ("real", id(sc), schedule.kind, schedule.chunk, t)
             if key not in self._point_cache:
@@ -509,6 +545,13 @@ class ColumnarEngine:
         for item in self._items:
             if isinstance(item, float):
                 total += item
+                continue
+            if not isinstance(item, _SecCols) or (item.missy and multi_socket):
+                node = item.node if isinstance(item, _SecCols) else item
+                _, net = self._delegate(
+                    node, schedule, t, ReplayMode.REAL, {}, handoff, handoff_seed
+                )
+                total += net if isinstance(node, list) else net * node.repeat
                 continue
             sc = item
             key = ("real", id(sc), schedule.kind, schedule.chunk, t)
@@ -535,39 +578,17 @@ class ColumnarEngine:
         """The team walk of ``sc`` at (schedule, t): the REAL replay when
         ``beta`` is None, else the FAKE replay at burden ``beta``.
 
-        Op streams follow the eager lowering: a coalesced plain-``static``
-        REAL member is one fused lane (``_coalesced_member_body``); any
-        other member runs ``OmpRuntime._member_work``'s expanded stream —
+        Op streams follow ``OmpRuntime._member_work``'s expanded lowering:
         a dispatch per chunk (per iteration in a one-member team) followed
-        by the iterations' leaf ops — from a chain, or from a shared chunk
+        by the iterations' leaf ops, from a chain, or from a shared chunk
         cursor under a dynamic-family schedule."""
         oh = self.overheads
-        machine = self.machine
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
         start = float(fork) if fork > 0.0 else 0.0
         jb = oh.omp_join_barrier
-        cap = machine.dram_solve_cache
+        cap = self.machine.dram_solve_cache
         prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
         trav = [0.0] * t
-        if beta is None and schedule.kind is ScheduleKind.STATIC and sc.real_ok:
-            disp = oh.omp_static_dispatch
-            chains = []
-            for w, (wc, wm, n_dispatch) in enumerate(
-                self._member_shares(sc, schedule, t)
-            ):
-                dispatch = n_dispatch * disp
-                ops = list(prefix) if w else []
-                if wm > 0.0:
-                    # Dispatch is kept out of the missy segment so its
-                    # mem-fraction matches the certified signature.
-                    if dispatch > 0.0:
-                        ops.append(float(dispatch))
-                    ops.append(_lane(machine, wc, wm))
-                elif dispatch + wc > 0.0:
-                    ops.append(float(dispatch + wc))
-                chains.append(ops)
-            return _team_walk(t, start, jb, chains, trav, cap)
-
         dynamic = schedule.is_dynamic_family
         disp = float(
             oh.omp_dynamic_dispatch if dynamic else oh.omp_static_dispatch
@@ -630,26 +651,6 @@ class ColumnarEngine:
             chains.append(ops)
         return _team_walk(t, start, jb, chains, trav, cap)
 
-    def _member_shares(
-        self, sc: _SecCols, schedule: Schedule, t: int
-    ) -> list[tuple[float, float, float]]:
-        """Per-member (work_cycles, work_misses, n_dispatches) for a missy
-        section, accumulated run by run in the exact float order of
-        ``executor._coalesce_shares`` — the fused segment's (f, d) must be
-        bitwise what the eager kernel attaches."""
-        K, owned, n_disp = self._ownership(sc, schedule, t)
-        shares = []
-        for w in range(t):
-            wc = wm = 0.0
-            row = K[w]
-            for r in range(sc.n_runs):
-                k = int(row[r])
-                if k:
-                    wc += k * sc.rc_list[r]
-                    wm += k * sc.rm_list[r]
-            shares.append((wc, wm, float(n_disp[w])))
-        return shares
-
 
 #: Decline reasons, counted as ``columnar.declines.<reason>`` beside
 #: ``columnar.fallbacks`` (they sum to it).
@@ -660,8 +661,6 @@ DECLINE_REASONS = (
     "oversubscribed",
     "context_switch",
     "dynamic",
-    "mixed_signature",
-    "sockets",
 )
 
 

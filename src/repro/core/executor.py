@@ -32,7 +32,7 @@ from repro.obs import get_metrics, get_tracer
 from repro.runtime.cilk import CilkContext, CilkPool
 from repro.runtime.openmp import OmpRuntime
 from repro.runtime.overhead import DEFAULT_OVERHEADS, RuntimeOverheads
-from repro.runtime.tasks import Schedule, ScheduleKind
+from repro.runtime.tasks import Schedule
 from repro.simhw.machine import MachineConfig
 from repro.simos import (
     Acquire,
@@ -88,8 +88,8 @@ class SectionMemo:
     every burden/point combination that maps to identical inputs; the memo
     returns the previous :class:`SectionRun` without building a kernel.
     Keys include every input the replay depends on (machine, overheads,
-    paradigm, schedule, mode, thread count, quantized burden, kernel/
-    coalescing toggles, and the section's structural fingerprint).
+    paradigm, schedule, mode, thread count, quantized burden, kernel
+    toggle, handoff policy, and the section's structural fingerprint).
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -235,13 +235,6 @@ class ParallelExecutor:
         OpenMP loop schedule; ignored by the Cilk paradigm.
     overheads:
         Runtime overhead constants, shared with the FF emulator.
-    coalesce:
-        Coalesce each OpenMP worker's owned iterations of a lock-free,
-        leaf-only section under a static-family schedule into one
-        aggregated ``Compute`` (the replay-layer mirror of the FF fast
-        path).  Falls back to the exact expanded lowering for locks,
-        nesting, pipelines, dynamic schedules, and demand mixes that
-        aggregation cannot represent exactly.
     kernel_optimize:
         Passed to every :class:`SimKernel` this executor builds (the
         event-sparse fast paths; ``False`` forces the eager reference
@@ -264,7 +257,6 @@ class ParallelExecutor:
         schedule: Schedule = Schedule.static(),
         overheads: RuntimeOverheads = DEFAULT_OVERHEADS,
         tracer=None,
-        coalesce: bool = True,
         kernel_optimize: bool = True,
         memoize: bool = True,
         handoff: str = "fifo",
@@ -276,17 +268,12 @@ class ParallelExecutor:
         self.paradigm = paradigm
         self.schedule = schedule
         self.overheads = overheads
-        self.coalesce = coalesce
         self.kernel_optimize = kernel_optimize
         self.memoize = memoize
         self.handoff = normalize_handoff(handoff)
         # Only the random policy consumes the seed; normalising it to 0 for
         # the others keeps their memo keys shared across callers.
         self.handoff_seed = handoff_seed if self.handoff == "random" else 0
-        #: Sections replayed through the coalesced / exact OpenMP lowering
-        #: (fallback diagnostics for tests and benchmarks).
-        self.coalesced_sections = 0
-        self.exact_sections = 0
         #: Tracer handed to every kernel this executor constructs; the
         #: executor advances ``obs.offset`` between top-level sections so
         #: all per-section kernel runs land on one program-wide timeline.
@@ -497,7 +484,6 @@ class ParallelExecutor:
                 mode.value,
                 n_threads,
                 float(f"{burden:.12g}"),
-                self.coalesce,
                 self.kernel_optimize,
                 # Policy + seed keep explored replays sound: a lifo or
                 # seeded-random run must never answer for the fifo point.
@@ -569,33 +555,14 @@ class ParallelExecutor:
 
         if self.paradigm == "omp":
             omp = OmpRuntime(kernel, self.overheads)
-            shares = (
-                self._coalesce_shares(sec, n_threads, mode, burden)
-                if self.coalesce
-                else None
-            )
-            if shares is not None:
-                self.coalesced_sections += 1
-                member_bodies = [
-                    self._coalesced_member_body(share, mode, ohmgr)
-                    for share in shares
-                ]
 
-                def master() -> Generator[Any, Any, None]:
-                    yield from omp.parallel_aggregated(
-                        member_bodies, n_threads=n_threads
-                    )
-
-            else:
-                self.exact_sections += 1
-
-                def master() -> Generator[Any, Any, None]:
-                    bodies = self._omp_bodies(
-                        sec, omp, n_threads, locks, mode, burden, ohmgr
-                    )
-                    yield from omp.parallel_for(
-                        bodies, n_threads=n_threads, schedule=self.schedule
-                    )
+            def master() -> Generator[Any, Any, None]:
+                bodies = self._omp_bodies(
+                    sec, omp, n_threads, locks, mode, burden, ohmgr
+                )
+                yield from omp.parallel_for(
+                    bodies, n_threads=n_threads, schedule=self.schedule
+                )
 
             kernel.spawn(master(), name="replay-master")
             gross = kernel.run()
@@ -649,160 +616,6 @@ class ParallelExecutor:
             lock_acquires=kernel.lock_acquires,
             lock_contended=kernel.lock_contended,
         )
-
-    # ----------------------------------------------------- coalesced lowering
-
-    def _demand_sig(self, cycles: float, misses: float) -> tuple[float, float]:
-        """Quantized (mem-fraction, demand) of one compute — the DRAM
-        model's view of a segment.  Same formulas as the kernel's
-        ``_attach_segment`` so "equal sig" means "identical contention
-        behaviour"."""
-        cfg = self.machine
-        f = min(1.0, misses * cfg.base_miss_stall / cycles)
-        seconds = cfg.cycles_to_seconds(cycles)
-        d = misses * cfg.line_size / seconds if seconds > 0 else 0.0
-        return (float(f"{f:.12g}"), float(f"{d:.12g}"))
-
-    def _coalesce_shares(
-        self,
-        sec: Node,
-        n_threads: int,
-        mode: ReplayMode,
-        burden: float,
-    ) -> Optional[list[tuple[float, float, float, float, int]]]:
-        """Per-member aggregated work shares for an OpenMP section, or
-        ``None`` when only the exact expanded lowering is safe.
-
-        Eligible sections are lock-free and leaf-only under a static-family
-        schedule.  Demand-free work (every FAKE replay, and REAL sections
-        with zero LLC misses) always aggregates exactly: concatenating
-        slowdown-1.0 segments is associative.  REAL sections *with* misses
-        aggregate only under plain ``static`` when every timed compute
-        carries the same quantized demand signature — then each member's
-        single fused segment presents the DRAM solver with the same
-        (mem-fraction, demand) multiset as the expanded per-iteration
-        stream, so contention develops identically.  Anything else (demand
-        mixes, round-robin chunk interleaving with misses) would perturb
-        the multiset and is handed to the exact path.
-
-        Returns one ``(cycles, instructions, misses, traversal_overhead,
-        n_dispatches)`` tuple per team member.
-        """
-        schedule = self.schedule
-        if sec.pipeline or schedule.is_dynamic_family:
-            return None
-        stall = self.machine.base_miss_stall
-        runs: list[tuple[int, float, float, float, float]] = []
-        sigs: set = set()
-        total_misses = 0.0
-        for task in sec.children:
-            c = i = m = oh = 0.0
-            for node in task.children:
-                if node.kind is not NodeKind.U:
-                    return None
-                if mode is ReplayMode.FAKE:
-                    oh += OVERHEAD_ACCESS_NODE
-                    c += node.length * burden * node.repeat
-                else:
-                    cc = (node.cpu_cycles + node.llc_misses * stall) * node.repeat
-                    mm = node.llc_misses * node.repeat
-                    if mm > 0.0 and cc <= 0.0:
-                        # Instant (zero-cycle) misses have no demand in the
-                        # expanded lowering; fusing them would invent some.
-                        return None
-                    c += cc
-                    i += node.instructions * node.repeat
-                    m += mm
-                    if cc > 0.0:
-                        sigs.add(self._demand_sig(cc, mm) if mm > 0.0 else None)
-            total_misses += m * task.repeat
-            runs.append((task.repeat, c, i, m, oh))
-        if mode is ReplayMode.REAL and total_misses > 0.0:
-            if (
-                schedule.kind is not ScheduleKind.STATIC
-                or len(sigs) != 1
-                or None in sigs
-            ):
-                return None
-        n_iters = sum(r[0] for r in runs)
-        bounds = [0]
-        for rep, *_ in runs:
-            bounds.append(bounds[-1] + rep)
-        shares = []
-        for tid in range(n_threads):
-            wc = wi = wm = woh = 0.0
-            owned = 0
-            for r, (rep, c, i, m, oh) in enumerate(runs):
-                k = self._owned_in(
-                    bounds[r], bounds[r + 1], tid, n_iters, n_threads
-                )
-                if k:
-                    owned += k
-                    wc += k * c
-                    wi += k * i
-                    wm += k * m
-                    woh += k * oh
-            if n_threads == 1:
-                # The degenerate inline team dispatches per iteration.
-                n_disp = n_iters
-            elif schedule.kind is ScheduleKind.STATIC_CHUNK:
-                n_disp = -(-owned // schedule.chunk)
-            else:
-                n_disp = 1 if owned else 0
-            shares.append((wc, wi, wm, woh, n_disp))
-        return shares
-
-    def _owned_in(
-        self, a: int, b: int, tid: int, n_iters: int, n_threads: int
-    ) -> int:
-        """How many iterations of ``[a, b)`` member ``tid`` owns (closed
-        form of ``Schedule.static_assignment`` restricted to a range)."""
-        if n_threads == 1:
-            return b - a
-        if self.schedule.kind is ScheduleKind.STATIC:
-            base = n_iters // n_threads
-            extra = n_iters % n_threads
-            start = tid * base + min(tid, extra)
-            end = start + base + (1 if tid < extra else 0)
-            return max(0, min(b, end) - max(a, start))
-        # static,c: chunk j belongs to tid j % n_threads; count owned
-        # iterations below x via the period p = n_threads * c.
-        c = self.schedule.chunk
-        p = n_threads * c
-
-        def below(x: int) -> int:
-            return (x // p) * c + min(max(x % p - tid * c, 0), c)
-
-        return below(b) - below(a)
-
-    def _coalesced_member_body(
-        self,
-        share: tuple[float, float, float, float, int],
-        mode: ReplayMode,
-        ohmgr: _OverheadManager,
-    ) -> Callable[[], Generator[Any, Any, None]]:
-        work, instr, misses, overhead, n_disp = share
-        dispatch = n_disp * self.overheads.omp_static_dispatch
-
-        def body() -> Generator[Any, Any, None]:
-            if mode is ReplayMode.FAKE and overhead > 0.0:
-                me = yield GetCurrentThread()
-                ohmgr.add(me.tid, overhead)
-            if misses > 0.0:
-                # Keep the demand-free dispatch cost out of the missy
-                # segment so its mem-fraction matches the per-iteration
-                # signature the eligibility check certified.
-                if dispatch > 0.0:
-                    yield Compute(cycles=dispatch)
-                yield Compute(
-                    cycles=work, instructions=instr, llc_misses=misses
-                )
-            else:
-                total = dispatch + work + overhead
-                if total > 0.0 or instr > 0.0:
-                    yield Compute(cycles=total, instructions=instr)
-
-        return body
 
     # ------------------------------------------------------------- lowering
 

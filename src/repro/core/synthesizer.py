@@ -58,18 +58,15 @@ class Synthesizer:
         tracer=None,
         handoff: str = "fifo",
         handoff_seed: int = 0,
-        memoize: bool = True,
     ) -> None:
         self.paradigm = paradigm
         self.schedule = schedule
         self.overheads = overheads
         #: Lock handoff policy + seed for the FAKE replay's kernels — how
         #: ``repro.explore`` turns one SYN point into a schedule-space
-        #: sample.  ``memoize=False`` forces uncached replays (envelope
-        #: re-verification).
+        #: sample.
         self.handoff = handoff
         self.handoff_seed = handoff_seed
-        self.memoize = memoize
         #: Forwarded to the replay executor so SYN replay events land on
         #: the caller's trace timeline.
         self.obs = tracer if tracer is not None else get_tracer()
@@ -96,7 +93,6 @@ class Synthesizer:
             tracer=self.obs,
             handoff=self.handoff,
             handoff_seed=self.handoff_seed,
-            memoize=self.memoize,
         )
         burdens = (
             {name: profile.burden_for(name, n_threads) for name in profile.sections}

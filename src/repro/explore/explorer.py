@@ -7,8 +7,12 @@ variant is always sampled: it is byte-identical to the un-explored prediction,
 so the envelope is anchored on the number every other caller already sees,
 and the point estimate the report carries stays unchanged.
 
-Replays recur through the process-wide section memo (keyed by policy + seed),
-so exploring N variants of a lock-free workload costs one replay, not N.
+Only lock handoffs can tell the variants apart, and the columnar engine
+answers lock-free sections without consulting the policy: its point cache
+keys them by (schedule, threads, burden) alone, so exploring N variants of
+a lock-free workload replays nothing through the executor.  Lock-bearing
+sections replay once per variant (the section memo keys them by policy and
+seed, so explored replays never answer for one another).
 """
 
 from __future__ import annotations
@@ -200,17 +204,19 @@ def verify_envelope(
     seed: int = 0,
     memory_model: bool = True,
 ) -> tuple[int, int]:
-    """Re-verify one explored point's extremes by uncached eager replay.
+    """Re-verify one explored point's extremes from cold caches.
 
     Explores the (single) grid point through the normal memoised batch
-    path, then re-runs the variants that produced ``lo`` and ``hi`` with a
-    memoisation-free :class:`~repro.core.synthesizer.Synthesizer` and
-    compares bitwise.  Returns ``(checked, mismatches)`` — a non-zero
-    mismatch count means the section memo or the columnar bypass corrupted
-    an explored sample.
+    path, then re-runs the variants that produced ``lo`` and ``hi``
+    through the same grid-point evaluator with a fresh columnar engine and
+    a cleared section memo, and compares bitwise.  Returns ``(checked,
+    mismatches)`` — a non-zero mismatch count means a cache (the section
+    memo, the engine's point cache) corrupted an explored sample.
     """
-    from repro.core.synthesizer import Synthesizer
-    from repro.runtime.tasks import Schedule
+    from repro.core.batch import _predict_point
+    from repro.core.columnar import ColumnarEngine
+    from repro.core.executor import clear_section_memo
+    from repro.core.ffemu import FastForwardEmulator
 
     explorer = Explorer(prophet, samples=samples, seed=seed, jobs=1)
     report = explorer.explore(
@@ -228,16 +234,24 @@ def verify_envelope(
     checked = mismatches = 0
     for label, value in expected:
         variant = ScheduleVariant.parse(label)
-        syn = Synthesizer(
+        task = SweepTask(
+            workload="point",
+            schedule=schedule,
+            n_threads=n_threads,
             paradigm=paradigm,
-            schedule=Schedule.parse(schedule),
-            overheads=prophet.overheads,
+            memory_model=memory_model,
             handoff=variant.handoff,
             handoff_seed=variant.seed,
-            memoize=False,
         )
-        run = syn.predict(profile, n_threads, use_memory_model=memory_model)
+        clear_section_memo()
+        (est,) = _predict_point(
+            profile,
+            prophet.overheads,
+            task,
+            FastForwardEmulator(prophet.overheads),
+            ColumnarEngine(profile, prophet.overheads),
+        )
         checked += 1
-        if run.estimate.speedup != value:
+        if est.speedup != value:
             mismatches += 1
     return checked, mismatches

@@ -129,54 +129,6 @@ class OmpRuntime:
         yield Compute(cycles=oh.omp_join_barrier)
         return None
 
-    def parallel_aggregated(
-        self,
-        member_bodies: Sequence[TaskBody],
-        n_threads: int,
-    ) -> Generator[Any, Any, None]:
-        """Fork/join skeleton for pre-aggregated work shares.
-
-        ``member_bodies[tid]`` is the *entire* work share of team member
-        ``tid`` — typically a single coalesced ``Compute`` covering all the
-        iterations that member owns, with per-chunk dispatch overhead
-        already charged arithmetically by the caller.  Fork, thread-start,
-        barrier, and join costs are identical to :meth:`parallel_for`, so a
-        coalesced region is cycle-for-cycle compatible with the expanded
-        one whenever the share aggregation itself is exact.
-        """
-        if n_threads < 1:
-            raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")
-        if len(member_bodies) != n_threads:
-            raise ConfigurationError(
-                f"need one body per member: {len(member_bodies)} != {n_threads}"
-            )
-        oh = self.overheads
-        self.regions_forked += 1
-        yield Compute(
-            cycles=oh.omp_fork_base + oh.omp_fork_per_thread * (n_threads - 1)
-        )
-        if n_threads == 1:
-            yield from member_bodies[0]()
-            return
-        barrier = SimBarrier(n_threads)
-        workers = []
-        for tid in range(1, n_threads):
-            gen = self._aggregated_member(member_bodies[tid], barrier)
-            worker = yield Spawn(gen, name=f"omp-w{tid}")
-            workers.append(worker)
-        yield from member_bodies[0]()
-        yield BarrierWait(barrier)
-        for worker in workers:
-            yield Join(worker)
-        yield Compute(cycles=oh.omp_join_barrier)
-
-    def _aggregated_member(
-        self, body: TaskBody, barrier: SimBarrier
-    ) -> Generator[Any, Any, None]:
-        yield Compute(cycles=self.overheads.omp_thread_start)
-        yield from body()
-        yield BarrierWait(barrier)
-
     def parallel_loops(
         self,
         loops: Sequence[tuple[Sequence[TaskBody], Schedule, bool]],

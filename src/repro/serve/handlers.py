@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 from repro.errors import ReproError, ServeError
 from repro.obs import get_metrics
 from repro.runtime.tasks import Schedule
-from repro.serve.budgets import Deadline, RequestBudgets
+from repro.serve.budgets import BudgetExceeded, Deadline, RequestBudgets
 from repro.serve.cachelayer import CacheLayer
 from repro.serve.workqueue import WorkQueue
 
@@ -169,8 +169,8 @@ class ServeState:
         schedules = payload.get("schedules", ["static"])
         if isinstance(schedules, str):
             schedules = [s for s in schedules.split(";") if s]
-        if not isinstance(schedules, list):
-            raise ServeError(f"schedules must be a list, got {schedules!r}")
+        if not isinstance(schedules, list) or not schedules:
+            raise ServeError(f"schedules must be a non-empty list, got {schedules!r}")
         for s in schedules:
             try:
                 Schedule.parse(str(s))
@@ -179,6 +179,8 @@ class ServeState:
         methods = payload.get("methods", ["syn"])
         if isinstance(methods, str):
             methods = [m for m in methods.split(",") if m]
+        if not isinstance(methods, list) or not methods:
+            raise ServeError(f"methods must be a non-empty list, got {methods!r}")
         for m in methods:
             if m not in _METHODS:
                 raise ServeError(f"unknown method {m!r} (expected one of {_METHODS})")
@@ -190,6 +192,17 @@ class ServeState:
             raise ServeError(
                 f"unknown paradigm {paradigm!r} (expected one of {_PARADIGMS})"
             )
+        memory_model = payload.get("memory_model", True)
+        if not isinstance(memory_model, bool):
+            raise ServeError(f"memory_model must be a boolean, got {memory_model!r}")
+        cores = _int_field(payload, "cores", 12)
+        if cores < 1:
+            raise ServeError(f"cores must be >= 1, got {cores}")
+        if cores > self.budgets.max_threads:
+            # Profiling and calibrating a machine grows with its cores.
+            raise BudgetExceeded(
+                f"cores {cores} exceeds the budget of {self.budgets.max_threads}"
+            )
         n_points = len(workloads) * len(schedules) * len(threads) * len(methods)
         self.budgets.check_grid(n_points)
         return {
@@ -198,8 +211,8 @@ class ServeState:
             "schedules": [str(s) for s in schedules],
             "methods": [str(m) for m in methods],
             "paradigm": paradigm,
-            "memory_model": bool(payload.get("memory_model", True)),
-            "cores": _int_field(payload, "cores", 12),
+            "memory_model": memory_model,
+            "cores": cores,
             # The tier is part of the canonical request — surrogate and
             # exact answers for the same grid cache separately.
             "tier": tier,
@@ -389,6 +402,8 @@ class ServeState:
         )
 
     def _check(self, payload: dict) -> dict:
+        if not isinstance(payload, dict):
+            raise ServeError(f"request body must be a JSON object, got {payload!r}")
         if "workload" not in payload and "workloads" not in payload:
             payload = {**payload, "workloads": ["npb_ep"]}
         field = "workload" if "workload" in payload else "workloads"

@@ -1,7 +1,7 @@
 """Runtime invariant checks for the simulation and emulation pipeline.
 
 Aggressive fast paths (the columnar closed forms, DRAM-solve memo,
-event-sparse kernel, coalesced replay, cross-grid section memo) mean the
+event-sparse kernel, columnar team walk, cross-grid section memo) mean the
 predictor's correctness rests on a web of parity claims that were verified
 once, at PR time.  This module turns them into *standing* checks, wired
 behind a single flag into ``simos.kernel``, ``core.executor``,

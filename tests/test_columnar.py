@@ -2,9 +2,10 @@
 
 The engine's contract is *parity, not approximation*: every grid point it
 serves must agree with the eager kernel within 1e-9 relative — exactly
-(``==``) where the team walk replays the whole point — and every point it
-declines must reach the eager path untouched.  The property test
-reuses the ``test_fuzz_pipeline`` program generator so the parity claim is
+(``==``) where no closed form answers a section (the team walk and the
+delegated executor replays are the eager arithmetic) — and every point it
+declines must reach the eager path untouched.  The property tests
+reuse the ``test_fuzz_pipeline`` program generator so the parity claim is
 exercised across random program shapes, not just hand-picked fixtures.
 """
 
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 
 from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, _predict_point
-from repro.core.columnar import DECLINE_REASONS, ColumnarEngine, verify_points
+from repro.core.columnar import (
+    DECLINE_REASONS,
+    ColumnarEngine,
+    _SecCols,
+    verify_points,
+)
 from repro.core.executor import clear_section_memo
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.report import SpeedupReport
@@ -93,6 +99,20 @@ def mixed_workload(tr):
     memory_loop(tr)
 
 
+def mixed_signature_loop(tr):
+    """Memory-demanding and demand-free iterations in one section."""
+    with tr.section("mixsig"):
+        for i in range(6):
+            with tr.task():
+                if i % 2:
+                    tr.compute(
+                        2_000_000,
+                        mem=MemSpec(AccessPattern.STREAMING, bytes_touched=256_000),
+                    )
+                else:
+                    tr.compute(20_000)
+
+
 @pytest.fixture(scope="module")
 def prophet():
     return ParallelProphet(machine=M8)
@@ -107,6 +127,7 @@ def profiles(prophet):
         "locked": prophet.profile(locked_loop),
         "nested": prophet.profile(nested_loop),
         "mixed": prophet.profile(mixed_workload),
+        "mixsig": prophet.profile(mixed_signature_loop),
     }
 
 
@@ -134,28 +155,39 @@ def _assert_parity(eager, columnar, rel=REL):
         )
 
 
-def _walk_served(profile, prophet, estimate):
-    """True when the team walk answers every section of ``estimate``'s
-    grid point: SYN/REAL under a dynamic-family schedule, and REAL when
-    every section demands memory.  Such points must be ``==`` eager."""
-    if estimate.method == "ff":
-        return False
-    if Schedule.parse(estimate.schedule).is_dynamic_family:
-        return True
+def _exact_point(profile, prophet, estimate):
+    """True when no closed form answers a section of ``estimate``'s grid
+    point, so it must be ``==`` eager: a declined point, or a SYN/REAL
+    point whose lowered sections all replay through the team walk (every
+    one under a dynamic-family schedule; memory-demanding ones for REAL)
+    — delegated sections replay through the eager executor itself."""
     engine = ColumnarEngine(profile, prophet.overheads)
-    if engine._lowering() is None:
-        return False
-    return estimate.method == "real" and all(
-        sc.total_misses > 0.0 for sc in engine._secs
+    dynamic = Schedule.parse(estimate.schedule).is_dynamic_family
+    if estimate.method == "ff":
+        return engine._lowering() is None or engine._delegated or dynamic
+    if engine._team_reason(estimate.n_threads, estimate.paradigm) is not None:
+        return True
+    return dynamic or (
+        estimate.method == "real" and all(sc.missy for sc in engine._secs)
     )
 
 
 def _assert_walk_parity(prophet, profile, eager, columnar):
-    """``_assert_parity``, and ``==`` for every walk-served point."""
+    """``_assert_parity``, and ``==`` for every exact point."""
     _assert_parity(eager, columnar)
     for e, c in zip(eager.estimates, columnar.estimates):
-        if _walk_served(profile, prophet, c):
+        if _exact_point(profile, prophet, c):
             assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
+
+
+def _delegated_items(engine):
+    """Distinct delegated items of a lowered engine (what one SYN or REAL
+    point replays through the executor on a single-socket machine)."""
+    engine._lowering()
+    return len({
+        id(item) for item in engine._items
+        if not isinstance(item, (float, _SecCols))
+    })
 
 
 def _eager_reference(prophet, profile, threads, schedules=("static",),
@@ -236,28 +268,54 @@ class TestColumnarParityProperty:
         eager, columnar = _both_backends(prophet, profile, **kwargs)
         _assert_walk_parity(prophet, profile, eager, columnar)
 
-    @given(programs(), st.integers(min_value=1, max_value=4))
+    @given(
+        programs(),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["fifo", "lifo"]),
+    )
     @settings(
-        max_examples=10,
+        max_examples=15,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    def test_ineligible_programs_fall_back_exactly(self, items, n_threads):
-        """Unstripped programs (locks, nesting) must be *identical*, not
-        merely close: the engine declines and both runs are eager."""
+    def test_unstripped_programs_delegate_exactly(self, items, n_threads,
+                                                  handoff):
+        """Unstripped programs (locks, nesting, mixed demand signatures)
+        under FIFO and a non-FIFO handoff: the engine serves every SYN/REAL
+        point of a team that fits the machine, replays exactly its
+        delegated sections through the executor, and matches the eager
+        reference (``==`` wherever no closed form is involved)."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(items))
-        kwargs = dict(
-            threads=[n_threads],
-            schedules=["static,1"],
-            methods=("ff", "syn"),
-            memory_model=False,
-        )
-        eager, columnar = _both_backends(prophet, profile, **kwargs)
-        for e, c in zip(eager.estimates, columnar.estimates):
-            assert (c.speedup == e.speedup) or (
-                c.speedup == pytest.approx(e.speedup, rel=REL)
-            )
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        methods = ("syn", "real") if handoff != "fifo" else ("ff", "syn", "real")
+        metrics = MetricsRegistry()
+        old = set_metrics(metrics)
+        try:
+            for schedule in ("static", "static,1", "dynamic,1"):
+                task = SweepTask("workload", schedule, n_threads, methods,
+                                 memory_model=False, handoff=handoff)
+                clear_section_memo()
+                before = metrics.counter_value("replay.sections")
+                served = _predict_point(
+                    profile, prophet.overheads, task, ff, engine
+                )
+                replays = metrics.counter_value("replay.sections") - before
+                if n_threads <= M4.n_cores:
+                    assert replays == 2 * _delegated_items(engine)
+                clear_section_memo()
+                eager = _predict_point(
+                    profile, prophet.overheads, task, ff, engine=None
+                )
+                for e, c in zip(eager, served):
+                    where = f"{e.method}/{e.schedule}/t={e.n_threads}"
+                    if _exact_point(profile, prophet, c):
+                        assert c == e, where
+                    else:
+                        assert c.speedup == pytest.approx(e.speedup, rel=REL), where
+        finally:
+            set_metrics(old)
 
 
 # ------------------------------------------------------------ fixture parity
@@ -294,12 +352,12 @@ class TestFixtureParity:
         "schedule",
         ["static", "static,1", "static,3", "dynamic,1", "dynamic,3", "guided,2"],
     )
-    @pytest.mark.parametrize("name", ["mem", "memi", "mixed"])
+    @pytest.mark.parametrize("name", ["mem", "memi", "mixed", "mixsig"])
     def test_walk_grid(self, prophet, profiles, fresh_metrics, schedule, name):
-        """Memory demand under ``static`` (fused lanes) and ``static,N``
-        (interleaved per-leaf lanes), and the dynamic family, replay
-        through the team walk at ``==`` parity, with the memory model's
-        burdens on the SYN side."""
+        """Memory demand under the static family (one demand signature,
+        several sizes, or demand-free and missy iterations mixed in one
+        section) and the dynamic family replay through the team walk at
+        ``==`` parity, with the memory model's burdens on the SYN side."""
         eager, columnar = _both_backends(
             prophet,
             profiles[name],
@@ -413,19 +471,25 @@ class TestFallbacks:
         return _both_backends(prophet, profile, **kwargs)
 
     def test_locks_fall_back(self, prophet, profiles, fresh_metrics):
+        """A lock-bearing section falls back to the executor inside a
+        served point: one replay per SYN/REAL point, ``==`` eager."""
         eager, columnar = self._run(
             prophet, profiles["locked"], threads=[4], methods=("syn", "real")
         )
-        _assert_parity(eager, columnar)
-        assert fresh_metrics.counter_value("columnar.fallbacks") > 0
+        assert columnar.estimates == eager.estimates
+        assert fresh_metrics.counter_value("columnar.hits") == 2.0
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 0
 
     def test_nesting_falls_back(self, prophet, profiles, fresh_metrics):
+        """FF declines a nested program whole; SYN serves the point and
+        falls back to the executor for the nested section only."""
         eager, columnar = self._run(
             prophet, profiles["nested"], threads=[4], methods=("ff", "syn")
         )
-        _assert_parity(eager, columnar)
-        assert fresh_metrics.counter_value("columnar.fallbacks") > 0
-        assert fresh_metrics.counter_value("columnar.hits") == 0
+        assert columnar.estimates == eager.estimates
+        assert fresh_metrics.counter_value("columnar.declines.lowering") == 1.0
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 1.0
+        assert fresh_metrics.counter_value("columnar.hits") == 1.0
 
     def test_dynamic_schedule_ff_declines_syn_real_walk(
         self, prophet, profiles, fresh_metrics
@@ -486,20 +550,6 @@ class TestFallbacks:
         assert fresh_metrics.counter_value("syn.replays") == 4.0
 
 
-def mixed_signature_loop(tr):
-    """Memory-demanding and demand-free iterations in one section."""
-    with tr.section("mixsig"):
-        for i in range(6):
-            with tr.task():
-                if i % 2:
-                    tr.compute(
-                        2_000_000,
-                        mem=MemSpec(AccessPattern.STREAMING, bytes_touched=256_000),
-                    )
-                else:
-                    tr.compute(20_000)
-
-
 class TestDeclineReasons:
     def test_every_reason_counted_and_summed(self, profiles, fresh_metrics,
                                              monkeypatch):
@@ -515,7 +565,7 @@ class TestDeclineReasons:
         def profiled(program, machine):
             return ParallelProphet(machine=machine).profile(program)
 
-        assert engine(profiles["locked"]).syn_point(static, 2, False, "omp") is None
+        assert engine(profiles["locked"]).ff_point(static, 2, {}) is None
         assert engine(profiles["cpu"]).syn_point(static, 2, False, "cilk") is None
         assert engine(profiles["cpu"]).real_point(static, 16, "omp") is None
         switching = MachineConfig(n_cores=8, context_switch_cycles=500.0)
@@ -523,12 +573,6 @@ class TestDeclineReasons:
             static, 2, False, "omp"
         ) is None
         assert engine(profiles["cpu"]).ff_point(Schedule.dynamic(1), 2, {}) is None
-        mixed = profiled(mixed_signature_loop, M8)
-        assert engine(mixed).real_point(static, 2, "omp") is None
-        numa = MachineConfig(n_cores=8, n_sockets=2)
-        assert engine(profiled(memory_loop, numa), numa).real_point(
-            static, 2, "omp"
-        ) is None
         monkeypatch.setattr(columnar_mod, "np", None)
         assert engine(profiles["cpu"]).ff_point(static, 2, {}) is None
 
@@ -582,6 +626,90 @@ class TestFig12Walk:
             assert served.estimates == eager.estimates
 
 
+# --------------------------------------------------- per-section delegation
+
+
+class TestSectionDelegation:
+    """SYN/REAL points of lock-bearing programs — a lock in every section
+    (``npb_ep``), in 20 of 50 (``npb_cg``), a Fig. 11 Test1 program — are
+    served under FIFO and a non-FIFO handoff: the executor replays only
+    the delegated sections, and the answer matches the eager reference."""
+
+    @staticmethod
+    def _fig11_test1():
+        from repro.workloads.synthetic import Test1Params, test1_program
+
+        return test1_program(
+            Test1Params(
+                i_max=24, mean_cycles=60_000.0, spread=0.5, shape="random",
+                ratio_delay_1=0.3, ratio_delay_lock_1=0.2, ratio_delay_2=0.2,
+                ratio_delay_lock_2=0.1, ratio_delay_3=0.2, do_lock1=True,
+                do_lock2=True, seed=5,
+            )
+        )
+
+    PROGRAMS = {
+        "npb_ep": lambda: get_workload("npb_ep", batches=24).program,
+        "npb_cg": lambda: get_workload(
+            "npb_cg", outer_steps=1, inner_iterations=2, row_blocks=16
+        ).program,
+        "fig11_test1": _fig11_test1,
+    }
+
+    @pytest.mark.parametrize("handoff", ["fifo", "lifo"])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_served_with_delegated_sections(self, name, handoff,
+                                            fresh_metrics):
+        prophet = ParallelProphet(machine=MachineConfig(n_cores=8))
+        profile = prophet.profile(self.PROGRAMS[name]())
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        task = SweepTask("workload", "static", 4, ("syn", "real"),
+                         memory_model=False, handoff=handoff)
+        clear_section_memo()
+        served = _predict_point(profile, prophet.overheads, task, ff, engine)
+        n_delegated = _delegated_items(engine)
+        assert 0 < n_delegated <= len(profile.tree.top_level_sections())
+        assert fresh_metrics.counter_value("columnar.hits") == 2.0
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 0
+        assert fresh_metrics.counter_value("replay.sections") == 2 * n_delegated
+        clear_section_memo()
+        eager = _predict_point(profile, prophet.overheads, task, ff, engine=None)
+        for e, c in zip(eager, served):
+            assert c.speedup == pytest.approx(e.speedup, rel=REL), e.method
+
+    def test_npb_cg_delegates_only_its_lock_sections(self):
+        profile = ParallelProphet(machine=M8).profile(
+            self.PROGRAMS["npb_cg"]()
+        )
+        engine = ColumnarEngine(profile, ParallelProphet(machine=M8).overheads)
+        engine._lowering()
+        delegated = [
+            item.name for item in engine._items
+            if not isinstance(item, (float, _SecCols))
+        ]
+        assert delegated and set(delegated) == {"cg_dot"}
+        assert {sc.name for sc in engine._secs} == {"cg_matvec", "cg_axpy"}
+
+    def test_multi_socket_missy_real_delegates(self, fresh_metrics):
+        """The walk models one DRAM pool; memory-demanding REAL sections on
+        a multi-socket machine replay through the executor instead."""
+        numa = MachineConfig(n_cores=8, n_sockets=2)
+        prophet = ParallelProphet(machine=numa)
+        profile = prophet.profile(mixed_workload)
+        engine = ColumnarEngine(profile, prophet.overheads)
+        clear_section_memo()
+        served = engine.real_point(Schedule.static(), 4, "omp")
+        assert fresh_metrics.counter_value("columnar.hits") == 1.0
+        # "mem" replays; the demand-free "loop" keeps its closed form.
+        assert fresh_metrics.counter_value("replay.sections") == 1.0
+        (eager,) = _eager_reference(
+            prophet, profile, threads=[4], methods=("real",),
+            memory_model=False,
+        ).estimates
+        assert served.speedup == pytest.approx(eager.speedup, rel=REL)
+
+
 # ------------------------------------------------------------- configuration
 
 
@@ -611,12 +739,14 @@ class TestVerifyPoints:
         assert skipped == 0
 
     def test_ineligible_points_counted_as_skipped(self, prophet, profiles):
+        """FF declines the lock-bearing program (skipped); its SYN points
+        are served with the section delegated, and verified."""
         checked, skipped, mismatches = verify_points(
             prophet, profiles["locked"], threads=[2, 4]
         )
         assert mismatches == []
-        assert checked == 0
-        assert skipped == 4
+        assert checked == 2
+        assert skipped == 2
 
     def test_real_points_verified(self, prophet, profiles):
         """REAL ground truth (the batched-DRAM missy walk included) is

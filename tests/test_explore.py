@@ -21,6 +21,7 @@ from repro.core.prophet import ParallelProphet
 from repro.core.report import SpeedupEnvelope, SpeedupReport
 from repro.errors import ConfigurationError
 from repro.explore import Explorer, ScheduleVariant, default_variants, verify_envelope
+from repro.obs import MetricsRegistry, set_metrics
 from repro.runtime import RuntimeOverheads, Schedule
 from repro.simhw import MachineConfig
 from repro.simos import (
@@ -304,6 +305,38 @@ class TestExplorer:
             profile, threads=[4], methods=("syn",), memory_model=False
         ).speedup(method="syn", n_threads=4)
         assert before == after
+
+    def test_lock_free_variants_replay_nothing(self):
+        """Only lock handoffs tell variants apart, and the columnar engine
+        answers lock-free sections without consulting the policy: every
+        variant of every point comes from its point cache, and no section
+        is replayed through the executor."""
+
+        def lock_free(tr):
+            tr.compute(20_000)
+            for name in ("a", "b"):
+                with tr.section(name):
+                    for i in range(12):
+                        with tr.task():
+                            tr.compute(8_000 + 3_000 * (i % 3))
+
+        prophet = self._prophet()
+        profile = prophet.profile(lock_free)
+        mine = MetricsRegistry()
+        old = set_metrics(mine)
+        try:
+            report = Explorer(prophet, samples=4).explore(
+                {"w": profile},
+                threads=[2, 4],
+                schedules=["static", "dynamic,1"],
+                memory_model=False,
+            )["w"]
+        finally:
+            set_metrics(old)
+        assert len(report.envelopes) == 4
+        assert all(env.lo == env.hi for env in report.envelopes)
+        assert mine.counter_value("columnar.hits") == 16.0
+        assert mine.counter_value("replay.sections") == 0
 
     def test_verify_envelope_extremes_reproduce_uncached(self):
         prophet = self._prophet()

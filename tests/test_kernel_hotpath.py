@@ -1,10 +1,9 @@
-"""Tests for the event-sparse kernel and RLE-aware replay fast paths.
+"""Tests for the event-sparse kernel and the replay section memo.
 
-Three toggleable layers are covered: the lazy-quantum / incremental-
-reconfigure kernel (``SimKernel(optimize=)``), the coalesced OpenMP replay
-lowering (``ParallelExecutor(coalesce=)``), and the cross-grid section memo
-(``ParallelExecutor(memoize=)``).  Every fast path must be *exact*: the
-parity tests run both variants and require identical schedule traces,
+Two toggleable layers are covered: the lazy-quantum / incremental-
+reconfigure kernel (``SimKernel(optimize=)``) and the cross-grid section
+memo (``ParallelExecutor(memoize=)``).  Every fast path must be *exact*:
+the parity tests run both variants and require identical schedule traces,
 preemption counts, and final times (≤1e-9 relative).
 """
 
@@ -189,11 +188,11 @@ class TestKernelParity:
         machine = MachineConfig(n_cores=4, timeslice_cycles=20_000.0)
         t_opt, p_opt, tr_opt, _ = _replay(
             tree, machine, paradigm, schedule, mode, n_threads,
-            kernel_optimize=True, coalesce=False,
+            kernel_optimize=True,
         )
         t_ref, p_ref, tr_ref, _ = _replay(
             tree, machine, paradigm, schedule, mode, n_threads,
-            kernel_optimize=False, coalesce=False,
+            kernel_optimize=False,
         )
         assert p_opt == p_ref
         # Bitwise-identical schedules, timestamps included: anchored
@@ -202,28 +201,6 @@ class TestKernelParity:
         # histories agree bit for bit.
         assert tr_opt == tr_ref
         assert t_opt == pytest.approx(t_ref, rel=1e-9)
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        tree=replay_trees(),
-        schedule=st.sampled_from(SCHEDULES),
-        mode=st.sampled_from([ReplayMode.REAL, ReplayMode.FAKE]),
-        n_threads=st.sampled_from([1, 4, 7]),
-    )
-    def test_coalesced_matches_exact(self, tree, schedule, mode, n_threads):
-        machine = MachineConfig(n_cores=4, timeslice_cycles=20_000.0)
-        t_co, p_co, _, _ = _replay(
-            tree, machine, "omp", schedule, mode, n_threads, coalesce=True
-        )
-        t_ex, p_ex, _, _ = _replay(
-            tree, machine, "omp", schedule, mode, n_threads, coalesce=False
-        )
-        assert p_co == p_ex
-        assert t_co == pytest.approx(t_ex, rel=1e-9)
 
 
 # ------------------------------------------------------- event sparsity
@@ -283,7 +260,7 @@ class TestEventSparsity:
         assert kernel.reconfig_solves == 0
 
 
-# ------------------------------------------------- coalescing fallbacks
+# ------------------------------------------------------------ fixtures
 
 
 def _leaf_section(with_lock=False, nested=False, misses=False):
@@ -309,66 +286,6 @@ def _leaf_section(with_lock=False, nested=False, misses=False):
             it = inner.add(Node(NodeKind.TASK, repeat=2))
             it.add(Node(NodeKind.U, length=1_000.0, cpu_cycles=1_000.0))
     return ProgramTree(root)
-
-
-class TestCoalesceFallbacks:
-    MACHINE = MachineConfig(n_cores=4)
-
-    def _run(self, tree, schedule=Schedule.static()):
-        ex = ParallelExecutor(
-            self.MACHINE, schedule=schedule, memoize=False
-        )
-        ex.execute_profile(tree, 4, ReplayMode.REAL)
-        return ex
-
-    def test_leaf_only_static_coalesces(self):
-        ex = self._run(_leaf_section())
-        assert ex.coalesced_sections == 1
-        assert ex.exact_sections == 0
-
-    def test_locks_fall_back(self):
-        ex = self._run(_leaf_section(with_lock=True))
-        assert ex.coalesced_sections == 0
-        assert ex.exact_sections == 1
-
-    def test_nesting_falls_back(self):
-        ex = self._run(_leaf_section(nested=True))
-        assert ex.coalesced_sections == 0
-        assert ex.exact_sections == 1
-
-    def test_dynamic_schedule_falls_back(self):
-        ex = self._run(_leaf_section(), schedule=Schedule.dynamic(2))
-        assert ex.coalesced_sections == 0
-        assert ex.exact_sections == 1
-
-    def test_chunked_static_with_misses_falls_back(self):
-        ex = self._run(_leaf_section(misses=True), schedule=Schedule.static_chunk(2))
-        assert ex.coalesced_sections == 0
-        assert ex.exact_sections == 1
-
-    def test_uniform_misses_under_plain_static_coalesce(self):
-        ex = self._run(_leaf_section(misses=True))
-        assert ex.coalesced_sections == 1
-
-    def test_pipeline_falls_back(self):
-        root = Node(NodeKind.ROOT)
-        sec = root.add(Node(NodeKind.SEC, name="p"))
-        sec.pipeline = True
-        for _ in range(2):
-            task = sec.add(Node(NodeKind.TASK))
-            for s in range(2):
-                task.add(
-                    Node(NodeKind.STAGE, name=f"st{s}", length=1_000.0,
-                         cpu_cycles=1_000.0)
-                )
-        ex = self._run(ProgramTree(root))
-        assert ex.coalesced_sections == 0
-
-    def test_disabled_flag_forces_exact(self):
-        ex = ParallelExecutor(self.MACHINE, coalesce=False, memoize=False)
-        ex.execute_profile(_leaf_section(), 4, ReplayMode.REAL)
-        assert ex.coalesced_sections == 0
-        assert ex.exact_sections == 1
 
 
 # ----------------------------------------------------------- section memo

@@ -12,6 +12,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.serve import Deadline, ReproServer, ServeConfig, ServeState, create_server
@@ -19,6 +21,35 @@ from repro.serve.budgets import RequestBudgets
 
 #: Small but real grids: npb_ep at 2 threads answers in ~100 ms.
 FAST = {"workload": "npb_ep", "threads": [2], "memory_model": False}
+
+#: Request fields the compute endpoints read, plus arbitrary names.
+_field_names = st.one_of(
+    st.sampled_from(
+        ["workload", "workloads", "threads", "schedules", "methods", "tier",
+         "paradigm", "memory_model", "cores", "samples", "seed", "timeout_s"]
+    ),
+    st.text(max_size=8),
+)
+
+#: Arbitrary JSON values, biased towards plausible field contents.
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=12),
+        st.sampled_from(
+            ["npb_ep", "static", "dynamic,2", "syn", "ff", "real", "omp",
+             "auto", "static,0", "npb_ep,npb_cg"]
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
 
 
 def request(server, method, path, payload=None, timeout=120):
@@ -379,6 +410,12 @@ class TestServeState:
             ("/predict", {"schedules": ["static,x"]}),
             ("/predict", {"schedules": "dynamic,2;bogus"}),
             ("/predict", {"paradigm": "mpi"}),
+            ("/predict", {"methods": 5}),
+            ("/predict", {"methods": []}),
+            ("/predict", {"schedules": []}),
+            ("/predict", {"memory_model": "false"}),
+            ("/predict", {"memory_model": 1}),
+            ("/predict", {"cores": 0}),
         ],
     )
     def test_bad_fields_rejected(self, path, fields):
@@ -391,6 +428,43 @@ class TestServeState:
             state.queue.shutdown(timeout=5.0)
         assert status == 400, body
         assert body["error"] == "bad_request"
+        assert state.queue.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("path", ["/predict", "/explore", "/check"])
+    def test_oversized_machine_refused(self, path):
+        """``cores`` above the thread budget would hold the single worker
+        for minutes profiling the machine; it is refused up front."""
+        state = ServeState()
+        payload = {"workload": "npb_ep", "threads": [2], "cores": 4096}
+        try:
+            status, body = state.handle("POST", path, payload)
+        finally:
+            state.queue.shutdown(timeout=5.0)
+        assert status == 413, body
+        assert body["error"] == "grid_budget_exceeded"
+        assert state.queue.stats()["submitted"] == 0
+
+    @given(
+        path=st.sampled_from(["/predict", "/sweep", "/explore", "/check"]),
+        body=st.one_of(_json_values, st.dictionaries(_field_names, _json_values)),
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_hostile_bodies_get_structured_4xx(self, path, body):
+        """Any JSON body on a compute endpoint is answered 200, 400 or 413
+        with ``error`` and ``message`` fields — never a 500.  A zero grid
+        budget keeps every well-formed request out of the work queue."""
+        state = ServeState(budgets=RequestBudgets(max_grid_points=0))
+        try:
+            status, reply = state.handle("POST", path, body)
+        finally:
+            state.queue.shutdown(timeout=5.0)
+        assert status in (200, 400, 413), reply
+        if status != 200:
+            assert {"error", "message"} <= set(reply), reply
         assert state.queue.stats()["submitted"] == 0
 
     def test_server_wires_config_through(self):
