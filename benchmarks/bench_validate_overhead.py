@@ -14,7 +14,7 @@ three ways:
 3. guard micro-cost — the per-site price of the attribute-test early-out.
 
 The reported estimate is ``hooks x guard_cost / disabled_runtime``.
-Replays run with ``memoize=False``: the cross-grid section memo would
+Each replay starts from a cleared section memo: a warm memo would
 short-circuit repeat replays straight past the kernel, and it is exactly
 the kernel hot path whose hook cost is being bounded here.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 
 from _common import BENCH_SCALES, MACHINE, banner, prophet
-from repro.core.executor import ParallelExecutor, ReplayMode
+from repro.core.executor import ParallelExecutor, ReplayMode, clear_section_memo
 from repro.validate import InvariantChecker, get_checker
 from repro.workloads import get_workload
 
@@ -38,7 +38,8 @@ BUDGET = 0.02
 def _time_replay(profile, repeats=3):
     best = float("inf")
     for _ in range(repeats):
-        ex = ParallelExecutor(MACHINE, memoize=False)
+        clear_section_memo()
+        ex = ParallelExecutor(MACHINE)
         t0 = time.perf_counter()
         ex.execute_profile(profile.tree, N_THREADS, ReplayMode.REAL)
         best = min(best, time.perf_counter() - t0)

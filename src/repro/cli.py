@@ -534,7 +534,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         jobs=args.jobs,
         tier=args.tier,
-        section_memo=args.section_memo,
         log_requests=args.log_requests,
     )
     server = create_server(config)
@@ -802,10 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tier", choices=TIERS, default="exact",
         help="default prediction tier for requests that don't set \"tier\" "
         "themselves (see docs/surrogate.md)",
-    )
-    p_serve.add_argument(
-        "--section-memo", type=int, default=None, metavar="N",
-        help="rebound the process-wide section-replay memo to N entries",
     )
     p_serve.add_argument(
         "--log-requests", action="store_true",

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.executor import ParallelExecutor, ReplayMode
 from repro.core.ffemu import FastForwardEmulator
+from repro.core.lru import LRUCache
 from repro.core.profiler import ProgramProfile
 from repro.core.report import SpeedupEstimate, SpeedupReport
 from repro.core.synthesizer import Synthesizer
@@ -55,6 +55,9 @@ from repro.validate.invariants import get_checker, has_nested_sections
 
 #: Prediction methods a sweep task may request.
 SWEEP_METHODS = ("ff", "syn", "real")
+
+#: Bound of each predictor's columnar-engine cache (entries).
+ENGINE_CACHE_SIZE = 32
 
 #: Answer tiers (see ``docs/surrogate.md``).
 TIERS = ("exact", "surrogate", "auto")
@@ -152,11 +155,10 @@ def _predict_point(
     identically in-process and in a pool worker.
 
     Everything runs on ``profile.machine``, the machine the profile was
-    taken on.  Replays recur through the process-wide
-    :class:`~repro.core.executor.SectionMemo`.  ``serial`` is
-    ``profile.serial_cycles()`` if the caller already has it (a tree walk
-    per chunk instead of per FF point).  With the invariant checker on,
-    every estimate is bounds-checked before it is returned.
+    taken on.  Replays recur through the process-wide section memo.
+    ``serial`` is ``profile.serial_cycles()`` if the caller already has it
+    (a tree walk per chunk instead of per FF point).  With the invariant
+    checker on, every estimate is bounds-checked before it is returned.
     """
     schedule = Schedule.parse(task.schedule)
     estimates: list[SpeedupEstimate] = []
@@ -386,18 +388,15 @@ class BatchPredictor:
         self.chunks_per_job = chunks_per_job
         self.tier = _check_tier(tier)
         self.surrogate = surrogate
-        #: Columnar engines keyed by live profile object (the profile is
-        #: pinned in the value so the ``id()`` key stays unambiguous), LRU
-        #: up to ``engine_cache_size`` entries.  They live across sweeps on
-        #: the in-process path, so repeat traffic reuses lowerings and point
-        #: caches.  Manage through :meth:`cache_info` / :meth:`reset`.
-        self.engine_cache_size = 32
-        self._engines: OrderedDict[int, tuple] = OrderedDict()
-        #: Engine-cache lookups that reused / built an engine.  Kept here,
-        #: not in the metrics registry: pool chunking would make registry
-        #: counts diverge between jobs=1 and jobs>1 sweeps of the same grid.
-        self.engine_hits = 0
-        self.engine_misses = 0
+        #: Columnar engines keyed by live profile object: ``id(profile)``
+        #: maps to ``(profile, engine)``, and pinning the profile in the
+        #: value keeps the id unambiguous while the entry lives.  They live
+        #: across sweeps on the in-process path, so repeat traffic reuses
+        #: lowerings and point caches.  Lookups are counted on the cache
+        #: only, not in the metrics registry: pool chunking would make
+        #: registry counts diverge between jobs=1 and jobs>1 sweeps of the
+        #: same grid.  Manage through :meth:`cache_info` / :meth:`reset`.
+        self._engines = LRUCache("engines", ENGINE_CACHE_SIZE)
 
     # ------------------------------------------------------------------ API
 
@@ -728,15 +727,16 @@ class BatchPredictor:
         """
         from repro.core.executor import section_memo_info
 
-        engines = [engine for _profile, engine in self._engines.values()]
+        info = self._engines.info()
         return {
             "engines": {
-                "size": len(engines),
-                "maxsize": self.engine_cache_size,
-                "hits": self.engine_hits,
-                "misses": self.engine_misses,
+                "size": info["size"],
+                "maxsize": info["maxsize"],
+                "hits": info["hits"],
+                "misses": info["misses"],
                 "point_entries": sum(
-                    e.cache_info()["points"] for e in engines
+                    engine.cache_info()["points"]
+                    for _key, (_profile, engine) in self._engines.items()
                 ),
             },
             "section_memo": section_memo_info(),
@@ -751,25 +751,16 @@ class BatchPredictor:
         layer's ``clear()``, which does both) for a fully cold state.
         """
         self._engines.clear()
-        self.engine_hits = 0
-        self.engine_misses = 0
 
     def _engine_for(self, profile: ProgramProfile):
         """The cached columnar engine of a live profile object (LRU)."""
-        key = id(profile)
-        cached = self._engines.get(key)
-        if cached is not None and cached[0] is profile:
-            self._engines.move_to_end(key)
-            self.engine_hits += 1
-            return cached[1]
-        from repro.core.columnar import ColumnarEngine
 
-        engine = ColumnarEngine(profile, self.prophet.overheads)
-        self._engines[key] = (profile, engine)
-        self.engine_misses += 1
-        while len(self._engines) > self.engine_cache_size:
-            self._engines.popitem(last=False)
-        return engine
+        def build():
+            from repro.core.columnar import ColumnarEngine
+
+            return profile, ColumnarEngine(profile, self.prophet.overheads)
+
+        return self._engines.get_or_create(id(profile), build)[1]
 
     # ------------------------------------------------------------- internals
 

@@ -44,8 +44,8 @@ relative, and the team walk reproduces the DES kernel's arithmetic bit for
 bit (``simos.kernel``'s absolute-form segment rating, its demand-signature
 cache and its ``(time, core)`` event order).  A whole grid point is
 declined — the engine returns ``None`` and the caller runs the eager
-emulators — only when numpy is missing, the paradigm is not OpenMP, the
-team oversubscribes the machine or context switches cost cycles; FF also
+emulators — only when the paradigm is not OpenMP, the team
+oversubscribes the machine or context switches cost cycles; FF also
 declines programs with a delegated section and dynamic-family schedules.
 The ``columnar.hits`` / ``columnar.fallbacks`` counters record each
 decision, and ``columnar.declines.<reason>`` says why each fallback
@@ -61,10 +61,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-try:  # numpy is a declared dependency, but stay importable without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _np_missing tests
-    np = None
+import numpy as np
 
 from repro.core.executor import (
     OVERHEAD_ACCESS_NODE,
@@ -77,7 +74,7 @@ from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
 from repro.runtime.tasks import Schedule, ScheduleKind
-from repro.simhw.dram import DramModel, _quantize
+from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, _quantize
 from repro.simhw.machine import MachineConfig
 from repro.validate.invariants import get_checker
 
@@ -153,64 +150,53 @@ class ColumnarEngine:
 
     Construct once per (profile, overheads) and consult per grid point:
     :meth:`ff_point`, :meth:`syn_point`, :meth:`real_point` each return a
-    result or ``None`` (meaning: use the eager path).  The lowering, the
-    per-(schedule, t) ownership matrices and every section's per-point
-    result are cached on the engine, so a whole sweep column shares one
-    tree walk and a section replays once across handoff variants.
+    result or ``None`` (meaning: use the eager path).  The program is
+    lowered once, at construction; the per-(schedule, t) ownership matrices
+    and every section's per-point result are cached on the engine, so a
+    whole sweep column shares one tree walk and a section replays once
+    across handoff variants.  Serve worker threads may share an engine:
+    its caches only gain entries, and a point two threads race on is
+    computed twice to the same value.
     """
 
     def __init__(self, profile, overheads: RuntimeOverheads) -> None:
         self.profile = profile
         self.machine: MachineConfig = profile.machine
         self.overheads = overheads
-        self._lowered = False
         #: Program in tree order: floats (serial U cycles), _SecCols, and
-        #: delegated items (a section Node or a nowait chain list); None
-        #: without numpy.
-        self._items: Optional[list] = None
+        #: delegated items (a section Node or a nowait chain list).
+        self._items: list = []
         self._secs: list[_SecCols] = []
         self._delegated = False
-        self._serial = 0.0
+        tree: ProgramTree = profile.tree
+        for item in group_nowait_chains(tree.root.children):
+            if isinstance(item, Node) and item.kind is NodeKind.U:
+                self._items.append(item.length * item.repeat)
+            elif isinstance(item, Node) and _lowerable(item):
+                sc = _SecCols(item, self.machine)
+                self._items.append(sc)
+                self._secs.append(sc)
+            else:
+                # Locks, nesting, pipelines, nowait chains: exact replay.
+                self._items.append(item)
+                self._delegated = True
+        self._serial = tree.serial_cycles()
         self._serial_by_name: dict[str, float] = {}
+        for sec in tree.top_level_sections():
+            self._serial_by_name[sec.name] = (
+                self._serial_by_name.get(sec.name, 0.0) + sec.subtree_length()
+            )
         self._own_cache: dict[tuple, tuple] = {}
         self._point_cache: dict[tuple, object] = {}
 
     def cache_info(self) -> dict[str, int]:
         """Sizes of this engine's per-point caches (serve-layer stats)."""
         return {
-            "lowered": int(self._lowered),
             "ownership": len(self._own_cache),
             "points": len(self._point_cache),
         }
 
     # ------------------------------------------------------------- lowering
-
-    def _lowering(self) -> Optional[list]:
-        if self._lowered:
-            return self._items
-        self._lowered = True
-        if np is None:
-            return None
-        tree: ProgramTree = self.profile.tree
-        items: list = []
-        for item in group_nowait_chains(tree.root.children):
-            if isinstance(item, Node) and item.kind is NodeKind.U:
-                items.append(item.length * item.repeat)
-            elif isinstance(item, Node) and _lowerable(item):
-                sc = _SecCols(item, self.machine)
-                items.append(sc)
-                self._secs.append(sc)
-            else:
-                # Locks, nesting, pipelines, nowait chains: exact replay.
-                items.append(item)
-                self._delegated = True
-        self._items = items
-        self._serial = tree.serial_cycles()
-        by_name: dict[str, float] = {}
-        for sec in tree.top_level_sections():
-            by_name[sec.name] = by_name.get(sec.name, 0.0) + sec.subtree_length()
-        self._serial_by_name = by_name
-        return items
 
     def _ownership(self, sc: _SecCols, schedule: Schedule, t: int):
         """(K, owned, n_disp): iteration-ownership matrix of shape (t, runs),
@@ -288,8 +274,6 @@ class ColumnarEngine:
         ``fork + (#dispatches)·dispatch + owned work``; this evaluates that
         per compressed run, plus the ``emulate_profile`` assembly
         (per-section repeat scaling, result records, invariant checks)."""
-        if self._lowering() is None:
-            return _decline("numpy")
         if self._delegated:
             return _decline("lowering")
         if schedule.is_dynamic_family:
@@ -357,8 +341,6 @@ class ColumnarEngine:
         """Why a SYN/REAL replay at ``t`` is declined, or None: the engine
         replays an OpenMP team that the DES kernel would run without
         preemption or core migration, so member ``w`` stays on core ``w``."""
-        if self._lowering() is None:
-            return "numpy"
         if paradigm != "omp":
             return "paradigm"
         if t > self.machine.n_cores:
@@ -586,7 +568,6 @@ class ColumnarEngine:
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
         start = float(fork) if fork > 0.0 else 0.0
         jb = oh.omp_join_barrier
-        cap = self.machine.dram_solve_cache
         prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
         trav = [0.0] * t
         dynamic = schedule.is_dynamic_family
@@ -632,7 +613,7 @@ class ColumnarEngine:
                 chunk_trav.append(tr)
             chains = [[]] + [prefix] * (t - 1)
             return _team_walk(
-                t, start, jb, chains, trav, cap, (chunk_ops, chunk_trav, disp)
+                t, start, jb, chains, trav, (chunk_ops, chunk_trav, disp)
             )
 
         if t == 1:
@@ -649,13 +630,12 @@ class ColumnarEngine:
                 ops += iters[i]
                 trav[w] += iter_trav[i]
             chains.append(ops)
-        return _team_walk(t, start, jb, chains, trav, cap)
+        return _team_walk(t, start, jb, chains, trav)
 
 
 #: Decline reasons, counted as ``columnar.declines.<reason>`` beside
 #: ``columnar.fallbacks`` (they sum to it).
 DECLINE_REASONS = (
-    "numpy",
     "lowering",
     "paradigm",
     "oversubscribed",
@@ -688,13 +668,13 @@ def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
 _NEVER = float("inf")
 
 
-def _team_walk(t, start, jb, chains, trav, cap, cursor=None):
+def _team_walk(t, start, jb, chains, trav, cursor=None):
     """Replay one OpenMP team over per-member op streams.
 
     A generator that yields the running missy multiset ``[(f, d), ...]``
     in member order when the DES kernel would solve DRAM contention and
-    the walk's own LRU memo (``cap`` entries, keyed like the kernel pool's
-    by the quantized multiset) misses; it receives the stall multiplier
+    the walk's own LRU memo (``DRAM_SOLVE_CACHE`` entries, keyed like the
+    kernel pool's by the quantized multiset) misses; it receives the stall multiplier
     ``k`` and finally returns ``(gross cycles, longest per-member
     traversal overhead, memo hits, memo misses)``.
 
@@ -801,17 +781,16 @@ def _team_walk(t, start, jb, chains, trav, cap, cursor=None):
                 if exact != sig:
                     sig = dict(exact)
                     key = frozenset(quant.items())
-                    k = memo.get(key) if cap > 0 else None
+                    k = memo.get(key)
                     if k is not None:
                         hits += 1
                         memo.move_to_end(key)
                     else:
                         misses += 1
                         k = yield [lanes[m][4][1] for m in sorted(lanes)]
-                        if cap > 0:
-                            memo[key] = k
-                            if len(memo) > cap:
-                                memo.popitem(last=False)
+                        memo[key] = k
+                        if len(memo) > DRAM_SOLVE_CACHE:
+                            memo.popitem(last=False)
                     for m, lane in lanes.items():
                         f = lane[3]
                         s = 1.0 - f + f * k

@@ -22,10 +22,10 @@ ground-truth work composition, so predictions are honest.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Optional
 
+from repro.core.lru import LRUCache
 from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import EmulationError
 from repro.obs import get_metrics, get_tracer
@@ -81,80 +81,26 @@ def _node_fingerprint(node: Node) -> tuple:
     )
 
 
-class SectionMemo:
-    """Bounded LRU over section replays, shared across executors.
+#: Bound of the process-wide section memo (entries).
+SECTION_MEMO_SIZE = 256
 
-    Sweep grids re-execute the same section at the same ``n_threads`` for
-    every burden/point combination that maps to identical inputs; the memo
-    returns the previous :class:`SectionRun` without building a kernel.
-    Keys include every input the replay depends on (machine, overheads,
-    paradigm, schedule, mode, thread count, quantized burden, kernel
-    toggle, handoff policy, and the section's structural fingerprint).
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        self._data: OrderedDict[tuple, SectionRun] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional["SectionRun"]:
-        """Look up ``key``, counting a hit or miss and refreshing LRU order."""
-        run = self._data.get(key)
-        if run is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return run
-
-    def put(self, key: tuple, run: "SectionRun") -> None:
-        """Insert ``run``, evicting least-recently-used entries over capacity."""
-        self._data[key] = run
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size/maxsize counters (mirrors the DRAM memo's stats)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-#: Process-wide section memo (cleared via :func:`clear_section_memo`).
-_SECTION_MEMO = SectionMemo()
+#: Process-wide section memo, shared across executors and serve worker
+#: threads.  Keys include every input a replay depends on (machine,
+#: overheads, paradigm, schedule, mode, thread count, quantized burden,
+#: handoff policy and the section's structural fingerprint), so a hit
+#: returns the :class:`SectionRun` an identical replay would produce.
+_SECTION_MEMO = LRUCache("section_memo", SECTION_MEMO_SIZE)
 
 
 def section_memo_info() -> dict[str, int]:
-    """Hit/miss/size counters of the process-wide section memo."""
-    return _SECTION_MEMO.cache_info()
+    """Hit/miss/eviction/size counters of the process-wide section memo."""
+    return _SECTION_MEMO.info()
 
 
-def clear_section_memo() -> None:
-    """Drop all memoised section replays (tests, config changes)."""
-    _SECTION_MEMO.clear()
-
-
-def set_section_memo_size(maxsize: int) -> None:
-    """Rebound the process-wide section memo (serve cache-layer governance).
-
-    Shrinking evicts least-recently-used entries immediately so the memo
-    honours the new bound without waiting for the next insert."""
-    if maxsize < 0:
-        raise ValueError(f"section memo maxsize must be >= 0, got {maxsize}")
-    _SECTION_MEMO.maxsize = maxsize
-    while len(_SECTION_MEMO._data) > maxsize:
-        _SECTION_MEMO._data.popitem(last=False)
+def clear_section_memo() -> int:
+    """Drop all memoised section replays and zero the memo's counters;
+    returns the number of entries dropped."""
+    return _SECTION_MEMO.clear()
 
 
 class _OverheadManager:
@@ -235,13 +181,6 @@ class ParallelExecutor:
         OpenMP loop schedule; ignored by the Cilk paradigm.
     overheads:
         Runtime overhead constants, shared with the FF emulator.
-    kernel_optimize:
-        Passed to every :class:`SimKernel` this executor builds (the
-        event-sparse fast paths; ``False`` forces the eager reference
-        kernel for parity testing).
-    memoize:
-        Consult the process-wide :class:`SectionMemo` before replaying a
-        section (bypassed automatically while tracing is enabled).
     handoff, handoff_seed:
         Lock handoff policy forwarded to every kernel (``fifo`` — the
         byte-identical default — ``lifo``, ``random``/``seeded-random``,
@@ -257,8 +196,6 @@ class ParallelExecutor:
         schedule: Schedule = Schedule.static(),
         overheads: RuntimeOverheads = DEFAULT_OVERHEADS,
         tracer=None,
-        kernel_optimize: bool = True,
-        memoize: bool = True,
         handoff: str = "fifo",
         handoff_seed: int = 0,
     ) -> None:
@@ -268,8 +205,6 @@ class ParallelExecutor:
         self.paradigm = paradigm
         self.schedule = schedule
         self.overheads = overheads
-        self.kernel_optimize = kernel_optimize
-        self.memoize = memoize
         self.handoff = normalize_handoff(handoff)
         # Only the random policy consumes the seed; normalising it to 0 for
         # the others keeps their memo keys shared across callers.
@@ -287,7 +222,6 @@ class ParallelExecutor:
         return SimKernel(
             self.machine,
             tracer=self.obs,
-            optimize=self.kernel_optimize,
             handoff=self.handoff,
             handoff_seed=self.handoff_seed,
         )
@@ -328,10 +262,6 @@ class ParallelExecutor:
         burdens = burdens or {}
         total = 0.0
         sections: list[SectionRun] = []
-        # The simulation is deterministic, so replaying the *same* section
-        # node (dictionary-shared activations, compressed repeats) always
-        # yields the same result — memoise per node object.
-        cache: dict[int, SectionRun] = {}
         traced = self.obs.enabled
         # Sim-time origin of this program on the shared trace timeline.
         # Each per-section kernel starts its local clock at zero; advancing
@@ -353,9 +283,8 @@ class ParallelExecutor:
                     )
                     if traced:
                         # The exported timeline must show every repeat, so
-                        # bypass the per-call cache (and execute_section
-                        # bypasses the memo) and re-run the section per
-                        # repeat with one span each.
+                        # re-run the section per repeat with one span each
+                        # (execute_section bypasses the memo while tracing).
                         for _ in range(item.repeat):
                             r0 = total
                             self.obs.offset = origin + total
@@ -376,14 +305,7 @@ class ParallelExecutor:
                                 },
                             )
                         continue
-                    run = cache.get(id(item))
-                    if run is None:
-                        run = self.execute_section(
-                            item, n_threads, mode, burden=beta
-                        )
-                        cache[id(item)] = run
-                    else:
-                        get_metrics().inc("replay.section_cache.hits")
+                    run = self.execute_section(item, n_threads, mode, burden=beta)
                     sections.extend([run] * item.repeat)
                     total += run.net_cycles * item.repeat
                 else:
@@ -469,13 +391,13 @@ class ParallelExecutor:
         Matches the paper's ``EmulTopLevelParSec``: sets the worker count,
         measures gross elapsed cycles, and (FAKE mode) subtracts the longest
         per-worker traversal overhead.  Identical (section, config) pairs
-        are served from the cross-grid :class:`SectionMemo` unless tracing
-        is enabled (a memo hit would silence the kernel's timeline events).
+        are served from the process-wide section memo unless tracing is
+        enabled (a memo hit would silence the kernel's timeline events).
         """
         if sec.kind is not NodeKind.SEC:
             raise EmulationError(f"execute_section needs a SEC node, got {sec.kind}")
         memo_key = None
-        if self.memoize and not self.obs.enabled:
+        if not self.obs.enabled:
             memo_key = (
                 self.machine,
                 self.overheads,
@@ -484,7 +406,6 @@ class ParallelExecutor:
                 mode.value,
                 n_threads,
                 float(f"{burden:.12g}"),
-                self.kernel_optimize,
                 # Policy + seed keep explored replays sound: a lifo or
                 # seeded-random run must never answer for the fifo point.
                 self.handoff,

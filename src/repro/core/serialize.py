@@ -86,15 +86,36 @@ def tree_from_dict(data: dict[str, Any]) -> ProgramTree:
     """Rebuild a tree/DAG from :func:`tree_to_dict` output.
 
     Malformed node tables (missing fields, wrong types, negative
-    measurements) raise :class:`~repro.errors.ConfigurationError` rather
-    than leaking bare ``KeyError``/``ValueError`` from deep inside."""
-    raw_nodes = data["nodes"]
+    measurements, child references that dangle or form a cycle) raise
+    :class:`~repro.errors.ConfigurationError` rather than leaking bare
+    ``KeyError``/``ValueError`` from deep inside."""
+    try:
+        raw_nodes = data["nodes"]
+        root = data["root"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(f"malformed node table: {exc!r}") from exc
+    if not isinstance(raw_nodes, list):
+        raise ConfigurationError(
+            f"node table must be a list, got {type(raw_nodes).__name__}"
+        )
     built: list[Node | None] = [None] * len(raw_nodes)
+    #: Nodes whose children are being built: meeting one again is a cycle.
+    open_ids: set[int] = set()
+
+    def ref(value: Any, where: str) -> int:
+        if type(value) is not int or not 0 <= value < len(raw_nodes):
+            raise ConfigurationError(
+                f"{where}: {value!r} is not an index into the "
+                f"{len(raw_nodes)}-node table"
+            )
+        return value
 
     def build(idx: int) -> Node:
         cached = built[idx]
         if cached is not None:
             return cached
+        if idx in open_ids:
+            raise ConfigurationError(f"node {idx}: child references form a cycle")
         raw = raw_nodes[idx]
         try:
             for f in _NODE_COUNTER_FIELDS:
@@ -107,6 +128,9 @@ def tree_from_dict(data: dict[str, Any]) -> ProgramTree:
                 NodeKind(raw["kind"]),
                 **{f: raw[f] for f in _NODE_CTOR_FIELDS},
             )
+            children = raw["children"]
+            if not isinstance(children, list):
+                raise TypeError(f"children must be a list, got {children!r}")
         except ConfigurationError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -118,14 +142,21 @@ def tree_from_dict(data: dict[str, Any]) -> ProgramTree:
         for f in _NODE_SCALAR_FIELDS:
             if f not in _NODE_CTOR_FIELDS and f in raw:
                 setattr(node, f, raw[f])
+        open_ids.add(idx)
+        node.children = [build(ref(c, f"node {idx} child")) for c in children]
+        open_ids.discard(idx)
         built[idx] = node
-        node.children = [build(c) for c in raw["children"]]
         return node
 
-    return ProgramTree(build(data["root"]))
+    return ProgramTree(build(ref(root, "root")))
 
 
 # ------------------------------------------------------------------ profile
+
+#: Machine keys older files carry for knobs since removed from
+#: :class:`MachineConfig` (the DRAM-solve memo bound is a constant now);
+#: dropped on load so those files still load.
+_RETIRED_MACHINE_KEYS = ("dram_solve_cache",)
 
 
 def profile_to_dict(profile: ProgramProfile) -> dict[str, Any]:
@@ -134,8 +165,8 @@ def profile_to_dict(profile: ProgramProfile) -> dict[str, Any]:
         "format_version": FORMAT_VERSION,
         # Enumerate dataclass fields instead of hand-listing them: a
         # hand-written dict silently dropped fields added after the seed
-        # (n_sockets, context_switch_cycles, dram_solve_cache), so NUMA
-        # and context-switch configs lost those knobs on round-trip.
+        # (n_sockets, context_switch_cycles), so NUMA and context-switch
+        # configs lost those knobs on round-trip.
         "machine": {
             f.name: getattr(profile.machine, f.name)
             for f in fields(MachineConfig)
@@ -179,6 +210,10 @@ def profile_from_dict(data: dict[str, Any]) -> ProgramProfile:
     :class:`~repro.errors.ConfigurationError`, never a bare
     ``KeyError``/``ValueError`` (profiles are the format users hand-edit
     and pass between machines, so load errors must say what is wrong)."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"profile data must be a JSON object, got {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ConfigurationError(
@@ -186,7 +221,13 @@ def profile_from_dict(data: dict[str, Any]) -> ProgramProfile:
             f"(expected {FORMAT_VERSION})"
         )
     try:
-        machine = MachineConfig(**data["machine"])
+        machine = MachineConfig(
+            **{
+                k: v
+                for k, v in data["machine"].items()
+                if k not in _RETIRED_MACHINE_KEYS
+            }
+        )
         tree = tree_from_dict(data["tree"])
         sections = {}
         for name, raw in data["sections"].items():
@@ -230,6 +271,10 @@ def profile_from_dict(data: dict[str, Any]) -> ProgramProfile:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigurationError(
             f"malformed profile data: {exc!r}"
+        ) from exc
+    except RecursionError as exc:
+        raise ConfigurationError(
+            "malformed profile data: tree nested too deeply"
         ) from exc
     return profile
 

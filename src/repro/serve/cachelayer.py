@@ -20,170 +20,31 @@ cache classes:
 - ``response`` — whole JSON responses keyed by the canonical request, so
   a byte-identical repeat request never reaches the compute queue.
 
-plus adapters over the process-wide caches that already exist: the
-section-replay memo (:func:`repro.core.executor.section_memo_info`) is
-resized to the layer's configured bound and reported/cleared through the
-same surface.
+plus the process-wide section-replay memo
+(:func:`repro.core.executor.section_memo_info`), reported and cleared
+through the same surface.
 
-Every get is instrumented through the :mod:`repro.obs` metrics registry
-as ``serve.cache.<class>.hits`` / ``.misses`` / ``.evictions``, so
-``GET /stats`` and the ``--metrics`` CLI flag show one consistent story
-(and :meth:`MetricsRegistry.hit_rates` derives ``.hit_rate`` for free).
+Each class is a :class:`~repro.core.lru.LRUCache` whose lookups are also
+counted in the :mod:`repro.obs` metrics registry as
+``serve.cache.<class>.hits`` / ``.misses`` / ``.evictions``, so ``GET
+/stats`` and the ``--metrics`` CLI flag show one consistent story (and
+:meth:`MetricsRegistry.hit_rates` derives ``.hit_rate`` for free).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Any
 
+from repro.core.lru import LRUCache
 from repro.obs import get_metrics
 
 
-class LRUCache:
-    """A named, size-bounded, thread-safe LRU cache class.
+class _ServeCache(LRUCache):
+    """A serve cache class: an :class:`LRUCache` whose events are also
+    counted in the metrics registry as ``serve.cache.<name>.<event>``."""
 
-    ``on_evict`` (if given) runs for every value leaving the cache —
-    capacity eviction and :meth:`clear` alike — so cache classes holding
-    stateful values (e.g. predictors with engine caches) can release
-    them deterministically.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        maxsize: int,
-        on_evict: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache {name!r}: maxsize must be >= 1, got {maxsize}")
-        self.name = name
-        self.maxsize = maxsize
-        self.on_evict = on_evict
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: get_or_create races lost: a build that was discarded because a
-        #: concurrent creator inserted first.
-        self.races = 0
-        self._data: OrderedDict[Any, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ ops
-
-    def get(self, key: Any) -> Optional[Any]:
-        """Look up ``key``, refreshing recency; None on miss (instrumented).
-
-        None doubles as the miss signal, which is why :meth:`put` refuses
-        to store it — a cached None would be indistinguishable from a miss
-        and re-built forever.  Falsy values that are not None (``0``,
-        ``""``, ``{}``) are cached and returned normally.
-        """
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                get_metrics().inc(f"serve.cache.{self.name}.misses")
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-        get_metrics().inc(f"serve.cache.{self.name}.hits")
-        return value
-
-    def _insert(self, key: Any, value: Any) -> list:
-        """Insert under the caller-held lock; returns evicted values."""
-        evicted = []
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            _, old = self._data.popitem(last=False)
-            self.evictions += 1
-            evicted.append(old)
-        return evicted
-
-    def _dispose(self, evicted: list) -> None:
-        """Run eviction accounting/hooks outside the lock."""
-        if not evicted:
-            return
-        get_metrics().inc(
-            f"serve.cache.{self.name}.evictions", float(len(evicted))
-        )
-        if self.on_evict is not None:
-            for old in evicted:
-                self.on_evict(old)
-
-    def put(self, key: Any, value: Any) -> None:
-        """Insert ``value``, evicting least-recently-used entries over bound."""
-        if value is None:
-            raise ValueError(
-                f"cache {self.name!r}: None cannot be cached "
-                "(it is the miss signal)"
-            )
-        with self._lock:
-            evicted = self._insert(key, value)
-        self._dispose(evicted)
-
-    def get_or_create(self, key: Any, factory: Callable[[], Any]) -> Any:
-        """``get`` falling back to ``factory()`` on miss — first put wins.
-
-        The factory runs outside the cache lock (it may be expensive), so
-        two racing creators may both build; the insert is then
-        insert-if-absent under the lock.  The first value in stays (and is
-        what *every* racer returns); the loser's build is discarded through
-        ``on_evict`` so stateful values (predictors with engine caches,
-        registered metrics) are released instead of leaking.
-        """
-        value = self.get(key)
-        if value is not None:
-            return value
-        created = factory()
-        if created is None:
-            raise ValueError(
-                f"cache {self.name!r}: factory for {key!r} returned None "
-                "(None is the miss signal and cannot be cached)"
-            )
-        with self._lock:
-            existing = self._data.get(key)
-            if existing is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-                self.races += 1
-                evicted = []
-            else:
-                evicted = self._insert(key, created)
-        if existing is not None:
-            get_metrics().inc(f"serve.cache.{self.name}.races")
-            if self.on_evict is not None:
-                self.on_evict(created)
-            self._dispose(evicted)
-            return existing
-        self._dispose(evicted)
-        return created
-
-    def clear(self) -> int:
-        """Drop every entry (running ``on_evict``); returns the count."""
-        with self._lock:
-            dropped = list(self._data.values())
-            self._data.clear()
-        if self.on_evict is not None:
-            for value in dropped:
-                self.on_evict(value)
-        return len(dropped)
-
-    def info(self) -> dict[str, int]:
-        """Hit/miss/eviction/size counters (same shape as the DRAM memo's)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+    def _record(self, event: str, n: int = 1) -> None:
+        get_metrics().inc(f"serve.cache.{self.name}.{event}", float(n))
 
 
 class CacheLayer:
@@ -200,21 +61,16 @@ class CacheLayer:
         predictor_size: int = 8,
         profile_size: int = 64,
         response_size: int = 256,
-        section_memo_size: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
         self.jobs = jobs
-        self.predictors = LRUCache(
+        self.predictors = _ServeCache(
             "predictor",
             predictor_size,
             on_evict=lambda pair: pair[1].reset(),
         )
-        self.profiles = LRUCache("profile", profile_size)
-        self.responses = LRUCache("response", response_size)
-        if section_memo_size is not None:
-            from repro.core.executor import set_section_memo_size
-
-            set_section_memo_size(section_memo_size)
+        self.profiles = _ServeCache("profile", profile_size)
+        self.responses = _ServeCache("response", response_size)
 
     # ------------------------------------------------------------ factories
 
@@ -262,11 +118,10 @@ class CacheLayer:
             for cache in (self.predictors, self.profiles, self.responses)
         }
         layer["section_memo"] = section_memo_info()
-        predictors = {}
-        with self.predictors._lock:
-            pairs = list(self.predictors._data.items())
-        for cores, (_prophet, predictor) in pairs:
-            predictors[str(cores)] = predictor.cache_info()
+        predictors = {
+            str(cores): predictor.cache_info()
+            for cores, (_prophet, predictor) in self.predictors.items()
+        }
         return {"classes": layer, "predictors": predictors}
 
     def clear(self) -> dict[str, int]:
@@ -276,15 +131,13 @@ class CacheLayer:
         the process-wide section memo is cleared alongside so ``POST
         /cache/clear`` really does return the daemon to a cold state.
         """
-        from repro.core.executor import clear_section_memo, section_memo_info
+        from repro.core.executor import clear_section_memo
 
-        memo_size = section_memo_info()["size"]
         cleared = {
             "predictor": self.predictors.clear(),
             "profile": self.profiles.clear(),
             "response": self.responses.clear(),
-            "section_memo": memo_size,
+            "section_memo": clear_section_memo(),
         }
-        clear_section_memo()
         get_metrics().inc("serve.cache.clears")
         return cleared

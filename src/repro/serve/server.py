@@ -56,7 +56,6 @@ class ServeConfig:
     predictor_cache: int = 8
     profile_cache: int = 64
     response_cache: int = 256
-    section_memo: Optional[int] = None
     #: Allow ``POST /shutdown`` (on for the CLI, off by default embedded).
     allow_shutdown: bool = True
     #: Log one line per request to stderr.
@@ -123,7 +122,6 @@ class ReproServer:
                 predictor_size=config.predictor_cache,
                 profile_size=config.profile_cache,
                 response_size=config.response_cache,
-                section_memo_size=config.section_memo,
                 jobs=config.jobs,
             ),
             queue=WorkQueue(workers=config.workers, depth=config.queue_depth),

@@ -6,12 +6,16 @@ drains the queue, which is bounded — a full queue refuses admission
 (:class:`~repro.serve.budgets.QueueFull` → 429) instead of buffering
 unbounded work the clients have long given up on.
 
-Why one worker by default: the cache layer's values (section memo,
-columnar engines) are plain dicts tuned for the GIL, not for
-concurrent mutation, and a single simulated sweep already saturates a
-core.  ``workers > 1`` is supported for mixed traffic (the caches degrade
-to occasional double-compute, never corruption of returned results), but
-the deterministic default is serial execution in admission order.
+Why one worker by default: a single simulated sweep already saturates a
+core, and serial execution in admission order is deterministic.
+``workers > 1`` is supported for mixed traffic: the caches shared across
+workers — the section memo, each predictor's engine cache and the serve
+cache classes — are locked :class:`~repro.core.lru.LRUCache` instances,
+and a columnar engine's own caches only gain entries, so two workers on
+one key at worst compute the same value twice.  One caveat remains:
+a sweep replaces the burden tables attached to a cached profile, so two
+concurrent memory-model requests with different thread lists on one
+workload can read each other's tables.
 
 Shutdown drains: pending jobs run to completion before the workers exit,
 so an orderly stop never drops accepted work (tested by

@@ -53,6 +53,10 @@ _SOLVE_TOL = 1e-9
 #: inconsistent segment demands (traffic without proportional stall time).
 _K_MAX = 1e12
 
+#: Bound of every DRAM-solve memo (entries): each :class:`DramModel`'s
+#: and each columnar team walk's (``repro.core.columnar``).
+DRAM_SOLVE_CACHE = 256
+
 
 def _quantize(x: float) -> float:
     """Round to 12 significant digits for cache keying.
@@ -98,16 +102,15 @@ class DramModel:
         self,
         config: MachineConfig,
         peak_bytes_per_sec: float | None = None,
-        cache_size: int | None = None,
     ) -> None:
         """``peak_bytes_per_sec`` overrides the pool's capacity — used for
         per-socket pools on NUMA machines (each socket gets
         ``config.dram_peak_bytes_per_sec_per_socket``).
 
-        ``cache_size`` bounds the LRU memo of :meth:`stall_multiplier`
-        results (running sets recur constantly across DES timeslices, so the
-        200-step bisection is usually redundant); ``None`` takes the
-        machine's ``dram_solve_cache`` knob and ``0`` disables caching."""
+        :meth:`stall_multiplier` results are memoised in an LRU of
+        :data:`DRAM_SOLVE_CACHE` entries: running sets recur constantly
+        across DES timeslices, so the 200-step bisection is usually
+        redundant."""
         self.config = config
         self._peak = (
             peak_bytes_per_sec
@@ -115,9 +118,6 @@ class DramModel:
             else config.dram_peak_bytes_per_sec
         )
         self._kappa = config.dram_queue_gain
-        self._cache_size = (
-            config.dram_solve_cache if cache_size is None else cache_size
-        )
         #: LRU memo: quantized (mem_fraction, demand) multiset -> k.
         self._cache: OrderedDict[tuple, float] = OrderedDict()
         self.cache_hits = 0
@@ -151,26 +151,23 @@ class DramModel:
         total = sum(s.demand_bytes_per_sec for s in segments)
         if total <= 0:
             return 1.0
-        key = None
-        if self._cache_size > 0:
-            key = tuple(
-                sorted(
-                    (_quantize(s.mem_fraction), _quantize(s.demand_bytes_per_sec))
-                    for s in segments
-                    if s.demand_bytes_per_sec > 0
-                )
+        key = tuple(
+            sorted(
+                (_quantize(s.mem_fraction), _quantize(s.demand_bytes_per_sec))
+                for s in segments
+                if s.demand_bytes_per_sec > 0
             )
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._cache.move_to_end(key)
-                return cached
+        )
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            self._cache.move_to_end(key)
+            return cached
         self.cache_misses += 1
         k = self._solve(segments, total)
-        if key is not None:
-            self._cache[key] = k
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+        self._cache[key] = k
+        if len(self._cache) > DRAM_SOLVE_CACHE:
+            self._cache.popitem(last=False)
         return k
 
     def _solve(self, segments: Sequence[SegmentDemand], total: float) -> float:
@@ -296,7 +293,7 @@ class DramModel:
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "size": len(self._cache),
-            "maxsize": self._cache_size,
+            "maxsize": DRAM_SOLVE_CACHE,
         }
 
     def clear_cache(self) -> None:

@@ -75,10 +75,6 @@ class MachineConfig:
     #: set a few thousand cycles to study oversubscription realistically
     #: (see benchmarks/bench_sec3_recursive_paradigms.py).
     context_switch_cycles: float = 0.0
-    #: Bound of the per-pool LRU memo over DRAM stall-multiplier solves
-    #: (running sets recur constantly across DES timeslices).  0 disables
-    #: caching and forces every solve to run the bisection from scratch.
-    dram_solve_cache: int = 256
 
     def __post_init__(self) -> None:
         if self.n_cores < 1:
@@ -112,8 +108,6 @@ class MachineConfig:
             raise ConfigurationError("tracer_overhead_cycles must be >= 0")
         if self.context_switch_cycles < 0:
             raise ConfigurationError("context_switch_cycles must be >= 0")
-        if self.dram_solve_cache < 0:
-            raise ConfigurationError("dram_solve_cache must be >= 0")
 
     # -- unit conversions ---------------------------------------------------
 

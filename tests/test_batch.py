@@ -386,10 +386,12 @@ class TestPersistentCaches:
         assert info["engines"]["size"] == 0
         assert info["engines"]["hits"] == info["engines"]["misses"] == 0
 
-    def test_caches_trimmed_to_bound(self, prophet, profiles):
+    def test_caches_trimmed_to_bound(self, prophet, profiles, monkeypatch):
+        import repro.core.batch as batch_mod
+
         assert len(profiles) > 1
+        monkeypatch.setattr(batch_mod, "ENGINE_CACHE_SIZE", 1)
         predictor = BatchPredictor(prophet, jobs=1)
-        predictor.engine_cache_size = 1
         predictor.sweep(
             profiles,
             threads=[2, 4],

@@ -478,11 +478,11 @@ class TestServeCommand:
                 "4",
                 "--timeout",
                 "5",
-                "--section-memo",
-                "128",
             ]
         )
         assert args.port == 0
         assert args.queue_depth == 4
         assert args.timeout == 5.0
-        assert args.section_memo == 128
+        # The section memo has a fixed bound; the old flag is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--section-memo", "128"])

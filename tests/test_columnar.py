@@ -9,6 +9,7 @@ reuse the ``test_fuzz_pipeline`` program generator so the parity claim is
 exercised across random program shapes, not just hand-picked fixtures.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -164,7 +165,7 @@ def _exact_point(profile, prophet, estimate):
     engine = ColumnarEngine(profile, prophet.overheads)
     dynamic = Schedule.parse(estimate.schedule).is_dynamic_family
     if estimate.method == "ff":
-        return engine._lowering() is None or engine._delegated or dynamic
+        return engine._delegated or dynamic
     if engine._team_reason(estimate.n_threads, estimate.paradigm) is not None:
         return True
     return dynamic or (
@@ -183,7 +184,6 @@ def _assert_walk_parity(prophet, profile, eager, columnar):
 def _delegated_items(engine):
     """Distinct delegated items of a lowered engine (what one SYN or REAL
     point replays through the executor on a single-socket machine)."""
-    engine._lowering()
     return len({
         id(item) for item in engine._items
         if not isinstance(item, (float, _SecCols))
@@ -522,21 +522,6 @@ class TestFallbacks:
         assert fresh_metrics.counter_value("columnar.hits") == 1.0  # the ff
         assert fresh_metrics.counter_value("columnar.fallbacks") == 1.0
 
-    def test_numpy_missing_falls_back(self, prophet, profiles, fresh_metrics,
-                                      monkeypatch):
-        import repro.core.columnar as columnar_mod
-
-        monkeypatch.setattr(columnar_mod, "np", None)
-        report = prophet.predict(
-            profiles["cpu"],
-            threads=[2],
-            methods=("ff", "syn"),
-            memory_model=False,
-        )
-        assert len(report.estimates) == 2
-        assert fresh_metrics.counter_value("columnar.hits") == 0
-        assert fresh_metrics.counter_value("columnar.fallbacks") == 2.0
-
     def test_syn_replay_counter_served_points(self, prophet, profiles,
                                               fresh_metrics):
         """Served SYN points still count as replays — the counter means
@@ -551,12 +536,9 @@ class TestFallbacks:
 
 
 class TestDeclineReasons:
-    def test_every_reason_counted_and_summed(self, profiles, fresh_metrics,
-                                             monkeypatch):
+    def test_every_reason_counted_and_summed(self, profiles, fresh_metrics):
         """One decline per reason; ``columnar.declines.*`` sum to
         ``columnar.fallbacks``."""
-        import repro.core.columnar as columnar_mod
-
         static = Schedule.static()
 
         def engine(profile, machine=M8):
@@ -573,8 +555,6 @@ class TestDeclineReasons:
             static, 2, False, "omp"
         ) is None
         assert engine(profiles["cpu"]).ff_point(Schedule.dynamic(1), 2, {}) is None
-        monkeypatch.setattr(columnar_mod, "np", None)
-        assert engine(profiles["cpu"]).ff_point(static, 2, {}) is None
 
         declines = {
             reason: fresh_metrics.counter_value(f"columnar.declines.{reason}")
@@ -683,7 +663,6 @@ class TestSectionDelegation:
             self.PROGRAMS["npb_cg"]()
         )
         engine = ColumnarEngine(profile, ParallelProphet(machine=M8).overheads)
-        engine._lowering()
         delegated = [
             item.name for item in engine._items
             if not isinstance(item, (float, _SecCols))
@@ -797,7 +776,6 @@ class TestSolveBatch:
         )
 
     def test_matches_scalar_solve(self):
-        np = pytest.importorskip("numpy")
         width = max(len(c) for c in self.CASES)
         F = np.zeros((len(self.CASES), width))
         D = np.zeros((len(self.CASES), width))

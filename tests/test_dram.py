@@ -1,12 +1,13 @@
 """Tests for the self-consistent DRAM contention model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.simhw import DramModel, MachineConfig, SegmentDemand
-from repro.simhw.dram import _quantize
+from repro.simhw.dram import DRAM_SOLVE_CACHE, _quantize
 
 
 @pytest.fixture
@@ -122,10 +123,8 @@ class TestSolveMemoization:
         import random
 
         rng = random.Random(2012)
-        cached = DramModel(MachineConfig(n_cores=12, dram_peak_gbs=12.0))
-        plain = DramModel(
-            MachineConfig(n_cores=12, dram_peak_gbs=12.0), cache_size=0
-        )
+        machine = MachineConfig(n_cores=12, dram_peak_gbs=12.0)
+        cached = DramModel(machine)
         for _ in range(40):
             segs = [
                 SegmentDemand(
@@ -138,7 +137,8 @@ class TestSolveMemoization:
             a1 = cached.stall_multiplier(segs)
             a2 = cached.stall_multiplier(segs)
             assert a1 == a2
-            assert a1 == plain.stall_multiplier(segs)
+            # A fresh model's first solve is a memo miss: the bisection.
+            assert a1 == DramModel(machine).stall_multiplier(segs)
         assert cached.cache_hits >= 40
 
     def test_order_insensitive_key(self, model):
@@ -151,38 +151,20 @@ class TestSolveMemoization:
         assert model.cache_hits == 1 and model.cache_misses == 1
 
     def test_cache_bound_enforced(self):
-        model = DramModel(
-            MachineConfig(n_cores=12, dram_peak_gbs=12.0), cache_size=8
-        )
-        for i in range(1, 40):
-            seg = SegmentDemand(mem_fraction=0.5, demand_bytes_per_sec=1e8 * i)
+        model = DramModel(MachineConfig(n_cores=12, dram_peak_gbs=12.0))
+        n = DRAM_SOLVE_CACHE + 20
+        for i in range(1, n + 1):
+            seg = SegmentDemand(mem_fraction=0.5, demand_bytes_per_sec=1e7 * i)
             model.stall_multiplier([seg])
         info = model.cache_info()
-        assert info["size"] <= info["maxsize"] == 8
-        assert info["misses"] == 39
-
-    def test_cache_disabled(self):
-        model = DramModel(
-            MachineConfig(n_cores=12, dram_peak_gbs=12.0), cache_size=0
-        )
-        seg = SegmentDemand(mem_fraction=0.8, demand_bytes_per_sec=3e9)
-        model.stall_multiplier([seg])
-        model.stall_multiplier([seg])
-        info = model.cache_info()
-        assert info == {"hits": 0, "misses": 2, "size": 0, "maxsize": 0}
-
-    def test_machine_knob_disables_cache(self):
-        model = DramModel(
-            MachineConfig(n_cores=12, dram_peak_gbs=12.0, dram_solve_cache=0)
-        )
-        seg = SegmentDemand(mem_fraction=0.8, demand_bytes_per_sec=3e9)
-        model.stall_multiplier([seg])
-        model.stall_multiplier([seg])
-        assert model.cache_info()["hits"] == 0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(n_cores=12, dram_solve_cache=-1)
+        assert info["size"] == info["maxsize"] == DRAM_SOLVE_CACHE
+        assert info["misses"] == n
+        # The oldest solves were evicted, the newest kept.
+        first = SegmentDemand(mem_fraction=0.5, demand_bytes_per_sec=1e7)
+        last = SegmentDemand(mem_fraction=0.5, demand_bytes_per_sec=1e7 * n)
+        model.stall_multiplier([last])
+        model.stall_multiplier([first])
+        assert model.cache_info()["hits"] == 1
 
     def test_clear_cache(self, model):
         seg = SegmentDemand(mem_fraction=0.8, demand_bytes_per_sec=3e9)
@@ -248,14 +230,13 @@ class TestSolvePurity:
         for other in history:
             if _key(other) != _key(segs):
                 cached.stall_multiplier(other)
-        expected = DramModel(machine, cache_size=0).stall_multiplier(segs)
+        expected = DramModel(machine).stall_multiplier(segs)
         assert cached.stall_multiplier(segs) == expected
         assert cached.stall_multiplier(segs) == expected  # memo hit
 
     @given(lanes=st.lists(_running_sets, min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_solve_batch_lanes_match_scalar(self, lanes):
-        np = pytest.importorskip("numpy")
         machine = MachineConfig(n_cores=12, dram_peak_gbs=12.0)
         width = max(len(segs) for segs in lanes)
         F = np.zeros((len(lanes), width))
@@ -266,5 +247,5 @@ class TestSolvePurity:
                 D[i, j] = s.demand_bytes_per_sec
         ks = DramModel(machine).solve_batch(F, D)
         for i, segs in enumerate(lanes):
-            scalar = DramModel(machine, cache_size=0).stall_multiplier(segs)
+            scalar = DramModel(machine).stall_multiplier(segs)
             assert float(ks[i]) == scalar, f"lane {i}"

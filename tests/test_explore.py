@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import ParallelExecutor, ReplayMode
+from repro.core.executor import ParallelExecutor, ReplayMode, clear_section_memo
 from repro.core.profiler import IntervalProfiler
 from repro.core.prophet import ParallelProphet
 from repro.core.report import SpeedupEnvelope, SpeedupReport
@@ -181,13 +181,13 @@ class TestCounterHygiene:
         )
         stats = []
         for _ in range(2):
+            clear_section_memo()  # replay both times, not a memo hit
             ex = ParallelExecutor(
                 M4,
                 schedule=Schedule.static_chunk(1),
                 overheads=ZERO_OH,
                 handoff="random",
                 handoff_seed=3,
-                memoize=False,
             )
             result = ex.execute_profile(profile.tree, 4, ReplayMode.REAL)
             stats.append((result.lock_acquires, result.lock_contended))

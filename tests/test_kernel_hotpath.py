@@ -1,10 +1,10 @@
 """Tests for the event-sparse kernel and the replay section memo.
 
-Two toggleable layers are covered: the lazy-quantum / incremental-
-reconfigure kernel (``SimKernel(optimize=)``) and the cross-grid section
-memo (``ParallelExecutor(memoize=)``).  Every fast path must be *exact*:
-the parity tests run both variants and require identical schedule traces,
-preemption counts, and final times (≤1e-9 relative).
+Two layers are covered: the lazy-quantum / incremental-reconfigure kernel,
+parity-tested against the eager reference kernel (``SimKernel(optimize=
+False)``), and the process-wide section memo.  Every fast path must be
+*exact*: the parity tests run both variants and require identical
+schedule traces, preemption counts, and final times (≤1e-9 relative).
 """
 
 from __future__ import annotations
@@ -37,23 +37,28 @@ def _fresh_memo():
 
 
 class _TracingExecutor(ParallelExecutor):
-    """ParallelExecutor whose kernels record their schedule traces."""
+    """ParallelExecutor whose kernels record their schedule traces;
+    ``optimize=False`` replays on the eager reference kernel."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, optimize=True, **kwargs):
         super().__init__(*args, **kwargs)
+        self.optimize = optimize
         self.kernels = []
 
     def _make_kernel(self) -> SimKernel:
         kernel = SimKernel(
-            self.machine, record_trace=True, optimize=self.kernel_optimize
+            self.machine, record_trace=True, optimize=self.optimize
         )
         self.kernels.append(kernel)
         return kernel
 
 
-def _replay(tree, machine, paradigm, schedule, mode, n_threads, **flags):
+def _replay(tree, machine, paradigm, schedule, mode, n_threads, optimize):
+    # The memo key does not name the kernel mode, so a run must not read
+    # the entries of the other mode's run: each starts from an empty memo.
+    clear_section_memo()
     ex = _TracingExecutor(
-        machine, paradigm=paradigm, schedule=schedule, memoize=False, **flags
+        machine, paradigm=paradigm, schedule=schedule, optimize=optimize
     )
     result = ex.execute_profile(tree, n_threads, mode)
     trace = [ev for k in ex.kernels for ev in k.trace]
@@ -188,11 +193,11 @@ class TestKernelParity:
         machine = MachineConfig(n_cores=4, timeslice_cycles=20_000.0)
         t_opt, p_opt, tr_opt, _ = _replay(
             tree, machine, paradigm, schedule, mode, n_threads,
-            kernel_optimize=True,
+            optimize=True,
         )
         t_ref, p_ref, tr_ref, _ = _replay(
             tree, machine, paradigm, schedule, mode, n_threads,
-            kernel_optimize=False,
+            optimize=False,
         )
         assert p_opt == p_ref
         # Bitwise-identical schedules, timestamps included: anchored
@@ -331,7 +336,7 @@ class TestSectionMemo:
             tree, 4, ReplayMode.REAL
         )
         clear_section_memo()
-        b = ParallelExecutor(self.MACHINE, memoize=False).execute_profile(
+        b = ParallelExecutor(self.MACHINE).execute_profile(
             tree, 4, ReplayMode.REAL
         )
         assert a.total_cycles == b.total_cycles

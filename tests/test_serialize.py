@@ -1,8 +1,12 @@
 """Tests for profile serialisation (save/load round-trips)."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.profiler import IntervalProfiler
 from repro.core.serialize import (
@@ -160,6 +164,136 @@ class TestMalformedData:
             profile_from_dict(data)
 
 
+#: Any value ``json.loads`` can produce (NaN and infinities included).
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    """Every (key/index) path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _paths(v, prefix + (i,))
+
+
+_VALID = profile_to_dict(sample_profile())
+_VALID_PATHS = [p for p in _paths(_VALID) if p]
+
+
+def _load_or_reject(data):
+    """profile_from_dict's contract: a profile or a ConfigurationError."""
+    try:
+        profile = profile_from_dict(data)
+    except ConfigurationError:
+        return None
+    # What loads must be usable, not a time bomb for the emulators.
+    profile.tree.serial_cycles()
+    return profile
+
+
+class TestHostileInput:
+    """Hostile JSON never escapes profile_from_dict as anything but a
+    ConfigurationError."""
+
+    @pytest.mark.parametrize("data", [[], "x", None, 3, 2.5, True])
+    def test_non_object_top_level(self, data):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            profile_from_dict(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_json_values)
+    def test_arbitrary_values(self, data):
+        _load_or_reject(data)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        path=st.sampled_from(_VALID_PATHS),
+        value=_json_values | st.integers(-3, 12),
+        delete=st.booleans(),
+    )
+    def test_one_field_replaced_or_deleted(self, path, value, delete):
+        data = copy.deepcopy(_VALID)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        _load_or_reject(data)
+
+    def test_child_cycle_rejected(self):
+        data = copy.deepcopy(_VALID)
+        data["tree"]["nodes"][1]["children"] = [0]
+        with pytest.raises(ConfigurationError, match="cycle"):
+            profile_from_dict(data)
+
+    def test_child_index_out_of_range_rejected(self):
+        data = copy.deepcopy(_VALID)
+        data["tree"]["nodes"][0]["children"] = [len(data["tree"]["nodes"])]
+        with pytest.raises(ConfigurationError):
+            profile_from_dict(data)
+
+
+class TestLegacyProfiles:
+    """A profile written before the DRAM-solve memo bound left
+    MachineConfig (its machine carries ``dram_solve_cache``) loads,
+    predicts as it did when it was written, and re-saves without the
+    retired key."""
+
+    PATH = Path(__file__).parent / "data" / "legacy_profile_v1.json"
+
+    def test_loads_and_roundtrips_without_retired_key(self):
+        data = json.loads(self.PATH.read_text())
+        assert data["machine"]["dram_solve_cache"] == 64
+        profile = profile_from_dict(data)
+        assert profile.machine == MachineConfig(
+            n_cores=4, context_switch_cycles=5.0
+        )
+        expected = copy.deepcopy(data)
+        del expected["machine"]["dram_solve_cache"]
+        assert profile_to_dict(profile) == expected
+
+    def test_predictions_match_the_writer(self):
+        from repro.core.prophet import ParallelProphet
+
+        profile = profile_from_dict(json.loads(self.PATH.read_text()))
+        prophet = ParallelProphet(machine=profile.machine)
+        report = prophet.predict(
+            profile, threads=[2, 4], methods=("ff", "syn"), memory_model=False
+        )
+        real = prophet.measure_real(profile, threads=[2, 4])
+        got = [
+            (e.method, e.n_threads, e.speedup)
+            for e in report.estimates + real.estimates
+        ]
+        # Speedups the writing release computed from the same file.
+        assert got == [
+            ("ff", 2, 1.3617888220724532),
+            ("syn", 2, 1.3617012046015626),
+            ("ff", 4, 2.313852199501004),
+            ("syn", 4, 2.2982736090498794),
+            ("real", 2, 1.2733763424771263),
+            ("real", 4, 1.8875729269064219),
+        ]
+
+
 class TestDagSharingRoundtrip:
     def test_compressed_profile_dag_roundtrip(self):
         """Round-trip a dictionary-compressed tree and assert the DAG shape
@@ -269,7 +403,7 @@ class TestProfileRoundtrip:
 class TestMachineParity:
     """Guards against the dropped-field bug: the serializer once listed
     machine fields by hand and silently lost any added after the seed
-    (n_sockets, context_switch_cycles, dram_solve_cache)."""
+    (n_sockets, context_switch_cycles)."""
 
     def test_machine_dict_covers_every_field(self):
         from dataclasses import fields
@@ -282,7 +416,6 @@ class TestMachineParity:
             n_cores=4,
             n_sockets=2,
             context_switch_cycles=5.0,
-            dram_solve_cache=7,
         )
 
         def program(tr):
@@ -311,7 +444,7 @@ class TestMachineParity:
         restored = profile_from_dict(data)
         assert restored.machine.n_cores == M.n_cores
         assert restored.machine.n_sockets == MachineConfig().n_sockets
-        assert restored.machine.dram_solve_cache == MachineConfig().dram_solve_cache
+        assert restored.machine.context_switch_cycles == 0.0
 
 
 class TestTraceDrivenProfiler:
