@@ -437,9 +437,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         # Columnar engine: sampled re-verification against the *uncached*
         # eager path (same pattern as the section-memo invariant) — the
         # vectorized engine must agree within 1e-9 wherever it engages,
-        # FF/SYN predictions and REAL ground truth alike.  --quick covers
-        # the paper's three schedules whatever the harness ran, so the
-        # team walk's static,1 and dynamic chunk cursor are re-verified.
+        # FF/SYN predictions and REAL ground truth alike, and FF points off
+        # the static closed form must be ==.  --quick covers the paper's
+        # three schedules whatever the harness ran, so the team walk's
+        # static,1 and the dynamic chunk cursors are re-verified.
         from repro.core.columnar import verify_points
 
         col_schedules = (

@@ -148,8 +148,9 @@ def _predict_point(
     """Evaluate one grid point; the only code that does.
 
     ``engine`` (a columnar engine for ``profile``, or None) answers each
-    method first; a method it declines — or every method when ``engine``
-    is None — runs on the reference emulators: the FF heap walk, the
+    method first — every FF point, and every SYN/REAL point it does not
+    decline.  A declined method, or every method when ``engine`` is None,
+    runs on the reference emulators: the FF heap walk, the
     :class:`~repro.core.synthesizer.Synthesizer` and a
     :class:`~repro.core.executor.ParallelExecutor` REAL replay.  Runs
     identically in-process and in a pool worker.
@@ -174,13 +175,10 @@ def _predict_point(
                 if task.memory_model
                 else {}
             )
-            col = (
-                engine.ff_point(schedule, task.n_threads, burdens)
-                if engine is not None
-                else None
-            )
-            if col is not None:
-                predicted, ff_sections = col
+            if engine is not None:
+                predicted, ff_sections = engine.ff_point(
+                    schedule, task.n_threads, burdens
+                )
             else:
                 predicted, ff_sections = ff.emulate_profile(
                     profile.tree, task.n_threads, schedule, burdens
@@ -288,8 +286,8 @@ def _run_taskset(
 ]:
     """Worker entry point: evaluate a chunk of one workload's grid points.
 
-    One FF emulator instance is shared across the chunk (it is stateless
-    between ``emulate_profile`` calls).  ``engine`` is the caller's
+    One FF emulator instance serves the chunk's eager FF points (it is
+    stateless between ``emulate_profile`` calls).  ``engine`` is the caller's
     persistent columnar engine for ``profile``: the in-process path passes
     :class:`BatchPredictor`'s, so lowerings and point caches survive across
     sweeps; pool workers pass None and get one engine per chunk.  While the

@@ -408,11 +408,10 @@ class TestCheck:
         assert "differential:" in out
         assert "0 violation(s)" in out
         assert "0 violations" in out  # invariant selfcheck line
-        # static / static,1 / dynamic,1 whatever the harness ran: FF
-        # declines lock-bearing npb_ep and dynamic-family points; SYN/REAL
-        # are served everywhere, npb_ep's section delegated.
-        assert "columnar engine: ff 4, syn 12, real 12 grid point(s)" in out
-        assert "8 fallback(s)" in out
+        # static / static,1 / dynamic,1 whatever the harness ran: every
+        # point is served, npb_ep's lock-bearing section delegated.
+        assert "columnar engine: ff 12, syn 12, real 12 grid point(s)" in out
+        assert "0 fallback(s)" in out
         assert (get_checker().enabled, get_checker().mode) == before
 
     def test_check_explicit_grid(self, capsys):

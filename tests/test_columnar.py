@@ -158,14 +158,17 @@ def _assert_parity(eager, columnar, rel=REL):
 
 def _exact_point(profile, prophet, estimate):
     """True when no closed form answers a section of ``estimate``'s grid
-    point, so it must be ``==`` eager: a declined point, or a SYN/REAL
-    point whose lowered sections all replay through the team walk (every
-    one under a dynamic-family schedule; memory-demanding ones for REAL)
-    — delegated sections replay through the eager executor itself."""
+    point, so it must be ``==`` eager: a declined point, an FF point whose
+    lowered sections all take the greedy walk (a dynamic-family schedule,
+    or none lowered), or a SYN/REAL point whose lowered sections all
+    replay through the team walk (every one under a dynamic-family
+    schedule; memory-demanding ones for REAL) — delegated sections run on
+    the FF heap walk or the eager executor itself."""
     engine = ColumnarEngine(profile, prophet.overheads)
-    dynamic = Schedule.parse(estimate.schedule).is_dynamic_family
+    schedule = Schedule.parse(estimate.schedule)
+    dynamic = schedule.is_dynamic_family
     if estimate.method == "ff":
-        return engine._delegated or dynamic
+        return engine.ff_exact(schedule)
     if engine._team_reason(estimate.n_threads, estimate.paradigm) is not None:
         return True
     return dynamic or (
@@ -318,6 +321,68 @@ class TestColumnarParityProperty:
             set_metrics(old)
 
 
+class TestFFGreedyWalk:
+    @given(
+        programs(),
+        st.sampled_from(["dynamic,1", "dynamic,2", "dynamic,5", "guided,1",
+                         "guided,3"]),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from([1.37, 2.5, 0.81]),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_equals_heap_walk(self, items, schedule, n_threads, beta):
+        """The dynamic-family FF greedy walk of every lock-free section is
+        ``==`` ``FastForwardEmulator.emulate_section`` — several chunk
+        sizes, t up to above the 4-core machine's ``n_cores``, β ≠ 1."""
+        prophet = ParallelProphet(machine=M4)
+        profile = prophet.profile(build_program(_strip_to_eligible(items)))
+        engine = ColumnarEngine(profile, prophet.overheads)
+        schedule = Schedule.parse(schedule)
+        for sc in engine._secs:
+            walk = FastForwardEmulator(prophet.overheads).emulate_section(
+                sc.node, n_threads, schedule, beta
+            )
+            assert engine._ff_section(sc, schedule, n_threads, beta) == walk
+
+
+class TestFFPointCache:
+    """Every FF item — lowered or on the heap walk — is cached per (item,
+    schedule, t, β) on the predictor's engine."""
+
+    GRID = dict(
+        threads=[2, 4],
+        schedules=["static", "static,1", "dynamic,1", "guided,2"],
+        methods=("ff",),
+        memory_model=False,
+    )
+
+    def test_second_sweep_walks_no_nodes(self, prophet, profiles,
+                                         fresh_metrics):
+        predictor = BatchPredictor(prophet, jobs=1)
+        work = {name: profiles[name] for name in ("cpu", "locked", "nested")}
+        first = predictor.sweep(work, **self.GRID)
+        visited = fresh_metrics.counter_value("ff.nodes_visited")
+        assert visited > 0  # the delegated sections' heap walks
+        second = predictor.sweep(work, **self.GRID)
+        assert fresh_metrics.counter_value("ff.nodes_visited") == visited
+        assert fresh_metrics.counter_value("ff.emulations") == 0
+        for name in work:
+            assert second[name].estimates == first[name].estimates
+
+    def test_engine_holds_no_emulator(self, prophet, profiles):
+        """Serve worker threads share an engine; the FF emulator's
+        ``nodes_visited`` is scratch state, so none may live on it."""
+        engine = ColumnarEngine(profiles["nested"], prophet.overheads)
+        engine.ff_point(Schedule.dynamic(1), 4, {})
+        assert not any(
+            isinstance(v, FastForwardEmulator) for v in vars(engine).values()
+        )
+
+
 # ------------------------------------------------------------ fixture parity
 
 
@@ -357,7 +422,8 @@ class TestFixtureParity:
         """Memory demand under the static family (one demand signature,
         several sizes, or demand-free and missy iterations mixed in one
         section) and the dynamic family replay through the team walk at
-        ``==`` parity, with the memory model's burdens on the SYN side."""
+        ``==`` parity, with the memory model's burdens on the SYN side;
+        every point is served, FF's included."""
         eager, columnar = _both_backends(
             prophet,
             profiles[name],
@@ -367,10 +433,7 @@ class TestFixtureParity:
             memory_model=True,
         )
         _assert_walk_parity(prophet, profiles[name], eager, columnar)
-        dynamic = Schedule.parse(schedule).is_dynamic_family
-        assert fresh_metrics.counter_value("columnar.hits") == (
-            10.0 if dynamic else 15.0
-        )
+        assert fresh_metrics.counter_value("columnar.hits") == 15.0
 
     def test_same_time_ties_go_by_member(self):
         """Free fork, thread start, dispatch and join make members finish
@@ -481,22 +544,23 @@ class TestFallbacks:
         assert fresh_metrics.counter_value("columnar.fallbacks") == 0
 
     def test_nesting_falls_back(self, prophet, profiles, fresh_metrics):
-        """FF declines a nested program whole; SYN serves the point and
-        falls back to the executor for the nested section only."""
+        """FF and SYN both serve a nested program's point and fall back for
+        the nested section only — to the FF heap walk and the executor —
+        so the point is ``==`` eager with no fallback counted."""
         eager, columnar = self._run(
             prophet, profiles["nested"], threads=[4], methods=("ff", "syn")
         )
         assert columnar.estimates == eager.estimates
-        assert fresh_metrics.counter_value("columnar.declines.lowering") == 1.0
-        assert fresh_metrics.counter_value("columnar.fallbacks") == 1.0
-        assert fresh_metrics.counter_value("columnar.hits") == 1.0
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 0
+        assert fresh_metrics.counter_value("columnar.hits") == 2.0
+        assert fresh_metrics.counter_value("ff.emulations") == 1.0  # eager
 
-    def test_dynamic_schedule_ff_declines_syn_real_walk(
+    def test_dynamic_schedule_served_exactly(
         self, prophet, profiles, fresh_metrics
     ):
-        """Dynamic-family FF is interleaving-dependent and stays on the
-        heap walk; SYN and REAL replay through the team walk's shared
-        chunk cursor, bit for bit (demand-free and memory-bound)."""
+        """Dynamic-family FF takes the greedy chunk walk; SYN and REAL
+        replay through the team walk's shared chunk cursor.  All three are
+        ``==`` eager (demand-free and memory-bound), with no fallback."""
         for name in ("cpu", "mem"):
             eager, columnar = self._run(
                 prophet,
@@ -507,9 +571,8 @@ class TestFallbacks:
             )
             for e, c in zip(eager.estimates, columnar.estimates):
                 assert c == e, f"{name}: {e.method}/{e.schedule}/t={e.n_threads}"
-        assert fresh_metrics.counter_value("columnar.fallbacks") == 12.0
-        assert fresh_metrics.counter_value("columnar.declines.dynamic") == 12.0
-        assert fresh_metrics.counter_value("columnar.hits") == 24.0
+        assert fresh_metrics.counter_value("columnar.fallbacks") == 0
+        assert fresh_metrics.counter_value("columnar.hits") == 36.0
 
     def test_oversubscription_replay_falls_back(self, prophet, profiles,
                                                 fresh_metrics):
@@ -547,14 +610,12 @@ class TestDeclineReasons:
         def profiled(program, machine):
             return ParallelProphet(machine=machine).profile(program)
 
-        assert engine(profiles["locked"]).ff_point(static, 2, {}) is None
         assert engine(profiles["cpu"]).syn_point(static, 2, False, "cilk") is None
         assert engine(profiles["cpu"]).real_point(static, 16, "omp") is None
         switching = MachineConfig(n_cores=8, context_switch_cycles=500.0)
         assert engine(profiled(imbalanced_loop, switching), switching).syn_point(
             static, 2, False, "omp"
         ) is None
-        assert engine(profiles["cpu"]).ff_point(Schedule.dynamic(1), 2, {}) is None
 
         declines = {
             reason: fresh_metrics.counter_value(f"columnar.declines.{reason}")
@@ -718,14 +779,41 @@ class TestVerifyPoints:
         assert skipped == 0
 
     def test_ineligible_points_counted_as_skipped(self, prophet, profiles):
-        """FF declines the lock-bearing program (skipped); its SYN points
-        are served with the section delegated, and verified."""
+        """The oversubscribed SYN point is declined (skipped); every FF
+        point and the other SYN points of the lock-bearing program are
+        served with the section delegated, and verified."""
         checked, skipped, mismatches = verify_points(
-            prophet, profiles["locked"], threads=[2, 4]
+            prophet, profiles["locked"], threads=[2, 4, 16]
         )
         assert mismatches == []
-        assert checked == 2
-        assert skipped == 2
+        assert checked == 5
+        assert skipped == 1
+
+    def test_exact_ff_points_must_be_equal(self, prophet, profiles,
+                                           monkeypatch):
+        """FF points off the closed form (dynamic family, or no lowered
+        section) are held to ``==``: a 1e-12 drift is reported there and
+        tolerated on the static closed form."""
+        import repro.core.columnar as columnar_mod
+
+        served = columnar_mod.ColumnarEngine.ff_point
+
+        def skewed(self, schedule, t, burdens):
+            total, results = served(self, schedule, t, burdens)
+            return total * (1 + 1e-12), results
+
+        monkeypatch.setattr(columnar_mod.ColumnarEngine, "ff_point", skewed)
+        for name, schedule, n_bad in (
+            ("cpu", "static", 0),
+            ("cpu", "dynamic,1", 1),
+            ("locked", "static", 1),
+        ):
+            checked, _, mismatches = verify_points(
+                prophet, profiles[name], threads=[4], schedules=[schedule],
+                methods=("ff",),
+            )
+            assert checked == 1
+            assert len(mismatches) == n_bad, (name, schedule)
 
     def test_real_points_verified(self, prophet, profiles):
         """REAL ground truth (the batched-DRAM missy walk included) is

@@ -257,9 +257,9 @@ class TestOverheadModelling:
 
 
 class TestFastPathParity:
-    """The columnar FF closed form (``ColumnarEngine.ff_point``, the only FF
-    fast path) must match the heap walk on every tree it claims (static
-    family, U-only tasks) and decline otherwise."""
+    """The columnar FF (``ColumnarEngine.ff_point``, the only FF fast path)
+    must match the heap walk: its static-family closed form within 1e-9,
+    its dynamic-family greedy walk and its delegated sections ``==``."""
 
     @staticmethod
     def _both(sec, n_threads, schedule, burden=1.0, oh=ZERO_OH):
@@ -277,8 +277,9 @@ class TestFastPathParity:
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_exact_walk(self, data):
-        """Random compressed runs x {static, static,c, dynamic} x 1-12
-        threads: closed form within 1e-9 relative of the heap walk."""
+        """Random compressed runs x {static, static,c, dynamic, guided} x
+        1-12 threads: closed form within 1e-9 relative of the heap walk,
+        greedy walk ``==``."""
         root = Node(NodeKind.ROOT)
         sec = root.add(Node(NodeKind.SEC, name="s"))
         for _ in range(data.draw(st.integers(1, 6), label="runs")):
@@ -295,7 +296,7 @@ class TestFastPathParity:
                 )
         schedule = data.draw(
             st.sampled_from(
-                [Schedule.static(), Schedule.dynamic(1)]
+                [Schedule.static(), Schedule.dynamic(1), Schedule.guided(2)]
                 + [Schedule.static_chunk(c) for c in (1, 2, 3, 7)]
             ),
             label="schedule",
@@ -305,7 +306,7 @@ class TestFastPathParity:
 
         point, walk = self._both(sec, n_threads, schedule, burden)
         if schedule.is_dynamic_family:
-            assert point is None
+            assert point[0] == walk
         else:
             assert point[0] == pytest.approx(walk, rel=1e-9)
 
@@ -331,10 +332,12 @@ class TestFastPathParity:
 
         profile = profile_of(program)
         engine = ColumnarEngine(profile, ZERO_OH)
-        assert engine.ff_point(Schedule.static_chunk(1), 4, {}) is None
+        point = engine.ff_point(Schedule.static_chunk(1), 4, {})
         ff = FastForwardEmulator(ZERO_OH)
         time, _ = ff.emulate_profile(profile.tree, 4, Schedule.static_chunk(1))
         assert time == pytest.approx(40_000.0, rel=0.01)
+        # The lock-bearing section runs on the heap walk inside the point.
+        assert point[0] == time
 
     def test_nested_section_falls_back(self):
         def program(tr):
@@ -347,10 +350,11 @@ class TestFastPathParity:
 
         profile = profile_of(program)
         engine = ColumnarEngine(profile, ZERO_OH)
-        assert engine.ff_point(Schedule.static(), 4, {}) is None
+        point = engine.ff_point(Schedule.static(), 4, {})
         ff = FastForwardEmulator(ZERO_OH)
         time, _ = ff.emulate_profile(profile.tree, 4, Schedule.static())
         assert time == pytest.approx(5_000.0, rel=0.01)
+        assert point[0] == time
 
     def test_more_threads_than_chunks(self):
         # Threads beyond the chunk count contribute fork time only.
