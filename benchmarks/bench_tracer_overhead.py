@@ -13,6 +13,9 @@ bench path.  This bench measures that three ways:
 
 The reported estimate is ``hooks x guard_cost / disabled_runtime`` — an
 upper bound that is robust to scheduler noise, unlike raw A/B deltas.
+Each replay starts from a cleared section memo: a warm memo would answer
+repeat replays straight from its cache, and the denominator must be the
+replay hot path whose hooks are being bounded.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import time
 
 from _common import BENCH_SCALES, MACHINE, banner, prophet
-from repro.core.executor import ParallelExecutor, ReplayMode
+from repro.core.executor import ParallelExecutor, ReplayMode, clear_section_memo
 from repro.obs import Tracer
 from repro.workloads import get_workload
 
@@ -34,6 +37,7 @@ BUDGET = 0.02
 def _time_replay(profile, tracer, repeats=3):
     best = float("inf")
     for _ in range(repeats):
+        clear_section_memo()
         ex = ParallelExecutor(MACHINE, tracer=tracer)
         t0 = time.perf_counter()
         ex.execute_profile(profile.tree, N_THREADS, ReplayMode.REAL)

@@ -435,12 +435,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(report.summary())
         rc = 1 if report.violations else 0
         # Columnar engine: sampled re-verification against the *uncached*
-        # eager path (same pattern as the section-memo invariant) — the
-        # vectorized engine must agree within 1e-9 wherever it engages,
-        # FF/SYN predictions and REAL ground truth alike, and FF points off
-        # the static closed form must be ==.  --quick covers the paper's
-        # three schedules whatever the harness ran, so the team walk's
-        # static,1 and the dynamic chunk cursors are re-verified.
+        # eager path (same pattern as the section-memo invariant) — every
+        # point the engine serves must be == its eager oracle, FF/SYN
+        # predictions and REAL ground truth alike.  --quick covers the
+        # paper's three schedules whatever the harness ran, so the walks'
+        # static, static,1 and dynamic chunk cursors are re-verified.
         from repro.core.columnar import verify_points
 
         col_schedules = (

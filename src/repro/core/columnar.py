@@ -1,37 +1,31 @@
-"""Columnar sweep engine: the numpy-vectorized grid-point evaluator.
+"""Columnar sweep engine: the section-by-section grid-point evaluator.
 
 The paper's emulators replay a program one top-level parallel section at a
 time (Fig. 8, ``EmulTopLevelParSec``), and each section's result depends
 on that section alone.  The eager path nevertheless re-derives every grid
-point through scalar Python and the DES kernel's fork/join machinery.
-This module lowers a workload's program tree **once**, section by
-section, and evaluates grid points against the lowering:
+point through the FF heap walk, the DES kernel's fork/join machinery and a
+fresh tree traversal.  This module lowers a workload's program tree
+**once**, section by section, and evaluates grid points against the
+lowering.  A lowered section (leaf-only and lock-free) has exactly one
+evaluator per method:
 
-- per-run iteration counts become prefix-sum ``bounds``; static and
-  static-chunk ownership is a clipped-interval intersection evaluated for
-  all team members at once (``_ownership``);
-- per-iteration FAKE/REAL cycle columns broadcast against the ownership
-  matrix give every member's share in one reduction;
-- the fork / thread-start / barrier / join skeleton of
-  ``OmpRuntime.parallel_for`` collapses to a closed form over the member
-  totals (``_gross``) for demand-free static-family sections;
-- memory-demanding REAL sections and every dynamic/guided section replay
-  one OpenMP team in ``_team_walk``, a lean event walk over per-member op
-  streams (demand-free segments and missy lanes).  A member's ops are
-  ``OmpRuntime._member_work``'s expanded stream — a dispatch per chunk
-  (per iteration in a one-member team), then the iterations' leaf ops —
-  from a chain built once from the RLE runs, or from a shared
-  ``Schedule.chunks`` cursor for the dynamic family.  The walks' DRAM
-  solves are *batched*: every walk in flight yields its (mem-fraction,
-  demand) multiset, and one :meth:`~repro.simhw.dram.DramModel.solve_batch`
-  call bisects all of them with a shared convergence loop and per-lane
-  early-exit masks.
-
-FF needs no team walk: a lowered section has no cross-CPU interaction in
-the FF's abstract machine, so static-family ownership gives each CPU's
-finish in closed form, and a ``dynamic``/``guided`` section is a greedy
-walk that hands each ``Schedule.chunks`` chunk to the earliest-free CPU
-(``_ff_greedy``).
+- FF walks the heap walk's per-CPU arithmetic without the heap: a lowered
+  section has no cross-CPU interaction in the FF's abstract machine, so
+  under a static-family schedule each CPU runs its
+  ``Schedule.static_chunks`` in order (``_ff_static``), and
+  under ``dynamic``/``guided`` each ``Schedule.chunks`` chunk goes to the
+  earliest-free CPU (``_ff_greedy``).  Both add the dispatch and then each
+  leaf's ``(length*β)*repeat`` step in the heap walk's order.
+- SYN and REAL replay one OpenMP team in ``_team_walk``, a lean event walk
+  over per-member op streams (demand-free segments and missy lanes).  A
+  member's ops are ``OmpRuntime._member_work``'s expanded stream — a
+  dispatch per chunk (per iteration in a one-member team), then the
+  iterations' leaf ops — from a chain built from the RLE runs, or from a
+  shared ``Schedule.chunks`` cursor for the dynamic family.  The walks'
+  DRAM solves are *batched*: every walk in flight yields its
+  (mem-fraction, demand) multiset, and one
+  :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of them
+  with a shared convergence loop and per-lane early-exit masks.
 
 Sections outside that model — lock-bearing, nested and pipeline sections,
 nowait chains, and memory-demanding REAL sections on a multi-socket
@@ -45,27 +39,25 @@ per-section speedups are summed exactly as ``emulate_profile``,
 ``SimMutex`` consults the handoff policy, so lowered sections cannot
 observe it: their cached results serve every explored handoff variant.
 
-The eager paths remain the parity oracles: the FF closed form is checked
-against the FF heap walk (``ffemu`` keeps no scalar copy of it) within
-1e-9 relative and the greedy walk equals it, the SYN/REAL closed forms
-match the expanded kernel replay within 1e-9 relative, and the team walk
-reproduces the DES kernel's arithmetic bit for bit (``simos.kernel``'s
-absolute-form segment rating, its demand-signature cache and its ``(time,
-core)`` event order).  FF never declines.  A SYN/REAL grid point is
-declined — the engine returns ``None`` and the caller runs the eager
-emulators — only when the paradigm is not OpenMP, the team
-oversubscribes the machine or context switches cost cycles.  The
+The eager paths remain the parity oracles, and every served point is
+``==`` its oracle: the FF walks add the heap walk's terms in its order,
+and the team walk reproduces the DES kernel's arithmetic bit for bit
+(``simos.kernel``'s absolute-form segment rating, its demand-signature
+cache and its ``(time, core)`` event order).  FF never declines.  A
+SYN/REAL grid point is declined — the engine returns ``None`` and the
+caller runs the eager emulators — only when the paradigm is not OpenMP,
+the team oversubscribes the machine or context switches cost cycles.  The
 ``columnar.hits`` / ``columnar.fallbacks`` counters record each decision,
 and ``columnar.declines.<reason>`` says why each fallback happened.
 
-Determinism: results are pure functions of (profile, schedule, t, handoff)
-— only elementwise ops and per-row reductions are used (no BLAS), so a
-grid point's value never depends on which other points share its batch.
+Determinism: results are pure functions of (profile, schedule, t, handoff);
+a grid point's value never depends on which other points share its batch.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import OrderedDict
 from typing import Literal, Optional
 
@@ -81,60 +73,40 @@ from repro.core.report import SpeedupEstimate
 from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
-from repro.runtime.tasks import Schedule, ScheduleKind
+from repro.runtime.tasks import Schedule
 from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, _quantize
 from repro.simhw.machine import MachineConfig
 from repro.validate.invariants import get_checker
 
 
 class _SecCols:
-    """One top-level section lowered to flat per-run columns."""
+    """One top-level section lowered to per-run iteration counts and ops."""
 
     __slots__ = (
-        "node", "name", "repeat", "serial", "n_iters",
-        "counts", "bounds", "unit", "oh", "rc", "real_ops", "missy",
+        "node", "name", "repeat", "n_iters", "counts", "real_ops", "missy",
     )
 
     def __init__(self, node: Node, machine: MachineConfig) -> None:
         self.node = node
         self.name = node.name
         self.repeat = node.repeat
-        self.serial = node.subtree_length()
         stall = machine.base_miss_stall
-        counts: list[int] = []
-        unit: list[float] = []
-        oh: list[float] = []
-        rc: list[float] = []
         #: Per-run REAL ops of one iteration for the team walk.
         real_ops: list[tuple] = []
         missy = False
         for task in node.children:
-            c_f = c_r = 0.0
-            n_leaves = 0
             ops = []
             for leaf in task.children:
                 # Leaf-only eligibility is checked by the caller.
-                c_f += leaf.length * leaf.repeat
-                n_leaves += 1
                 cc = (leaf.cpu_cycles + leaf.llc_misses * stall) * leaf.repeat
                 mm = leaf.llc_misses * leaf.repeat
                 if cc > 0.0:  # executor._leaf_compute × repeat; else instant
                     ops.append(_lane(machine, cc, mm) if mm else float(cc))
-                    c_r += cc
                     missy = missy or bool(mm)
             real_ops.append(tuple(ops))
-            counts.append(task.repeat)
-            unit.append(c_f)
-            oh.append(OVERHEAD_ACCESS_NODE * n_leaves)
-            rc.append(c_r)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.bounds = np.concatenate(
-            ([0], np.cumsum(self.counts))
-        ).astype(np.int64)
-        self.n_iters = int(self.bounds[-1])
-        self.unit = np.asarray(unit, dtype=np.float64)
-        self.oh = np.asarray(oh, dtype=np.float64)
-        self.rc = np.asarray(rc, dtype=np.float64)
+        #: Iterations per run (the runs' TASK repeats).
+        self.counts = [task.repeat for task in node.children]
+        self.n_iters = sum(self.counts)
         self.real_ops = real_ops
         #: Whether a timed compute demands memory (REAL replays walk it).
         self.missy = missy
@@ -159,13 +131,12 @@ class ColumnarEngine:
     Construct once per (profile, overheads) and consult per grid point:
     :meth:`ff_point` always returns a result; :meth:`syn_point` and
     :meth:`real_point` return one or ``None`` (meaning: use the eager
-    path).  The program is
-    lowered once, at construction; the per-(schedule, t) ownership matrices
-    and every section's per-point result are cached on the engine, so a
-    whole sweep column shares one tree walk and a section replays once
-    across handoff variants.  Serve worker threads may share an engine:
-    its caches only gain entries, and a point two threads race on is
-    computed twice to the same value.
+    path).  The program is lowered once, at construction; every section's
+    per-point result is cached on the engine, so a whole sweep column
+    shares one lowering and a section replays once across handoff
+    variants.  Serve worker threads may share an engine: its cache only
+    gains entries, and a point two threads race on is computed twice to
+    the same value.
     """
 
     def __init__(self, profile, overheads: RuntimeOverheads) -> None:
@@ -176,104 +147,38 @@ class ColumnarEngine:
         #: delegated items (a section Node or a nowait chain list).
         self._items: list = []
         self._secs: list[_SecCols] = []
-        #: Serial cycles of each delegated item, by id (FF result records).
+        #: Serial cycles of each section item, by id (FF result records).
         self._serial_of: dict[int, float] = {}
         tree: ProgramTree = profile.tree
-        for item in group_nowait_chains(tree.root.children):
-            if isinstance(item, Node) and item.kind is NodeKind.U:
+        # One tree walk per top-level node; the sums below add these
+        # lengths in the order ``serial_cycles`` and the emulators do.
+        top = tree.root.children
+        length = {id(node): node.subtree_length() for node in top}
+        for item in group_nowait_chains(top):
+            if isinstance(item, list):  # a nowait chain: delegated
+                serial = sum(length[id(sec)] for sec in item)
+            elif item.kind is NodeKind.U:
                 self._items.append(item.length * item.repeat)
-            elif isinstance(item, Node) and _lowerable(item):
-                sc = _SecCols(item, self.machine)
-                self._items.append(sc)
-                self._secs.append(sc)
+                continue
             else:
-                # Locks, nesting, pipelines, nowait chains: exact replay.
-                self._items.append(item)
-                self._serial_of[id(item)] = (
-                    sum(sec.subtree_length() for sec in item)
-                    if isinstance(item, list)
-                    else item.subtree_length()
-                )
-        self._serial = tree.serial_cycles()
+                serial = length[id(item)]
+                if _lowerable(item):
+                    item = _SecCols(item, self.machine)
+                    self._secs.append(item)
+                # else locks, nesting or a pipeline: delegated
+            self._serial_of[id(item)] = serial
+            self._items.append(item)
+        self._serial = sum(length[id(node)] for node in top)
         self._serial_by_name: dict[str, float] = {}
         for sec in tree.top_level_sections():
             self._serial_by_name[sec.name] = (
-                self._serial_by_name.get(sec.name, 0.0) + sec.subtree_length()
+                self._serial_by_name.get(sec.name, 0.0) + length[id(sec)]
             )
-        self._own_cache: dict[tuple, tuple] = {}
         self._point_cache: dict[tuple, object] = {}
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes of this engine's per-point caches (serve-layer stats)."""
-        return {
-            "ownership": len(self._own_cache),
-            "points": len(self._point_cache),
-        }
-
-    # ------------------------------------------------------------- lowering
-
-    def _ownership(self, sc: _SecCols, schedule: Schedule, t: int):
-        """(K, owned, n_disp): iteration-ownership matrix of shape (t, runs),
-        per-member owned-iteration counts, and per-member dispatch counts.
-        Mirrors ``Schedule.static_assignment`` and the dispatch rules of
-        ``OmpRuntime._member_work``; cached per (section, schedule, t)."""
-        key = (id(sc), schedule.kind, schedule.chunk, t)
-        cached = self._own_cache.get(key)
-        if cached is not None:
-            return cached
-        b_lo = sc.bounds[:-1]
-        b_hi = sc.bounds[1:]
-        n = sc.n_iters
-        if t == 1:
-            K = sc.counts[None, :].astype(np.float64)
-            owned = np.asarray([n], dtype=np.int64)
-            # The degenerate inline team dispatches per iteration.
-            n_disp = np.asarray([float(n)])
-        elif schedule.kind is ScheduleKind.STATIC:
-            base, extra = divmod(n, t)
-            tids = np.arange(t, dtype=np.int64)
-            s = tids * base + np.minimum(tids, extra)
-            e = s + base + (tids < extra)
-            K = np.clip(
-                np.minimum(b_hi[None, :], e[:, None])
-                - np.maximum(b_lo[None, :], s[:, None]),
-                0,
-                None,
-            )
-            owned = K.sum(axis=1)
-            n_disp = (owned > 0).astype(np.float64)
-            K = K.astype(np.float64)
-        else:  # STATIC_CHUNK: chunks of c dealt round-robin
-            c = schedule.chunk
-            p = t * c
-            tids = np.arange(t, dtype=np.int64)[:, None]
-
-            def below(x):
-                return (x // p) * c + np.clip(x % p - tids * c, 0, c)
-
-            K = below(b_hi[None, :]) - below(b_lo[None, :])
-            owned = K.sum(axis=1)
-            n_disp = ((owned + c - 1) // c).astype(np.float64)
-            K = K.astype(np.float64)
-        result = (K, owned, n_disp)
-        self._own_cache[key] = result
-        return result
-
-    # --------------------------------------------------------- fork/join form
-
-    def _gross(self, totals, t: int, fork: float, ts: float, jb: float) -> float:
-        """Closed form of ``parallel_for`` over member totals: the master
-        starts its share at ``fork``, worker ``w`` at ``fork +
-        thread_start``; the barrier releases at the latest arrival and the
-        master then pays the join barrier.  A one-member team runs inline
-        (no barrier, no join)."""
-        if t == 1:
-            return fork + float(totals[0])
-        b = fork + float(totals[0])
-        w = float(((fork + ts) + totals[1:]).max())
-        if w > b:
-            b = w
-        return b + jb
+        """Size of this engine's per-point cache (serve-layer stats)."""
+        return {"points": len(self._point_cache)}
 
     # -------------------------------------------------------------- FF point
 
@@ -284,13 +189,9 @@ class ColumnarEngine:
         ``FastForwardEmulator.emulate_profile`` assembles it (per-section
         repeat scaling, result records, invariant checks); never declines.
 
-        The heap walk has no cross-walker interaction inside a lowered
-        section.  Under a static-family schedule each CPU finishes at
-        ``fork + (#dispatches)·dispatch + owned work``, evaluated per
-        compressed run; under ``dynamic``/``guided`` the chunks go to the
-        earliest-free CPU (``_ff_greedy``).  Delegated items run on the
-        heap walk itself.  Every item's cycles are cached per (item,
-        schedule, t, β)."""
+        Lowered sections take the heap-free walks of ``_ff_section``;
+        delegated items run on the heap walk itself.  Every item's cycles
+        are cached per (item, schedule, t, β)."""
         get_metrics().inc("columnar.hits")
         inv = get_checker()
         total = 0.0
@@ -304,13 +205,12 @@ class ColumnarEngine:
                 cycles = self._ff_section(
                     item, schedule, t, burdens.get(name, 1.0)
                 )
-                serial = item.serial
             else:
                 # FF ignores the lock-handoff policy; fifo keys its cache.
                 name, cycles = self._delegate(
                     item, schedule, t, _FF, burdens, "fifo", 0
                 )
-                serial = self._serial_of[id(item)]
+            serial = self._serial_of[id(item)]
             if not isinstance(item, list):
                 cycles *= item.repeat
             total += cycles
@@ -330,50 +230,29 @@ class ColumnarEngine:
                 )
         return total, results
 
-    def ff_exact(self, schedule: Schedule) -> bool:
-        """Whether FF points under ``schedule`` are ``==`` the heap walk:
-        no static-family closed form answers one of their sections."""
-        return schedule.is_dynamic_family or not self._secs
-
     def _ff_section(
         self, sc: _SecCols, schedule: Schedule, t: int, beta: float
     ) -> float:
-        """FF cycles of one activation of a lowered section, cached."""
+        """FF cycles of one activation of a lowered section, cached: the
+        heap walk's arithmetic (``_Engine.run``) without the heap."""
         key = ("ff", id(sc), schedule.kind, schedule.chunk, t, beta)
         cycles = self._point_cache.get(key)
         if cycles is not None:
             return cycles
         oh = self.overheads
         fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
+        iters: list = []
+        for task, count in zip(sc.node.children, sc.counts):
+            # The heap walk's per-leaf step: (length*β)*repeat.
+            iters += [[(u.length * beta) * u.repeat for u in task.children]] * count
+        n = sc.n_iters
         if schedule.is_dynamic_family:
-            iters: list = []
-            for task, count in zip(sc.node.children, sc.counts.tolist()):
-                # The heap walk's per-leaf step: (length*β)*repeat.
-                iters += [[(u.length * beta) * u.repeat for u in task.children]] * count
-            chunks = [
-                [x for i in chunk for x in iters[i]]
-                for chunk in schedule.chunks(sc.n_iters, t)
-            ]
-            end = _ff_greedy(t, fork, oh.omp_dynamic_dispatch, chunks)
-        elif sc.n_iters == 0:
-            end = fork
+            chunks = [range(c[0], c[-1] + 1) for c in schedule.chunks(n, t)]
+            end = _ff_greedy(t, fork, oh.omp_dynamic_dispatch, chunks, iters)
         else:
-            K, owned, n_disp = self._ownership(sc, schedule, t)
-            if t == 1:
-                # The FF abstract machine applies the schedule's
-                # dispatch formula even to a one-member team (unlike
-                # the replay's per-iteration inline team): one
-                # dispatch for static, one per chunk for static,N.
-                if schedule.kind is ScheduleKind.STATIC:
-                    n_disp = (owned > 0).astype(np.float64)
-                else:
-                    c = schedule.chunk
-                    n_disp = ((owned + c - 1) // c).astype(np.float64)
-            work = (K * (sc.unit * beta)).sum(axis=1)
-            finishes = (fork + n_disp * oh.omp_static_dispatch) + work
-            end = float(finishes.max())
-            if fork > end:
-                end = fork
+            end = _ff_static(
+                fork, oh.omp_static_dispatch, schedule.static_chunks(n, t), iters
+            )
         cycles = end + oh.omp_join_barrier
         self._point_cache[key] = cycles
         return cycles
@@ -445,6 +324,23 @@ class ColumnarEngine:
         self._point_cache[key] = result
         return result
 
+    def _walk_sections(
+        self, walked: list[tuple], schedule: Schedule, t: int
+    ) -> list[tuple]:
+        """Each ``(key, section, beta)``'s team-walk ``(gross, traversal)``,
+        in order, cached under its key.  The uncached walks run in one
+        lockstep driver (batched DRAM bisection)."""
+        cache = self._point_cache
+        walks, keys = [], []
+        for key, sc, beta in walked:
+            if key not in cache:
+                walks.append(self._walk(sc, schedule, t, beta))
+                keys.append(key)
+        if walks:
+            for key, result in zip(keys, _drive_walks(walks, self.machine)):
+                cache[key] = result
+        return [cache[key] for key, _, _ in walked]
+
     def syn_point(
         self,
         schedule: Schedule,
@@ -456,10 +352,9 @@ class ColumnarEngine:
     ) -> Optional[SpeedupEstimate]:
         """Synthesizer (FAKE replay) estimate, or None for the eager path.
 
-        Static-family sections use the closed form; dynamic-family ones
-        replay through the team walk, which also tracks each member's
-        traversal overhead for the Fig. 8 net.  Delegated sections replay
-        through the executor under ``handoff``."""
+        Lowered sections replay through the team walk, which also tracks
+        each member's traversal overhead for the Fig. 8 net.  Delegated
+        sections replay through the executor under ``handoff``."""
         reason = self._team_reason(t, paradigm)
         if reason is not None:
             return _decline(reason)
@@ -467,57 +362,35 @@ class ColumnarEngine:
         m.inc("syn.replays")
         m.inc("columnar.hits")
         profile = self.profile
-        oh = self.overheads
         burdens = (
             {name: profile.burden_for(name, t) for name in profile.sections}
             if memory_model
             else {}
         )
-        if schedule.is_dynamic_family:
-            walks, walk_keys = [], []
-            for sc in self._secs:
-                beta = burdens.get(sc.name, 1.0)
-                key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
-                if key not in self._point_cache:
-                    walks.append(self._walk(sc, schedule, t, beta))
-                    walk_keys.append(key)
-            for key, (gross, trav) in zip(
-                walk_keys, _drive_walks(walks, self.machine)
-            ):
-                self._point_cache[key] = max(0.0, gross - trav)
-        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
-        ts = oh.omp_thread_start
-        jb = oh.omp_join_barrier
-        disp = oh.omp_static_dispatch
+
+        walked = []
+        for sc in self._secs:
+            beta = burdens.get(sc.name, 1.0)
+            key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
+            walked.append((key, sc, beta))
+        results = iter(self._walk_sections(walked, schedule, t))
         total = 0.0
         net_by_name: dict[str, float] = {}
         for item in self._items:
             if isinstance(item, float):
                 total += item
                 continue
-            if not isinstance(item, _SecCols):
+            if isinstance(item, _SecCols):
+                name, repeat = item.name, item.repeat
+                gross, trav = next(results)
+                # Fig. 8 line 26: subtract the longest per-worker traversal.
+                net = max(0.0, gross - trav)
+            else:
                 name, net = self._delegate(
                     item, schedule, t, ReplayMode.FAKE, burdens,
                     handoff, handoff_seed,
                 )
                 repeat = 1 if isinstance(item, list) else item.repeat
-            else:
-                sc = item
-                name, repeat = sc.name, sc.repeat
-                beta = burdens.get(sc.name, 1.0)
-                key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
-                net = self._point_cache.get(key)
-                if net is None:
-                    K, owned, n_disp = self._ownership(sc, schedule, t)
-                    wc = (K * (sc.unit * beta)).sum(axis=1)
-                    woh = (K * sc.oh).sum(axis=1)
-                    totals = (n_disp * disp + wc) + woh
-                    gross = self._gross(totals, t, fork, ts, jb)
-                    # Fig. 8 line 26: subtract the longest per-worker traversal.
-                    net = gross - float(woh.max())
-                    if net < 0.0:
-                        net = 0.0
-                    self._point_cache[key] = net
             total += net * repeat
             # The synthesizer adds one replay per activation.
             acc = net_by_name.get(name, 0.0)
@@ -549,61 +422,41 @@ class ColumnarEngine:
     ) -> Optional[SpeedupEstimate]:
         """Ground-truth (REAL replay) estimate, or None for the eager path.
 
-        Demand-free sections under a static-family schedule collapse to the
-        same closed form as SYN (with hardware-derived cycle columns);
-        memory-demanding sections and every dynamic-family section replay
-        through the team walk, whose DRAM solves are batched.  Delegated
-        sections — and memory-demanding ones on a multi-socket machine,
-        whose DRAM pools the walk does not model — replay through the
-        executor under ``handoff``."""
+        Lowered sections replay through the team walk, whose DRAM solves
+        are batched.  Delegated sections — and memory-demanding lowered
+        ones on a multi-socket machine, whose DRAM pools the walk does not
+        model — replay through the executor under ``handoff``."""
         reason = self._team_reason(t, paradigm)
         if reason is not None:
             return _decline(reason)
         get_metrics().inc("columnar.hits")
-        oh = self.overheads
-        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
-        ts = oh.omp_thread_start
-        jb = oh.omp_join_barrier
-        disp = oh.omp_static_dispatch
-        dynamic = schedule.is_dynamic_family
         multi_socket = self.machine.n_sockets != 1
 
-        # Resolve every uncached walked section first so the walks share
-        # one lockstep driver (batched DRAM bisection).
-        walks = []
-        walk_keys = []
-        for sc in self._secs:
-            if (sc.missy and multi_socket) or not (sc.missy or dynamic):
-                continue
-            key = ("real", id(sc), schedule.kind, schedule.chunk, t)
-            if key not in self._point_cache:
-                walks.append(self._walk(sc, schedule, t, None))
-                walk_keys.append(key)
-        for key, (gross, _) in zip(walk_keys, _drive_walks(walks, self.machine)):
-            self._point_cache[key] = gross  # net == gross (no traversal)
+        def is_walked(sc: _SecCols) -> bool:
+            return not (sc.missy and multi_socket)
 
+        results = iter(self._walk_sections(
+            [
+                (("real", id(sc), schedule.kind, schedule.chunk, t), sc, None)
+                for sc in self._secs
+                if is_walked(sc)
+            ],
+            schedule,
+            t,
+        ))
         total = 0.0
         for item in self._items:
             if isinstance(item, float):
                 total += item
-                continue
-            if not isinstance(item, _SecCols) or (item.missy and multi_socket):
+            elif isinstance(item, _SecCols) and is_walked(item):
+                gross, _ = next(results)
+                total += gross * item.repeat  # net == gross (no traversal)
+            else:
                 node = item.node if isinstance(item, _SecCols) else item
                 _, net = self._delegate(
                     node, schedule, t, ReplayMode.REAL, {}, handoff, handoff_seed
                 )
                 total += net if isinstance(node, list) else net * node.repeat
-                continue
-            sc = item
-            key = ("real", id(sc), schedule.kind, schedule.chunk, t)
-            net = self._point_cache.get(key)
-            if net is None:
-                K, owned, n_disp = self._ownership(sc, schedule, t)
-                wc = (K * sc.rc).sum(axis=1)
-                totals = n_disp * disp + wc
-                net = self._gross(totals, t, fork, ts, jb)
-                self._point_cache[key] = net
-            total += net * sc.repeat
         speedup = self._serial / total if total > 0 else 1.0
         return SpeedupEstimate(
             method="real",
@@ -636,7 +489,7 @@ class ColumnarEngine:
         head = [disp] if disp > 0.0 else []
         iters: list = []
         iter_trav: list = []
-        for r, count in enumerate(sc.counts.tolist()):
+        for r, count in enumerate(sc.counts):
             if beta is None:
                 ops, oh_run = sc.real_ops[r], 0.0
             else:
@@ -663,12 +516,11 @@ class ColumnarEngine:
                     chunk_ops.append(iters[chunk[0]])
                     chunk_trav.append(iter_trav[chunk[0]])
                     continue
-                ops = []
+                lo, hi = chunk[0], chunk[-1] + 1
+                chunk_ops.append(list(_flat(iters[lo:hi])))
                 tr = 0.0
-                for i in chunk:
-                    ops += iters[i]
-                    tr += iter_trav[i]
-                chunk_ops.append(ops)
+                for x in iter_trav[lo:hi]:
+                    tr += x
                 chunk_trav.append(tr)
             chains = [[]] + [prefix] * (t - 1)
             return _team_walk(
@@ -676,18 +528,20 @@ class ColumnarEngine:
             )
 
         if t == 1:
-            owned, c = [range(n)], 1  # the inline team dispatches per iteration
+            # The inline team dispatches per iteration.
+            owned = [[range(i, i + 1) for i in range(n)]]
         else:
-            owned = schedule.static_assignment(n, t)
-            c = schedule.chunk if schedule.kind is ScheduleKind.STATIC_CHUNK else n
+            owned = schedule.static_chunks(n, t)
         chains = []
-        for w in range(t):
+        for w, mine in enumerate(owned):
             ops = list(prefix) if w else []
-            for p, i in enumerate(owned[w]):
-                if p % c == 0:
-                    ops += head
-                ops += iters[i]
-                trav[w] += iter_trav[i]
+            tr = 0.0
+            for r in mine:
+                ops += head
+                ops.extend(_flat(iters[r.start:r.stop]))
+                for x in iter_trav[r.start:r.stop]:
+                    tr += x
+            trav[w] = tr
             chains.append(ops)
         return _team_walk(t, start, jb, chains, trav)
 
@@ -718,18 +572,40 @@ def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
     return (float(cycles), (f, d), (_quantize(f), _quantize(d)))
 
 
-def _ff_greedy(t: int, start: float, disp: float, chunks) -> float:
+#: Concatenation of iterations' op or step lists, in order.
+_flat = itertools.chain.from_iterable
+
+
+def _ff_static(start: float, disp: float, owned, iters) -> float:
+    """The FF heap walk of a lowered section under a static-family
+    schedule: CPU ``w`` starts at ``start`` and runs its chunks
+    ``owned[w]`` (``Schedule.static_chunks`` ranges) in order, paying
+    ``disp`` and then the chunk's leaf steps ``iters[chunk]``.  Returns
+    the latest finish (``start`` at least)."""
+    end = start
+    for mine in owned:
+        f = start
+        for r in mine:
+            f += disp
+            for x in _flat(iters[r.start:r.stop]):
+                f += x
+        if f > end:
+            end = f
+    return end
+
+
+def _ff_greedy(t: int, start: float, disp: float, chunks, iters) -> float:
     """The FF heap walk of a lowered section under a dynamic-family
-    schedule: ``t`` CPUs free at ``start``; each chunk (its leaf steps, in
-    order) goes to the earliest-free CPU, which pays ``disp`` and then the
-    steps.  Returns the latest finish (``start`` at least).  The heap walk
-    pops chunk finishes in time order and its CPUs are interchangeable, so
-    ties cannot change the result."""
+    schedule: ``t`` CPUs free at ``start``; each chunk (a range) goes to
+    the earliest-free CPU, which pays ``disp`` and then the chunk's leaf
+    steps ``iters[chunk]`` in order.  Returns the latest finish
+    (``start`` at least).  The heap walk pops chunk finishes in time order
+    and its CPUs are interchangeable, so ties cannot change the result."""
     free = [start] * t
     end = start
-    for steps in chunks:
+    for r in chunks:
         c = free[0] + disp
-        for x in steps:
+        for x in _flat(iters[r.start:r.stop]):
             c += x
         heapq.heapreplace(free, c)
         if c > end:
@@ -970,7 +846,6 @@ def verify_points(
     threads,
     schedules=("static",),
     methods=("ff", "syn"),
-    rel_tol: float = 1e-9,
 ) -> tuple[int, int, list[str]]:
     """Sampled columnar-vs-eager re-verification (``repro check --quick``).
 
@@ -978,10 +853,9 @@ def verify_points(
     ``"ff"``, ``"syn"`` and ``"real"`` — through the columnar engine and
     through the *uncached* eager path (fresh emulator / synthesizer /
     REAL-replay executor, section memo cleared), returning ``(checked,
-    skipped, mismatches)``.  Points agree within ``rel_tol``, and FF points
-    that ``ColumnarEngine.ff_exact`` names must be ``==``.  A point the
-    engine declines counts as skipped — the fallback contract makes it
-    eager by construction."""
+    skipped, mismatches)``.  Every served point must be ``==`` its eager
+    oracle.  A point the engine declines counts as skipped — the fallback
+    contract makes it eager by construction."""
     from repro.core.executor import clear_section_memo
     from repro.core.synthesizer import Synthesizer
 
@@ -997,10 +871,8 @@ def verify_points(
             } if profile.burdens else {}
             memory_model = bool(profile.burdens)
             for method in methods:
-                exact = False
                 if method == "ff":
                     predicted, _ = engine.ff_point(schedule, t, burdens)
-                    exact = engine.ff_exact(schedule)
                     col_speedup = serial / predicted if predicted > 0 else 1.0
                     ff = FastForwardEmulator(prophet.overheads)
                     eager_time, _ = ff.emulate_profile(
@@ -1038,12 +910,7 @@ def verify_points(
                         profile.tree, t, ReplayMode.REAL
                     ).speedup
                 checked += 1
-                ref = max(abs(eager_speedup), 1e-30)
-                if (
-                    col_speedup != eager_speedup
-                    if exact
-                    else abs(col_speedup - eager_speedup) / ref > rel_tol
-                ):
+                if col_speedup != eager_speedup:
                     mismatches.append(
                         f"columnar {method}/{schedule.label}/t={t}: "
                         f"{col_speedup!r} vs eager {eager_speedup!r}"

@@ -35,7 +35,7 @@ from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import EmulationError
 from repro.obs import get_metrics, get_tracer
 from repro.runtime.overhead import DEFAULT_OVERHEADS, RuntimeOverheads
-from repro.runtime.tasks import Schedule, ScheduleKind
+from repro.runtime.tasks import Schedule
 from repro.validate.invariants import get_checker
 
 
@@ -340,19 +340,13 @@ class _Engine:
                 for chunk in self.schedule.chunks(len(tasks), self.t)
             )
         else:
-            owned = self.schedule.static_assignment(len(tasks), self.t)
-            chunk = (
-                self.schedule.chunk
-                if self.schedule.kind is ScheduleKind.STATIC_CHUNK
-                else max(1, len(tasks))
-            )
+            chunks = self.schedule.static_chunks(len(tasks), self.t)
             for cpu in range(self.t):
-                mine = [tasks[i] for i in owned[cpu]]
                 # One queue entry per dispatch chunk so dispatch overheads
                 # are charged at the same granularity as the runtime.
-                for pos in range(0, len(mine), chunk):
+                for r in chunks[cpu]:
                     self.queues[cpu].append(
-                        ("chunk", start, mine[pos : pos + chunk], instance)
+                        ("chunk", start, tasks[r.start : r.stop], instance)
                     )
         for cpu in range(self.t):
             self._cpu_pull(cpu, start)
@@ -399,17 +393,11 @@ class _Engine:
                     inst.end_time = max(inst.end_time, ready)
                     inst.pending = 0
                 else:
-                    owned = self.schedule.static_assignment(len(tasks), self.t)
-                    chunk = (
-                        self.schedule.chunk
-                        if self.schedule.kind is ScheduleKind.STATIC_CHUNK
-                        else max(1, len(tasks))
-                    )
+                    chunks = self.schedule.static_chunks(len(tasks), self.t)
                     for cpu in range(self.t):
-                        mine = [tasks[i] for i in owned[cpu]]
-                        for pos in range(0, len(mine), chunk):
+                        for r in chunks[cpu]:
                             self.queues[cpu].append(
-                                ("chunk", ready, mine[pos : pos + chunk], inst)
+                                ("chunk", ready, tasks[r.start : r.stop], inst)
                             )
                 if not secs[j].nowait or j + 1 >= len(instances):
                     break

@@ -23,7 +23,7 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runtime.overhead import DEFAULT_OVERHEADS, RuntimeOverheads
-from repro.runtime.tasks import Schedule, ScheduleKind, TaskBody
+from repro.runtime.tasks import Schedule, TaskBody
 from repro.simos import (
     BarrierWait,
     Compute,
@@ -104,11 +104,11 @@ class OmpRuntime:
 
         barrier = SimBarrier(n_threads) if not nowait else None
         dynamic: Optional[_DynamicState] = None
-        owned: Optional[list[list[int]]] = None
+        owned: Optional[list[list[range]]] = None
         if schedule.is_dynamic_family:
             dynamic = _DynamicState(schedule.chunks(n_iters, n_threads))
         else:
-            owned = schedule.static_assignment(n_iters, n_threads)
+            owned = schedule.static_chunks(n_iters, n_threads)
 
         workers = []
         for tid in range(1, n_threads):
@@ -178,7 +178,7 @@ class OmpRuntime:
             else:
                 plans.append(
                     (bodies, schedule, nowait,
-                     schedule.static_assignment(n_iters, n_threads), None)
+                     schedule.static_chunks(n_iters, n_threads), None)
                 )
 
         def member(tid: int, is_master: bool) -> Generator[Any, Any, None]:
@@ -212,7 +212,7 @@ class OmpRuntime:
         tid: int,
         bodies: Sequence[TaskBody],
         schedule: Schedule,
-        owned: Optional[list[list[int]]],
+        owned: Optional[list[list[range]]],
         dynamic: Optional[_DynamicState],
         barrier: Optional[SimBarrier],
     ) -> Generator[Any, Any, None]:
@@ -226,7 +226,7 @@ class OmpRuntime:
         tid: int,
         bodies: Sequence[TaskBody],
         schedule: Schedule,
-        owned: Optional[list[list[int]]],
+        owned: Optional[list[list[range]]],
         dynamic: Optional[_DynamicState],
     ) -> Generator[Any, Any, None]:
         cost = self._dispatch_cost(schedule)
@@ -240,12 +240,7 @@ class OmpRuntime:
                     yield from bodies[idx]()
         else:
             assert owned is not None
-            chunk_size = (
-                schedule.chunk
-                if schedule.kind is ScheduleKind.STATIC_CHUNK
-                else max(1, len(owned[tid]))
-            )
-            for pos, idx in enumerate(owned[tid]):
-                if pos % chunk_size == 0:
-                    yield Compute(cycles=cost)
-                yield from bodies[idx]()
+            for chunk in owned[tid]:
+                yield Compute(cycles=cost)
+                for idx in chunk:
+                    yield from bodies[idx]()

@@ -12,6 +12,7 @@ evaluates ``(static,1)``, ``(static)``, and ``(dynamic,1)`` (Section VII-B).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
@@ -100,32 +101,41 @@ class Schedule:
         served at run time (dynamic and guided)."""
         return self.kind in (ScheduleKind.DYNAMIC, ScheduleKind.GUIDED)
 
-    def static_assignment(self, n_iters: int, n_threads: int) -> list[list[int]]:
-        """Iteration indices owned by each thread under a static schedule.
+    def static_chunks(self, n_iters: int, n_threads: int) -> list[list[range]]:
+        """Each thread's dispatch chunks under a static schedule, in order.
 
-        Mirrors libgomp: plain ``static`` deals contiguous blocks (the first
-        ``n_iters mod n_threads`` threads get one extra); ``static,c`` deals
-        chunks of ``c`` round-robin.
+        Mirrors libgomp: plain ``static`` deals one contiguous block per
+        thread (the first ``n_iters mod n_threads`` threads get one extra;
+        an empty block is no chunk); ``static,c`` deals chunks of ``c``
+        round-robin.
         """
         if self.is_dynamic_family:
             raise ConfigurationError(
                 f"{self.label} schedules have no static assignment"
             )
-        owned: list[list[int]] = [[] for _ in range(n_threads)]
         if self.kind is ScheduleKind.STATIC:
-            base = n_iters // n_threads
-            extra = n_iters % n_threads
+            base, extra = divmod(n_iters, n_threads)
+            chunks: list[list[range]] = []
             start = 0
             for tid in range(n_threads):
                 count = base + (1 if tid < extra else 0)
-                owned[tid] = list(range(start, start + count))
+                chunks.append([range(start, start + count)] if count else [])
                 start += count
-        else:
-            c = self.chunk
-            for chunk_idx, chunk_start in enumerate(range(0, n_iters, c)):
-                tid = chunk_idx % n_threads
-                owned[tid].extend(range(chunk_start, min(chunk_start + c, n_iters)))
-        return owned
+            return chunks
+        c = self.chunk
+        return [
+            [range(lo, min(lo + c, n_iters))
+             for lo in range(tid * c, n_iters, n_threads * c)]
+            for tid in range(n_threads)
+        ]
+
+    def static_assignment(self, n_iters: int, n_threads: int) -> list[list[int]]:
+        """Iteration indices owned by each thread under a static schedule:
+        its :meth:`static_chunks`, concatenated."""
+        return [
+            list(itertools.chain.from_iterable(chunks))
+            for chunks in self.static_chunks(n_iters, n_threads)
+        ]
 
     def chunks(self, n_iters: int, n_threads: int = 1) -> list[list[int]]:
         """The iteration space cut into dispatch chunks.

@@ -1,11 +1,11 @@
 """Runtime invariant checks for the simulation and emulation pipeline.
 
-Aggressive fast paths (the columnar closed forms, DRAM-solve memo,
-event-sparse kernel, columnar team walk, cross-grid section memo) mean the
+Aggressive fast paths (the columnar engine's FF and team walks,
+DRAM-solve memo, event-sparse kernel, cross-grid section memo) mean the
 predictor's correctness rests on a web of parity claims that were verified
-once, at PR time.  This module turns them into *standing* checks, wired
-behind a single flag into ``simos.kernel``, ``core.executor``,
-``core.ffemu``, and ``core.batch``:
+once, when each path was written.  This module turns them into *standing*
+checks, wired behind a single flag into ``simos.kernel``,
+``core.executor``, ``core.ffemu``, and ``core.batch``:
 
 - **simulated-time monotonicity** — no popped event may precede the clock;
 - **work conservation** — base compute cycles handed to the kernel equal the

@@ -6,7 +6,7 @@ from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, SweepTaskFailure, sweep
 from repro.core.executor import clear_section_memo
 from repro.errors import BatchError, ConfigurationError
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.simhw import MachineConfig
 from repro.workloads import get_workload
 
@@ -451,8 +451,8 @@ def registered():
 
 class TestOneAnswerPerGridPoint:
     """A grid point's estimate is a pure function of (profile, machine,
-    point): the facade, cold and warm sweeps, the pool and the thread order
-    all give ``==`` estimates, ``sections`` included."""
+    point): the facade, cold and warm sweeps, the pool, the thread order
+    and tracing all give ``==`` estimates, ``sections`` included."""
 
     @pytest.mark.parametrize("name", ONE_ANSWER_WORKLOADS)
     def test_every_path_gives_the_same_estimates(self, registered, name):
@@ -501,6 +501,15 @@ class TestOneAnswerPerGridPoint:
         backwards = dict(grid, threads=grid["threads"][::-1])
         reordered = BatchPredictor(prophet, jobs=1).sweep(profile, **backwards)
         assert _keyed(reordered["workload"]) == cold
+
+        # Tracing on sends every point through the eager emulators.
+        clear_section_memo()
+        old = set_tracer(Tracer(enabled=True))
+        try:
+            traced = BatchPredictor(prophet, jobs=1).sweep(profile, **grid)
+        finally:
+            set_tracer(old)
+        assert _keyed(traced["workload"]) == cold
 
 
 class TestProfileMachine:

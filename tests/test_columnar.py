@@ -1,10 +1,9 @@
 """Tests for the columnar sweep engine (``repro.core.columnar``).
 
 The engine's contract is *parity, not approximation*: every grid point it
-serves must agree with the eager kernel within 1e-9 relative — exactly
-(``==``) where no closed form answers a section (the team walk and the
-delegated executor replays are the eager arithmetic) — and every point it
-declines must reach the eager path untouched.  The property tests
+serves must be ``==`` the eager oracle (the FF walks, the team walk and the
+delegated replays are the eager arithmetic), and every point it declines
+must reach the eager path untouched.  The property tests
 reuse the ``test_fuzz_pipeline`` program generator so the parity claim is
 exercised across random program shapes, not just hand-picked fixtures.
 """
@@ -38,8 +37,6 @@ from tests.test_fuzz_pipeline import programs
 
 M4 = MachineConfig(n_cores=4)
 M8 = MachineConfig(n_cores=8)
-
-REL = 1e-9
 
 
 # ------------------------------------------------------------------ fixtures
@@ -142,46 +139,11 @@ def fresh_metrics():
         set_metrics(old)
 
 
-def _assert_parity(eager, columnar, rel=REL):
-    """Same grid, same keys, speedups within ``rel``."""
+def _assert_parity(eager, columnar):
+    """Same grid, and every estimate ``==`` its eager reference."""
     assert len(eager.estimates) == len(columnar.estimates) > 0
     for e, c in zip(eager.estimates, columnar.estimates):
-        assert (e.method, e.schedule, e.n_threads) == (
-            c.method,
-            c.schedule,
-            c.n_threads,
-        )
-        assert c.speedup == pytest.approx(e.speedup, rel=rel), (
-            f"{e.method}/{e.schedule}/t={e.n_threads}"
-        )
-
-
-def _exact_point(profile, prophet, estimate):
-    """True when no closed form answers a section of ``estimate``'s grid
-    point, so it must be ``==`` eager: a declined point, an FF point whose
-    lowered sections all take the greedy walk (a dynamic-family schedule,
-    or none lowered), or a SYN/REAL point whose lowered sections all
-    replay through the team walk (every one under a dynamic-family
-    schedule; memory-demanding ones for REAL) — delegated sections run on
-    the FF heap walk or the eager executor itself."""
-    engine = ColumnarEngine(profile, prophet.overheads)
-    schedule = Schedule.parse(estimate.schedule)
-    dynamic = schedule.is_dynamic_family
-    if estimate.method == "ff":
-        return engine.ff_exact(schedule)
-    if engine._team_reason(estimate.n_threads, estimate.paradigm) is not None:
-        return True
-    return dynamic or (
-        estimate.method == "real" and all(sc.missy for sc in engine._secs)
-    )
-
-
-def _assert_walk_parity(prophet, profile, eager, columnar):
-    """``_assert_parity``, and ``==`` for every exact point."""
-    _assert_parity(eager, columnar)
-    for e, c in zip(eager.estimates, columnar.estimates):
-        if _exact_point(profile, prophet, c):
-            assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
+        assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
 
 
 def _delegated_items(engine):
@@ -254,12 +216,11 @@ class TestColumnarParityProperty:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_matches_eager_on_random_programs(self, items, n_threads):
-        """FF/SYN/REAL parity at <=1e-9 across random eligible programs,
-        and ``==`` wherever the team walk serves the whole point (t=5,6
+        """FF/SYN/REAL ``==`` parity across random eligible programs (t=5,6
         oversubscribe the 4-core machine, exercising the syn/real
         fallback; memory specs exercise the batched-DRAM walks — fused
         ``static`` lanes, ``static,N`` interleaving, the dynamic chunk
-        cursor — and the mixed-signature fallback)."""
+        cursor — and mixed demand signatures)."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(_strip_to_eligible(items)))
         kwargs = dict(
@@ -269,7 +230,7 @@ class TestColumnarParityProperty:
             memory_model=False,
         )
         eager, columnar = _both_backends(prophet, profile, **kwargs)
-        _assert_walk_parity(prophet, profile, eager, columnar)
+        _assert_parity(eager, columnar)
 
     @given(
         programs(),
@@ -286,8 +247,8 @@ class TestColumnarParityProperty:
         """Unstripped programs (locks, nesting, mixed demand signatures)
         under FIFO and a non-FIFO handoff: the engine serves every SYN/REAL
         point of a team that fits the machine, replays exactly its
-        delegated sections through the executor, and matches the eager
-        reference (``==`` wherever no closed form is involved)."""
+        delegated sections through the executor, and is ``==`` the eager
+        reference."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(items))
         engine = ColumnarEngine(profile, prophet.overheads)
@@ -312,11 +273,7 @@ class TestColumnarParityProperty:
                     profile, prophet.overheads, task, ff, engine=None
                 )
                 for e, c in zip(eager, served):
-                    where = f"{e.method}/{e.schedule}/t={e.n_threads}"
-                    if _exact_point(profile, prophet, c):
-                        assert c == e, where
-                    else:
-                        assert c.speedup == pytest.approx(e.speedup, rel=REL), where
+                    assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
         finally:
             set_metrics(old)
 
@@ -432,7 +389,7 @@ class TestFixtureParity:
             methods=("ff", "syn", "real"),
             memory_model=True,
         )
-        _assert_walk_parity(prophet, profiles[name], eager, columnar)
+        _assert_parity(eager, columnar)
         assert fresh_metrics.counter_value("columnar.hits") == 15.0
 
     def test_same_time_ties_go_by_member(self):
@@ -498,7 +455,7 @@ class TestFixtureParity:
             methods=("syn", "real"),
             memory_model=True,
         )
-        _assert_walk_parity(prophet, profile, eager, columnar)
+        _assert_parity(eager, columnar)
 
     def test_memory_model_burdens(self, prophet, profiles):
         eager, columnar = _both_backends(
@@ -576,8 +533,8 @@ class TestFallbacks:
 
     def test_oversubscription_replay_falls_back(self, prophet, profiles,
                                                 fresh_metrics):
-        """t > n_cores: FF's abstract machine is still closed-form (served),
-        but the replay involves preemption, so syn declines."""
+        """t > n_cores: FF's abstract machine is still served, but the
+        replay involves preemption, so syn declines."""
         eager, columnar = self._run(
             prophet, profiles["cpu"], threads=[16], methods=("ff", "syn")
         )
@@ -716,8 +673,7 @@ class TestSectionDelegation:
         assert fresh_metrics.counter_value("replay.sections") == 2 * n_delegated
         clear_section_memo()
         eager = _predict_point(profile, prophet.overheads, task, ff, engine=None)
-        for e, c in zip(eager, served):
-            assert c.speedup == pytest.approx(e.speedup, rel=REL), e.method
+        assert served == eager
 
     def test_npb_cg_delegates_only_its_lock_sections(self):
         profile = ParallelProphet(machine=M8).profile(
@@ -741,13 +697,13 @@ class TestSectionDelegation:
         clear_section_memo()
         served = engine.real_point(Schedule.static(), 4, "omp")
         assert fresh_metrics.counter_value("columnar.hits") == 1.0
-        # "mem" replays; the demand-free "loop" keeps its closed form.
+        # "mem" replays; the demand-free "loop" keeps the team walk.
         assert fresh_metrics.counter_value("replay.sections") == 1.0
         (eager,) = _eager_reference(
             prophet, profile, threads=[4], methods=("real",),
             memory_model=False,
         ).estimates
-        assert served.speedup == pytest.approx(eager.speedup, rel=REL)
+        assert served == eager
 
 
 # ------------------------------------------------------------- configuration
@@ -789,11 +745,11 @@ class TestVerifyPoints:
         assert checked == 5
         assert skipped == 1
 
-    def test_exact_ff_points_must_be_equal(self, prophet, profiles,
-                                           monkeypatch):
-        """FF points off the closed form (dynamic family, or no lowered
-        section) are held to ``==``: a 1e-12 drift is reported there and
-        tolerated on the static closed form."""
+    def test_every_ff_point_must_be_equal(self, prophet, profiles,
+                                          monkeypatch):
+        """Every FF point is held to ``==``: a 1e-12 drift is reported on
+        a lowered section under both schedule families and on a delegated
+        one."""
         import repro.core.columnar as columnar_mod
 
         served = columnar_mod.ColumnarEngine.ff_point
@@ -804,7 +760,7 @@ class TestVerifyPoints:
 
         monkeypatch.setattr(columnar_mod.ColumnarEngine, "ff_point", skewed)
         for name, schedule, n_bad in (
-            ("cpu", "static", 0),
+            ("cpu", "static", 1),
             ("cpu", "dynamic,1", 1),
             ("locked", "static", 1),
         ):

@@ -258,8 +258,8 @@ class TestOverheadModelling:
 
 class TestFastPathParity:
     """The columnar FF (``ColumnarEngine.ff_point``, the only FF fast path)
-    must match the heap walk: its static-family closed form within 1e-9,
-    its dynamic-family greedy walk and its delegated sections ``==``."""
+    must be ``==`` the heap walk: its static-family and dynamic-family
+    walks and its delegated sections alike."""
 
     @staticmethod
     def _both(sec, n_threads, schedule, burden=1.0, oh=ZERO_OH):
@@ -278,8 +278,7 @@ class TestFastPathParity:
     @settings(max_examples=120, deadline=None)
     def test_matches_exact_walk(self, data):
         """Random compressed runs x {static, static,c, dynamic, guided} x
-        1-12 threads: closed form within 1e-9 relative of the heap walk,
-        greedy walk ``==``."""
+        1-12 threads: ``==`` the heap walk."""
         root = Node(NodeKind.ROOT)
         sec = root.add(Node(NodeKind.SEC, name="s"))
         for _ in range(data.draw(st.integers(1, 6), label="runs")):
@@ -305,10 +304,7 @@ class TestFastPathParity:
         burden = data.draw(st.sampled_from([1.0, 1.37]), label="burden")
 
         point, walk = self._both(sec, n_threads, schedule, burden)
-        if schedule.is_dynamic_family:
-            assert point[0] == walk
-        else:
-            assert point[0] == pytest.approx(walk, rel=1e-9)
+        assert point[0] == walk
 
     def test_overheads_included(self):
         # Fork/dispatch/join charging matches the heap walk too.
@@ -320,7 +316,7 @@ class TestFastPathParity:
         for sched in (Schedule.static(), Schedule.static_chunk(3)):
             for t in (1, 4, 6):
                 point, walk = self._both(sec, t, sched, oh=oh)
-                assert point[0] == pytest.approx(walk, rel=1e-9)
+                assert point[0] == walk
 
     def test_lock_falls_back(self):
         def program(tr):
@@ -363,7 +359,7 @@ class TestFastPathParity:
         task = sec.add(Node(NodeKind.TASK, repeat=3))
         task.add(Node(NodeKind.U, length=1000.0))
         point, walk = self._both(sec, 8, Schedule.static_chunk(2))
-        assert point[0] == pytest.approx(walk, rel=1e-9)
+        assert point[0] == walk
 
 
 class TestCompressedTrees:
