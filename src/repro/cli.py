@@ -439,30 +439,48 @@ def cmd_check(args: argparse.Namespace) -> int:
         # point the engine serves must be == its eager oracle, FF/SYN
         # predictions and REAL ground truth alike.  --quick covers the
         # paper's three schedules whatever the harness ran, so the walks'
-        # static, static,1 and dynamic chunk cursors are re-verified.
+        # static, static,1 and dynamic chunk cursors are re-verified, and
+        # adds the points the team walk does not model: Cilk FFT and one
+        # oversubscribed FT team.
         from repro.core.columnar import verify_points
 
+        # Saved profiles carry no paradigm; they re-verify as OpenMP.
+        paradigms = {
+            wl.name: wl.paradigm
+            for wl in (get_workload(t) for t, p in saved.items() if p is None)
+        }
         col_schedules = (
             ("static", "static,1", "dynamic,1") if args.quick else schedules
         )
-        col = {m: [0, 0] for m in ("ff", "syn", "real")}
-        for name, profile in profiles.items():
+        col_grids = [
+            (name, profile, paradigms.get(name, "omp"), threads, col_schedules)
+            for name, profile in profiles.items()
+        ]
+        if args.quick:
+            fft = get_workload("ompscr_fft")
+            col_grids += [
+                (fft.name, prophet.profile(fft.program), fft.paradigm,
+                 [2, 4], ("static",)),
+                ("npb_ft", profiles["npb_ft"], "omp",
+                 [prophet.machine.n_cores + 2], ("static",)),
+            ]
+        col = {m: 0 for m in ("ff", "syn", "real")}
+        for name, profile, paradigm, col_threads, sched_labels in col_grids:
             if memory_model and profile.sections:
-                prophet.attach_burdens(profile, threads)
-            for method, counts in col.items():
-                checked, skipped, mismatches = verify_points(
-                    prophet, profile, threads, col_schedules, methods=(method,)
+                prophet.attach_burdens(profile, col_threads)
+            for method in col:
+                checked, mismatches = verify_points(
+                    prophet, profile, col_threads, sched_labels,
+                    methods=(method,), paradigm=paradigm,
                 )
-                counts[0] += checked
-                counts[1] += skipped
+                col[method] += checked
                 for msg in mismatches:
                     print(f"columnar: {name}: {msg}", file=sys.stderr)
                     rc = 1
         print(
             "columnar engine: "
-            + ", ".join(f"{m} {c[0]}" for m, c in col.items())
-            + " grid point(s) re-verified against uncached eager replay, "
-            f"{sum(c[1] for c in col.values())} fallback(s)"
+            + ", ".join(f"{m} {n}" for m, n in col.items())
+            + " grid point(s) re-verified against uncached eager replay"
         )
         # Surrogate tier: every confident answer of the default model on
         # this grid — exactly the answers tier="auto" would serve without

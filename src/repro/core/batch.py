@@ -147,10 +147,10 @@ def _predict_point(
 ) -> list[SpeedupEstimate]:
     """Evaluate one grid point; the only code that does.
 
-    ``engine`` (a columnar engine for ``profile``, or None) answers each
-    method first — every FF point, and every SYN/REAL point it does not
-    decline.  A declined method, or every method when ``engine`` is None,
-    runs on the reference emulators: the FF heap walk, the
+    ``engine`` (a columnar engine for ``profile``) answers every method of
+    every point.  With ``engine`` None — while tracing, or when a caller
+    asks for the eager oracle — every method runs on the reference
+    emulators: the FF heap walk, the
     :class:`~repro.core.synthesizer.Synthesizer` and a
     :class:`~repro.core.executor.ParallelExecutor` REAL replay.  Runs
     identically in-process and in a pool worker.
@@ -195,8 +195,8 @@ def _predict_point(
                 )
             )
         elif method == "syn":
-            est = (
-                engine.syn_point(
+            if engine is not None:
+                est = engine.syn_point(
                     schedule,
                     task.n_threads,
                     task.memory_model,
@@ -204,10 +204,7 @@ def _predict_point(
                     task.handoff,
                     task.handoff_seed,
                 )
-                if engine is not None
-                else None
-            )
-            if est is None:
+            else:
                 syn = Synthesizer(
                     paradigm=task.paradigm,
                     schedule=schedule,
@@ -215,13 +212,12 @@ def _predict_point(
                     handoff=task.handoff,
                     handoff_seed=task.handoff_seed,
                 )
-                run = syn.predict(
+                est = syn.predict(
                     profile, task.n_threads, use_memory_model=task.memory_model
-                )
-                est = run.estimate
+                ).estimate
             estimates.append(est)
-        else:  # "real" — simulated ground-truth replay
-            est = (
+        elif engine is not None:  # "real" — simulated ground-truth replay
+            estimates.append(
                 engine.real_point(
                     schedule,
                     task.n_threads,
@@ -229,12 +225,8 @@ def _predict_point(
                     task.handoff,
                     task.handoff_seed,
                 )
-                if engine is not None
-                else None
             )
-            if est is not None:
-                estimates.append(est)
-                continue
+        else:
             executor = ParallelExecutor(
                 machine=profile.machine,
                 paradigm=task.paradigm,

@@ -27,30 +27,31 @@ evaluator per method:
   :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of them
   with a shared convergence loop and per-lane early-exit masks.
 
-Sections outside that model — lock-bearing, nested and pipeline sections,
-nowait chains, and memory-demanding REAL sections on a multi-socket
-machine — are *delegated*: FF runs each of them on the heap walk
-(``FastForwardEmulator.emulate_section`` / ``emulate_chain``), and one
-:class:`~repro.core.executor.ParallelExecutor` replays each of them for
-SYN/REAL (``execute_section`` / ``execute_chain``, through the section
-memo) with the point's lock-handoff policy.  The point's totals and
-per-section speedups are summed exactly as ``emulate_profile``,
+Sections outside that model are *delegated*: lock-bearing, nested and
+pipeline sections, nowait chains, and memory-demanding REAL sections on a
+multi-socket machine — and, for SYN/REAL, every section of a point whose
+team the walk does not model (a Cilk or ``omp_task`` paradigm, ``t >
+n_cores``, or a context-switch cost with ``t > 1``).  FF runs each of
+them on the heap walk (``FastForwardEmulator.emulate_section`` /
+``emulate_chain``), and one :class:`~repro.core.executor.ParallelExecutor`
+replays each of them for SYN/REAL (``execute_section`` /
+``execute_chain``, through the section memo) under the point's paradigm,
+schedule and lock-handoff policy; the task-pool paradigms replay a nowait
+chain's sections one at a time, as the executor does.  The point's totals
+and per-section speedups are summed exactly as ``emulate_profile``,
 ``execute_profile`` and ``Synthesizer.predict`` sum them.  Only
-``SimMutex`` consults the handoff policy, so lowered sections cannot
+``SimMutex`` consults the handoff policy, so walked sections cannot
 observe it: their cached results serve every explored handoff variant.
 
-The eager paths remain the parity oracles, and every served point is
-``==`` its oracle: the FF walks add the heap walk's terms in its order,
-and the team walk reproduces the DES kernel's arithmetic bit for bit
-(``simos.kernel``'s absolute-form segment rating, its demand-signature
-cache and its ``(time, core)`` event order).  FF never declines.  A
-SYN/REAL grid point is declined — the engine returns ``None`` and the
-caller runs the eager emulators — only when the paradigm is not OpenMP,
-the team oversubscribes the machine or context switches cost cycles.  The
-``columnar.hits`` / ``columnar.fallbacks`` counters record each decision,
-and ``columnar.declines.<reason>`` says why each fallback happened.
+The engine serves every grid point, and the eager paths remain the parity
+oracles: every served point is ``==`` its oracle.  The FF walks add the
+heap walk's terms in its order, and the team walk reproduces the DES
+kernel's arithmetic bit for bit (``simos.kernel``'s absolute-form segment
+rating, its demand-signature cache and its ``(time, core)`` event order).
+``columnar.hits`` counts the served points.
 
-Determinism: results are pure functions of (profile, schedule, t, handoff);
+Determinism: results are pure functions of (profile, paradigm, schedule,
+t, handoff);
 a grid point's value never depends on which other points share its batch.
 """
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
@@ -128,10 +129,10 @@ def _lowerable(item: Node) -> bool:
 class ColumnarEngine:
     """Section-by-section evaluator for one profile's sweep grid points.
 
-    Construct once per (profile, overheads) and consult per grid point:
-    :meth:`ff_point` always returns a result; :meth:`syn_point` and
-    :meth:`real_point` return one or ``None`` (meaning: use the eager
-    path).  The program is lowered once, at construction; every section's
+    Construct once per (profile, overheads) and consult per grid point
+    through :meth:`ff_point`, :meth:`syn_point` and :meth:`real_point`,
+    which serve every point.  The program is lowered once, at
+    construction; every section's
     per-point result is cached on the engine, so a whole sweep column
     shares one lowering and a section replays once across handoff
     variants.  Serve worker threads may share an engine: its cache only
@@ -206,9 +207,10 @@ class ColumnarEngine:
                     item, schedule, t, burdens.get(name, 1.0)
                 )
             else:
-                # FF ignores the lock-handoff policy; fifo keys its cache.
+                # FF ignores the paradigm and the lock-handoff policy;
+                # omp and fifo key its cache.
                 name, cycles = self._delegate(
-                    item, schedule, t, _FF, burdens, "fifo", 0
+                    item, schedule, t, _FF, "omp", burdens, "fifo", 0
                 )
             serial = self._serial_of[id(item)]
             if not isinstance(item, list):
@@ -259,24 +261,13 @@ class ColumnarEngine:
 
     # ------------------------------------------------------- SYN/REAL points
 
-    def _team_reason(self, t: int, paradigm: str) -> Optional[str]:
-        """Why a SYN/REAL replay at ``t`` is declined, or None: the engine
-        replays an OpenMP team that the DES kernel would run without
-        preemption or core migration, so member ``w`` stays on core ``w``."""
-        if paradigm != "omp":
-            return "paradigm"
-        if t > self.machine.n_cores:
-            return "oversubscribed"
-        if t > 1 and self.machine.context_switch_cycles != 0.0:
-            return "context_switch"
-        return None
-
     def _delegate(
         self,
         item,
         schedule: Schedule,
         t: int,
         mode: ReplayMode | Literal["ff"],
+        paradigm: str,
         burdens: dict,
         handoff: str,
         handoff_seed: int,
@@ -284,15 +275,15 @@ class ColumnarEngine:
         """``(name, net cycles)`` of one delegated section or nowait chain,
         cached on the engine per point.  ``mode`` ``_FF`` runs it on the FF
         heap walk as ``emulate_profile`` does; a :class:`ReplayMode`
-        replays it exactly as ``ParallelExecutor.execute_profile`` does
-        (section memo included)."""
+        replays it under ``paradigm`` exactly as
+        ``ParallelExecutor.execute_profile`` does (section memo included)."""
         chain = isinstance(item, list)
         if chain:
             beta = tuple(burdens.get(sec.name, 1.0) for sec in item)
         else:
             beta = burdens.get(item.name, 1.0)
-        key = (mode, id(item), schedule.kind, schedule.chunk, t, beta,
-               handoff, handoff_seed)
+        key = (mode, paradigm, id(item), schedule.kind, schedule.chunk, t,
+               beta, handoff, handoff_seed)
         cached = self._point_cache.get(key)
         if cached is not None:
             return cached
@@ -311,6 +302,7 @@ class ColumnarEngine:
         else:
             executor = ParallelExecutor(
                 machine=self.machine,
+                paradigm=paradigm,
                 schedule=schedule,
                 overheads=self.overheads,
                 handoff=handoff,
@@ -341,6 +333,75 @@ class ColumnarEngine:
                 cache[key] = result
         return [cache[key] for key, _, _ in walked]
 
+    def _replay(
+        self,
+        mode: ReplayMode,
+        schedule: Schedule,
+        t: int,
+        paradigm: str,
+        burdens: dict,
+        handoff: str,
+        handoff_seed: int,
+    ) -> tuple[float, list[tuple[str, float, int]]]:
+        """One SYN (``FAKE``) or REAL point, assembled item by item as
+        ``ParallelExecutor.execute_profile`` assembles it: ``(total cycles,
+        [(name, net cycles, activations)] per section replay)``.
+
+        A lowered section takes the team walk when the walk models its
+        replay: an OpenMP team the DES kernel runs one member per core,
+        with no preemption and no switch cost, and — for REAL — one DRAM
+        pool or no memory demand.  Every other section is delegated to the
+        executor under the point's paradigm, schedule and ``handoff``; the
+        task-pool paradigms replay a nowait chain's sections one at a
+        time, as the executor groups them."""
+        machine = self.machine
+        omp = paradigm == "omp"
+        team = omp and t <= machine.n_cores and (
+            t == 1 or machine.context_switch_cycles == 0.0
+        )
+        fake = mode is ReplayMode.FAKE
+        one_pool = machine.n_sockets == 1
+
+        def walked(item) -> bool:
+            return (
+                team
+                and isinstance(item, _SecCols)
+                and (fake or one_pool or not item.missy)
+            )
+
+        walks = []
+        for sc in self._secs:
+            if walked(sc):
+                beta = burdens.get(sc.name, 1.0) if fake else None
+                key = (mode, id(sc), schedule.kind, schedule.chunk, t, beta)
+                walks.append((key, sc, beta))
+        results = iter(self._walk_sections(walks, schedule, t))
+        total = 0.0
+        runs: list[tuple[str, float, int]] = []
+        for item in self._items:
+            if isinstance(item, float):
+                total += item
+                continue
+            if walked(item):
+                gross, trav = next(results)
+                # Fig. 8 line 26: subtract the longest per-member traversal
+                # (zero in a REAL walk, so its net is its gross).
+                name, net, repeat = item.name, max(0.0, gross - trav), item.repeat
+                total += net * repeat
+                runs.append((name, net, repeat))
+                continue
+            node = item.node if isinstance(item, _SecCols) else item
+            chain = isinstance(node, list)
+            for sec in node if chain and not omp else (node,):
+                name, net = self._delegate(
+                    sec, schedule, t, mode, paradigm, burdens,
+                    handoff, handoff_seed,
+                )
+                repeat = 1 if isinstance(sec, list) else sec.repeat
+                total += net * repeat
+                runs.append((name, net, repeat))
+        return total, runs
+
     def syn_point(
         self,
         schedule: Schedule,
@@ -349,15 +410,10 @@ class ColumnarEngine:
         paradigm: str,
         handoff: str = "fifo",
         handoff_seed: int = 0,
-    ) -> Optional[SpeedupEstimate]:
-        """Synthesizer (FAKE replay) estimate, or None for the eager path.
-
-        Lowered sections replay through the team walk, which also tracks
-        each member's traversal overhead for the Fig. 8 net.  Delegated
-        sections replay through the executor under ``handoff``."""
-        reason = self._team_reason(t, paradigm)
-        if reason is not None:
-            return _decline(reason)
+    ) -> SpeedupEstimate:
+        """Synthesizer (FAKE replay) estimate, as ``Synthesizer.predict``
+        computes it.  The team walk also tracks each member's traversal
+        overhead for the Fig. 8 net."""
         m = get_metrics()
         m.inc("syn.replays")
         m.inc("columnar.hits")
@@ -367,31 +423,11 @@ class ColumnarEngine:
             if memory_model
             else {}
         )
-
-        walked = []
-        for sc in self._secs:
-            beta = burdens.get(sc.name, 1.0)
-            key = ("syn", id(sc), schedule.kind, schedule.chunk, t, beta)
-            walked.append((key, sc, beta))
-        results = iter(self._walk_sections(walked, schedule, t))
-        total = 0.0
+        total, runs = self._replay(
+            ReplayMode.FAKE, schedule, t, paradigm, burdens, handoff, handoff_seed
+        )
         net_by_name: dict[str, float] = {}
-        for item in self._items:
-            if isinstance(item, float):
-                total += item
-                continue
-            if isinstance(item, _SecCols):
-                name, repeat = item.name, item.repeat
-                gross, trav = next(results)
-                # Fig. 8 line 26: subtract the longest per-worker traversal.
-                net = max(0.0, gross - trav)
-            else:
-                name, net = self._delegate(
-                    item, schedule, t, ReplayMode.FAKE, burdens,
-                    handoff, handoff_seed,
-                )
-                repeat = 1 if isinstance(item, list) else item.repeat
-            total += net * repeat
+        for name, net, repeat in runs:
             # The synthesizer adds one replay per activation.
             acc = net_by_name.get(name, 0.0)
             for _ in range(repeat):
@@ -419,44 +455,14 @@ class ColumnarEngine:
         paradigm: str,
         handoff: str = "fifo",
         handoff_seed: int = 0,
-    ) -> Optional[SpeedupEstimate]:
-        """Ground-truth (REAL replay) estimate, or None for the eager path.
-
-        Lowered sections replay through the team walk, whose DRAM solves
-        are batched.  Delegated sections — and memory-demanding lowered
-        ones on a multi-socket machine, whose DRAM pools the walk does not
-        model — replay through the executor under ``handoff``."""
-        reason = self._team_reason(t, paradigm)
-        if reason is not None:
-            return _decline(reason)
+    ) -> SpeedupEstimate:
+        """Ground-truth (REAL replay) estimate, as
+        ``ParallelExecutor.execute_profile`` computes it.  The team walks'
+        DRAM solves are batched."""
         get_metrics().inc("columnar.hits")
-        multi_socket = self.machine.n_sockets != 1
-
-        def is_walked(sc: _SecCols) -> bool:
-            return not (sc.missy and multi_socket)
-
-        results = iter(self._walk_sections(
-            [
-                (("real", id(sc), schedule.kind, schedule.chunk, t), sc, None)
-                for sc in self._secs
-                if is_walked(sc)
-            ],
-            schedule,
-            t,
-        ))
-        total = 0.0
-        for item in self._items:
-            if isinstance(item, float):
-                total += item
-            elif isinstance(item, _SecCols) and is_walked(item):
-                gross, _ = next(results)
-                total += gross * item.repeat  # net == gross (no traversal)
-            else:
-                node = item.node if isinstance(item, _SecCols) else item
-                _, net = self._delegate(
-                    node, schedule, t, ReplayMode.REAL, {}, handoff, handoff_seed
-                )
-                total += net if isinstance(node, list) else net * node.repeat
+        total, _ = self._replay(
+            ReplayMode.REAL, schedule, t, paradigm, {}, handoff, handoff_seed
+        )
         speedup = self._serial / total if total > 0 else 1.0
         return SpeedupEstimate(
             method="real",
@@ -548,19 +554,6 @@ class ColumnarEngine:
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
 _FF: Literal["ff"] = "ff"
-
-#: Decline reasons, counted as ``columnar.declines.<reason>`` beside
-#: ``columnar.fallbacks`` (they sum to it).
-DECLINE_REASONS = ("paradigm", "oversubscribed", "context_switch")
-
-
-def _decline(reason: str) -> None:
-    """Count one declined grid point and its reason; returns None."""
-    m = get_metrics()
-    m.inc("columnar.fallbacks")
-    m.inc(f"columnar.declines.{reason}")
-    return None
-
 
 def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
     """A missy lane op: ``(cycles, (f, d), memo key)``.  ``(f, d)`` are the
@@ -846,73 +839,43 @@ def verify_points(
     threads,
     schedules=("static",),
     methods=("ff", "syn"),
-) -> tuple[int, int, list[str]]:
-    """Sampled columnar-vs-eager re-verification (``repro check --quick``).
+    paradigm: str = "omp",
+) -> tuple[int, list[str]]:
+    """Columnar-vs-eager re-verification (``repro check --quick``).
 
     Evaluates every (method, schedule, t) grid point — ``methods`` any of
-    ``"ff"``, ``"syn"`` and ``"real"`` — through the columnar engine and
-    through the *uncached* eager path (fresh emulator / synthesizer /
-    REAL-replay executor, section memo cleared), returning ``(checked,
-    skipped, mismatches)``.  Every served point must be ``==`` its eager
-    oracle.  A point the engine declines counts as skipped — the fallback
-    contract makes it eager by construction."""
+    ``"ff"``, ``"syn"`` and ``"real"``, under ``paradigm`` — through
+    ``batch._predict_point`` with a fresh columnar engine and without one
+    (the eager emulators), clearing the section memo before each, and
+    returns ``(checked, mismatches)``.  Every point must be ``==`` its
+    eager oracle."""
+    from repro.core.batch import SweepTask, _predict_point
     from repro.core.executor import clear_section_memo
-    from repro.core.synthesizer import Synthesizer
 
     engine = ColumnarEngine(profile, prophet.overheads)
-    serial = profile.serial_cycles()
-    checked = skipped = 0
+    ff = FastForwardEmulator(prophet.overheads)
+    memory_model = bool(profile.burdens)
+    checked = 0
     mismatches: list[str] = []
-    for sched in schedules:
-        schedule = sched if isinstance(sched, Schedule) else Schedule.parse(sched)
+    for label in schedules:
         for t in threads:
-            burdens = {
-                name: profile.burden_for(name, t) for name in profile.sections
-            } if profile.burdens else {}
-            memory_model = bool(profile.burdens)
             for method in methods:
-                if method == "ff":
-                    predicted, _ = engine.ff_point(schedule, t, burdens)
-                    col_speedup = serial / predicted if predicted > 0 else 1.0
-                    ff = FastForwardEmulator(prophet.overheads)
-                    eager_time, _ = ff.emulate_profile(
-                        profile.tree, t, schedule, burdens
-                    )
-                    eager_speedup = (
-                        serial / eager_time if eager_time > 0 else 1.0
-                    )
-                elif method == "syn":
-                    est = engine.syn_point(schedule, t, memory_model, "omp")
-                    if est is None:
-                        skipped += 1
-                        continue
-                    col_speedup = est.speedup
-                    clear_section_memo()
-                    syn = Synthesizer(
-                        schedule=schedule, overheads=prophet.overheads
-                    )
-                    eager_speedup = syn.predict(
-                        profile, t, use_memory_model=memory_model
-                    ).estimate.speedup
-                else:
-                    est = engine.real_point(schedule, t, "omp")
-                    if est is None:
-                        skipped += 1
-                        continue
-                    col_speedup = est.speedup
-                    clear_section_memo()
-                    executor = ParallelExecutor(
-                        machine=profile.machine,
-                        schedule=schedule,
-                        overheads=prophet.overheads,
-                    )
-                    eager_speedup = executor.execute_profile(
-                        profile.tree, t, ReplayMode.REAL
-                    ).speedup
+                task = SweepTask(
+                    "verify", label, t, (method,), paradigm=paradigm,
+                    memory_model=memory_model,
+                )
+                clear_section_memo()
+                (served,) = _predict_point(
+                    profile, prophet.overheads, task, ff, engine
+                )
+                clear_section_memo()
+                (eager,) = _predict_point(
+                    profile, prophet.overheads, task, ff, engine=None
+                )
                 checked += 1
-                if col_speedup != eager_speedup:
+                if served != eager:
                     mismatches.append(
-                        f"columnar {method}/{schedule.label}/t={t}: "
-                        f"{col_speedup!r} vs eager {eager_speedup!r}"
+                        f"columnar {method}/{served.schedule}/t={t}: "
+                        f"{served.speedup!r} vs eager {eager.speedup!r}"
                     )
-    return checked, skipped, mismatches
+    return checked, mismatches

@@ -351,15 +351,7 @@ class _Engine:
         for cpu in range(self.t):
             self._cpu_pull(cpu, start)
 
-        steps = 0
-        while self.heap:
-            steps += 1
-            if steps > self.max_steps:
-                raise EmulationError(
-                    f"fast-forward emulation exceeded {self.max_steps} steps"
-                )
-            _, _, walker = heapq.heappop(self.heap)
-            self._advance(walker)
+        self._drain()
 
         if instance.pending > 0:  # pragma: no cover - defensive
             raise EmulationError("emulation ended with unfinished tasks")
@@ -418,6 +410,17 @@ class _Engine:
 
         enqueue_run(0, start)
 
+        self._drain()
+
+        for inst, _tasks in instances:
+            if inst.pending > 0:  # pragma: no cover - defensive
+                raise EmulationError("chain emulation ended with unfinished tasks")
+        end = max(inst.end_time for inst, _ in instances)
+        return end + self.oh.omp_join_barrier
+
+    def _drain(self) -> None:
+        """Advance walkers in heap order until none is left, at most
+        ``max_steps`` pops."""
         steps = 0
         while self.heap:
             steps += 1
@@ -427,12 +430,6 @@ class _Engine:
                 )
             _, _, walker = heapq.heappop(self.heap)
             self._advance(walker)
-
-        for inst, _tasks in instances:
-            if inst.pending > 0:  # pragma: no cover - defensive
-                raise EmulationError("chain emulation ended with unfinished tasks")
-        end = max(inst.end_time for inst, _ in instances)
-        return end + self.oh.omp_join_barrier
 
     def _cpu_pull(self, cpu: int, now: float) -> None:
         """If the CPU is idle, start its next queued work or grab a chunk."""

@@ -61,14 +61,6 @@ class ParallelProphet:
         """Interval-profile an annotated serial program (Fig. 3 step 2)."""
         return self.profiler.profile(program)
 
-    @staticmethod
-    def replay_cache_info() -> dict[str, int]:
-        """Hit/miss/size counters of the cross-grid section memo shared by
-        every SYN/REAL replay this facade (and the batch sweeper) runs."""
-        from repro.core.executor import section_memo_info
-
-        return section_memo_info()
-
     def calibration_info(self) -> dict:
         """State of the Ψ/Φ calibration cache (the serve layer's costliest
         warmup): whether it exists and which thread counts it covers."""

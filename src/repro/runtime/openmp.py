@@ -13,8 +13,8 @@ Scheduling follows libgomp semantics:
 - ``dynamic,c``: chunks grabbed first-come-first-served from a shared
   counter, paying a higher per-chunk dispatch cost.
 
-The implicit end-of-region barrier is a real simulated barrier; ``nowait``
-skips it and hands the worker threads back to the caller to join later.
+The implicit end-of-region barrier is a real simulated barrier.  A chain
+of ``nowait`` loops runs in one region through ``parallel_loops``.
 """
 
 from __future__ import annotations
@@ -74,15 +74,11 @@ class OmpRuntime:
         bodies: Sequence[TaskBody],
         n_threads: int,
         schedule: Schedule,
-        nowait: bool = False,
-    ) -> Generator[Any, Any, Optional[list[Any]]]:
+    ) -> Generator[Any, Any, None]:
         """Execute ``bodies`` as the iterations of a parallel loop.
 
-        Must be driven with ``yield from`` by a simulated thread.  With
-        ``nowait=True`` returns the list of still-running worker
-        :class:`~repro.simos.thread.SimThread` handles the caller must
-        eventually ``Join``; otherwise returns ``None`` after the implicit
-        barrier and worker joins.
+        Must be driven with ``yield from`` by a simulated thread; returns
+        after the implicit barrier and worker joins.
         """
         if n_threads < 1:
             raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")
@@ -100,9 +96,9 @@ class OmpRuntime:
             for body in bodies:
                 yield Compute(cycles=self._dispatch_cost(schedule))
                 yield from body()
-            return None
+            return
 
-        barrier = SimBarrier(n_threads) if not nowait else None
+        barrier = SimBarrier(n_threads)
         dynamic: Optional[_DynamicState] = None
         owned: Optional[list[list[range]]] = None
         if schedule.is_dynamic_family:
@@ -119,15 +115,10 @@ class OmpRuntime:
         # Master works as team member 0 (no thread-start cost: it is awake).
         yield from self._member_work(0, bodies, schedule, owned, dynamic)
 
-        if nowait:
-            return workers
-
-        if barrier is not None:
-            yield BarrierWait(barrier)
+        yield BarrierWait(barrier)
         for worker in workers:
             yield Join(worker)
         yield Compute(cycles=oh.omp_join_barrier)
-        return None
 
     def parallel_loops(
         self,
@@ -214,12 +205,11 @@ class OmpRuntime:
         schedule: Schedule,
         owned: Optional[list[list[range]]],
         dynamic: Optional[_DynamicState],
-        barrier: Optional[SimBarrier],
+        barrier: SimBarrier,
     ) -> Generator[Any, Any, None]:
         yield Compute(cycles=self.overheads.omp_thread_start)
         yield from self._member_work(tid, bodies, schedule, owned, dynamic)
-        if barrier is not None:
-            yield BarrierWait(barrier)
+        yield BarrierWait(barrier)
 
     def _member_work(
         self,

@@ -419,9 +419,9 @@ class TestPersistentCaches:
 
 # -------------------------------------------------- one answer per grid point
 
-#: Registered workloads: locks (EP), memory saturation (FT), and the
-#: lock-free MD kernel.
-ONE_ANSWER_WORKLOADS = ("npb_ep", "npb_ft", "ompscr_md")
+#: Registered workloads: locks (EP), memory saturation (FT), the
+#: lock-free MD kernel, and Cilk FFT (every section delegated).
+ONE_ANSWER_WORKLOADS = ("npb_ep", "npb_ft", "ompscr_md", "ompscr_fft")
 ONE_ANSWER_GRID = dict(
     threads=[2, 4, 8],
     schedules=["static", "static,1", "dynamic,1"],

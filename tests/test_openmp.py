@@ -156,31 +156,6 @@ class TestParallelFor:
         kernel.run()
         assert times[0] >= 50_000.0
 
-    def test_nowait_returns_workers(self, machine4):
-        from repro.simos import Join
-
-        kernel = SimKernel(machine4)
-        omp = OmpRuntime(kernel, ZERO_OH)
-        seen = []
-
-        def master():
-            # Static split: master owns the two cheap iterations, the
-            # worker owns the two expensive ones.
-            workers = yield from omp.parallel_for(
-                [body_of(1_000), body_of(1_000), body_of(50_000), body_of(50_000)],
-                n_threads=2,
-                schedule=Schedule.static(),
-                nowait=True,
-            )
-            seen.append((yield GetTime()))  # before the worker finishes
-            for w in workers:
-                yield Join(w)
-
-        kernel.spawn(master())
-        kernel.run()
-        # Master left the region long before the worker's share completed.
-        assert seen[0] == pytest.approx(2_000.0, rel=0.01)
-
 
 class TestNestedParallelism:
     def test_nested_teams_oversubscribe(self):
