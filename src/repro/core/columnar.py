@@ -787,8 +787,8 @@ _START = object()
 def _drive_walks(walks, machine: MachineConfig) -> list:
     """Run team walks in lockstep, batching their DRAM solves.
 
-    Each walk keeps its own LRU memo (one eager kernel — hence one DRAM
-    pool — per section replay); every round, all walks blocked on an
+    Each walk keeps its own LRU memo (as the executor runs one kernel —
+    hence one DRAM pool — per section replay); every round, all walks blocked on an
     unmemoised solve are answered by a single
     :meth:`DramModel.solve_batch` call.  Returns each walk's
     ``(gross, traversal)``."""

@@ -11,10 +11,14 @@ Executes simulated threads (generator coroutines, see
 - **preemptive round-robin scheduling** with a configurable timeslice, which
   yields fair time-sharing under oversubscription (the OS behaviour behind
   the paper's Fig. 7);
+- **event sparsity**: a quantum expiry is armed only while a core has a
+  waiter, and a rate pass re-solves DRAM contention only for a socket whose
+  demand multiset changed, so an uncontended compute costs O(1) events;
 - **deterministic ordering**: same-time heap events are tie-broken by a
-  mode-independent key (quantum expiries before segment completions, then
-  core/thread id) and the ready queue is FIFO, so every run is exactly
-  reproducible — in the event-sparse fast path and the eager mode alike.
+  history-independent key (quantum expiries before segment completions,
+  then core id) and the ready queue is FIFO, so every run is exactly
+  reproducible.  Traced and untraced runs take the same path: the tracer
+  only observes, and a traced schedule equals the untraced one.
 
 Zero-duration operations (lock handoff, spawning, event flips) are free;
 all runtime costs are modelled *explicitly* by the parallel runtimes in
@@ -31,7 +35,7 @@ from typing import Any, Generator, Optional
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import get_tracer
 from repro.simhw.clock import VirtualClock
-from repro.simhw.counters import CounterSet, PerfCounters
+from repro.simhw.counters import CounterSet
 from repro.simhw.dram import DramModel, SegmentDemand
 from repro.simhw.machine import MachineConfig
 from repro.simos.scheduler import CpuScheduler
@@ -71,18 +75,16 @@ class SimKernel:
         config: MachineConfig,
         record_trace: bool = False,
         tracer=None,
-        optimize: bool = True,
         handoff: str = "fifo",
         handoff_seed: int = 0,
     ) -> None:
         self.config = config
         self.clock = VirtualClock()
         #: Lock handoff policy (``repro.simos.sync.HANDOFF_POLICIES``).
-        #: ``fifo`` reproduces the seed kernel's schedule bit for bit; the
-        #: others explore the interleaving space for ``repro.explore``.
+        #: ``fifo`` (arrival order) is the default; the others explore the
+        #: interleaving space for ``repro.explore``.
         self.handoff = normalize_handoff(handoff)
         self.handoff_seed = handoff_seed
-        self._handoff_fifo = self.handoff == "fifo"
         #: Seeded stream for the ``random`` policy.  Draws happen in
         #: simulation order, which is itself deterministic, so a (policy,
         #: seed) pair fully determines the schedule — across processes too.
@@ -92,10 +94,6 @@ class SimKernel:
         #: The ``adversarial`` policy ranks waiters by executed cycles; the
         #: per-thread accumulation is paid only when that policy is active.
         self._track_progress = self.handoff == "adversarial"
-        #: Event-sparse fast paths (lazy quantum arming + incremental
-        #: reconfigure).  ``optimize=False`` restores the eager seed
-        #: behaviour event for event; both modes are parity-tested.
-        self._optimize = optimize
         #: Structured event tracer (``repro.obs``).  Defaults to the
         #: process-global tracer, which is disabled unless opted in; hooks
         #: guard on ``obs.enabled`` so the disabled cost is one branch.
@@ -105,6 +103,10 @@ class SimKernel:
         self._obs_t0 = self.obs.offset
         #: (core, dispatch time) per running thread tid, for span emission.
         self._obs_running: dict[int, tuple[int, float]] = {}
+        #: Per socket: the demand version and the demand multiset of the
+        #: last ``dram{s}.demand_gbs`` sample (traced runs only).
+        self._obs_dram_ver = [0] * config.n_sockets
+        self._obs_dram_sig: list[tuple] = [()] * config.n_sockets
         #: Runtime invariant checker (``repro.validate``); same discipline
         #: as the tracer — every hook is one attribute test when disabled.
         self.inv = get_checker()
@@ -122,8 +124,6 @@ class SimKernel:
             DramModel(config, peak_bytes_per_sec=config.dram_peak_bytes_per_sec_per_socket)
             for _ in range(config.n_sockets)
         ]
-        #: Back-compat alias: the first pool (the only one on UMA configs).
-        self.dram = self.dram_pools[0]
         #: Global performance-counter accumulator (all cores).
         self.counters = CounterSet()
         self._heap: list[tuple] = []
@@ -133,11 +133,12 @@ class SimKernel:
         self._quantum_arm = [0] * config.n_cores
         self._last_tid: list[Optional[int]] = [None] * config.n_cores
         self._epoch = 0
-        # Lazy-quantum state (optimize mode): the next round-robin boundary
-        # per core and whether an expiry event is currently in the heap.
-        # Boundaries advance by repeated ``+= timeslice`` from the dispatch
-        # anchor — the same float accumulation the eager re-arm performs —
-        # so preemption times are bitwise identical in both modes.
+        # Lazy-quantum state: the next round-robin boundary per core and
+        # whether an expiry event is currently in the heap.  Boundaries
+        # advance by repeated ``+= timeslice`` from the dispatch anchor,
+        # never by a multiply: the float accumulation fixes the preemption
+        # times, so changing it moves answers (the golden schedule corpus
+        # in ``tests/data/kernel_corpus.json`` pins them).
         self._q_next = [0.0] * config.n_cores
         self._q_armed = [False] * config.n_cores
         # Incremental-reconfigure state: per-socket demand-multiset
@@ -163,6 +164,9 @@ class SimKernel:
         # at all — the common case on steady-state passes.
         self._demand_ver = [0] * config.n_sockets
         self._socket_ver: dict[int, int] = {}
+        #: Unfinished threads that have blocked, by tid; those still BLOCKED
+        #: are named in a deadlock report.
+        self._blocked: dict[int, SimThread] = {}
         #: Optional schedule trace for tests: (time, event, thread name, core).
         self.trace: Optional[list[tuple[float, str, str, Optional[int]]]] = (
             [] if record_trace else None
@@ -177,13 +181,6 @@ class SimKernel:
         #: replays report per-run contention stats with nothing carried
         #: over between seeds.
         self.lock_acquires = 0
-        #: Quantum expiry events pushed (both modes; lazy mode arms only
-        #: when a core actually has a waiter).
-        self.quantum_arms = 0
-        #: Reconfigure passes that re-rated at least one socket vs. passes
-        #: answered entirely from the per-socket signature cache.
-        self.reconfig_solves = 0
-        self.reconfig_skips = 0
 
     # ------------------------------------------------------------------ API
 
@@ -201,10 +198,6 @@ class SimKernel:
         self.scheduler.make_ready(t)
         self._trace("spawn", t)
         return t
-
-    def perf_counters(self) -> PerfCounters:
-        """A start/stop view over the global counter accumulator."""
-        return PerfCounters(self.counters)
 
     def dram_cache_stats(self) -> dict[str, int]:
         """Aggregated DRAM-solve memo counters across all socket pools.
@@ -302,16 +295,15 @@ class SimKernel:
             self._obs_event(event, thread)
 
     def _push(self, time: float, kind: str, data: Any) -> None:
-        """Queue an event under a deterministic, mode-independent key.
+        """Queue an event under a deterministic, history-independent key.
 
         Same-time events order by (kind rank, core): quantum expiries
         before segment completions, then by the core involved.  Keying ties
-        by push sequence instead would leak the *history* of pushes into
-        the schedule — the eager and lazy modes push different event sets,
-        so exact-tie timestamps would replay differently between them.
-        This canonical order matches the seed kernel's dominant case: the
-        eager reconfigure re-pushed every completion in core order after
-        each quantum was armed.
+        by push sequence instead would leak the *history* of pushes (which
+        passes re-pushed which completions) into the schedule.  The
+        columnar team walk (``repro.core.columnar``) orders its same-time
+        member events by the same ``(time, core)`` key, so changing the key
+        moves answers.
         """
         self._seq += 1
         if kind == "seg":
@@ -323,20 +315,14 @@ class SimKernel:
 
     def _raise_deadlock(self) -> None:
         blocked = [
-            t.name
-            for t in self._all_live_threads()
+            t.name or f"t{t.tid}"
+            for t in self._blocked.values()
             if t.state is ThreadState.BLOCKED
         ]
         raise DeadlockError(
             f"no events pending but {self._live} thread(s) alive; "
             f"blocked: {blocked}"
         )
-
-    def _all_live_threads(self) -> list[SimThread]:
-        # Reconstructed from scheduler structures; blocked threads are found
-        # through sync objects only for error reporting, so this best-effort
-        # view lists ready + running ones.
-        return list(self.scheduler.ready) + self.scheduler.running_threads()
 
     # -- segment/rate machinery -------------------------------------------------
 
@@ -358,7 +344,8 @@ class SimKernel:
             return
         # Absolute-form progress: remaining at ``now`` is a closed-form
         # expression over the rate anchor, never an accumulated subtraction,
-        # so sparse and eager advance histories agree bit for bit.
+        # so the answer does not depend on how often a segment is advanced
+        # (the columnar team walk rates segments in the same form).
         new_remaining = seg.anchor_remaining - (now - seg.anchor_time) / seg.slowdown
         if new_remaining < 0.0:
             new_remaining = 0.0
@@ -426,16 +413,6 @@ class SimKernel:
         k = pool.stall_multiplier(demands)
         if self.inv.enabled:
             self.inv.check_dram_cap(pool, demands, k)
-        if self.obs.enabled:
-            # Demanded vs achievable bandwidth as a counter track: the
-            # Perfetto step graph shows exactly when DRAM saturates.
-            self.obs.counter(
-                f"dram{socket}.demand_gbs",
-                ts=self._obs_now(),
-                value=sum(d.demand_bytes_per_sec for d in demands) / 1e9,
-                track=f"dram{socket}",
-                cat="dram",
-            )
         self._epoch += 1
         epoch = self._epoch
         now = self.clock.now
@@ -445,8 +422,8 @@ class SimKernel:
             if seg.rate_epoch == -1 or s != seg.slowdown:
                 # The rate really changed: re-anchor and fix the completion
                 # time once.  An unchanged rate keeps the anchor and the
-                # stored completion time verbatim, so re-pushing (eager
-                # mode) lands on the exact event the sparse mode kept.
+                # stored completion time verbatim, so the re-pushed event
+                # lands exactly where the superseded one was.
                 seg.slowdown = s
                 seg.anchor_time = now
                 seg.anchor_remaining = seg.remaining
@@ -460,20 +437,18 @@ class SimKernel:
         """Recompute contention rates (per socket pool) and reschedule
         completion events.
 
-        In optimize mode a socket whose demand multiset is unchanged keeps
-        its solved stall factor and its in-heap completion events: only
-        segments attached since the last pass get an event, rated with the
-        cached factor.  This skips the DRAM solve *and* the O(running)
-        re-push entirely for the common cases — zero-demand FAKE replays
-        and steady-state homogeneous REAL sections."""
+        A socket whose demand multiset is unchanged keeps its solved stall
+        factor and its in-heap completion events: only segments attached
+        since the last pass get an event, rated with the cached factor.
+        This skips the DRAM solve *and* the O(running) re-push entirely for
+        the common cases — zero-demand FAKE replays and steady-state
+        homogeneous REAL sections."""
+        if self.obs.enabled:
+            self._obs_dram()
         fresh = self._fresh_segs
         if fresh:
             self._fresh_segs = []
-        if (
-            self._optimize
-            and self._demand_running == 0
-            and not self.obs.enabled
-        ):
+        if self._demand_running == 0:
             # Every running segment is demand-free: slowdowns are all 1.0
             # by construction, continuing completion events stay valid, and
             # only fresh segments need an event.  O(fresh), no solve.
@@ -490,21 +465,8 @@ class SimKernel:
                         seg.rate_epoch = epoch
                         self._push(seg.t_complete, "seg", (seg, epoch))
                 self._epoch = epoch
-            self.reconfig_skips += 1
-            return
-        if not self._optimize or self.obs.enabled:
-            # Eager seed path: advance + re-rate + re-push every pass.
-            # Tracing forces it so exported DRAM counter tracks keep one
-            # sample per running-set change, exactly as documented.
-            segs = self._running_segments()
-            for seg in segs:
-                self._advance_segment(seg)
-            for socket, group in self._group_by_socket(segs).items():
-                self._rerate_socket(socket, group, ())
-            self.reconfig_solves += 1
             return
         segs = self._running_segments()
-        solved = False
         now = self.clock.now
         for socket, group in self._group_by_socket(segs).items():
             ver = self._demand_ver[socket]
@@ -512,17 +474,10 @@ class SimKernel:
                 # The demand set transitioned since the cached signature
                 # was taken: rebuild it (the multiset may still match,
                 # e.g. one missy segment swapped for an identical one).
-                sig = tuple(
-                    sorted(
-                        (seg.mem_fraction, seg.demand_bytes_per_sec)
-                        for seg in group
-                        if seg.demand_bytes_per_sec > 0.0
-                    )
-                )
+                sig = self._demand_signature(group)
                 self._socket_ver[socket] = ver
                 if sig != self._socket_sig.get(socket):
                     self._rerate_socket(socket, group, sig)
-                    solved = True
                     continue
             # Unchanged multiset: continuing segments keep their rates and
             # their pending completion events; only fresh ones need both.
@@ -539,10 +494,45 @@ class SimKernel:
                         self._epoch += 1
                         seg.rate_epoch = self._epoch
                         self._push(seg.t_complete, "seg", (seg, self._epoch))
-        if solved:
-            self.reconfig_solves += 1
-        else:
-            self.reconfig_skips += 1
+
+    @staticmethod
+    def _demand_signature(group: list[ComputeSegment]) -> tuple:
+        """The sorted ``(mem_fraction, demand)`` multiset of the segments
+        in ``group`` that demand DRAM bandwidth."""
+        return tuple(
+            sorted(
+                (seg.mem_fraction, seg.demand_bytes_per_sec)
+                for seg in group
+                if seg.demand_bytes_per_sec > 0.0
+            )
+        )
+
+    def _obs_dram(self) -> None:
+        """Emit one ``dram{s}.demand_gbs`` sample per socket whose demand
+        multiset changed since its last sample, the drop to zero included:
+        the Perfetto step graph shows exactly when DRAM saturates."""
+        seen = self._obs_dram_ver
+        changed = [
+            socket
+            for socket, ver in enumerate(self._demand_ver)
+            if ver != seen[socket]
+        ]
+        if not changed:
+            return
+        groups = self._group_by_socket(self._running_segments())
+        for socket in changed:
+            seen[socket] = self._demand_ver[socket]
+            sig = self._demand_signature(groups.get(socket, []))
+            if sig == self._obs_dram_sig[socket]:
+                continue
+            self._obs_dram_sig[socket] = sig
+            self.obs.counter(
+                f"dram{socket}.demand_gbs",
+                ts=self._obs_now(),
+                value=sum(demand for _, demand in sig) / 1e9,
+                track=f"dram{socket}",
+                cat="dram",
+            )
 
     def _dispatch_and_reconfigure(self) -> None:
         self._dispatch()
@@ -557,8 +547,7 @@ class SimKernel:
             if sched.idle_count == 0 or not sched.ready:
                 # Nothing to assign; still check for newly armed quanta
                 # (a waiter may have appeared for a busy core).
-                if self._optimize:
-                    self._ensure_quanta()
+                self._ensure_quanta()
                 return
             assigned = False
             for core in self.scheduler.idle_cores():
@@ -566,17 +555,12 @@ class SimKernel:
                 if thread is None:
                     continue
                 self.scheduler.assign(thread, core)
-                if self._optimize:
-                    # Re-anchor the round-robin boundary; the expiry event
-                    # itself is armed lazily (only if a waiter shows up).
-                    self._quantum_arm[core] += 1
-                    self._q_armed[core] = False
-                    self._q_next[core] = (
-                        self.clock.now + self.config.timeslice_cycles
-                    )
-                    self._quanta_dirty = True
-                else:
-                    self._arm_quantum(core)
+                # Re-anchor the round-robin boundary; the expiry event
+                # itself is armed lazily (only if a waiter shows up).
+                self._quantum_arm[core] += 1
+                self._q_armed[core] = False
+                self._q_next[core] = self.clock.now + self.config.timeslice_cycles
+                self._quanta_dirty = True
                 self._trace("dispatch", thread)
                 assigned = True
                 # Context-switch cost: the core picks up a different thread
@@ -619,27 +603,17 @@ class SimKernel:
                     thread.switch_debt = switch_cost
                     self._step(thread, thread.pending_value)
             if not assigned:
-                if self._optimize:
-                    self._ensure_quanta()
+                self._ensure_quanta()
                 return
-
-    def _arm_quantum(self, core: int) -> None:
-        self._quantum_arm[core] += 1
-        self.quantum_arms += 1
-        self._push(
-            self.clock.now + self.config.timeslice_cycles,
-            "quantum",
-            (core, self._quantum_arm[core]),
-        )
 
     def _ensure_quanta(self) -> None:
         """Lazily arm quantum expiry events for busy cores with waiters.
 
         Called after every dispatch fixed point (the only place waiters can
         appear).  Boundaries skipped while a core ran uncontended advance by
-        repeated ``+= timeslice`` — the identical float accumulation the
-        eager mode's re-arm chain performs — so when contention does appear
-        the next preemption lands on the same boundary bit for bit.
+        repeated ``+= timeslice`` from the dispatch anchor, so a preemption
+        lands on the boundary a per-slice timer would have reached, bit for
+        bit; the accumulation order is part of the answer.
         """
         if not self._quanta_dirty:
             return
@@ -661,7 +635,6 @@ class SimKernel:
             q_next[core] = nxt
             armed[core] = True
             self._quantum_arm[core] += 1
-            self.quantum_arms += 1
             self._push(nxt, "quantum", (core, self._quantum_arm[core]))
         if sched._unpinned_ready:
             # Every busy core is now armed; stay clean until a dispatch or
@@ -669,19 +642,15 @@ class SimKernel:
             self._quanta_dirty = False
 
     def _quantum_expired(self, core: int) -> None:
-        if self._optimize:
-            self._q_armed[core] = False
-            self._quanta_dirty = True
+        self._q_armed[core] = False
+        self._quanta_dirty = True
         thread = self.scheduler.running[core]
         if thread is None:
             return
         if not self.scheduler.has_waiter_for(core):
-            if self._optimize:
-                # Keep the boundary phase; re-arm happens lazily if a
-                # waiter ever appears.
-                self._q_next[core] = self.clock.now + self.config.timeslice_cycles
-            else:
-                self._arm_quantum(core)
+            # Keep the boundary phase; re-arm happens lazily if a waiter
+            # ever appears.
+            self._q_next[core] = self.clock.now + self.config.timeslice_cycles
             return
         # Preempt: bank compute progress, requeue at the tail.
         if thread.segment is not None:
@@ -885,6 +854,7 @@ class SimKernel:
         if thread.core is not None:
             self.scheduler.unassign(thread)
         self._live -= 1
+        self._blocked.pop(thread.tid, None)
         self._trace("finish", thread)
         for joiner in thread.joiners:
             joiner.pending_value = result  # type: ignore[attr-defined]
@@ -894,6 +864,7 @@ class SimKernel:
     def _block(self, thread: SimThread) -> None:
         self.scheduler.unassign(thread)
         thread.state = ThreadState.BLOCKED
+        self._blocked[thread.tid] = thread
         self._trace("block", thread)
 
     # -- sync primitives ------------------------------------------------------------
@@ -929,12 +900,8 @@ class SimKernel:
         if mutex.waiters:
             # Direct handoff: the selected waiter owns the lock while it
             # waits for a core, modelling lock-convoy behaviour.  The
-            # handoff policy decides *which* waiter; fifo keeps the seed
-            # kernel's popleft() verbatim on its own branch.
-            if self._handoff_fifo:
-                next_owner = mutex.waiters.popleft()
-            else:
-                next_owner = mutex.pop_waiter(self.handoff, self._handoff_rng)
+            # handoff policy decides *which* waiter.
+            next_owner = mutex.pop_waiter(self.handoff, self._handoff_rng)
             mutex.owner = next_owner
             next_owner.pending_value = None  # type: ignore[attr-defined]
             self.scheduler.make_ready(next_owner, front=True)

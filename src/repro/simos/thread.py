@@ -233,8 +233,8 @@ class ComputeSegment:
     #: Rate anchor: time and remaining when ``slowdown`` was last *changed*
     #: (not merely re-confirmed).  Progress is always computed from the
     #: anchor in closed form, so any number of intermediate observations
-    #: yields bitwise-identical ``remaining`` — the invariant that keeps
-    #: the event-sparse and eager kernels' timestamps exactly equal.
+    #: yields bitwise-identical ``remaining``: timestamps do not depend on
+    #: how often a segment was advanced.
     anchor_time: float = 0.0
     anchor_remaining: float = 0.0
     #: Completion time computed once per anchor; re-pushed verbatim.

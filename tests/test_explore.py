@@ -21,7 +21,7 @@ from repro.core.prophet import ParallelProphet
 from repro.core.report import SpeedupEnvelope, SpeedupReport
 from repro.errors import ConfigurationError
 from repro.explore import Explorer, ScheduleVariant, default_variants, verify_envelope
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.runtime import RuntimeOverheads, Schedule
 from repro.simhw import MachineConfig
 from repro.simos import (
@@ -360,6 +360,40 @@ class TestExplorer:
         env = report.envelope(n_threads=3)
         fifo = report.speedup(method="syn", n_threads=3)
         assert env.lo <= fifo <= env.hi
+
+
+class TestTracedAnswers:
+    """Tracing only observes: a traced exploration returns the untraced
+    samples under every handoff policy.  The adversarial policy ranks
+    waiters by summed progress, so a kernel that advanced segments more
+    often while traced would add that sum up in another order."""
+
+    def test_npb_cg_oversubscribed_point_every_policy(self):
+        from repro.workloads import get_workload
+
+        prophet = ParallelProphet(machine=MachineConfig(n_cores=8))
+        profile = prophet.profile(get_workload("npb_cg").program)
+        variants = [
+            ScheduleVariant("fifo"),
+            ScheduleVariant("lifo"),
+            ScheduleVariant("random", seed=1),
+            ScheduleVariant("adversarial"),
+        ]
+        samples = []
+        for enabled in (False, True):
+            clear_section_memo()
+            old = set_tracer(Tracer(enabled=enabled))
+            try:
+                report = Explorer(prophet, variants=variants).explore(
+                    {"cg": profile}, threads=[12], method="real"
+                )["cg"]
+            finally:
+                set_tracer(old)
+            (env,) = report.envelopes
+            samples.append(dict(env.samples))
+        untraced, traced = samples
+        assert traced == untraced
+        assert untraced["adversarial"] == 5.254713312993765
 
 
 class TestEnvelopeReport:

@@ -4,6 +4,7 @@ preemptive scheduling, fluid-rate compute, and failure modes."""
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.obs import Tracer
 from repro.simhw import MachineConfig
 from repro.simos import (
     Acquire,
@@ -421,6 +422,93 @@ class TestDeadlock:
 
         with pytest.raises(DeadlockError):
             run_master(machine2, main)
+
+    def test_deadlock_names_every_blocked_thread(self, machine2):
+        event = SimEvent()  # never set
+
+        def waiter():
+            yield EventWait(event)
+
+        def main():
+            a = yield Spawn(waiter(), name="waiter-a")
+            b = yield Spawn(waiter(), name="waiter-b")
+            yield Join(a)
+            yield Join(b)
+
+        with pytest.raises(DeadlockError) as info:
+            run_master(machine2, main)
+        message = str(info.value)
+        assert "3 thread(s) alive" in message
+        for name in ("waiter-a", "waiter-b", "master"):
+            assert f"'{name}'" in message
+
+
+class TestDramTrack:
+    """A traced run samples ``dram{s}.demand_gbs`` once per change of the
+    socket's demand multiset, the drop to zero included."""
+
+    def _samples(self, tracer, socket):
+        return [
+            (e.ts, e.args["value"])
+            for e in tracer.events()
+            if e.name == f"dram{socket}.demand_gbs"
+        ]
+
+    @staticmethod
+    def _gbs(cfg, cycles, misses):
+        return misses * cfg.line_size / cfg.cycles_to_seconds(cycles) / 1e9
+
+    def test_one_socket_steps_through_each_change(self, machine4):
+        cfg = machine4
+        tracer = Tracer(enabled=True)
+
+        def stream(cycles, misses):
+            yield Compute(cycles=cycles, llc_misses=misses)
+
+        def main():
+            a = yield Spawn(stream(100_000.0, 1_000.0))
+            b = yield Spawn(stream(300_000.0, 2_000.0))
+            yield Join(a)
+            yield Join(b)
+            yield Compute(cycles=50_000.0)
+
+        kernel = SimKernel(cfg, tracer=tracer)
+        kernel.spawn(main())
+        kernel.run()
+        a = self._gbs(cfg, 100_000.0, 1_000.0)
+        b = self._gbs(cfg, 300_000.0, 2_000.0)
+        values = [v for _, v in self._samples(tracer, 0)]
+        assert values == pytest.approx([a + b, b, 0.0], rel=1e-12)
+        assert values[-1] == 0.0
+
+    def test_sockets_step_independently(self):
+        cfg = MachineConfig(n_cores=4, n_sockets=2)
+        tracer = Tracer(enabled=True)
+
+        def stream(cycles, misses):
+            yield Compute(cycles=cycles, llc_misses=misses)
+
+        def main():
+            # Core 0 is on socket 0 and core 1 on socket 1.
+            a = yield Spawn(
+                stream(100_000.0, 1_000.0), affinity=frozenset({0})
+            )
+            b = yield Spawn(
+                stream(300_000.0, 2_000.0), affinity=frozenset({1})
+            )
+            yield Join(a)
+            yield Join(b)
+
+        kernel = SimKernel(cfg, tracer=tracer)
+        kernel.spawn(main())
+        end = kernel.run()
+        (a0, a_val), (a_end, a_zero) = self._samples(tracer, 0)
+        (b0, b_val), (b_end, b_zero) = self._samples(tracer, 1)
+        assert a0 == b0 == 0.0
+        assert a_val == pytest.approx(self._gbs(cfg, 100_000.0, 1_000.0))
+        assert b_val == pytest.approx(self._gbs(cfg, 300_000.0, 2_000.0))
+        assert a_zero == b_zero == 0.0
+        assert 0.0 < a_end < b_end == end
 
 
 class TestMemoryContention:

@@ -1,17 +1,15 @@
 """Tests for the event-sparse kernel and the replay section memo.
 
-Two layers are covered: the lazy-quantum / incremental-reconfigure kernel,
-parity-tested against the eager reference kernel (``SimKernel(optimize=
-False)``), and the process-wide section memo.  Every fast path must be
-*exact*: the parity tests run both variants and require identical
-schedule traces, preemption counts, and final times (≤1e-9 relative).
+Two layers are covered: the lazy-quantum / incremental-reconfigure kernel
+and the process-wide section memo.  The kernel's schedules are pinned by a
+golden corpus (``tests/kernel_corpus.py``): every case must reproduce its
+recorded final time, preemption count, event count and schedule-trace
+digest exactly, whether or not the run is traced.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.executor import (
     ParallelExecutor,
@@ -21,9 +19,9 @@ from repro.core.executor import (
 )
 from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.obs import Tracer
-from repro.runtime.tasks import Schedule
 from repro.simhw import MachineConfig
 from repro.simos import Compute, Join, SimKernel, Spawn
+from tests.kernel_corpus import MACHINES, generate_cases, load_corpus, replay
 
 
 @pytest.fixture(autouse=True)
@@ -31,83 +29,6 @@ def _fresh_memo():
     clear_section_memo()
     yield
     clear_section_memo()
-
-
-# --------------------------------------------------------------- helpers
-
-
-class _TracingExecutor(ParallelExecutor):
-    """ParallelExecutor whose kernels record their schedule traces;
-    ``optimize=False`` replays on the eager reference kernel."""
-
-    def __init__(self, *args, optimize=True, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.optimize = optimize
-        self.kernels = []
-
-    def _make_kernel(self) -> SimKernel:
-        kernel = SimKernel(
-            self.machine, record_trace=True, optimize=self.optimize
-        )
-        self.kernels.append(kernel)
-        return kernel
-
-
-def _replay(tree, machine, paradigm, schedule, mode, n_threads, optimize):
-    # The memo key does not name the kernel mode, so a run must not read
-    # the entries of the other mode's run: each starts from an empty memo.
-    clear_section_memo()
-    ex = _TracingExecutor(
-        machine, paradigm=paradigm, schedule=schedule, optimize=optimize
-    )
-    result = ex.execute_profile(tree, n_threads, mode)
-    trace = [ev for k in ex.kernels for ev in k.trace]
-    preemptions = sum(s.preemptions for s in result.sections)
-    return result.total_cycles, preemptions, trace, ex
-
-
-# --------------------------------------------------------- tree strategies
-
-_lengths = st.floats(min_value=100.0, max_value=5e5, allow_nan=False)
-
-
-@st.composite
-def replay_trees(draw):
-    """ROOT -> SEC* -> TASK* -> U/L leaves, with repeats and optional
-    misses — the shapes the replay hot path sees."""
-    root = Node(NodeKind.ROOT)
-    root.add(Node(NodeKind.U, length=draw(_lengths)))
-    for s in range(draw(st.integers(1, 2))):
-        sec = root.add(Node(NodeKind.SEC, name=f"s{s}"))
-        for _ in range(draw(st.integers(1, 4))):
-            task = sec.add(
-                Node(NodeKind.TASK, repeat=draw(st.sampled_from([1, 3, 17])))
-            )
-            for _ in range(draw(st.integers(1, 3))):
-                cpu = draw(_lengths)
-                missy = draw(st.booleans())
-                miss = cpu / 300.0 if missy else 0.0
-                if draw(st.integers(0, 5)) == 0:
-                    task.add(
-                        Node(
-                            NodeKind.L,
-                            length=cpu,
-                            cpu_cycles=cpu,
-                            lock_id=draw(st.integers(1, 2)),
-                        )
-                    )
-                else:
-                    task.add(
-                        Node(
-                            NodeKind.U,
-                            length=cpu + miss * 30.0,
-                            cpu_cycles=cpu,
-                            instructions=cpu * 2.0,
-                            llc_misses=miss,
-                            repeat=draw(st.sampled_from([1, 1, 4])),
-                        )
-                    )
-    return ProgramTree(root)
 
 
 # --------------------------------------------------- satellite: counters
@@ -144,7 +65,7 @@ class TestCounterAttribution:
         assert kernel.counters.instructions == pytest.approx(60_000.0, rel=1e-12)
         assert kernel.counters.llc_misses == pytest.approx(6 * 64.0, rel=1e-12)
 
-    def test_totals_exact_both_kernel_modes(self):
+    def test_totals_exact_traced_and_untraced(self):
         machine = MachineConfig(
             n_cores=1, timeslice_cycles=500.0, context_switch_cycles=300.0
         )
@@ -158,54 +79,65 @@ class TestCounterAttribution:
             yield Join(a)
             yield Join(b)
 
-        for optimize in (True, False):
-            kernel = SimKernel(machine, optimize=optimize)
+        for enabled in (False, True):
+            kernel = SimKernel(machine, tracer=Tracer(enabled=enabled))
             kernel.spawn(main())
             kernel.run()
             assert kernel.counters.instructions == pytest.approx(10_000.0)
             assert kernel.counters.llc_misses == pytest.approx(32.0)
 
 
-# ------------------------------------------------ satellite: parity test
+# ---------------------------------------------------------- golden corpus
 
 
-SCHEDULES = [Schedule.static(), Schedule.static_chunk(3), Schedule.dynamic(2)]
-PARADIGMS = ["omp", "cilk", "omp_task"]
+class TestGoldenCorpus:
+    """The kernel reproduces every case of the golden schedule corpus
+    (``tests/kernel_corpus.py``): final time, preemptions, events pushed
+    and the sha256 of the schedule trace, untraced and traced alike."""
 
+    def test_cases_regenerate(self):
+        """The seeded generator still yields the recorded settings, so a
+        digest mismatch below is a kernel change, not a corpus change."""
+        records = load_corpus()
+        cases = generate_cases()
+        assert len(records) == len(cases) == 240
+        for case, record in zip(cases, records):
+            assert {k: record[k] for k in case} == case
 
-class TestKernelParity:
-    """optimize=True and optimize=False kernels are indistinguishable:
-    identical schedule traces, preemption counts, and final times."""
+    def test_corpus_covers_the_settings(self):
+        records = load_corpus()
 
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        tree=replay_trees(),
-        paradigm=st.sampled_from(PARADIGMS),
-        schedule=st.sampled_from(SCHEDULES),
-        mode=st.sampled_from([ReplayMode.REAL, ReplayMode.FAKE]),
-        n_threads=st.sampled_from([1, 3, 4, 7]),
-    )
-    def test_optimized_matches_eager(self, tree, paradigm, schedule, mode, n_threads):
-        machine = MachineConfig(n_cores=4, timeslice_cycles=20_000.0)
-        t_opt, p_opt, tr_opt, _ = _replay(
-            tree, machine, paradigm, schedule, mode, n_threads,
-            optimize=True,
-        )
-        t_ref, p_ref, tr_ref, _ = _replay(
-            tree, machine, paradigm, schedule, mode, n_threads,
-            optimize=False,
-        )
-        assert p_opt == p_ref
-        # Bitwise-identical schedules, timestamps included: anchored
-        # segment progress (closed form over the rate anchor, never an
-        # accumulated subtraction) makes the sparse and eager advance
-        # histories agree bit for bit.
-        assert tr_opt == tr_ref
-        assert t_opt == pytest.approx(t_ref, rel=1e-9)
+        def seen(field):
+            return {r[field] for r in records}
+
+        assert seen("paradigm") == {"omp", "cilk", "omp_task"}
+        assert seen("mode") == {"real", "fake"}
+        assert seen("handoff") == {"fifo", "lifo", "random", "adversarial"}
+        assert seen("schedule") == {"static", "static,3", "dynamic,2", "guided,1"}
+        assert seen("machine") == set(MACHINES)
+        over = {
+            r["n_threads"] > MACHINES[r["machine"]].n_cores for r in records
+        }
+        assert over == {False, True}
+        for handoff in ("fifo", "lifo", "random", "adversarial"):
+            assert any(r["locks"] for r in records if r["handoff"] == handoff)
+        assert any(r["preemptions"] > 0 for r in records)
+
+    def test_untraced_replays_match_corpus(self):
+        mismatched = [r["id"] for r in load_corpus() if replay(r) != r]
+        assert mismatched == []
+
+    def test_traced_replays_match_corpus(self):
+        """Tracing only observes: every policy's traced schedule is the
+        untraced one, event count included."""
+        subset = load_corpus()[::4]
+        assert {r["handoff"] for r in subset} == {
+            "fifo", "lifo", "random", "adversarial"
+        }
+        mismatched = [
+            r["id"] for r in subset if replay(r, tracer=Tracer(enabled=True)) != r
+        ]
+        assert mismatched == []
 
 
 # ------------------------------------------------------- event sparsity
@@ -225,25 +157,11 @@ class TestEventSparsity:
             kernel = SimKernel(machine)
             kernel.spawn(main())
             kernel.run()
-            assert kernel.quantum_arms == 0
             counts.append(kernel.events_pushed)
         assert counts[0] == counts[1], (
             f"event count grew with duration: {counts}"
         )
         assert counts[0] <= 4
-
-    def test_eager_kernel_is_not_o1(self):
-        """The reference kernel keeps the seed's eager re-arm chain (this is
-        what the optimized mode is parity-tested against)."""
-        machine = MachineConfig(n_cores=2, timeslice_cycles=1_000.0)
-
-        def main():
-            yield Compute(cycles=500_000.0)
-
-        kernel = SimKernel(machine, optimize=False)
-        kernel.spawn(main())
-        kernel.run()
-        assert kernel.quantum_arms >= 499
 
     def test_zero_demand_reconfigures_skip_solver(self):
         machine = MachineConfig(n_cores=4)
@@ -261,8 +179,30 @@ class TestEventSparsity:
         kernel = SimKernel(machine)
         kernel.spawn(main())
         kernel.run()
-        assert kernel.reconfig_skips > 0
-        assert kernel.reconfig_solves == 0
+        stats = kernel.dram_cache_stats()
+        assert stats["hits"] == stats["misses"] == 0
+
+    def test_steady_demand_solves_once(self):
+        """Identical missy segments swapping in and out leave the demand
+        multiset unchanged: one solve serves both streams' 19 segment
+        changes, and one more the lone last segment."""
+        machine = MachineConfig(n_cores=2)
+
+        def stream():
+            for _ in range(20):
+                yield Compute(cycles=40_000.0, llc_misses=400.0)
+
+        def main():
+            a = yield Spawn(stream())
+            b = yield Spawn(stream())
+            yield Join(a)
+            yield Join(b)
+
+        kernel = SimKernel(machine)
+        kernel.spawn(main())
+        kernel.run()
+        stats = kernel.dram_cache_stats()
+        assert stats["hits"] + stats["misses"] == 2
 
 
 # ------------------------------------------------------------ fixtures
