@@ -100,7 +100,7 @@ class TestGoldenCorpus:
         digest mismatch below is a kernel change, not a corpus change."""
         records = load_corpus()
         cases = generate_cases()
-        assert len(records) == len(cases) == 240
+        assert len(records) == len(cases) == 240 + 108
         for case, record in zip(cases, records):
             assert {k: record[k] for k in case} == case
 
@@ -122,6 +122,12 @@ class TestGoldenCorpus:
         for handoff in ("fifo", "lifo", "random", "adversarial"):
             assert any(r["locks"] for r in records if r["handoff"] == handoff)
         assert any(r["preemptions"] > 0 for r in records)
+        nested = [r for r in records if r.get("nested")]
+        assert {(r["paradigm"], r["mode"]) for r in nested} == {
+            (p, m) for p in ("omp", "cilk", "omp_task") for m in ("real", "fake")
+        }
+        assert {r["n_threads"] for r in nested} == {1, 2, 4, 8}
+        assert all(r["locks"] for r in nested if r["handoff"] == "lifo")
 
     def test_untraced_replays_match_corpus(self):
         mismatched = [r["id"] for r in load_corpus() if replay(r) != r]
