@@ -141,16 +141,16 @@ def _predict_point(
     profile: ProgramProfile,
     overheads: RuntimeOverheads,
     task: SweepTask,
-    ff: FastForwardEmulator,
+    ff: Optional[FastForwardEmulator],
     engine=None,
     serial: Optional[float] = None,
 ) -> list[SpeedupEstimate]:
     """Evaluate one grid point; the only code that does.
 
     ``engine`` (a columnar engine for ``profile``) answers every method of
-    every point.  With ``engine`` None — while tracing, or when a caller
-    asks for the eager oracle — every method runs on the reference
-    emulators: the FF heap walk, the
+    every point.  With ``engine`` None — a caller asking for the eager
+    oracle — every method runs on the reference emulators: the FF heap
+    walk (``ff``), the
     :class:`~repro.core.synthesizer.Synthesizer` and a
     :class:`~repro.core.executor.ParallelExecutor` REAL replay.  Runs
     identically in-process and in a pool worker.
@@ -278,13 +278,10 @@ def _run_taskset(
 ]:
     """Worker entry point: evaluate a chunk of one workload's grid points.
 
-    One FF emulator instance serves the chunk's eager FF points (it is
-    stateless between ``emulate_profile`` calls).  ``engine`` is the caller's
-    persistent columnar engine for ``profile``: the in-process path passes
-    :class:`BatchPredictor`'s, so lowerings and point caches survive across
-    sweeps; pool workers pass None and get one engine per chunk.  While the
-    global tracer is on, no engine is used — the analytic engine emits no
-    events, so every point takes the eager path.
+    ``engine`` is the caller's persistent columnar engine for ``profile``:
+    the in-process path passes :class:`BatchPredictor`'s, so lowerings and
+    point caches survive across sweeps; pool workers pass None and get one
+    engine per chunk.
 
     A failing task yields a :class:`SweepTaskFailure` in its grid slot
     instead of poisoning the whole chunk: the remaining tasks still run,
@@ -309,11 +306,8 @@ def _run_taskset(
             # SweepTaskFailure that survives the trip back to the parent.
             inv.mode = "raise"
             inv.reset()
-    ff = FastForwardEmulator(overheads)
     serial = profile.serial_cycles()
-    if get_tracer().enabled:
-        engine = None
-    elif engine is None:
+    if engine is None:
         from repro.core.columnar import ColumnarEngine
 
         engine = ColumnarEngine(profile, overheads)
@@ -324,7 +318,7 @@ def _run_taskset(
                 (
                     index,
                     _predict_point(
-                        profile, overheads, task, ff, engine, serial
+                        profile, overheads, task, None, engine, serial
                     ),
                 )
             )
@@ -531,7 +525,7 @@ class BatchPredictor:
                     overheads,
                     chunk_items,
                     False,
-                    None if obs.enabled else self._engine_for(profiles[name]),
+                    self._engine_for(profiles[name]),
                 )
                 gathered.extend(results)
         else:

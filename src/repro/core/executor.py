@@ -29,7 +29,7 @@ from repro.core.lru import LRUCache
 from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import EmulationError
 from repro.obs import get_metrics, get_tracer
-from repro.runtime.cilk import CilkContext, CilkPool
+from repro.runtime.taskpool import CilkPool, OmpTaskPool
 from repro.runtime.openmp import OmpRuntime
 from repro.runtime.overhead import DEFAULT_OVERHEADS, RuntimeOverheads
 from repro.runtime.tasks import Schedule
@@ -285,18 +285,20 @@ class ParallelExecutor:
                         # The exported timeline must show every repeat, so
                         # re-run the section per repeat with one span each
                         # (execute_section bypasses the memo while tracing).
+                        # The runs are identical; ``total`` still adds
+                        # ``net * repeat``, as untraced, so the answer
+                        # does not depend on tracing.
+                        pos = total
                         for _ in range(item.repeat):
-                            r0 = total
-                            self.obs.offset = origin + total
+                            self.obs.offset = origin + pos
                             run = self.execute_section(
                                 item, n_threads, mode, burden=beta
                             )
                             sections.append(run)
-                            total += run.net_cycles
                             self.obs.span(
                                 run.name,
-                                ts=origin + r0,
-                                dur=total - r0,
+                                ts=origin + pos,
+                                dur=run.net_cycles,
                                 track="sections",
                                 cat="replay",
                                 args={
@@ -304,9 +306,12 @@ class ParallelExecutor:
                                     "preemptions": run.preemptions,
                                 },
                             )
-                        continue
-                    run = self.execute_section(item, n_threads, mode, burden=beta)
-                    sections.extend([run] * item.repeat)
+                            pos += run.net_cycles
+                    else:
+                        run = self.execute_section(
+                            item, n_threads, mode, burden=beta
+                        )
+                        sections.extend([run] * item.repeat)
                     total += run.net_cycles * item.repeat
                 else:
                     # A nowait chain: one team runs the loops back to back.
@@ -444,7 +449,7 @@ class ParallelExecutor:
         kernel = self._make_kernel()
         locks: dict[int, SimMutex] = {}
         ohmgr = _OverheadManager()
-        steals = 0
+        pool = None
 
         if sec.pipeline:
             from repro.core.pipeline import replay_pipeline_section
@@ -461,20 +466,7 @@ class ParallelExecutor:
                     locks=locks,
                 )
 
-            kernel.spawn(master(), name="replay-master")
-            gross = kernel.run()
-            self._bridge_kernel_metrics(kernel)
-            return SectionRun(
-                name=sec.name,
-                gross_cycles=gross,
-                traversal_overhead=0.0,
-                preemptions=kernel.preemptions,
-                steals=0,
-                lock_acquires=kernel.lock_acquires,
-                lock_contended=kernel.lock_contended,
-            )
-
-        if self.paradigm == "omp":
+        elif self.paradigm == "omp":
             omp = OmpRuntime(kernel, self.overheads)
 
             def master() -> Generator[Any, Any, None]:
@@ -485,55 +477,23 @@ class ParallelExecutor:
                     bodies, n_threads=n_threads, schedule=self.schedule
                 )
 
-            kernel.spawn(master(), name="replay-master")
-            gross = kernel.run()
-        elif self.paradigm == "cilk":
-            pool = CilkPool(kernel, n_workers=n_threads, overheads=self.overheads)
-
-            def cilk_for_op(ctx, bodies):
-                return pool.cilk_for(ctx, bodies)
-
-            bodies = self._pool_bodies(sec, cilk_for_op, locks, mode, burden, ohmgr)
-
-            def root(ctx: CilkContext) -> Generator[Any, Any, None]:
-                yield from pool.cilk_for(ctx, bodies)
+        else:
+            pool_cls = CilkPool if self.paradigm == "cilk" else OmpTaskPool
+            pool = pool_cls(kernel, n_threads, self.overheads)
+            bodies = self._pool_bodies(sec, pool.loop, locks, mode, burden, ohmgr)
 
             def master() -> Generator[Any, Any, None]:
-                yield from pool.run(root)
+                yield from pool.run(lambda ctx: pool.loop(ctx, bodies))
 
-            kernel.spawn(master(), name="replay-master")
-            gross = kernel.run()
-            steals = pool.steals
-        else:  # omp_task
-            from repro.runtime.omptask import OmpTaskPool
-
-            task_pool = OmpTaskPool(
-                kernel, n_threads=n_threads, overheads=self.overheads
-            )
-
-            def task_for_op(ctx, bodies):
-                # Bodies already take the executing context, matching
-                # OmpTaskBody's signature.
-                return ctx.task_loop(bodies)
-
-            bodies = self._pool_bodies(sec, task_for_op, locks, mode, burden, ohmgr)
-
-            def task_root(ctx) -> Generator[Any, Any, None]:
-                yield from task_for_op(ctx, bodies)
-
-            def master() -> Generator[Any, Any, None]:
-                yield from task_pool.run(task_root)
-
-            kernel.spawn(master(), name="replay-master")
-            gross = kernel.run()
-
+        kernel.spawn(master(), name="replay-master")
+        gross = kernel.run()
         self._bridge_kernel_metrics(kernel)
         return SectionRun(
             name=sec.name,
             gross_cycles=gross,
             traversal_overhead=ohmgr.longest() if mode is ReplayMode.FAKE else 0.0,
             preemptions=kernel.preemptions,
-            steals=steals,
+            steals=pool.steals if pool is not None else 0,
             lock_acquires=kernel.lock_acquires,
             lock_contended=kernel.lock_contended,
         )
@@ -633,9 +593,9 @@ class ParallelExecutor:
     ) -> list[Callable[[Any], Generator[Any, Any, None]]]:
         """Task bodies for a task-pool paradigm (Cilk / OpenMP tasking).
 
-        Bodies take the executing context; ``for_op(ctx, bodies)`` runs a
-        group of bodies in parallel within that context (``cilk_for`` or an
-        OpenMP task group).
+        Bodies take the executing context; ``for_op(ctx, bodies)`` (the
+        pool's ``loop``) runs a group of bodies in parallel within that
+        context (``cilk_for`` or an OpenMP task group).
         """
         bodies: list[Callable[[Any], Generator[Any, Any, None]]] = []
         for task in sec.children:

@@ -75,50 +75,13 @@ class OmpRuntime:
         n_threads: int,
         schedule: Schedule,
     ) -> Generator[Any, Any, None]:
-        """Execute ``bodies`` as the iterations of a parallel loop.
+        """Execute ``bodies`` as the iterations of a parallel loop: a
+        region with one worksharing loop (see :meth:`parallel_loops`).
 
         Must be driven with ``yield from`` by a simulated thread; returns
         after the implicit barrier and worker joins.
         """
-        if n_threads < 1:
-            raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")
-        oh = self.overheads
-        n_iters = len(bodies)
-        self.regions_forked += 1
-
-        # Master pays the fork cost (team wakeup + descriptor publication).
-        yield Compute(
-            cycles=oh.omp_fork_base + oh.omp_fork_per_thread * (n_threads - 1)
-        )
-
-        if n_threads == 1:
-            # Degenerate team: run everything inline, still paying dispatch.
-            for body in bodies:
-                yield Compute(cycles=self._dispatch_cost(schedule))
-                yield from body()
-            return
-
-        barrier = SimBarrier(n_threads)
-        dynamic: Optional[_DynamicState] = None
-        owned: Optional[list[list[range]]] = None
-        if schedule.is_dynamic_family:
-            dynamic = _DynamicState(schedule.chunks(n_iters, n_threads))
-        else:
-            owned = schedule.static_chunks(n_iters, n_threads)
-
-        workers = []
-        for tid in range(1, n_threads):
-            gen = self._member(tid, bodies, schedule, owned, dynamic, barrier)
-            worker = yield Spawn(gen, name=f"omp-w{tid}")
-            workers.append(worker)
-
-        # Master works as team member 0 (no thread-start cost: it is awake).
-        yield from self._member_work(0, bodies, schedule, owned, dynamic)
-
-        yield BarrierWait(barrier)
-        for worker in workers:
-            yield Join(worker)
-        yield Compute(cycles=oh.omp_join_barrier)
+        return self.parallel_loops(((bodies, schedule, True),), n_threads)
 
     def parallel_loops(
         self,
@@ -146,11 +109,13 @@ class OmpRuntime:
             raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")
         oh = self.overheads
         self.regions_forked += 1
+        # Master pays the fork cost (team wakeup + descriptor publication).
         yield Compute(
             cycles=oh.omp_fork_base + oh.omp_fork_per_thread * (n_threads - 1)
         )
 
         if n_threads == 1:
+            # Degenerate team: run everything inline, still paying dispatch.
             for bodies, schedule, _nowait in loops:
                 for body in bodies:
                     yield Compute(cycles=self._dispatch_cost(schedule))
@@ -173,6 +138,7 @@ class OmpRuntime:
                 )
 
         def member(tid: int, is_master: bool) -> Generator[Any, Any, None]:
+            # The master is awake already: no thread-start cost.
             if not is_master:
                 yield Compute(cycles=self.overheads.omp_thread_start)
             for bodies, schedule, nowait, owned, dynamic in plans:
@@ -197,19 +163,6 @@ class OmpRuntime:
         if schedule.is_dynamic_family:
             return self.overheads.omp_dynamic_dispatch
         return self.overheads.omp_static_dispatch
-
-    def _member(
-        self,
-        tid: int,
-        bodies: Sequence[TaskBody],
-        schedule: Schedule,
-        owned: Optional[list[list[range]]],
-        dynamic: Optional[_DynamicState],
-        barrier: SimBarrier,
-    ) -> Generator[Any, Any, None]:
-        yield Compute(cycles=self.overheads.omp_thread_start)
-        yield from self._member_work(tid, bodies, schedule, owned, dynamic)
-        yield BarrierWait(barrier)
 
     def _member_work(
         self,

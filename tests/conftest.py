@@ -13,7 +13,12 @@ from repro.simhw import MachineConfig
 def _tracer_mode():
     """Honour ``REPRO_TRACE=1``: run the whole suite with the global tracer
     enabled, so every instrumentation hook executes live during tier-1 tests
-    (the results must be identical either way — tracing is observe-only)."""
+    (the answers must be identical either way — tracing is observe-only).
+    The one exception: the executor skips the section memo while tracing,
+    so the tests that count memo hits (``TestSectionMemo`` in
+    ``test_kernel_hotpath.py``, ``test_lru.py``'s
+    ``test_execute_section_matches_serial`` and ``test_validate.py``'s
+    ``test_poisoned_memo_is_caught``) fail under it."""
     if os.environ.get("REPRO_TRACE", "") not in ("", "0"):
         from repro.obs import get_tracer
 

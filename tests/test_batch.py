@@ -502,7 +502,8 @@ class TestOneAnswerPerGridPoint:
         reordered = BatchPredictor(prophet, jobs=1).sweep(profile, **backwards)
         assert _keyed(reordered["workload"]) == cold
 
-        # Tracing on sends every point through the eager emulators.
+        # Tracing on: delegated sections replay on traced kernels and skip
+        # the section memo.
         clear_section_memo()
         old = set_tracer(Tracer(enabled=True))
         try:

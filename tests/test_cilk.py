@@ -152,7 +152,7 @@ class TestCilkFor:
 
         def root(ctx):
             pool = ctx.pool
-            yield from pool.cilk_for(ctx, bodies)
+            yield from pool.loop(ctx, bodies)
 
         run_pool(machine4, root, 4)
         assert sorted(ran) == list(range(25))
@@ -162,7 +162,7 @@ class TestCilkFor:
             yield Compute(cycles=50_000)
 
         def root(ctx):
-            yield from ctx.pool.cilk_for(ctx, [body] * 16)
+            yield from ctx.pool.loop(ctx, [body] * 16)
 
         _, end = run_pool(machine4, root, 4)
         assert end == pytest.approx(200_000.0, rel=0.15)
@@ -176,7 +176,7 @@ class TestCilkFor:
             yield Compute(cycles=20_000)
 
         def root(ctx):
-            yield from ctx.pool.cilk_for(ctx, [big] + [small] * 20, grain=1)
+            yield from ctx.pool.loop(ctx, [big] + [small] * 20, grain=1)
 
         _, end = run_pool(machine4, root, 4)
         serial = 400_000 + 20 * 20_000
@@ -187,7 +187,7 @@ class TestCilkFor:
 
     def test_empty_for(self, machine4):
         def root(ctx):
-            yield from ctx.pool.cilk_for(ctx, [])
+            yield from ctx.pool.loop(ctx, [])
 
         _, end = run_pool(machine4, root, 2)
         assert end == 0.0
@@ -200,7 +200,7 @@ class TestCilkFor:
             yield Compute(cycles=100)
 
         def root(ctx):
-            yield from ctx.pool.cilk_for(ctx, [body] * 8, grain=8)
+            yield from ctx.pool.loop(ctx, [body] * 8, grain=8)
 
         pool, _ = run_pool(machine4, root, 4)
         assert pool.spawns == 0
@@ -227,7 +227,7 @@ class TestPoolMechanics:
         pool = CilkPool(kernel, n_workers=6, overheads=ZERO_OH)
 
         def root(ctx):
-            yield from pool.cilk_for(ctx, [body(i) for i in range(12)])
+            yield from pool.loop(ctx, [body(i) for i in range(12)])
 
         def master():
             yield from pool.run(root)

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, _predict_point
 from repro.core.columnar import ColumnarEngine, _SecCols, verify_points
-from repro.core.executor import clear_section_memo
+from repro.core.executor import ReplayMode, clear_section_memo
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.executor import ParallelExecutor
 from repro.core.report import SpeedupReport
 from repro.core.synthesizer import Synthesizer
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, Tracer, set_metrics
 from repro.runtime.overhead import RuntimeOverheads
 from repro.runtime.tasks import Schedule
 from repro.simhw import MachineConfig
@@ -105,6 +105,28 @@ def mixed_signature_loop(tr):
                     )
                 else:
                     tr.compute(20_000)
+
+
+def repeated_loop(tr):
+    for _ in range(7):
+        with tr.section("rep"):
+            for i in range(5):
+                with tr.task():
+                    tr.compute(
+                        7_000 + 1_000 * (i % 2),
+                        mem=MemSpec(AccessPattern.STREAMING, bytes_touched=300_000),
+                    )
+
+
+def _repeated_profile(prophet):
+    """``repeated_loop``'s profile: one section activated 7 times, each
+    task's leaf repeated 7 times."""
+    profile = prophet.profile(repeated_loop)
+    (sec,) = profile.tree.top_level_sections()
+    assert sec.repeat == 7
+    for task in sec.children:
+        task.children[0].repeat = 7
+    return profile
 
 
 @pytest.fixture(scope="module")
@@ -436,24 +458,7 @@ class TestFixtureParity:
         """Repeated activations and repeated leaves under burdens: FAKE
         leaf cycles are ``(length*beta)*repeat`` and the synthesizer sums
         one replay per activation."""
-
-        def repeated(tr):
-            for _ in range(7):
-                with tr.section("rep"):
-                    for i in range(5):
-                        with tr.task():
-                            tr.compute(
-                                7_000 + 1_000 * (i % 2),
-                                mem=MemSpec(
-                                    AccessPattern.STREAMING, bytes_touched=300_000
-                                ),
-                            )
-
-        profile = prophet.profile(repeated)
-        (sec,) = profile.tree.top_level_sections()
-        assert sec.repeat == 7
-        for task in sec.children:
-            task.children[0].repeat = 7
+        profile = _repeated_profile(prophet)
         eager, columnar = _both_backends(
             prophet,
             profile,
@@ -490,6 +495,29 @@ class TestFixtureParity:
 
 
 # ------------------------------------------------- delegation in served points
+
+
+class TestTracedAnswers:
+    def test_repeated_section_traced_equals_untraced(self, prophet):
+        """A repeated section replays once per repeat while tracing (one
+        timeline span each), yet SYN and REAL answers stay ``==`` to the
+        untraced ones, which add one replay's net cycles times the repeat."""
+        profile = _repeated_profile(prophet)
+        for label in ("static,1", "dynamic,1"):
+            schedule = Schedule.parse(label)
+            for t in (2, 3, 4, 8):
+                answers = []
+                for tracer in (Tracer(enabled=False), Tracer(enabled=True)):
+                    syn = Synthesizer(
+                        schedule=schedule, overheads=prophet.overheads,
+                        tracer=tracer,
+                    ).predict(profile, t)
+                    real = ParallelExecutor(
+                        profile.machine, schedule=schedule,
+                        overheads=prophet.overheads, tracer=tracer,
+                    ).execute_profile(profile.tree, t, ReplayMode.REAL)
+                    answers.append((syn.estimate.speedup, real.total_cycles))
+                assert answers[0] == answers[1], f"{label}/t={t}"
 
 
 class TestFallbacks:

@@ -10,9 +10,9 @@ from repro.simos import Compute, SimKernel
 ZERO_OH = RuntimeOverheads().scaled(0.0)
 
 
-def run_pool(machine, root_factory, n_threads, overheads=ZERO_OH):
+def run_pool(machine, root_factory, n_workers, overheads=ZERO_OH):
     kernel = SimKernel(machine)
-    pool = OmpTaskPool(kernel, n_threads=n_threads, overheads=overheads)
+    pool = OmpTaskPool(kernel, n_workers=n_workers, overheads=overheads)
 
     def master():
         yield from pool.run(root_factory)
@@ -29,9 +29,9 @@ class TestTaskSemantics:
 
         def root(ctx):
             for _ in range(3):
-                yield from ctx.task_spawn(leaf)
+                yield from ctx.spawn(leaf)
             yield from leaf(ctx)
-            yield from ctx.taskwait()
+            yield from ctx.sync()
 
         _, end = run_pool(machine4, root, 4)
         assert end == pytest.approx(100_000.0, rel=0.02)
@@ -48,8 +48,8 @@ class TestTaskSemantics:
 
         def root(ctx):
             for i in range(12):
-                yield from ctx.task_spawn(leaf(i))
-            yield from ctx.taskwait()
+                yield from ctx.spawn(leaf(i))
+            yield from ctx.sync()
 
         run_pool(machine4, root, 3)
         assert sorted(ran) == list(range(12))
@@ -63,8 +63,8 @@ class TestTaskSemantics:
             yield Compute(cycles=60_000)
 
         def root(ctx):
-            yield from ctx.task_spawn(slow)
-            yield from ctx.taskwait()
+            yield from ctx.spawn(slow)
+            yield from ctx.sync()
             after.append((yield GetTime()))
 
         run_pool(machine4, root, 2)
@@ -78,13 +78,13 @@ class TestTaskSemantics:
             yield Compute(cycles=40_000)
 
         def child(ctx):
-            yield from ctx.task_spawn(grandchild)
+            yield from ctx.spawn(grandchild)
             yield Compute(cycles=500)
             # no explicit taskwait
 
         def root(ctx):
-            yield from ctx.task_spawn(child)
-            yield from ctx.taskwait()
+            yield from ctx.spawn(child)
+            yield from ctx.sync()
             assert ran == ["gc"]
 
         run_pool(machine4, root, 2)
@@ -95,9 +95,9 @@ class TestTaskSemantics:
                 if depth == 0:
                     yield Compute(cycles=40_000)
                     return
-                yield from ctx.task_spawn(rec(depth - 1))
+                yield from ctx.spawn(rec(depth - 1))
                 yield from rec(depth - 1)(ctx)
-                yield from ctx.taskwait()
+                yield from ctx.sync()
 
             return f
 
@@ -116,7 +116,7 @@ class TestTaskSemantics:
             return f
 
         def root(ctx):
-            yield from ctx.task_loop([body(i) for i in range(10)])
+            yield from ctx.pool.loop(ctx, [body(i) for i in range(10)])
             assert sorted(ran) == list(range(10))
 
         run_pool(machine4, root, 4)
@@ -126,7 +126,7 @@ class TestTaskSemantics:
             yield Compute(cycles=10_000)
 
         def root(ctx):
-            yield from ctx.task_loop([leaf] * 6)
+            yield from ctx.pool.loop(ctx, [leaf] * 6)
 
         _, end = run_pool(machine4, root, 1)
         assert end == pytest.approx(60_000.0, rel=0.01)
@@ -134,17 +134,17 @@ class TestTaskSemantics:
     def test_worker_count_validated(self, machine4):
         kernel = SimKernel(machine4)
         with pytest.raises(ConfigurationError):
-            OmpTaskPool(kernel, n_threads=0)
+            OmpTaskPool(kernel, n_workers=0)
 
     def test_stats(self, machine4):
         def leaf(ctx):
             yield Compute(cycles=100)
 
         def root(ctx):
-            yield from ctx.task_loop([leaf] * 5)
+            yield from ctx.pool.loop(ctx, [leaf] * 5)
 
         pool, _ = run_pool(machine4, root, 2)
-        assert pool.spawned == 5
+        assert pool.spawns == 5
         assert pool.tasks_run == 6  # root + 5
 
 
@@ -190,7 +190,7 @@ class TestExecutorIntegration:
             yield Compute(cycles=0)
 
         def root(ctx):
-            yield from ctx.task_loop([leaf] * 10)
+            yield from ctx.pool.loop(ctx, [leaf] * 10)
 
         _, end = run_pool(machine4, root, 1, overheads=oh)
         assert end >= 10 * 2_000.0
