@@ -440,8 +440,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         # predictions and REAL ground truth alike.  --quick covers the
         # paper's three schedules whatever the harness ran, so the walks'
         # static, static,1 and dynamic chunk cursors are re-verified, and
-        # adds the points the team walk does not model: Cilk FFT and one
-        # oversubscribed FT team.
+        # adds the points the team walk does not model: Cilk FFT (at the
+        # three schedules, so the replay the engine shares across a
+        # schedule column is checked at each) and one oversubscribed FT
+        # team.
         from repro.core.columnar import verify_points
 
         # Saved profiles carry no paradigm; they re-verify as OpenMP.
@@ -460,7 +462,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             fft = get_workload("ompscr_fft")
             col_grids += [
                 (fft.name, prophet.profile(fft.program), fft.paradigm,
-                 [2, 4], ("static",)),
+                 [2, 4], col_schedules),
                 ("npb_ft", profiles["npb_ft"], "omp",
                  [prophet.machine.n_cores + 2], ("static",)),
             ]

@@ -39,9 +39,18 @@ replays each of them for SYN/REAL (``execute_section`` /
 schedule and lock-handoff policy; the task-pool paradigms replay a nowait
 chain's sections one at a time, as the executor does.  The point's totals
 and per-section speedups are summed exactly as ``emulate_profile``,
-``execute_profile`` and ``Synthesizer.predict`` sum them.  Only
-``SimMutex`` consults the handoff policy, so walked sections cannot
-observe it: their cached results serve every explored handoff variant.
+``execute_profile`` and ``Synthesizer.predict`` sum them.
+
+Every result is cached on the engine under a key of the inputs its
+evaluation reads.  Only ``SimMutex`` consults the handoff policy, so the
+policy and its seed key only a delegated item whose subtree holds an
+``L`` node: walked and lock-free sections serve every explored handoff
+variant from one evaluation.  The schedule keys the FF walks, the team
+walks and an OpenMP worksharing replay (paradigm ``omp``, a non-pipeline
+section or a nowait chain); the task pools (``CilkPool``,
+``OmpTaskPool``) and ``replay_pipeline_section`` never read it, so such a
+replay serves every schedule of its (paradigm, t, burden) column.  Both
+flags are computed once per item when the profile is lowered.
 
 The engine serves every grid point, and the eager paths remain the parity
 oracles: every served point is ``==`` its oracle.  The FF walks add the
@@ -113,6 +122,12 @@ class _SecCols:
         self.missy = missy
 
 
+def _locked(item: Node) -> bool:
+    """Whether ``item``'s subtree holds an ``L`` node: only then can a
+    replay of it consult the lock-handoff policy."""
+    return any(node.kind is NodeKind.L for node in item.walk())
+
+
 def _lowerable(item: Node) -> bool:
     """A plain leaf-only section: SEC -> TASK -> U, no pipeline."""
     return (
@@ -132,12 +147,12 @@ class ColumnarEngine:
     Construct once per (profile, overheads) and consult per grid point
     through :meth:`ff_point`, :meth:`syn_point` and :meth:`real_point`,
     which serve every point.  The program is lowered once, at
-    construction; every section's
-    per-point result is cached on the engine, so a whole sweep column
-    shares one lowering and a section replays once across handoff
-    variants.  Serve worker threads may share an engine: its cache only
-    gains entries, and a point two threads race on is computed twice to
-    the same value.
+    construction; every section's per-point result is cached on the
+    engine under the inputs it reads, so a whole sweep column shares one
+    lowering, a lock-free section replays once across handoff variants,
+    and a task-pool or pipeline section once across schedules.  Serve
+    worker threads may share an engine: its cache only gains entries, and
+    a point two threads race on is computed twice to the same value.
     """
 
     def __init__(self, profile, overheads: RuntimeOverheads) -> None:
@@ -150,6 +165,10 @@ class ColumnarEngine:
         self._secs: list[_SecCols] = []
         #: Serial cycles of each section item, by id (FF result records).
         self._serial_of: dict[int, float] = {}
+        #: What each delegated item's replay reads, by id (a nowait
+        #: chain's sections too): ``(schedule, handoff)`` flags, see
+        #: :meth:`_delegate`.
+        self._reads: dict[int, tuple[bool, bool]] = {}
         tree: ProgramTree = profile.tree
         # One tree walk per top-level node; the sums below add these
         # lengths in the order ``serial_cycles`` and the emulators do.
@@ -158,11 +177,19 @@ class ColumnarEngine:
         for item in group_nowait_chains(top):
             if isinstance(item, list):  # a nowait chain: delegated
                 serial = sum(length[id(sec)] for sec in item)
+                for sec in item:  # task pools replay them one at a time
+                    self._reads[id(sec)] = (True, _locked(sec))
+                self._reads[id(item)] = (
+                    True, any(self._reads[id(sec)][1] for sec in item)
+                )
             elif item.kind is NodeKind.U:
                 self._items.append(item.length * item.repeat)
                 continue
             else:
                 serial = length[id(item)]
+                # A lowered section is delegated when its point's team is
+                # not walked.
+                self._reads[id(item)] = (not item.pipeline, _locked(item))
                 if _lowerable(item):
                     item = _SecCols(item, self.machine)
                     self._secs.append(item)
@@ -276,14 +303,32 @@ class ColumnarEngine:
         cached on the engine per point.  ``mode`` ``_FF`` runs it on the FF
         heap walk as ``emulate_profile`` does; a :class:`ReplayMode`
         replays it under ``paradigm`` exactly as
-        ``ParallelExecutor.execute_profile`` does (section memo included)."""
+        ``ParallelExecutor.execute_profile`` does (section memo included).
+
+        The cache key holds only the inputs the evaluation reads.  The
+        schedule is read by the FF walk and by an OpenMP worksharing
+        replay (paradigm ``omp``, a non-pipeline section or a nowait
+        chain); the task pools and ``replay_pipeline_section`` never read
+        it, so one replay serves every schedule of the point's column.  The
+        handoff policy and seed are read only by ``SimMutex``, so they key
+        an item only when its subtree holds an ``L`` node.  Both flags were
+        computed when the profile was lowered."""
         chain = isinstance(item, list)
         if chain:
             beta = tuple(burdens.get(sec.name, 1.0) for sec in item)
         else:
             beta = burdens.get(item.name, 1.0)
-        key = (mode, paradigm, id(item), schedule.kind, schedule.chunk, t,
-               beta, handoff, handoff_seed)
+        iid = id(item)
+        worksharing, locked = self._reads[iid]
+        if mode is _FF or (worksharing and paradigm == "omp"):
+            kind, chunk = schedule.kind, schedule.chunk
+        else:
+            kind = chunk = None
+        if locked:
+            key = (mode, paradigm, iid, kind, chunk, t, beta, handoff,
+                   handoff_seed)
+        else:
+            key = (mode, paradigm, iid, kind, chunk, t, beta)
         cached = self._point_cache.get(key)
         if cached is not None:
             return cached

@@ -178,7 +178,8 @@ class ParallelExecutor:
         ranges), or ``"omp_task"`` (OpenMP 3.0 tasking: one team draining a
         shared task queue; nested sections become task groups).
     schedule:
-        OpenMP loop schedule; ignored by the Cilk paradigm.
+        OpenMP worksharing-loop schedule; ignored by both task-pool
+        paradigms (``"cilk"``, ``"omp_task"``) and by pipeline sections.
     overheads:
         Runtime overhead constants, shared with the FF emulator.
     handoff, handoff_seed:
@@ -480,7 +481,7 @@ class ParallelExecutor:
         else:
             pool_cls = CilkPool if self.paradigm == "cilk" else OmpTaskPool
             pool = pool_cls(kernel, n_threads, self.overheads)
-            bodies = self._pool_bodies(sec, pool.loop, locks, mode, burden, ohmgr)
+            bodies = self._bodies(sec, pool.loop, locks, mode, burden, ohmgr, None)
 
             def master() -> Generator[Any, Any, None]:
                 yield from pool.run(lambda ctx: pool.loop(ctx, bodies))
@@ -531,96 +532,74 @@ class ParallelExecutor:
         burden: float,
         ohmgr: _OverheadManager,
     ) -> list[Callable[[], Generator[Any, Any, None]]]:
-        bodies: list[Callable[[], Generator[Any, Any, None]]] = []
-        for task in sec.children:
-            factory = self._omp_task_body(task, omp, n_threads, locks, mode, burden, ohmgr)
-            bodies.extend([factory] * task.repeat)
-        return bodies
+        """:meth:`_bodies` under an OpenMP team: a nested section forks a
+        nested team of ``n_threads``, and each lock pays the OpenMP lock
+        calls."""
 
-    def _omp_task_body(
-        self,
-        task: Node,
-        omp: OmpRuntime,
-        n_threads: int,
-        locks: dict[int, SimMutex],
-        mode: ReplayMode,
-        burden: float,
-        ohmgr: _OverheadManager,
-    ) -> Callable[[], Generator[Any, Any, None]]:
-        executor = self
+        def nested(ctx, sub: list) -> Generator[Any, Any, None]:
+            return omp.parallel_for(
+                sub, n_threads=n_threads, schedule=self.schedule
+            )
 
-        def body() -> Generator[Any, Any, None]:
-            for node in task.children:
-                yield from executor._node_visit_overhead(
-                    mode, ohmgr, recursive=node.kind is NodeKind.SEC
-                )
-                if node.kind is NodeKind.U:
-                    req = executor._leaf_compute(node, mode, burden)
-                    yield Compute(
-                        cycles=req.cycles * node.repeat,
-                        instructions=req.instructions * node.repeat,
-                        llc_misses=req.llc_misses * node.repeat,
-                    )
-                elif node.kind is NodeKind.L:
-                    mutex = locks.setdefault(node.lock_id, SimMutex(f"lock{node.lock_id}"))
-                    for _ in range(node.repeat):
-                        yield Compute(cycles=executor.overheads.omp_lock_acquire)
-                        yield Acquire(mutex)
-                        yield executor._leaf_compute(node, mode, burden)
-                        yield Release(mutex)
-                        yield Compute(cycles=executor.overheads.omp_lock_release)
-                elif node.kind is NodeKind.SEC:
-                    sub = executor._omp_bodies(
-                        node, omp, n_threads, locks, mode, burden, ohmgr
-                    )
-                    for _ in range(node.repeat):
-                        yield from omp.parallel_for(
-                            sub, n_threads=n_threads, schedule=executor.schedule
-                        )
-                else:  # pragma: no cover - validated trees
-                    raise EmulationError(f"bad node inside task: {node!r}")
+        oh = self.overheads
+        return self._bodies(
+            sec, nested, locks, mode, burden, ohmgr,
+            (oh.omp_lock_acquire, oh.omp_lock_release),
+        )
 
-        return body
-
-    def _pool_bodies(
+    def _bodies(
         self,
         sec: Node,
-        for_op: Callable[[Any, list], Generator[Any, Any, None]],
+        nested: Callable[[Any, list], Generator[Any, Any, None]],
         locks: dict[int, SimMutex],
         mode: ReplayMode,
         burden: float,
         ohmgr: _OverheadManager,
-    ) -> list[Callable[[Any], Generator[Any, Any, None]]]:
-        """Task bodies for a task-pool paradigm (Cilk / OpenMP tasking).
+        lock_costs: Optional[tuple[float, float]],
+    ) -> list[Callable[..., Generator[Any, Any, None]]]:
+        """Loop bodies of ``sec``, one per iteration (a task repeated
+        ``r`` times gives ``r`` references to one body).
 
-        Bodies take the executing context; ``for_op(ctx, bodies)`` (the
-        pool's ``loop``) runs a group of bodies in parallel within that
-        context (``cilk_for`` or an OpenMP task group).
+        A body takes the executing task-pool context, or nothing under an
+        OpenMP team.  ``nested(ctx, sub)`` runs a nested section's bodies
+        from that context: an OpenMP ``parallel_for`` team, a nested
+        ``cilk_for`` or an OpenMP task group.  ``lock_costs`` are the
+        ``(acquire, release)`` cycles the OpenMP lock calls pay around
+        each lock; the task pools pay none.  Nested sections are lowered
+        here, once per task body, not on every body run.
         """
-        bodies: list[Callable[[Any], Generator[Any, Any, None]]] = []
+        bodies: list[Callable[..., Generator[Any, Any, None]]] = []
         for task in sec.children:
-            factory = self._pool_task_body(task, for_op, locks, mode, burden, ohmgr)
-            bodies.extend([factory] * task.repeat)
+            body = self._task_body(
+                task, nested, locks, mode, burden, ohmgr, lock_costs
+            )
+            bodies.extend([body] * task.repeat)
         return bodies
 
-    def _pool_task_body(
+    def _task_body(
         self,
         task: Node,
-        for_op: Callable[[Any, list], Generator[Any, Any, None]],
+        nested: Callable[[Any, list], Generator[Any, Any, None]],
         locks: dict[int, SimMutex],
         mode: ReplayMode,
         burden: float,
         ohmgr: _OverheadManager,
-    ) -> Callable[[Any], Generator[Any, Any, None]]:
-        executor = self
+        lock_costs: Optional[tuple[float, float]],
+    ) -> Callable[..., Generator[Any, Any, None]]:
+        subs = [
+            self._bodies(node, nested, locks, mode, burden, ohmgr, lock_costs)
+            if node.kind is NodeKind.SEC
+            else None
+            for node in task.children
+        ]
 
-        def body(ctx) -> Generator[Any, Any, None]:
-            for node in task.children:
-                yield from executor._node_visit_overhead(
+        def body(ctx=None) -> Generator[Any, Any, None]:
+            for node, sub in zip(task.children, subs):
+                yield from self._node_visit_overhead(
                     mode, ohmgr, recursive=node.kind is NodeKind.SEC
                 )
                 if node.kind is NodeKind.U:
-                    req = executor._leaf_compute(node, mode, burden)
+                    req = self._leaf_compute(node, mode, burden)
                     yield Compute(
                         cycles=req.cycles * node.repeat,
                         instructions=req.instructions * node.repeat,
@@ -629,19 +608,20 @@ class ParallelExecutor:
                 elif node.kind is NodeKind.L:
                     mutex = locks.setdefault(node.lock_id, SimMutex(f"lock{node.lock_id}"))
                     for _ in range(node.repeat):
+                        if lock_costs is not None:
+                            yield Compute(cycles=lock_costs[0])
                         yield Acquire(mutex)
-                        yield executor._leaf_compute(node, mode, burden)
+                        yield self._leaf_compute(node, mode, burden)
                         yield Release(mutex)
+                        if lock_costs is not None:
+                            yield Compute(cycles=lock_costs[1])
                 elif node.kind is NodeKind.SEC:
-                    # Nested parallelism in the context of the worker
-                    # actually executing this body: a nested cilk_for or an
-                    # OpenMP task group — the pool schedules the rest (why
-                    # these paradigms shine on Fig. 1(b) patterns).
-                    sub = executor._pool_bodies(
-                        node, for_op, locks, mode, burden, ohmgr
-                    )
+                    # Nested parallelism from the context executing this
+                    # body: OpenMP forks a nested physical team; the task
+                    # pools schedule the group on their workers (why they
+                    # shine on Fig. 1(b) patterns).
                     for _ in range(node.repeat):
-                        yield from for_op(ctx, sub)
+                        yield from nested(ctx, sub)
                 else:  # pragma: no cover - validated trees
                     raise EmulationError(f"bad node inside task: {node!r}")
 

@@ -7,12 +7,14 @@ variant is always sampled: it is byte-identical to the un-explored prediction,
 so the envelope is anchored on the number every other caller already sees,
 and the point estimate the report carries stays unchanged.
 
-Only lock handoffs can tell the variants apart, and the columnar engine
-answers lock-free sections without consulting the policy: its point cache
-keys them by (schedule, threads, burden) alone, so exploring N variants of
-a lock-free workload replays nothing through the executor.  Lock-bearing
-sections replay once per variant (the section memo keys them by policy and
-seed, so explored replays never answer for one another).
+Only lock handoffs can tell the variants apart, and only ``SimMutex``
+reads the policy: the columnar engine's point cache keys a section by the
+policy and seed only when its subtree holds an ``L`` node.  Exploring N
+variants of a lock-free section therefore evaluates it once: a walked
+section never reaches the executor, and a delegated one (Cilk, nested,
+``t > n_cores``) replays once per (section, t).  Lock-bearing sections
+replay once per variant (the section memo keys them by policy and seed,
+so explored replays never answer for one another).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
+        """Record one sample: bump the count and sum, widen min/max."""
         self.count += 1
         self.total += value
         if value < self.min:
@@ -52,6 +53,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def snapshot(self) -> dict[str, float]:
+        """``{count, sum, min, max}`` as a plain dict (min/max 0 when
+        empty)."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -60,6 +63,7 @@ class Histogram:
         }
 
     def merge(self, snap: dict[str, float]) -> None:
+        """Fold another histogram's :meth:`snapshot` into this one."""
         incoming = int(snap["count"])
         if incoming == 0:
             return
@@ -99,6 +103,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------- reading
 
     def counter_value(self, name: str) -> float:
+        """Counter ``name``'s value; 0.0 if it was never incremented."""
         return self._counters.get(name, 0.0)
 
     def counters(self, prefix: Optional[str] = None) -> dict[str, float]:
@@ -114,9 +119,11 @@ class MetricsRegistry:
         }
 
     def gauge_value(self, name: str) -> Optional[float]:
+        """Gauge ``name``'s last set value, or None if never set."""
         return self._gauges.get(name)
 
     def histogram(self, name: str) -> Optional[Histogram]:
+        """Histogram ``name`` (live, not a copy), or None if never observed."""
         return self._histograms.get(name)
 
     # ----------------------------------------------------- snapshot contract

@@ -114,6 +114,7 @@ class Deadline:
         return max(0.0, self._expires - time.monotonic())
 
     def expired(self) -> bool:
+        """Whether the deadline has passed."""
         return time.monotonic() >= self._expires
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

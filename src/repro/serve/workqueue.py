@@ -49,6 +49,8 @@ class Job:
         self._done = threading.Event()
 
     def finish(self, result: Any = None, error: Optional[BaseException] = None) -> None:
+        """Complete the job with ``result`` or ``error`` and wake its
+        waiters."""
         self.result = result
         self.error = error
         self._done.set()
@@ -193,6 +195,8 @@ class WorkQueue:
     # ----------------------------------------------------------------- stats
 
     def stats(self) -> dict[str, int]:
+        """A consistent snapshot of the queue's depth, workers and job
+        counters (the serve daemon's ``GET /stats`` queue block)."""
         with self._lock:
             return {
                 "depth": self.depth,

@@ -162,6 +162,8 @@ class RidgeEnsemble:
     # ----------------------------------------------------------- persistence
 
     def to_dict(self) -> dict:
+        """JSON-ready parameters of the fitted ensemble; raises
+        :class:`ConfigurationError` if it is unfitted."""
         if not self.fitted:
             raise ConfigurationError("cannot serialise an unfitted ensemble")
         return {
@@ -311,6 +313,8 @@ class Surrogate:
     # ----------------------------------------------------------- persistence
 
     def to_dict(self) -> dict:
+        """The model file's payload: format tag, features, spread
+        thresholds, coverage and the ensemble's parameters."""
         return {
             "format": FORMAT_VERSION,
             "kind": "repro-surrogate",
@@ -327,6 +331,7 @@ class Surrogate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
     def save(self, path) -> None:
+        """Write :meth:`to_json` to ``path``."""
         Path(path).write_text(self.to_json())
 
     @classmethod

@@ -134,9 +134,12 @@ class DifferentialReport:
         return [r for r in self.records if r.status == "ok"]
 
     def merge(self, other: "DifferentialReport") -> None:
+        """Append ``other``'s records to this report."""
         self.records.extend(other.records)
 
     def summary(self) -> str:
+        """One count line (ok / expected divergences / violations), then
+        every record that is not ok."""
         lines = [
             f"differential: {len(self.records)} grid point(s) — "
             f"{len(self.ok)} ok, "

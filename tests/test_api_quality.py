@@ -27,6 +27,11 @@ PACKAGES = [
 
 
 def _walk_modules():
+    """Every module of ``repro``: the ``PACKAGES`` and their modules, then
+    every other module ``pkgutil.walk_packages`` finds (the modules of
+    ``repro.obs``, ``serve``, ``explore``, ``validate`` and ``surrogate``).
+    The ``repro`` entry lists the other ``PACKAGES`` a second time, which
+    gives their cases the ids ``[repro.core0]``/``[repro.core1]``."""
     seen = []
     for pkg_name in PACKAGES:
         pkg = importlib.import_module(pkg_name)
@@ -34,6 +39,10 @@ def _walk_modules():
         for info in pkgutil.iter_modules(pkg.__path__, prefix=pkg_name + "."):
             if info.name.endswith("__main__"):
                 continue  # importing it would run the CLI
+            seen.append(importlib.import_module(info.name))
+    names = {module.__name__ for module in seen}
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.name not in names and not info.name.endswith("__main__"):
             seen.append(importlib.import_module(info.name))
     return seen
 

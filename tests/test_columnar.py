@@ -275,7 +275,8 @@ class TestColumnarParityProperty:
         serves every SYN/REAL point, replays exactly the sections the team
         walk does not model through the executor (all of them for the
         task-pool paradigms and for t=5,6 on the 4-core machine), and is
-        ``==`` the eager reference."""
+        ``==`` the eager reference.  A task-pool replay never reads the
+        schedule, so it runs once across the three schedules."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(items))
         engine = ColumnarEngine(profile, prophet.overheads)
@@ -284,7 +285,7 @@ class TestColumnarParityProperty:
         metrics = MetricsRegistry()
         old = set_metrics(metrics)
         try:
-            for schedule in ("static", "static,1", "dynamic,1"):
+            for i, schedule in enumerate(("static", "static,1", "dynamic,1")):
                 task = SweepTask("workload", schedule, n_threads, methods,
                                  paradigm=paradigm, memory_model=False,
                                  handoff=handoff)
@@ -294,9 +295,10 @@ class TestColumnarParityProperty:
                     profile, prophet.overheads, task, ff, engine
                 )
                 replays = metrics.counter_value("replay.sections") - before
-                assert replays == 2 * _delegated_items(
+                shared = i > 0 and paradigm != "omp"
+                assert replays == (0 if shared else 2 * _delegated_items(
                     engine, paradigm, n_threads
-                )
+                ))
                 clear_section_memo()
                 eager = _predict_point(
                     profile, prophet.overheads, task, ff, engine=None
@@ -748,6 +750,122 @@ class TestSectionDelegation:
             memory_model=False,
         ).estimates
         assert served == eager
+
+
+def _strip_locks(items):
+    """Drop every lock, nested sections included; keep the shapes."""
+
+    def section(desc):
+        kind, tasks = desc
+        return (
+            kind,
+            [
+                ([(op, cyc, mem, None) for op, cyc, mem, _ in ops],
+                 [section(sub) for sub in nested])
+                for ops, nested in tasks
+            ],
+        )
+
+    return [it if isinstance(it, float) else section(it) for it in items]
+
+
+@st.composite
+def pipeline_programs(draw):
+    """One pipeline section: 1-5 iterations of 1-3 stages, each stage a
+    compute that may take one of two locks."""
+    n_stages = draw(st.integers(min_value=1, max_value=3))
+    iters = draw(st.lists(
+        st.lists(
+            st.tuples(st.floats(min_value=1_000.0, max_value=60_000.0),
+                      st.sampled_from([None, None, 1, 2])),
+            min_size=n_stages, max_size=n_stages,
+        ),
+        min_size=1, max_size=5,
+    ))
+
+    def program(tr):
+        with tr.section("pipe", pipeline=True):
+            for stages in iters:
+                with tr.task():
+                    for cycles, lock in stages:
+                        with tr.stage():
+                            if lock is None:
+                                tr.compute(cycles)
+                            else:
+                                with tr.lock(lock):
+                                    tr.compute(cycles)
+
+    return program
+
+
+def _section_run(sec, paradigm, schedule, t, mode, handoff="fifo", seed=0):
+    """One uncached executor replay of ``sec``."""
+    executor = ParallelExecutor(
+        machine=M4, paradigm=paradigm, schedule=Schedule.parse(schedule),
+        handoff=handoff, handoff_seed=seed,
+    )
+    return executor._execute_section_uncached(sec, t, mode, 1.0)
+
+
+SCHEDULES = ["static", "static,1", "static,3", "dynamic,1", "dynamic,2",
+             "guided,2"]
+
+
+class TestReplayKeyRule:
+    """The engine keys a delegated replay by the inputs it reads: no
+    schedule for a task-pool or pipeline replay, no handoff policy for a
+    lock-free one.  Each dropped input must leave the replay's whole
+    ``SectionRun`` ``==``."""
+
+    @given(
+        st.one_of(programs().map(build_program), pipeline_programs()),
+        st.sampled_from(["omp", "cilk", "omp_task"]),
+        st.sampled_from(SCHEDULES),
+        st.sampled_from(SCHEDULES),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([ReplayMode.FAKE, ReplayMode.REAL]),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_pool_and_pipeline_replays_ignore_the_schedule(
+        self, program, paradigm, s1, s2, n_threads, mode
+    ):
+        profile = ParallelProphet(machine=M4).profile(program)
+        for sec in profile.tree.top_level_sections():
+            if paradigm == "omp" and not sec.pipeline:
+                continue  # a worksharing replay reads the schedule
+            assert _section_run(sec, paradigm, s1, n_threads, mode) == (
+                _section_run(sec, paradigm, s2, n_threads, mode)
+            ), f"{paradigm}/{sec.name}: {s1} vs {s2}"
+
+    @given(
+        programs(),
+        st.sampled_from(["omp", "cilk", "omp_task"]),
+        st.sampled_from(SCHEDULES),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([ReplayMode.FAKE, ReplayMode.REAL]),
+    )
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_lock_free_replays_ignore_the_handoff(
+        self, items, paradigm, schedule, n_threads, mode
+    ):
+        profile = ParallelProphet(machine=M4).profile(
+            build_program(_strip_locks(items))
+        )
+        for sec in profile.tree.top_level_sections():
+            fifo = _section_run(sec, paradigm, schedule, n_threads, mode)
+            for handoff, seed in (("lifo", 0), ("adversarial", 0),
+                                  ("random", 0), ("random", 7)):
+                assert _section_run(
+                    sec, paradigm, schedule, n_threads, mode, handoff, seed
+                ) == fifo, f"{paradigm}/{sec.name}/{handoff}:{seed}"
 
 
 # ------------------------------------------------------------- configuration

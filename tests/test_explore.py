@@ -338,6 +338,31 @@ class TestExplorer:
         assert mine.counter_value("columnar.hits") == 16.0
         assert mine.counter_value("replay.sections") == 0
 
+    def test_lock_free_delegated_sections_replay_once_per_variant_set(self):
+        """A lock-free section the engine delegates (here Cilk FFT) replays
+        once per (section, t): every other handoff variant is served from
+        the engine's point cache, which keys a lock-free replay without
+        the policy, and the envelopes are degenerate."""
+        from repro.workloads import get_workload
+
+        wl = get_workload("ompscr_fft")
+        prophet = ParallelProphet(machine=MachineConfig(n_cores=8))
+        profile = prophet.profile(wl.program)
+        n_sections = len(profile.tree.top_level_sections())
+        clear_section_memo()
+        mine = MetricsRegistry()
+        old = set_metrics(mine)
+        try:
+            report = Explorer(prophet, samples=6).explore(
+                {"fft": profile}, threads=[2, 4], paradigm=wl.paradigm
+            )["fft"]
+        finally:
+            set_metrics(old)
+        assert wl.paradigm == "cilk"
+        assert [env.n_samples for env in report.envelopes] == [6, 6]
+        assert all(env.lo == env.hi for env in report.envelopes)
+        assert mine.counter_value("replay.sections") == 2 * n_sections
+
     def test_verify_envelope_extremes_reproduce_uncached(self):
         prophet = self._prophet()
         profile = self._locky_profile(seed=3)
