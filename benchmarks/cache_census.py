@@ -36,19 +36,19 @@ from repro.obs import MetricsRegistry, get_metrics, set_metrics  # noqa: E402
 #: DRAM-solve memo counts of the team walks (the registry's
 #: ``dram.solve.*`` also includes the kernels' pools).
 _WALK = {"hits": 0.0, "misses": 0.0}
-_drive_walks = columnar._drive_walks
+_team_walk = columnar._team_walk
 
 
-def _counted_drive_walks(walks, machine):
+def _counted_team_walk(*args, **kwargs):
     m = get_metrics()
     before = {k: m.counter_value(f"dram.solve.{k}") for k in _WALK}
-    out = _drive_walks(walks, machine)
+    out = _team_walk(*args, **kwargs)
     for k in _WALK:
         _WALK[k] += m.counter_value(f"dram.solve.{k}") - before[k]
     return out
 
 
-columnar._drive_walks = _counted_drive_walks
+columnar._team_walk = _counted_team_walk
 
 
 def _fresh() -> None:

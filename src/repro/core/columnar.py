@@ -21,11 +21,10 @@ evaluator per method:
   member's ops are ``OmpRuntime._member_work``'s expanded stream — a
   dispatch per chunk (per iteration in a one-member team), then the
   iterations' leaf ops — from a chain built from the RLE runs, or from a
-  shared ``Schedule.chunks`` cursor for the dynamic family.  The walks'
-  DRAM solves are *batched*: every walk in flight yields its
-  (mem-fraction, demand) multiset, and one
-  :meth:`~repro.simhw.dram.DramModel.solve_batch` call bisects all of them
-  with a shared convergence loop and per-lane early-exit masks.
+  shared ``Schedule.chunks`` cursor for the dynamic family.  Each walk
+  keeps its own DRAM-solve memo, as the executor runs one kernel (hence
+  one DRAM pool) per section replay, and on a miss runs the pools' scalar
+  bisection, :meth:`~repro.simhw.dram.DramModel.solve`.
 
 Sections outside that model are *delegated*: lock-bearing, nested and
 pipeline sections, nowait chains, and memory-demanding REAL sections on a
@@ -49,7 +48,9 @@ variant from one evaluation.  The schedule keys the FF walks, the team
 walks and an OpenMP worksharing replay (paradigm ``omp``, a non-pipeline
 section or a nowait chain); the task pools (``CilkPool``,
 ``OmpTaskPool``) and ``replay_pipeline_section`` never read it, so such a
-replay serves every schedule of its (paradigm, t, burden) column.  Both
+replay serves every schedule of its (paradigm, t, burden) column.
+``replay_pipeline_section`` reads no paradigm either, so a pipeline
+section's replay serves every paradigm of its (t, burden) column.  Both
 flags are computed once per item when the profile is lowered.
 
 The engine serves every grid point, and the eager paths remain the parity
@@ -71,8 +72,6 @@ import itertools
 from collections import OrderedDict
 from typing import Literal
 
-import numpy as np
-
 from repro.core.executor import (
     OVERHEAD_ACCESS_NODE,
     ParallelExecutor,
@@ -84,7 +83,12 @@ from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
 from repro.runtime.tasks import Schedule
-from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, _quantize
+from repro.simhw.dram import (
+    DRAM_SOLVE_CACHE,
+    DramModel,
+    SegmentDemand,
+    _quantize,
+)
 from repro.simhw.machine import MachineConfig
 from repro.validate.invariants import get_checker
 
@@ -150,7 +154,8 @@ class ColumnarEngine:
     construction; every section's per-point result is cached on the
     engine under the inputs it reads, so a whole sweep column shares one
     lowering, a lock-free section replays once across handoff variants,
-    and a task-pool or pipeline section once across schedules.  Serve
+    a task-pool or pipeline section once across schedules, and a pipeline
+    section once across paradigms.  Serve
     worker threads may share an engine: its cache only gains entries, and
     a point two threads race on is computed twice to the same value.
     """
@@ -166,9 +171,16 @@ class ColumnarEngine:
         #: Serial cycles of each section item, by id (FF result records).
         self._serial_of: dict[int, float] = {}
         #: What each delegated item's replay reads, by id (a nowait
-        #: chain's sections too): ``(schedule, handoff)`` flags, see
+        #: chain's sections too): ``(pipeline, locked)`` flags, see
         #: :meth:`_delegate`.
         self._reads: dict[int, tuple[bool, bool]] = {}
+        #: The team walks' DRAM solver: one socket's pool, as a walked
+        #: section's replay kernel solves it (stateless; walks keep their
+        #: own memos).
+        self._dram = DramModel(
+            self.machine,
+            peak_bytes_per_sec=self.machine.dram_peak_bytes_per_sec_per_socket,
+        )
         tree: ProgramTree = profile.tree
         # One tree walk per top-level node; the sums below add these
         # lengths in the order ``serial_cycles`` and the emulators do.
@@ -178,9 +190,9 @@ class ColumnarEngine:
             if isinstance(item, list):  # a nowait chain: delegated
                 serial = sum(length[id(sec)] for sec in item)
                 for sec in item:  # task pools replay them one at a time
-                    self._reads[id(sec)] = (True, _locked(sec))
+                    self._reads[id(sec)] = (sec.pipeline, _locked(sec))
                 self._reads[id(item)] = (
-                    True, any(self._reads[id(sec)][1] for sec in item)
+                    False, any(self._reads[id(sec)][1] for sec in item)
                 )
             elif item.kind is NodeKind.U:
                 self._items.append(item.length * item.repeat)
@@ -189,7 +201,7 @@ class ColumnarEngine:
                 serial = length[id(item)]
                 # A lowered section is delegated when its point's team is
                 # not walked.
-                self._reads[id(item)] = (not item.pipeline, _locked(item))
+                self._reads[id(item)] = (item.pipeline, _locked(item))
                 if _lowerable(item):
                     item = _SecCols(item, self.machine)
                     self._secs.append(item)
@@ -269,7 +281,8 @@ class ColumnarEngine:
         if cycles is not None:
             return cycles
         oh = self.overheads
-        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
+        fork = oh.fork_cost(t)
+        disp = oh.dispatch_cost(schedule)
         iters: list = []
         for task, count in zip(sc.node.children, sc.counts):
             # The heap walk's per-leaf step: (length*β)*repeat.
@@ -277,11 +290,9 @@ class ColumnarEngine:
         n = sc.n_iters
         if schedule.is_dynamic_family:
             chunks = [range(c[0], c[-1] + 1) for c in schedule.chunks(n, t)]
-            end = _ff_greedy(t, fork, oh.omp_dynamic_dispatch, chunks, iters)
+            end = _ff_greedy(t, fork, disp, chunks, iters)
         else:
-            end = _ff_static(
-                fork, oh.omp_static_dispatch, schedule.static_chunks(n, t), iters
-            )
+            end = _ff_static(fork, disp, schedule.static_chunks(n, t), iters)
         cycles = end + oh.omp_join_barrier
         self._point_cache[key] = cycles
         return cycles
@@ -309,26 +320,29 @@ class ColumnarEngine:
         schedule is read by the FF walk and by an OpenMP worksharing
         replay (paradigm ``omp``, a non-pipeline section or a nowait
         chain); the task pools and ``replay_pipeline_section`` never read
-        it, so one replay serves every schedule of the point's column.  The
-        handoff policy and seed are read only by ``SimMutex``, so they key
-        an item only when its subtree holds an ``L`` node.  Both flags were
-        computed when the profile was lowered."""
+        it, so one replay serves every schedule of the point's column.
+        ``replay_pipeline_section`` reads no paradigm either, so a pipeline
+        section keys none.  The handoff policy and seed are read only by
+        ``SimMutex``, so they key an item only when its subtree holds an
+        ``L`` node.  Both flags were computed when the profile was
+        lowered."""
         chain = isinstance(item, list)
         if chain:
             beta = tuple(burdens.get(sec.name, 1.0) for sec in item)
         else:
             beta = burdens.get(item.name, 1.0)
         iid = id(item)
-        worksharing, locked = self._reads[iid]
-        if mode is _FF or (worksharing and paradigm == "omp"):
+        pipeline, locked = self._reads[iid]
+        if mode is _FF or (paradigm == "omp" and not pipeline):
             kind, chunk = schedule.kind, schedule.chunk
         else:
             kind = chunk = None
+        reader = None if pipeline else paradigm
         if locked:
-            key = (mode, paradigm, iid, kind, chunk, t, beta, handoff,
+            key = (mode, reader, iid, kind, chunk, t, beta, handoff,
                    handoff_seed)
         else:
-            key = (mode, paradigm, iid, kind, chunk, t, beta)
+            key = (mode, reader, iid, kind, chunk, t, beta)
         cached = self._point_cache.get(key)
         if cached is not None:
             return cached
@@ -361,23 +375,6 @@ class ColumnarEngine:
         self._point_cache[key] = result
         return result
 
-    def _walk_sections(
-        self, walked: list[tuple], schedule: Schedule, t: int
-    ) -> list[tuple]:
-        """Each ``(key, section, beta)``'s team-walk ``(gross, traversal)``,
-        in order, cached under its key.  The uncached walks run in one
-        lockstep driver (batched DRAM bisection)."""
-        cache = self._point_cache
-        walks, keys = [], []
-        for key, sc, beta in walked:
-            if key not in cache:
-                walks.append(self._walk(sc, schedule, t, beta))
-                keys.append(key)
-        if walks:
-            for key, result in zip(keys, _drive_walks(walks, self.machine)):
-                cache[key] = result
-        return [cache[key] for key, _, _ in walked]
-
     def _replay(
         self,
         mode: ReplayMode,
@@ -395,10 +392,11 @@ class ColumnarEngine:
         A lowered section takes the team walk when the walk models its
         replay: an OpenMP team the DES kernel runs one member per core,
         with no preemption and no switch cost, and — for REAL — one DRAM
-        pool or no memory demand.  Every other section is delegated to the
-        executor under the point's paradigm, schedule and ``handoff``; the
-        task-pool paradigms replay a nowait chain's sections one at a
-        time, as the executor groups them."""
+        pool or no memory demand.  Its ``(gross, traversal)`` is cached
+        per (section, schedule, t, β).  Every other section is delegated
+        to the executor under the point's paradigm, schedule and
+        ``handoff``; the task-pool paradigms replay a nowait chain's
+        sections one at a time, as the executor groups them."""
         machine = self.machine
         omp = paradigm == "omp"
         team = omp and t <= machine.n_cores and (
@@ -406,29 +404,25 @@ class ColumnarEngine:
         )
         fake = mode is ReplayMode.FAKE
         one_pool = machine.n_sockets == 1
-
-        def walked(item) -> bool:
-            return (
-                team
-                and isinstance(item, _SecCols)
-                and (fake or one_pool or not item.missy)
-            )
-
-        walks = []
-        for sc in self._secs:
-            if walked(sc):
-                beta = burdens.get(sc.name, 1.0) if fake else None
-                key = (mode, id(sc), schedule.kind, schedule.chunk, t, beta)
-                walks.append((key, sc, beta))
-        results = iter(self._walk_sections(walks, schedule, t))
+        cache = self._point_cache
         total = 0.0
         runs: list[tuple[str, float, int]] = []
         for item in self._items:
             if isinstance(item, float):
                 total += item
                 continue
-            if walked(item):
-                gross, trav = next(results)
+            if (
+                team
+                and isinstance(item, _SecCols)
+                and (fake or one_pool or not item.missy)
+            ):
+                beta = burdens.get(item.name, 1.0) if fake else None
+                key = (mode, id(item), schedule.kind, schedule.chunk, t, beta)
+                walked = cache.get(key)
+                if walked is None:
+                    walked = self._walk(item, schedule, t, beta)
+                    cache[key] = walked
+                gross, trav = walked
                 # Fig. 8 line 26: subtract the longest per-member traversal
                 # (zero in a REAL walk, so its net is its gross).
                 name, net, repeat = item.name, max(0.0, gross - trav), item.repeat
@@ -502,8 +496,7 @@ class ColumnarEngine:
         handoff_seed: int = 0,
     ) -> SpeedupEstimate:
         """Ground-truth (REAL replay) estimate, as
-        ``ParallelExecutor.execute_profile`` computes it.  The team walks'
-        DRAM solves are batched."""
+        ``ParallelExecutor.execute_profile`` computes it."""
         get_metrics().inc("columnar.hits")
         total, _ = self._replay(
             ReplayMode.REAL, schedule, t, paradigm, {}, handoff, handoff_seed
@@ -520,23 +513,22 @@ class ColumnarEngine:
     # ------------------------------------------------------------ team walks
 
     def _walk(self, sc: _SecCols, schedule: Schedule, t: int, beta):
-        """The team walk of ``sc`` at (schedule, t): the REAL replay when
-        ``beta`` is None, else the FAKE replay at burden ``beta``.
+        """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
+        t): the REAL replay when ``beta`` is None, else the FAKE replay at
+        burden ``beta``.
 
         Op streams follow ``OmpRuntime._member_work``'s expanded lowering:
         a dispatch per chunk (per iteration in a one-member team) followed
         by the iterations' leaf ops, from a chain, or from a shared chunk
         cursor under a dynamic-family schedule."""
         oh = self.overheads
-        fork = oh.omp_fork_base + oh.omp_fork_per_thread * (t - 1)
+        fork = oh.fork_cost(t)
         start = float(fork) if fork > 0.0 else 0.0
         jb = oh.omp_join_barrier
         prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
         trav = [0.0] * t
         dynamic = schedule.is_dynamic_family
-        disp = float(
-            oh.omp_dynamic_dispatch if dynamic else oh.omp_static_dispatch
-        )
+        disp = float(oh.dispatch_cost(schedule))
         head = [disp] if disp > 0.0 else []
         iters: list = []
         iter_trav: list = []
@@ -575,7 +567,8 @@ class ColumnarEngine:
                 chunk_trav.append(tr)
             chains = [[]] + [prefix] * (t - 1)
             return _team_walk(
-                t, start, jb, chains, trav, (chunk_ops, chunk_trav, disp)
+                self._dram, t, start, jb, chains, trav,
+                (chunk_ops, chunk_trav, disp),
             )
 
         if t == 1:
@@ -594,7 +587,7 @@ class ColumnarEngine:
                     tr += x
             trav[w] = tr
             chains.append(ops)
-        return _team_walk(t, start, jb, chains, trav)
+        return _team_walk(self._dram, t, start, jb, chains, trav)
 
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
@@ -657,15 +650,16 @@ def _ff_greedy(t: int, start: float, disp: float, chunks, iters) -> float:
 _NEVER = float("inf")
 
 
-def _team_walk(t, start, jb, chains, trav, cursor=None):
-    """Replay one OpenMP team over per-member op streams.
+def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
+    """Replay one OpenMP team over per-member op streams: returns ``(gross
+    cycles, longest per-member traversal overhead)``.
 
-    A generator that yields the running missy multiset ``[(f, d), ...]``
-    in member order when the DES kernel would solve DRAM contention and
-    the walk's own LRU memo (``DRAM_SOLVE_CACHE`` entries, keyed like the
-    kernel pool's by the quantized multiset) misses; it receives the stall multiplier
-    ``k`` and finally returns ``(gross cycles, longest per-member
-    traversal overhead, memo hits, memo misses)``.
+    When the DES kernel would solve DRAM contention, the walk looks the
+    running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
+    entries, keyed like the kernel pool's by the quantized multiset); on a
+    miss it solves the multiset, in member order, with ``dram.solve`` —
+    the bisection a kernel pool runs on its misses.  The memo's hits and
+    misses are added to the ``dram.solve.*`` counters.
 
     ``chains[w]`` are member ``w``'s ops: a float is a demand-free segment,
     a tuple a missy lane (``_lane``).  With ``cursor = (chunk_ops,
@@ -776,7 +770,12 @@ def _team_walk(t, start, jb, chains, trav, cursor=None):
                         memo.move_to_end(key)
                     else:
                         misses += 1
-                        k = yield [lanes[m][4][1] for m in sorted(lanes)]
+                        segs = [
+                            SegmentDemand(*lanes[m][4][1]) for m in sorted(lanes)
+                        ]
+                        k = dram.solve(
+                            segs, sum(sd.demand_bytes_per_sec for sd in segs)
+                        )
                         memo[key] = k
                         if len(memo) > DRAM_SOLVE_CACHE:
                             memo.popitem(last=False)
@@ -822,57 +821,13 @@ def _team_walk(t, start, jb, chains, trav, cursor=None):
                     counts[x] -= 1
             dirty = True
         dirty = step(w, now) or dirty
-    gross = arrival[0] if t == 1 else max(arrival) + jb
-    return gross, max(trav), hits, misses
-
-
-_START = object()
-
-
-def _drive_walks(walks, machine: MachineConfig) -> list:
-    """Run team walks in lockstep, batching their DRAM solves.
-
-    Each walk keeps its own LRU memo (as the executor runs one kernel —
-    hence one DRAM pool — per section replay); every round, all walks blocked on an
-    unmemoised solve are answered by a single
-    :meth:`DramModel.solve_batch` call.  Returns each walk's
-    ``(gross, traversal)``."""
-    dram = DramModel(
-        machine,
-        peak_bytes_per_sec=machine.dram_peak_bytes_per_sec_per_socket,
-    )
-    results: list = [None] * len(walks)
-    runnable: list = [(i, _START) for i in range(len(walks))]
-    while runnable:
-        blocked: list = []
-        for i, value in runnable:
-            gen = walks[i]
-            try:
-                pairs = next(gen) if value is _START else gen.send(value)
-            except StopIteration as stop:
-                results[i] = stop.value
-                continue
-            blocked.append((i, pairs))
-        runnable = []
-        if not blocked:
-            break
-        width = max(len(pairs) for _, pairs in blocked)
-        fr = np.zeros((len(blocked), width))
-        dm = np.zeros((len(blocked), width))
-        for row, (_, pairs) in enumerate(blocked):
-            for j, (f, d) in enumerate(pairs):
-                fr[row, j] = f
-                dm[row, j] = d
-        ks = dram.solve_batch(fr, dm)
-        runnable = [(i, float(ks[row])) for row, (i, _) in enumerate(blocked)]
-    hits = sum(r[2] for r in results)
-    misses = sum(r[3] for r in results)
     m = get_metrics()
     if hits:
         m.inc("dram.solve.hits", float(hits))
     if misses:
         m.inc("dram.solve.misses", float(misses))
-    return [r[:2] for r in results]
+    gross = arrival[0] if t == 1 else max(arrival) + jb
+    return gross, max(trav)
 
 
 # --------------------------------------------------------------- verification

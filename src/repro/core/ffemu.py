@@ -282,6 +282,8 @@ class _Engine:
         self.max_steps = emu.max_steps
         self.t = n_threads
         self.schedule = schedule
+        #: Cycles of one chunk dispatch under ``schedule``.
+        self.dispatch = self.oh.dispatch_cost(schedule)
         self.burden = burden
         self.cpu_free = [0.0] * n_threads
         self.cpu_busy = [False] * n_threads
@@ -311,18 +313,10 @@ class _Engine:
         self.cpu_busy[walker.cpu] = True
         heapq.heappush(self.heap, (walker.time, self._seq, walker))
 
-    def _dispatch_cost(self) -> float:
-        if self.schedule.is_dynamic_family:
-            return self.oh.omp_dynamic_dispatch
-        return self.oh.omp_static_dispatch
-
-    def _fork_cost(self) -> float:
-        return self.oh.omp_fork_base + self.oh.omp_fork_per_thread * (self.t - 1)
-
     # -- main loop --------------------------------------------------------------
 
     def run(self, sec: Node) -> float:
-        start = self._fork_cost()
+        start = self.oh.fork_cost(self.t)
         tasks = self._expand_tasks(sec)
         instance = _SectionInstance(
             sec, pending=len(tasks), parent=None, reps_left=0, burden=self.burden
@@ -362,7 +356,7 @@ class _Engine:
         loops.  A thread's chunks for loop *i+1* queue behind its loop-*i*
         chunks when loop *i* ends in ``nowait``; a non-nowait boundary
         releases the next loop only when the previous one fully completes."""
-        start = self._fork_cost()
+        start = self.oh.fork_cost(self.t)
         for cpu in range(self.t):
             self.cpu_free[cpu] = start
 
@@ -446,12 +440,12 @@ class _Engine:
                 self._push(walker)
             else:
                 _, ready, chunk_tasks, owner = entry
-                t0 = max(now, ready, self.cpu_free[cpu]) + self._dispatch_cost()
+                t0 = max(now, ready, self.cpu_free[cpu]) + self.dispatch
                 self._push(_Walker(owner, cpu, t0, chunk_tasks))
             return
         if self.top_chunks:
             chunk_tasks = self.top_chunks.popleft()
-            t0 = max(now, self.cpu_free[cpu]) + self._dispatch_cost()
+            t0 = max(now, self.cpu_free[cpu]) + self.dispatch
             assert self.top_instance is not None
             self._push(_Walker(self.top_instance, cpu, t0, chunk_tasks))
 
@@ -518,7 +512,7 @@ class _Engine:
         the paper identifies as the root of the Fig. 7 misprediction.
         """
         tasks = self._expand_tasks(sec)
-        walker.time += self._fork_cost()
+        walker.time += self.oh.fork_cost(self.t)
         if not tasks:
             walker.time += reps_left * self.oh.omp_join_barrier
             self._push(walker)

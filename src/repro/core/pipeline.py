@@ -148,10 +148,11 @@ def ff_pipeline_cycles(
         for g in range(len(groups)):
             upstream = finish[g - 1] if g > 0 else 0.0
             finish[g] = max(upstream, finish[g]) + cluster[j, g]
-    fork = overheads.omp_fork_base + overheads.omp_fork_per_thread * (
-        len(groups) - 1
+    return (
+        overheads.fork_cost(len(groups))
+        + float(finish[-1])
+        + overheads.omp_join_barrier
     )
-    return fork + float(finish[-1]) + overheads.omp_join_barrier
 
 
 # ------------------------------------------------------------------ replay
@@ -227,10 +228,7 @@ def replay_pipeline_section(
             if g + 1 < n_groups:
                 yield EventSet(ready[g + 1][j])
 
-    yield Compute(
-        cycles=overheads.omp_fork_base
-        + overheads.omp_fork_per_thread * (n_groups - 1)
-    )
+    yield Compute(cycles=overheads.fork_cost(n_groups))
     workers = []
     for g in range(1, n_groups):
         w = yield Spawn(worker(g), name=f"pipe-w{g}")

@@ -110,15 +110,13 @@ class OmpRuntime:
         oh = self.overheads
         self.regions_forked += 1
         # Master pays the fork cost (team wakeup + descriptor publication).
-        yield Compute(
-            cycles=oh.omp_fork_base + oh.omp_fork_per_thread * (n_threads - 1)
-        )
+        yield Compute(cycles=oh.fork_cost(n_threads))
 
         if n_threads == 1:
             # Degenerate team: run everything inline, still paying dispatch.
             for bodies, schedule, _nowait in loops:
                 for body in bodies:
-                    yield Compute(cycles=self._dispatch_cost(schedule))
+                    yield Compute(cycles=oh.dispatch_cost(schedule))
                     yield from body()
             return
 
@@ -159,11 +157,6 @@ class OmpRuntime:
 
     # -- internals -----------------------------------------------------------
 
-    def _dispatch_cost(self, schedule: Schedule) -> float:
-        if schedule.is_dynamic_family:
-            return self.overheads.omp_dynamic_dispatch
-        return self.overheads.omp_static_dispatch
-
     def _member_work(
         self,
         tid: int,
@@ -172,7 +165,7 @@ class OmpRuntime:
         owned: Optional[list[list[range]]],
         dynamic: Optional[_DynamicState],
     ) -> Generator[Any, Any, None]:
-        cost = self._dispatch_cost(schedule)
+        cost = self.overheads.dispatch_cost(schedule)
         if dynamic is not None:
             while True:
                 yield Compute(cycles=cost)

@@ -72,6 +72,17 @@ class RuntimeOverheads:
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
 
+    def fork_cost(self, n_threads: int) -> float:
+        """Cycles the master pays to fork a team of ``n_threads``."""
+        return self.omp_fork_base + self.omp_fork_per_thread * (n_threads - 1)
+
+    def dispatch_cost(self, schedule) -> float:
+        """Cycles of one OpenMP loop-chunk dispatch under ``schedule`` (a
+        :class:`~repro.runtime.tasks.Schedule`)."""
+        if schedule.is_dynamic_family:
+            return self.omp_dynamic_dispatch
+        return self.omp_static_dispatch
+
     def scaled(self, factor: float) -> "RuntimeOverheads":
         """All overheads multiplied by ``factor`` (ablation studies)."""
         if factor < 0:

@@ -338,9 +338,7 @@ class OmpTaskPool(TaskPool):
         """Fork the team, run ``root_factory`` on it, then pay the join
         barrier (driven with ``yield from``)."""
         oh = self.overheads
-        yield Compute(
-            cycles=oh.omp_fork_base + oh.omp_fork_per_thread * (self.n_workers - 1)
-        )
+        yield Compute(cycles=oh.fork_cost(self.n_workers))
         yield from super().run(root_factory)
         yield Compute(cycles=oh.omp_join_barrier)
 

@@ -54,7 +54,8 @@ _SOLVE_TOL = 1e-9
 _K_MAX = 1e12
 
 #: Bound of every DRAM-solve memo (entries): each :class:`DramModel`'s
-#: and each columnar team walk's (``repro.core.columnar``).
+#: and each columnar team walk's (``repro.core.columnar``), which sits in
+#: front of :meth:`DramModel.solve` the way a pool's sits in front of it.
 DRAM_SOLVE_CACHE = 256
 
 
@@ -164,13 +165,17 @@ class DramModel:
             self._cache.move_to_end(key)
             return cached
         self.cache_misses += 1
-        k = self._solve(segments, total)
+        k = self.solve(segments, total)
         self._cache[key] = k
         if len(self._cache) > DRAM_SOLVE_CACHE:
             self._cache.popitem(last=False)
         return k
 
-    def _solve(self, segments: Sequence[SegmentDemand], total: float) -> float:
+    def solve(self, segments: Sequence[SegmentDemand], total: float) -> float:
+        """The stall multiplier ``k`` of ``segments``, whose demands sum to
+        ``total`` (> 0), solved without the memo.  :meth:`stall_multiplier`
+        runs it on a memo miss; the columnar team walks, which keep their
+        own memos, call it directly."""
         k_queue = self.queue_factor(self.utilisation(total))
         if self._achieved(segments, k_queue) <= self._peak:
             return k_queue
@@ -212,8 +217,9 @@ class DramModel:
         test-then-double bracket growth with the ``_K_MAX`` cap, same
         200-step bisection with the post-update tolerance check — via
         elementwise IEEE-754 ops and per-lane masks, so batching never
-        changes a result.  The columnar sweep engine uses this to answer
-        many concurrent replay walks with one convergence loop.
+        changes a result.  No evaluator calls it (the columnar team walks
+        solve their misses one at a time with :meth:`solve`); it stays
+        while the end-to-end benchmark's tracer wraps it by name.
 
         This entry point does not read or write ``_cache`` (each caller
         owns its own memo, mirroring the one-pool-per-kernel structure).

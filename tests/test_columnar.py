@@ -811,11 +811,69 @@ SCHEDULES = ["static", "static,1", "static,3", "dynamic,1", "dynamic,2",
              "guided,2"]
 
 
+def pipeline_loop(tr):
+    with tr.section("pipe", pipeline=True):
+        for i in range(6):
+            with tr.task():
+                for cycles in (8_000.0, 12_000.0 + 1_000.0 * (i % 3)):
+                    with tr.stage():
+                        tr.compute(cycles)
+
+
 class TestReplayKeyRule:
     """The engine keys a delegated replay by the inputs it reads: no
-    schedule for a task-pool or pipeline replay, no handoff policy for a
-    lock-free one.  Each dropped input must leave the replay's whole
-    ``SectionRun`` ``==``."""
+    schedule for a task-pool or pipeline replay, no paradigm for a
+    pipeline replay, no handoff policy for a lock-free one.  Each dropped
+    input must leave the replay's whole ``SectionRun`` ``==``."""
+
+    def test_pipeline_replays_once_across_paradigms_and_schedules(
+        self, fresh_metrics
+    ):
+        prophet = ParallelProphet(machine=M8)
+        profile = prophet.profile(pipeline_loop)
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        tasks = [
+            SweepTask("workload", label, 4, ("syn",), paradigm=paradigm,
+                      memory_model=False)
+            for paradigm in ("omp", "cilk", "omp_task")
+            for label in ("static", "dynamic,1")
+        ]
+        clear_section_memo()
+        served = [
+            _predict_point(profile, prophet.overheads, task, ff, engine)
+            for task in tasks
+        ]
+        assert fresh_metrics.counter_value("replay.sections") == 1.0
+        for task, answer in zip(tasks, served):
+            clear_section_memo()
+            eager = _predict_point(
+                profile, prophet.overheads, task, ff, engine=None
+            )
+            assert answer == eager, f"{task.paradigm}/{task.schedule}"
+
+    @given(
+        pipeline_programs(),
+        st.sampled_from(SCHEDULES),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([ReplayMode.FAKE, ReplayMode.REAL]),
+    )
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_pipeline_replays_ignore_the_paradigm(
+        self, program, schedule, n_threads, mode
+    ):
+        (sec,) = ParallelProphet(machine=M4).profile(
+            program
+        ).tree.top_level_sections()
+        omp = _section_run(sec, "omp", schedule, n_threads, mode)
+        for paradigm in ("cilk", "omp_task"):
+            assert _section_run(
+                sec, paradigm, schedule, n_threads, mode
+            ) == omp, paradigm
 
     @given(
         st.one_of(programs().map(build_program), pipeline_programs()),
