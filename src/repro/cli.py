@@ -443,7 +443,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         # adds the points the team walk does not model: Cilk FFT (at the
         # three schedules, so the replay the engine shares across a
         # schedule column is checked at each) and one oversubscribed FT
-        # team.
+        # team.  EP's lock walk is also re-verified under the LIFO and a
+        # seeded-random handoff (SYN and REAL; FF reads no handoff).
         from repro.core.columnar import verify_points
 
         # Saved profiles carry no paradigm; they re-verify as OpenMP.
@@ -455,25 +456,34 @@ def cmd_check(args: argparse.Namespace) -> int:
             ("static", "static,1", "dynamic,1") if args.quick else schedules
         )
         col_grids = [
-            (name, profile, paradigms.get(name, "omp"), threads, col_schedules)
+            (name, profile, paradigms.get(name, "omp"), threads, col_schedules,
+             ("fifo", 0))
             for name, profile in profiles.items()
         ]
         if args.quick:
             fft = get_workload("ompscr_fft")
             col_grids += [
                 (fft.name, prophet.profile(fft.program), fft.paradigm,
-                 [2, 4], col_schedules),
+                 [2, 4], col_schedules, ("fifo", 0)),
                 ("npb_ft", profiles["npb_ft"], "omp",
-                 [prophet.machine.n_cores + 2], ("static",)),
+                 [prophet.machine.n_cores + 2], ("static",), ("fifo", 0)),
+            ] + [
+                ("npb_ep", profiles["npb_ep"], "omp", [2, 4], col_schedules,
+                 handoff)
+                for handoff in (("lifo", 0), ("random", 7))
             ]
         col = {m: 0 for m in ("ff", "syn", "real")}
-        for name, profile, paradigm, col_threads, sched_labels in col_grids:
+        for (name, profile, paradigm, col_threads, sched_labels,
+             (handoff, seed)) in col_grids:
             if memory_model and profile.sections:
                 prophet.attach_burdens(profile, col_threads)
             for method in col:
+                if method == "ff" and handoff != "fifo":
+                    continue
                 checked, mismatches = verify_points(
                     prophet, profile, col_threads, sched_labels,
                     methods=(method,), paradigm=paradigm,
+                    handoff=handoff, handoff_seed=seed,
                 )
                 col[method] += checked
                 for msg in mismatches:

@@ -6,32 +6,39 @@ on that section alone.  The eager path nevertheless re-derives every grid
 point through the FF heap walk, the DES kernel's fork/join machinery and a
 fresh tree traversal.  This module lowers a workload's program tree
 **once**, section by section, and evaluates grid points against the
-lowering.  A lowered section (leaf-only and lock-free) has exactly one
-evaluator per method:
+lowering.  A lowered section (flat: tasks of ``U`` and ``L`` leaves, no
+nesting, no pipeline) has exactly one evaluator per method:
 
-- FF walks the heap walk's per-CPU arithmetic without the heap: a lowered
-  section has no cross-CPU interaction in the FF's abstract machine, so
-  under a static-family schedule each CPU runs its
+- FF walks the heap walk's per-CPU arithmetic without the heap when the
+  section is lock-free: it then has no cross-CPU interaction in the FF's
+  abstract machine, so under a static-family schedule each CPU runs its
   ``Schedule.static_chunks`` in order (``_ff_static``), and
   under ``dynamic``/``guided`` each ``Schedule.chunks`` chunk goes to the
   earliest-free CPU (``_ff_greedy``).  Both add the dispatch and then each
-  leaf's ``(length*β)*repeat`` step in the heap walk's order.
+  leaf's ``(length*β)*repeat`` step in the heap walk's order.  FF of a
+  lock-bearing section stays on the heap walk.
 - SYN and REAL replay one OpenMP team in ``_team_walk``, a lean event walk
-  over per-member op streams (demand-free segments and missy lanes).  A
-  member's ops are ``OmpRuntime._member_work``'s expanded stream — a
-  dispatch per chunk (per iteration in a one-member team), then the
-  iterations' leaf ops — from a chain built from the RLE runs, or from a
-  shared ``Schedule.chunks`` cursor for the dynamic family.  Each walk
-  keeps its own DRAM-solve memo, as the executor runs one kernel (hence
-  one DRAM pool) per section replay, and on a miss runs the pools' scalar
-  bisection, :meth:`~repro.simhw.dram.DramModel.solve`.
+  over per-member op streams (demand-free segments, missy lanes, lock
+  acquires and releases).  A member's ops are ``OmpRuntime._member_work``'s
+  expanded stream — a dispatch per chunk (per iteration in a one-member
+  team), then the iterations' leaf ops, an ``L`` leaf expanded as
+  ``ParallelExecutor._task_body`` lowers it — from a chain built from the
+  RLE runs, or from a shared ``Schedule.chunks`` cursor for the dynamic
+  family.  Locks follow the kernel's direct handoff under the point's
+  ``fifo``, ``lifo`` or ``random`` policy; a woken member moves to the
+  lowest idle core, as the kernel dispatches it.  Each walk keeps its own
+  DRAM-solve memo, as the executor runs one kernel (hence one DRAM pool)
+  per section replay, and on a miss runs the pools' scalar bisection,
+  :meth:`~repro.simhw.dram.DramModel.solve`.
 
-Sections outside that model are *delegated*: lock-bearing, nested and
-pipeline sections, nowait chains, and memory-demanding REAL sections on a
-multi-socket machine — and, for SYN/REAL, every section of a point whose
-team the walk does not model (a Cilk or ``omp_task`` paradigm, ``t >
-n_cores``, or a context-switch cost with ``t > 1``).  FF runs each of
-them on the heap walk (``FastForwardEmulator.emulate_section`` /
+Sections outside that model are *delegated*: nested and pipeline
+sections, nowait chains, lock-bearing sections under the ``adversarial``
+handoff (it ranks waiters by progress only the kernel tracks), and
+memory-demanding REAL sections on a multi-socket machine — and, for
+SYN/REAL, every section of a point whose team the walk does not model (a
+Cilk or ``omp_task`` paradigm, ``t > n_cores``, or a context-switch cost
+with ``t > 1``).  FF runs each of them, and every lock-bearing section,
+on the heap walk (``FastForwardEmulator.emulate_section`` /
 ``emulate_chain``), and one :class:`~repro.core.executor.ParallelExecutor`
 replays each of them for SYN/REAL (``execute_section`` /
 ``execute_chain``, through the section memo) under the point's paradigm,
@@ -42,23 +49,25 @@ and per-section speedups are summed exactly as ``emulate_profile``,
 
 Every result is cached on the engine under a key of the inputs its
 evaluation reads.  Only ``SimMutex`` consults the handoff policy, so the
-policy and its seed key only a delegated item whose subtree holds an
-``L`` node: walked and lock-free sections serve every explored handoff
-variant from one evaluation.  The schedule keys the FF walks, the team
-walks and an OpenMP worksharing replay (paradigm ``omp``, a non-pipeline
-section or a nowait chain); the task pools (``CilkPool``,
-``OmpTaskPool``) and ``replay_pipeline_section`` never read it, so such a
-replay serves every schedule of its (paradigm, t, burden) column.
-``replay_pipeline_section`` reads no paradigm either, so a pipeline
-section's replay serves every paradigm of its (t, burden) column.  Both
-flags are computed once per item when the profile is lowered.
+policy and its seed key only an item whose subtree holds an ``L`` node
+(a walked one keys the seed only under ``random``): lock-free sections
+serve every explored handoff variant from one evaluation.  The schedule
+keys the FF walks, the team walks and an OpenMP worksharing replay
+(paradigm ``omp``, a non-pipeline section or a nowait chain); the task
+pools (``CilkPool``, ``OmpTaskPool``) and ``replay_pipeline_section``
+never read it, so such a replay serves every schedule of its (paradigm,
+t, burden) column.  ``replay_pipeline_section`` reads no paradigm either,
+so a pipeline section's replay serves every paradigm of its (t, burden)
+column.  Both flags are computed once per item when the profile is
+lowered.
 
 The engine serves every grid point, and the eager paths remain the parity
 oracles: every served point is ``==`` its oracle.  The FF walks add the
 heap walk's terms in its order, and the team walk reproduces the DES
 kernel's arithmetic bit for bit (``simos.kernel``'s absolute-form segment
-rating, its demand-signature cache and its ``(time, core)`` event order).
-``columnar.hits`` counts the served points.
+rating, its demand-signature cache, its ``(time, core)`` event order, and
+``simos.sync``'s handoff policies).  ``columnar.hits`` counts the served
+points.
 
 Determinism: results are pure functions of (profile, paradigm, schedule,
 t, handoff);
@@ -69,7 +78,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict
+import random
+from collections import OrderedDict, deque
 from typing import Literal
 
 from repro.core.executor import (
@@ -90,6 +100,7 @@ from repro.simhw.dram import (
     _quantize,
 )
 from repro.simhw.machine import MachineConfig
+from repro.simos import normalize_handoff
 from repro.validate.invariants import get_checker
 
 
@@ -98,25 +109,40 @@ class _SecCols:
 
     __slots__ = (
         "node", "name", "repeat", "n_iters", "counts", "real_ops", "missy",
+        "lock_ids",
     )
 
-    def __init__(self, node: Node, machine: MachineConfig) -> None:
+    def __init__(
+        self, node: Node, machine: MachineConfig, overheads: RuntimeOverheads
+    ) -> None:
         self.node = node
         self.name = node.name
         self.repeat = node.repeat
         stall = machine.base_miss_stall
+        #: Dense index of each lock id, in order of first use (the walk's
+        #: acquire and release ops carry it).
+        lock_ids: dict[int, int] = {}
         #: Per-run REAL ops of one iteration for the team walk.
         real_ops: list[tuple] = []
         missy = False
         for task in node.children:
-            ops = []
+            ops: list = []
             for leaf in task.children:
                 # Leaf-only eligibility is checked by the caller.
-                cc = (leaf.cpu_cycles + leaf.llc_misses * stall) * leaf.repeat
-                mm = leaf.llc_misses * leaf.repeat
-                if cc > 0.0:  # executor._leaf_compute × repeat; else instant
-                    ops.append(_lane(machine, cc, mm) if mm else float(cc))
+                locked = leaf.kind is NodeKind.L
+                # executor._leaf_compute, times the repeat for a U leaf.
+                reps = 1 if locked else leaf.repeat
+                cc = (leaf.cpu_cycles + leaf.llc_misses * stall) * reps
+                mm = leaf.llc_misses * reps
+                body = None
+                if cc > 0.0:  # else instant
+                    body = _lane(machine, cc, mm) if mm else float(cc)
                     missy = missy or bool(mm)
+                if locked:
+                    ix = lock_ids.setdefault(leaf.lock_id, len(lock_ids))
+                    ops += _critical(overheads, ix, body) * leaf.repeat
+                elif body is not None:
+                    ops.append(body)
             real_ops.append(tuple(ops))
         #: Iterations per run (the runs' TASK repeats).
         self.counts = [task.repeat for task in node.children]
@@ -124,6 +150,7 @@ class _SecCols:
         self.real_ops = real_ops
         #: Whether a timed compute demands memory (REAL replays walk it).
         self.missy = missy
+        self.lock_ids = lock_ids
 
 
 def _locked(item: Node) -> bool:
@@ -133,13 +160,16 @@ def _locked(item: Node) -> bool:
 
 
 def _lowerable(item: Node) -> bool:
-    """A plain leaf-only section: SEC -> TASK -> U, no pipeline."""
+    """A flat leaf-only section: SEC -> TASK -> U or L leaves, no nesting,
+    no pipeline.  Its SYN/REAL replay under an OpenMP team is a team walk
+    (locks included, except under the ``adversarial`` handoff); FF walks
+    only a lock-free one and runs a lock-bearing one on the heap walk."""
     return (
         item.kind is NodeKind.SEC
         and not item.pipeline
         and all(
             task.kind is NodeKind.TASK
-            and all(leaf.kind is NodeKind.U for leaf in task.children)
+            and all(leaf.is_leaf for leaf in task.children)
             for task in item.children
         )
     )
@@ -186,6 +216,9 @@ class ColumnarEngine:
         # lengths in the order ``serial_cycles`` and the emulators do.
         top = tree.root.children
         length = {id(node): node.subtree_length() for node in top}
+        #: One lowering per section node: compression shares the node of
+        #: identical sections, so their walks share cache entries too.
+        lowered: dict[int, _SecCols] = {}
         for item in group_nowait_chains(top):
             if isinstance(item, list):  # a nowait chain: delegated
                 serial = sum(length[id(sec)] for sec in item)
@@ -202,10 +235,14 @@ class ColumnarEngine:
                 # A lowered section is delegated when its point's team is
                 # not walked.
                 self._reads[id(item)] = (item.pipeline, _locked(item))
-                if _lowerable(item):
-                    item = _SecCols(item, self.machine)
+                if id(item) in lowered:
+                    item = lowered[id(item)]
+                elif _lowerable(item):
+                    item = lowered[id(item)] = _SecCols(
+                        item, self.machine, overheads
+                    )
                     self._secs.append(item)
-                # else locks, nesting or a pipeline: delegated
+                # else nesting or a pipeline: delegated
             self._serial_of[id(item)] = serial
             self._items.append(item)
         self._serial = sum(length[id(node)] for node in top)
@@ -229,8 +266,9 @@ class ColumnarEngine:
         ``FastForwardEmulator.emulate_profile`` assembles it (per-section
         repeat scaling, result records, invariant checks); never declines.
 
-        Lowered sections take the heap-free walks of ``_ff_section``;
-        delegated items run on the heap walk itself.  Every item's cycles
+        Lock-free lowered sections take the heap-free walks of
+        ``_ff_section``; lock-bearing and delegated items run on the heap
+        walk itself.  Every item's cycles
         are cached per (item, schedule, t, β)."""
         get_metrics().inc("columnar.hits")
         inv = get_checker()
@@ -240,7 +278,7 @@ class ColumnarEngine:
             if isinstance(item, float):
                 total += item
                 continue
-            if isinstance(item, _SecCols):
+            if isinstance(item, _SecCols) and not item.lock_ids:
                 name = item.name
                 cycles = self._ff_section(
                     item, schedule, t, burdens.get(name, 1.0)
@@ -249,7 +287,8 @@ class ColumnarEngine:
                 # FF ignores the paradigm and the lock-handoff policy;
                 # omp and fifo key its cache.
                 name, cycles = self._delegate(
-                    item, schedule, t, _FF, "omp", burdens, "fifo", 0
+                    item.node if isinstance(item, _SecCols) else item,
+                    schedule, t, _FF, "omp", burdens, "fifo", 0,
                 )
             serial = self._serial_of[id(item)]
             if not isinstance(item, list):
@@ -392,10 +431,12 @@ class ColumnarEngine:
         A lowered section takes the team walk when the walk models its
         replay: an OpenMP team the DES kernel runs one member per core,
         with no preemption and no switch cost, and — for REAL — one DRAM
-        pool or no memory demand.  Its ``(gross, traversal)`` is cached
-        per (section, schedule, t, β).  Every other section is delegated
-        to the executor under the point's paradigm, schedule and
-        ``handoff``; the task-pool paradigms replay a nowait chain's
+        pool or no memory demand; a lock-bearing one also needs a handoff
+        other than ``adversarial``.  Its ``(gross, traversal)`` is cached
+        per (section, schedule, t, β), plus the handoff (and a ``random``
+        one's seed) for a lock-bearing section.  Every other section is
+        delegated to the executor under the point's paradigm, schedule
+        and ``handoff``; the task-pool paradigms replay a nowait chain's
         sections one at a time, as the executor groups them."""
         machine = self.machine
         omp = paradigm == "omp"
@@ -404,6 +445,10 @@ class ColumnarEngine:
         )
         fake = mode is ReplayMode.FAKE
         one_pool = machine.n_sockets == 1
+        # The walk's policy for lock-bearing sections; ``adversarial``
+        # ranks waiters by progress, which only the kernel tracks.
+        policy = handoff if handoff == "fifo" else normalize_handoff(handoff)
+        walk_locks = policy != "adversarial"
         cache = self._point_cache
         total = 0.0
         runs: list[tuple[str, float, int]] = []
@@ -415,12 +460,23 @@ class ColumnarEngine:
                 team
                 and isinstance(item, _SecCols)
                 and (fake or one_pool or not item.missy)
+                and (walk_locks or not item.lock_ids)
             ):
                 beta = burdens.get(item.name, 1.0) if fake else None
-                key = (mode, id(item), schedule.kind, schedule.chunk, t, beta)
+                if not item.lock_ids:
+                    key = (mode, id(item), schedule.kind, schedule.chunk, t, beta)
+                    locking = None
+                elif policy == "random":
+                    key = (mode, id(item), schedule.kind, schedule.chunk, t,
+                           beta, policy, handoff_seed)
+                    locking = (len(item.lock_ids), policy, handoff_seed)
+                else:
+                    key = (mode, id(item), schedule.kind, schedule.chunk, t,
+                           beta, policy)
+                    locking = (len(item.lock_ids), policy, 0)
                 walked = cache.get(key)
                 if walked is None:
-                    walked = self._walk(item, schedule, t, beta)
+                    walked = self._walk(item, schedule, t, beta, locking)
                     cache[key] = walked
                 gross, trav = walked
                 # Fig. 8 line 26: subtract the longest per-member traversal
@@ -512,15 +568,18 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------ team walks
 
-    def _walk(self, sc: _SecCols, schedule: Schedule, t: int, beta):
+    def _walk(self, sc: _SecCols, schedule: Schedule, t: int, beta,
+              locking=None):
         """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
         t): the REAL replay when ``beta`` is None, else the FAKE replay at
-        burden ``beta``.
+        burden ``beta``.  ``locking`` is ``_team_walk``'s ``(n_locks,
+        handoff, seed)`` for a lock-bearing section.
 
         Op streams follow ``OmpRuntime._member_work``'s expanded lowering:
         a dispatch per chunk (per iteration in a one-member team) followed
         by the iterations' leaf ops, from a chain, or from a shared chunk
-        cursor under a dynamic-family schedule."""
+        cursor under a dynamic-family schedule.  An ``L`` leaf expands as
+        ``ParallelExecutor._task_body`` lowers it (``_critical``)."""
         oh = self.overheads
         fork = oh.fork_cost(t)
         start = float(fork) if fork > 0.0 else 0.0
@@ -537,12 +596,20 @@ class ColumnarEngine:
                 ops, oh_run = sc.real_ops[r], 0.0
             else:
                 # The synthesizer's FakeDelay: a traversal-overhead segment,
-                # then (length*beta)*repeat cycles, per leaf.
+                # then (length*beta)*repeat cycles per U leaf, or one
+                # critical section of length*beta cycles per L leaf pass.
                 ops = []
                 leaves = sc.node.children[r].children
                 for leaf in leaves:
                     if OVERHEAD_ACCESS_NODE > 0.0:
                         ops.append(OVERHEAD_ACCESS_NODE)
+                    if leaf.kind is NodeKind.L:
+                        body = float(leaf.length * beta)
+                        ops += _critical(
+                            oh, sc.lock_ids[leaf.lock_id],
+                            body if body > 0.0 else None,
+                        ) * leaf.repeat
+                        continue
                     cycles = float((leaf.length * beta) * leaf.repeat)
                     if cycles > 0.0:
                         ops.append(cycles)
@@ -568,7 +635,7 @@ class ColumnarEngine:
             chains = [[]] + [prefix] * (t - 1)
             return _team_walk(
                 self._dram, t, start, jb, chains, trav,
-                (chunk_ops, chunk_trav, disp),
+                (chunk_ops, chunk_trav, disp), locking,
             )
 
         if t == 1:
@@ -587,7 +654,9 @@ class ColumnarEngine:
                     tr += x
             trav[w] = tr
             chains.append(ops)
-        return _team_walk(self._dram, t, start, jb, chains, trav)
+        return _team_walk(
+            self._dram, t, start, jb, chains, trav, None, locking
+        )
 
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
@@ -601,6 +670,23 @@ def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
     seconds = machine.cycles_to_seconds(cycles) if cycles > 0 else 0.0
     d = (misses * machine.line_size / seconds) if seconds > 0 else 0.0
     return (float(cycles), (f, d), (_quantize(f), _quantize(d)))
+
+
+def _critical(oh: RuntimeOverheads, ix: int, body) -> list:
+    """The ops of one pass through an ``L`` leaf under an OpenMP team, as
+    ``ParallelExecutor._task_body`` yields them: the ``omp_lock_acquire``
+    segment, the acquire of lock ``ix`` (an int ``>= 0``), the ``body``
+    op (None when instant), the release (``~ix``) and the
+    ``omp_lock_release`` segment.  A zero-cycle segment is instant, as in
+    ``SimKernel._h_compute``."""
+    ops: list = [float(oh.omp_lock_acquire)] if oh.omp_lock_acquire > 0.0 else []
+    ops.append(ix)
+    if body is not None:
+        ops.append(body)
+    ops.append(~ix)
+    if oh.omp_lock_release > 0.0:
+        ops.append(float(oh.omp_lock_release))
+    return ops
 
 
 #: Concatenation of iterations' op or step lists, in order.
@@ -650,34 +736,48 @@ def _ff_greedy(t: int, start: float, disp: float, chunks, iters) -> float:
 _NEVER = float("inf")
 
 
-def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
+def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
+               locking=None):
     """Replay one OpenMP team over per-member op streams: returns ``(gross
     cycles, longest per-member traversal overhead)``.
 
     When the DES kernel would solve DRAM contention, the walk looks the
     running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
     entries, keyed like the kernel pool's by the quantized multiset); on a
-    miss it solves the multiset, in member order, with ``dram.solve`` —
+    miss it solves the multiset, in core order, with ``dram.solve`` —
     the bisection a kernel pool runs on its misses.  The memo's hits and
     misses are added to the ``dram.solve.*`` counters.
 
     ``chains[w]`` are member ``w``'s ops: a float is a demand-free segment,
-    a tuple a missy lane (``_lane``).  With ``cursor = (chunk_ops,
-    chunk_trav, dispatch)`` a member whose ops run out pays ``dispatch``
-    and then grabs the next chunk; the grab happens when that dispatch
-    completes, and the last, failed grab still pays it.  The team forks at
-    ``start``; the barrier releases at the last arrival and the master then
-    pays ``jb`` (a one-member team runs inline).
+    a tuple a missy lane (``_lane``), an int ``ix >= 0`` the acquire of
+    lock ``ix`` and ``~ix`` its release (``_critical``).  With ``cursor =
+    (chunk_ops, chunk_trav, dispatch)`` a member whose ops run out pays
+    ``dispatch`` and then grabs the next chunk; the grab happens when that
+    dispatch completes, and the last, failed grab still pays it.  The team
+    forks at ``start``; the barrier releases at the last arrival and the
+    master then pays ``jb`` (a one-member team runs inline).
+    ``locking = (n_locks, handoff, seed)`` walks a lock-bearing section.
 
     Mirrors the kernel's arithmetic bit for bit: a segment completes at
     ``now + remaining * s``; demand-free segments (``s == 1``) never
-    interact, so a run of them is summed in order without events; a lane
-    attach or completion re-checks the running multiset against the
+    interact, so a run of them is summed in order without events, up to
+    the next lane, lock op or barrier arrival of a lock-bearing section; a
+    lane attach or completion re-checks the running multiset against the
     cached signature and re-solves only when it changed; a continuing lane
-    re-anchors in absolute form only when its ``s`` changes.  Each member
+    re-anchors in absolute form only when its ``s`` changes.  Each core
     has at most one pending event, and same-time events go by ``(time,
-    member)`` — the kernel's ``(time, core)``, since member ``w`` runs on
-    core ``w``.
+    core)``, the kernel's heap order.
+
+    Locks follow ``SimKernel._acquire``/``_release`` and ``SimMutex``: a
+    contended acquire queues the member and frees its core; a release
+    with waiters hands the lock to the one ``SimMutex.pop_waiter`` picks
+    (``fifo`` the head, ``lifo`` the tail, ``random`` a ``randrange``
+    draw from one ``random.Random(seed)`` per walk) and puts it at the
+    front of the ready queue.  Ready members are dispatched as
+    ``SimKernel._dispatch`` does: each round snapshots the idle cores in
+    order and hands each the head of the queue, so a woken member runs on
+    the lowest idle core, not its own, and steps at once.  A member
+    arriving at the barrier frees its core too.
     """
     if cursor is None:
         chunk_ops, chunk_trav, disp = (), (), 0.0
@@ -688,11 +788,13 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
     ops = list(chains)
     pos = [0] * t
     grab = [False] * t
-    #: Each member's pending event time (a lane completion, or the end of
-    #: a run of demand-free segments).
+    #: Each core's pending event time (a lane completion, the end of a run
+    #: of demand-free segments, or a timed barrier arrival).
     times = [_NEVER] * t
+    #: The member on each core; -1 while the core is idle.
+    on = [-1] * t
     arrival = [0.0] * t
-    #: member -> [anchor_time, anchor_remaining, slowdown|None, f, lane op]
+    #: core -> [anchor_time, anchor_remaining, slowdown|None, f, lane op]
     lanes: dict[int, list] = {}
     fresh: list[int] = []
     #: The running multiset, kept as counts: exact (f, d) pairs for the
@@ -701,16 +803,24 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
     quant: dict = {}
     memo: OrderedDict = OrderedDict()
     hits = misses = 0
+    locked = locking is not None
+    if locked:
+        n_locks, policy, seed = locking
+        owner = [-1] * n_locks
+        waiters: list[list[int]] = [[] for _ in range(n_locks)]
+        rng = random.Random(seed) if policy == "random" else None
+    ready: deque = deque()
 
-    def step(w: int, now: float) -> bool:
-        """Advance member ``w`` from ``now`` to its next blocking point;
-        True when it attached a missy lane."""
+    def step(w: int, c: int, now: float) -> bool:
+        """Advance member ``w``, on core ``c``, from ``now`` to its next
+        blocking point; True when it attached a missy lane."""
         nonlocal nxt
         while True:
             if grab[w]:
                 grab[w] = False
                 if nxt == n_chunks:
                     arrival[w] = now
+                    on[c] = -1
                     return False
                 ops[w] = chunk_ops[nxt]
                 trav[w] += chunk_trav[nxt]
@@ -728,15 +838,38 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
                     timed = True
                     p += 1
                 elif timed:
-                    break  # the lane attaches when the segments end
-                else:
+                    break  # the lane or lock op waits for the segments
+                elif op.__class__ is tuple:
                     pos[w] = p + 1
                     fd = op[1]
-                    lanes[w] = [now, op[0], None, fd[0], op]
+                    lanes[c] = [now, op[0], None, fd[0], op]
                     exact[fd] = exact.get(fd, 0) + 1
                     quant[op[2]] = quant.get(op[2], 0) + 1
-                    fresh.append(w)
+                    fresh.append(c)
                     return True
+                elif op >= 0:  # acquire
+                    p += 1
+                    if owner[op] < 0:
+                        owner[op] = w
+                    else:
+                        waiters[op].append(w)
+                        pos[w] = p
+                        on[c] = -1
+                        return False
+                else:  # release, with direct handoff
+                    p += 1
+                    queue = waiters[~op]
+                    if not queue:
+                        owner[~op] = -1
+                        continue
+                    if policy == "fifo":
+                        heir = queue.pop(0)
+                    elif policy == "lifo":
+                        heir = queue.pop()
+                    else:
+                        heir = queue.pop(rng.randrange(len(queue)))
+                    owner[~op] = heir
+                    ready.appendleft(heir)
             pos[w] = p
             if p < n or cursor is not None:
                 if p == n:
@@ -745,15 +878,48 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
                         timed = True
                     grab[w] = True
                 if timed:
-                    times[w] = end
+                    times[c] = end
                     return False
                 continue  # a zero-cost dispatch grabs at once
+            if timed and locked:
+                times[c] = end  # the core frees when the member arrives
+                return False
             arrival[w] = end
+            if not timed:
+                on[c] = -1
             return False
 
+    n_cores = dram.config.n_cores
+
+    def dispatch(now: float) -> bool:
+        """Place ready members on idle cores and step them; True when one
+        attached a missy lane."""
+        dirty = False
+        while ready:
+            idle = [c for c, w in enumerate(on) if w < 0]
+            idle.extend(range(len(on), n_cores))
+            for c in idle:
+                if not ready:
+                    break
+                if c == len(on):  # a core no member has run on yet
+                    on.append(-1)
+                    times.append(_NEVER)
+                w = ready.popleft()
+                on[c] = w
+                dirty = step(w, c, now) or dirty
+        return dirty
+
+    # The fork: with a fork cost the master steps when its fork segment
+    # completes and the spawned members are dispatched after it; without
+    # one all of them start in the kernel's first dispatch round.
     dirty = False
-    for w in range(t):
-        dirty = step(w, start) or dirty
+    if start > 0.0:
+        on[0] = 0
+        dirty = step(0, 0, start)
+        ready.extend(range(1, t))
+    else:
+        ready.extend(range(t))
+    dirty = dispatch(start) or dirty
     now = start
     sig: dict = {}
     k = 1.0
@@ -809,9 +975,9 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
         now = min(times)
         if now == _NEVER:
             break
-        w = times.index(now)
-        times[w] = _NEVER
-        lane = lanes.pop(w, None)
+        c = times.index(now)
+        times[c] = _NEVER
+        lane = lanes.pop(c, None)
         if lane is not None:
             op = lane[4]
             for counts, x in ((exact, op[1]), (quant, op[2])):
@@ -820,7 +986,9 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None):
                 else:
                     counts[x] -= 1
             dirty = True
-        dirty = step(w, now) or dirty
+        dirty = step(on[c], c, now) or dirty
+        if ready:
+            dirty = dispatch(now) or dirty
     m = get_metrics()
     if hits:
         m.inc("dram.solve.hits", float(hits))
@@ -840,11 +1008,14 @@ def verify_points(
     schedules=("static",),
     methods=("ff", "syn"),
     paradigm: str = "omp",
+    handoff: str = "fifo",
+    handoff_seed: int = 0,
 ) -> tuple[int, list[str]]:
     """Columnar-vs-eager re-verification (``repro check --quick``).
 
     Evaluates every (method, schedule, t) grid point — ``methods`` any of
-    ``"ff"``, ``"syn"`` and ``"real"``, under ``paradigm`` — through
+    ``"ff"``, ``"syn"`` and ``"real"``, under ``paradigm`` and the lock
+    ``handoff`` policy (``ff`` only under ``fifo``) — through
     ``batch._predict_point`` with a fresh columnar engine and without one
     (the eager emulators), clearing the section memo before each, and
     returns ``(checked, mismatches)``.  Every point must be ``==`` its
@@ -862,7 +1033,8 @@ def verify_points(
             for method in methods:
                 task = SweepTask(
                     "verify", label, t, (method,), paradigm=paradigm,
-                    memory_model=memory_model,
+                    memory_model=memory_model, handoff=handoff,
+                    handoff_seed=handoff_seed,
                 )
                 clear_section_memo()
                 (served,) = _predict_point(
@@ -875,7 +1047,8 @@ def verify_points(
                 checked += 1
                 if served != eager:
                     mismatches.append(
-                        f"columnar {method}/{served.schedule}/t={t}: "
+                        f"columnar {method}/{served.schedule}/t={t}"
+                        f"/{task.handoff}:{task.handoff_seed}: "
                         f"{served.speedup!r} vs eager {eager.speedup!r}"
                     )
     return checked, mismatches

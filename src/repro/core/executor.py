@@ -512,16 +512,6 @@ class ParallelExecutor:
         # FakeDelay(node.length * burden): spins without touching memory.
         return Compute(cycles=node.length * burden)
 
-    def _node_visit_overhead(
-        self, mode: ReplayMode, ohmgr: _OverheadManager, recursive: bool = False
-    ) -> Generator[Any, Any, None]:
-        if mode is not ReplayMode.FAKE:
-            return
-        cost = OVERHEAD_ACCESS_NODE + (OVERHEAD_RECURSIVE_CALL if recursive else 0.0)
-        me = yield GetCurrentThread()
-        ohmgr.add(me.tid, cost)
-        yield Compute(cycles=cost)
-
     def _omp_bodies(
         self,
         sec: Node,
@@ -586,43 +576,69 @@ class ParallelExecutor:
         ohmgr: _OverheadManager,
         lock_costs: Optional[tuple[float, float]],
     ) -> Callable[..., Generator[Any, Any, None]]:
-        subs = [
-            self._bodies(node, nested, locks, mode, burden, ohmgr, lock_costs)
-            if node.kind is NodeKind.SEC
-            else None
-            for node in task.children
-        ]
+        # Every request a body run yields is built here, once per task
+        # body: the kernel only reads requests, so runs share them.
+        fake = mode is ReplayMode.FAKE
+        current = GetCurrentThread()
+        lock_reqs = (
+            None if lock_costs is None
+            else (Compute(cycles=lock_costs[0]), Compute(cycles=lock_costs[1]))
+        )
+        steps = []
+        for node in task.children:
+            # The synthesizer's per-node traversal overhead (FAKE only).
+            cost = OVERHEAD_ACCESS_NODE + (
+                OVERHEAD_RECURSIVE_CALL if node.kind is NodeKind.SEC else 0.0
+            )
+            visit = Compute(cycles=cost) if fake else None
+            if node.kind is NodeKind.U:
+                req = self._leaf_compute(node, mode, burden)
+                work = Compute(
+                    cycles=req.cycles * node.repeat,
+                    instructions=req.instructions * node.repeat,
+                    llc_misses=req.llc_misses * node.repeat,
+                )
+            elif node.kind is NodeKind.L:
+                mutex = locks.get(node.lock_id)
+                if mutex is None:
+                    mutex = locks[node.lock_id] = SimMutex(f"lock{node.lock_id}")
+                work = (
+                    Acquire(mutex),
+                    self._leaf_compute(node, mode, burden),
+                    Release(mutex),
+                )
+            elif node.kind is NodeKind.SEC:
+                work = self._bodies(
+                    node, nested, locks, mode, burden, ohmgr, lock_costs
+                )
+            else:  # pragma: no cover - validated trees
+                raise EmulationError(f"bad node inside task: {node!r}")
+            steps.append((node.kind, node.repeat, cost, visit, work))
 
         def body(ctx=None) -> Generator[Any, Any, None]:
-            for node, sub in zip(task.children, subs):
-                yield from self._node_visit_overhead(
-                    mode, ohmgr, recursive=node.kind is NodeKind.SEC
-                )
-                if node.kind is NodeKind.U:
-                    req = self._leaf_compute(node, mode, burden)
-                    yield Compute(
-                        cycles=req.cycles * node.repeat,
-                        instructions=req.instructions * node.repeat,
-                        llc_misses=req.llc_misses * node.repeat,
-                    )
-                elif node.kind is NodeKind.L:
-                    mutex = locks.setdefault(node.lock_id, SimMutex(f"lock{node.lock_id}"))
-                    for _ in range(node.repeat):
-                        if lock_costs is not None:
-                            yield Compute(cycles=lock_costs[0])
-                        yield Acquire(mutex)
-                        yield self._leaf_compute(node, mode, burden)
-                        yield Release(mutex)
-                        if lock_costs is not None:
-                            yield Compute(cycles=lock_costs[1])
-                elif node.kind is NodeKind.SEC:
+            for kind, repeat, cost, visit, work in steps:
+                if visit is not None:
+                    me = yield current
+                    ohmgr.add(me.tid, cost)
+                    yield visit
+                if kind is NodeKind.U:
+                    yield work
+                elif kind is NodeKind.L:
+                    acquire, held, release = work
+                    for _ in range(repeat):
+                        if lock_reqs is not None:
+                            yield lock_reqs[0]
+                        yield acquire
+                        yield held
+                        yield release
+                        if lock_reqs is not None:
+                            yield lock_reqs[1]
+                else:
                     # Nested parallelism from the context executing this
                     # body: OpenMP forks a nested physical team; the task
                     # pools schedule the group on their workers (why they
                     # shine on Fig. 1(b) patterns).
-                    for _ in range(node.repeat):
-                        yield from nested(ctx, sub)
-                else:  # pragma: no cover - validated trees
-                    raise EmulationError(f"bad node inside task: {node!r}")
+                    for _ in range(repeat):
+                        yield from nested(ctx, work)
 
         return body

@@ -115,8 +115,9 @@ class OmpRuntime:
         if n_threads == 1:
             # Degenerate team: run everything inline, still paying dispatch.
             for bodies, schedule, _nowait in loops:
+                dispatch = Compute(cycles=oh.dispatch_cost(schedule))
                 for body in bodies:
-                    yield Compute(cycles=oh.dispatch_cost(schedule))
+                    yield dispatch
                     yield from body()
             return
 
@@ -135,10 +136,12 @@ class OmpRuntime:
                      schedule.static_chunks(n_iters, n_threads), None)
                 )
 
+        thread_start = Compute(cycles=oh.omp_thread_start)
+
         def member(tid: int, is_master: bool) -> Generator[Any, Any, None]:
             # The master is awake already: no thread-start cost.
             if not is_master:
-                yield Compute(cycles=self.overheads.omp_thread_start)
+                yield thread_start
             for bodies, schedule, nowait, owned, dynamic in plans:
                 yield from self._member_work(tid, bodies, schedule, owned, dynamic)
                 if not nowait:
@@ -165,10 +168,10 @@ class OmpRuntime:
         owned: Optional[list[list[range]]],
         dynamic: Optional[_DynamicState],
     ) -> Generator[Any, Any, None]:
-        cost = self.overheads.dispatch_cost(schedule)
+        dispatch = Compute(cycles=self.overheads.dispatch_cost(schedule))
         if dynamic is not None:
             while True:
-                yield Compute(cycles=cost)
+                yield dispatch
                 chunk = dynamic.grab()
                 if chunk is None:
                     return
@@ -177,6 +180,6 @@ class OmpRuntime:
         else:
             assert owned is not None
             for chunk in owned[tid]:
-                yield Compute(cycles=cost)
+                yield dispatch
                 for idx in chunk:
                     yield from bodies[idx]()

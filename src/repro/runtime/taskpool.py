@@ -79,7 +79,7 @@ class TaskContext:
         """``cilk_spawn`` / ``#pragma omp task``: enqueue a child task;
         returns its handle."""
         pool = self.pool
-        yield Compute(cycles=pool.spawn_cost)
+        yield pool.spawn_req
         child = Task(factory, parent=self.task)
         self.task.pending_children += 1
         pool._push(self.wid, child)
@@ -105,14 +105,15 @@ class TaskPool:
 
     Subclasses supply the queue discipline (``_push``/``_take``), the
     names, the spawn and worker-start costs (``spawn_cost``/``start_cost``)
-    and ``loop``.
+    and ``loop``.  Every fixed-cost request is built once per pool.
     """
 
     #: Worker ``i`` is the simulated thread ``f"{thread_prefix}{i}"``.
     thread_prefix: str
     #: Name of the event idle workers park on.
     event_name: str
-    #: Cycles paid by ``spawn`` and by each extra worker at startup.
+    #: Cycles paid by ``spawn`` and by each extra worker at startup (set
+    #: by a subclass before ``TaskPool.__init__`` builds their requests).
     spawn_cost: float
     start_cost: float
 
@@ -124,6 +125,9 @@ class TaskPool:
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+        #: The requests ``spawn`` and each extra worker's start yield.
+        self.spawn_req = Compute(cycles=self.spawn_cost)
+        self.start_req = Compute(cycles=self.start_cost)
         self.kernel = kernel
         self.n_workers = n_workers
         self.overheads = overheads
@@ -141,9 +145,9 @@ class TaskPool:
         """Enqueue ``task``, spawned by worker ``wid``."""
         raise NotImplementedError
 
-    def _take(self, wid: int) -> Optional[tuple[Task, tuple[float, ...]]]:
-        """The next task for worker ``wid`` with the cycles it pays before
-        running it, or ``None`` when nothing is queued for it."""
+    def _take(self, wid: int) -> Optional[tuple[Task, tuple[Compute, ...]]]:
+        """The next task for worker ``wid`` with the requests it pays
+        before running it, or ``None`` when nothing is queued for it."""
         raise NotImplementedError
 
     def loop(
@@ -185,7 +189,7 @@ class TaskPool:
         yield EventClear(self.work_event)
 
     def _worker_loop(self, wid: int) -> Generator[Any, Any, None]:
-        yield Compute(cycles=self.start_cost)
+        yield self.start_req
         while True:
             taken = self._take(wid)
             if taken is None:
@@ -208,10 +212,9 @@ class TaskPool:
         yield from self._notify()
 
     def _execute(
-        self, wid: int, task: Task, costs: tuple[float, ...]
+        self, wid: int, task: Task, costs: tuple[Compute, ...]
     ) -> Generator[Any, Any, None]:
-        for cycles in costs:
-            yield Compute(cycles=cycles)
+        yield from costs
         yield from self._run_body(wid, task)
 
     def _run_body(self, wid: int, task: Task) -> Generator[Any, Any, Any]:
@@ -254,17 +257,18 @@ class CilkPool(TaskPool):
         n_workers: int,
         overheads: RuntimeOverheads = DEFAULT_OVERHEADS,
     ) -> None:
-        super().__init__(kernel, n_workers, overheads)
-        self.deques: list[deque[Task]] = [deque() for _ in range(n_workers)]
         self.spawn_cost = overheads.cilk_spawn
         self.start_cost = overheads.cilk_pool_start_per_worker
-        self._own_costs = (overheads.cilk_task_run,)
-        self._stolen_costs = (overheads.cilk_steal, overheads.cilk_task_run)
+        super().__init__(kernel, n_workers, overheads)
+        self.deques: list[deque[Task]] = [deque() for _ in range(n_workers)]
+        task_run = Compute(cycles=overheads.cilk_task_run)
+        self._own_costs = (task_run,)
+        self._stolen_costs = (Compute(cycles=overheads.cilk_steal), task_run)
 
     def _push(self, wid: int, task: Task) -> None:
         self.deques[wid].append(task)
 
-    def _take(self, wid: int) -> Optional[tuple[Task, tuple[float, ...]]]:
+    def _take(self, wid: int) -> Optional[tuple[Task, tuple[Compute, ...]]]:
         """Pop own bottom, else steal a victim's top."""
         own = self.deques[wid]
         if own:
@@ -328,11 +332,11 @@ class OmpTaskPool(TaskPool):
         n_workers: int,
         overheads: RuntimeOverheads = DEFAULT_OVERHEADS,
     ) -> None:
-        super().__init__(kernel, n_workers, overheads)
-        self.queue: deque[Task] = deque()
         self.spawn_cost = overheads.omp_task_create
         self.start_cost = overheads.omp_thread_start
-        self._dispatch_costs = (overheads.omp_task_dispatch,)
+        super().__init__(kernel, n_workers, overheads)
+        self.queue: deque[Task] = deque()
+        self._dispatch_costs = (Compute(cycles=overheads.omp_task_dispatch),)
 
     def run(self, root_factory: PoolBody) -> Generator[Any, Any, None]:
         """Fork the team, run ``root_factory`` on it, then pay the join
@@ -345,7 +349,7 @@ class OmpTaskPool(TaskPool):
     def _push(self, wid: int, task: Task) -> None:
         self.queue.append(task)
 
-    def _take(self, wid: int) -> Optional[tuple[Task, tuple[float, ...]]]:
+    def _take(self, wid: int) -> Optional[tuple[Task, tuple[Compute, ...]]]:
         """Dequeue from the shared team queue (FIFO, like libgomp)."""
         if self.queue:
             return self.queue.popleft(), self._dispatch_costs

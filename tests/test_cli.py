@@ -409,10 +409,10 @@ class TestCheck:
         assert "0 violation(s)" in out
         assert "0 violations" in out  # invariant selfcheck line
         # static / static,1 / dynamic,1 whatever the harness ran, plus
-        # Cilk FFT at t=2,4 under the same three schedules and FT
-        # oversubscribed: every point is served, npb_ep's lock-bearing
-        # section delegated.
-        assert "columnar engine: ff 19, syn 19, real 19 grid point(s)" in out
+        # Cilk FFT at t=2,4 under the same three schedules, FT
+        # oversubscribed, and npb_ep's lock walk at t=2,4 under LIFO and
+        # seeded-random handoffs (SYN and REAL only): every point served.
+        assert "columnar engine: ff 19, syn 31, real 31 grid point(s)" in out
         assert "fallback" not in out
         assert (get_checker().enabled, get_checker().mode) == before
 

@@ -20,6 +20,7 @@ from repro.core.ffemu import FastForwardEmulator
 from repro.core.executor import ParallelExecutor
 from repro.core.report import SpeedupReport
 from repro.core.synthesizer import Synthesizer
+from repro.core.tree import NodeKind
 from repro.obs import MetricsRegistry, Tracer, set_metrics
 from repro.runtime.overhead import RuntimeOverheads
 from repro.runtime.tasks import Schedule
@@ -164,20 +165,32 @@ def _assert_parity(eager, columnar):
         assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
 
 
-def _delegated_items(engine, paradigm="omp", t=1):
+def _delegated_items(engine, paradigm="omp", t=1, handoff="fifo"):
     """Distinct items one SYN or REAL point at ``t`` replays through the
     executor on a single-socket machine without switch costs: the
-    delegated items of an OpenMP team that fits the machine, every item
+    delegated items of an OpenMP team that fits the machine (lock-bearing
+    lowered sections too under the ``adversarial`` handoff), every item
     otherwise, and every top-level section under a task-pool paradigm
     (nowait chains replay section by section)."""
     if paradigm != "omp":
         return len(engine.profile.tree.top_level_sections())
     team = t <= engine.machine.n_cores
     return len({
-        id(item) for item in engine._items
+        id(item.node if isinstance(item, _SecCols) else item)
+        for item in engine._items
         if not isinstance(item, float)
-        and not (team and isinstance(item, _SecCols))
+        and not (
+            team
+            and isinstance(item, _SecCols)
+            and (handoff != "adversarial" or not item.lock_ids)
+        )
     })
+
+
+def _locked_secs(engine):
+    """Distinct lowered sections that hold an ``L`` leaf (compression
+    shares a repeated section's node)."""
+    return len({id(sc.node) for sc in engine._secs if sc.lock_ids})
 
 
 def _eager_reference(prophet, profile, threads, schedules=("static",),
@@ -233,6 +246,48 @@ def _strip_to_eligible(items):
     return out
 
 
+@st.composite
+def locked_programs(draw):
+    """Descriptions (``build_program``'s shape) of flat programs whose
+    sections each hold an ``L`` leaf: one to three lock ids, a small pool
+    of task bodies so that tasks and critical sections repeat, and memory
+    specs on some lock bodies for the REAL walk's missy lanes."""
+    n_locks = draw(st.integers(min_value=1, max_value=3))
+    streaming = st.builds(
+        MemSpec,
+        pattern=st.just(AccessPattern.STREAMING),
+        bytes_touched=st.integers(min_value=64, max_value=400_000),
+    )
+
+    def leaf(lock):
+        return ("compute",
+                draw(st.floats(min_value=10.0, max_value=60_000.0)),
+                draw(st.one_of(st.none(), streaming)),
+                lock)
+
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            items.append(draw(st.floats(min_value=10.0, max_value=50_000.0)))
+        bodies = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            ops = []
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                lock = draw(st.one_of(
+                    st.none(), st.integers(min_value=1, max_value=n_locks)
+                ))
+                ops += [leaf(lock)] * draw(st.integers(min_value=1, max_value=2))
+            bodies.append(ops)
+        # Every section takes a lock somewhere.
+        bodies[0].append(leaf(draw(st.integers(min_value=1, max_value=n_locks))))
+        order = draw(st.lists(
+            st.integers(min_value=0, max_value=len(bodies) - 1),
+            min_size=1, max_size=8,
+        ))
+        items.append(("sec", [(bodies[i], []) for i in [0] + order]))
+    return items
+
+
 class TestColumnarParityProperty:
     @given(programs(), st.integers(min_value=1, max_value=6))
     @settings(
@@ -260,7 +315,7 @@ class TestColumnarParityProperty:
     @given(
         programs(),
         st.integers(min_value=1, max_value=6),
-        st.sampled_from(["fifo", "lifo"]),
+        st.sampled_from(["fifo", "lifo", "adversarial"]),
         st.sampled_from(["omp", "cilk", "omp_task"]),
     )
     @settings(
@@ -271,10 +326,11 @@ class TestColumnarParityProperty:
     def test_unstripped_programs_delegate_exactly(self, items, n_threads,
                                                   handoff, paradigm):
         """Unstripped programs (locks, nesting, mixed demand signatures)
-        under FIFO and a non-FIFO handoff and every paradigm: the engine
-        serves every SYN/REAL point, replays exactly the sections the team
-        walk does not model through the executor (all of them for the
-        task-pool paradigms and for t=5,6 on the 4-core machine), and is
+        under FIFO, LIFO and the ``adversarial`` handoff and every
+        paradigm: the engine serves every SYN/REAL point, replays exactly
+        the sections the team walk does not model through the executor
+        (all of them for the task-pool paradigms and for t=5,6 on the
+        4-core machine, lock-bearing ones under ``adversarial``), and is
         ``==`` the eager reference.  A task-pool replay never reads the
         schedule, so it runs once across the three schedules."""
         prophet = ParallelProphet(machine=M4)
@@ -297,7 +353,7 @@ class TestColumnarParityProperty:
                 replays = metrics.counter_value("replay.sections") - before
                 shared = i > 0 and paradigm != "omp"
                 assert replays == (0 if shared else 2 * _delegated_items(
-                    engine, paradigm, n_threads
+                    engine, paradigm, n_threads, handoff
                 ))
                 clear_section_memo()
                 eager = _predict_point(
@@ -305,6 +361,62 @@ class TestColumnarParityProperty:
                 )
                 for e, c in zip(eager, served):
                     assert c == e, f"{e.method}/{e.schedule}/t={e.n_threads}"
+        finally:
+            set_metrics(old)
+
+
+    @given(
+        locked_programs(),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_locked_sections_walk_exactly(self, items, n_threads):
+        """Flat sections of ``U`` and ``L`` leaves over one to three locks,
+        missy lock bodies included: every SYN/REAL point under a static
+        and a dynamic-family schedule and the ``fifo``, ``lifo`` and
+        seeded ``random`` handoffs comes from the team walk with no
+        executor replay, and is ``==`` eager; under ``adversarial`` each
+        lock-bearing section replays through the executor instead."""
+        prophet = ParallelProphet(machine=M4)
+        profile = prophet.profile(build_program(items))
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        n_locked = _locked_secs(engine)
+        assert n_locked > 0
+        metrics = MetricsRegistry()
+        old = set_metrics(metrics)
+        try:
+            for schedule in ("static", "static,1", "dynamic,1", "guided,2"):
+                for handoff, seed in (("fifo", 0), ("lifo", 0), ("random", 0),
+                                      ("random", 7), ("adversarial", 0)):
+                    methods = ("ff", "syn", "real") if handoff == "fifo" else (
+                        "syn", "real"
+                    )
+                    task = SweepTask("workload", schedule, n_threads, methods,
+                                     memory_model=False, handoff=handoff,
+                                     handoff_seed=seed)
+                    clear_section_memo()
+                    before = metrics.counter_value("replay.sections")
+                    served = _predict_point(
+                        profile, prophet.overheads, task, ff, engine
+                    )
+                    replays = metrics.counter_value("replay.sections") - before
+                    assert replays == (
+                        2 * n_locked if handoff == "adversarial" else 0
+                    ), (schedule, handoff, seed)
+                    clear_section_memo()
+                    eager = _predict_point(
+                        profile, prophet.overheads, task, ff, engine=None
+                    )
+                    for e, c in zip(eager, served):
+                        assert c == e, (
+                            f"{e.method}/{e.schedule}/t={e.n_threads}/"
+                            f"{handoff}:{seed}"
+                        )
         finally:
             set_metrics(old)
 
@@ -531,13 +643,31 @@ class TestFallbacks:
         return _both_backends(prophet, profile, **kwargs)
 
     def test_locks_fall_back(self, prophet, profiles, fresh_metrics):
-        """A lock-bearing section falls back to the executor inside a
-        served point: one replay per SYN/REAL point, ``==`` eager."""
+        """A lock-bearing section takes the team walk under FIFO and falls
+        back to the executor inside a served point under ``adversarial``,
+        whose waiter ranking reads progress only the kernel tracks: no
+        replay, then one per SYN/REAL point, both ``==`` eager."""
         eager, columnar = self._run(
             prophet, profiles["locked"], threads=[4], methods=("syn", "real")
         )
         assert columnar.estimates == eager.estimates
         assert fresh_metrics.counter_value("columnar.hits") == 2.0
+        profile = profiles["locked"]
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        for handoff, replays in (("fifo", 0.0), ("adversarial", 2.0)):
+            task = SweepTask("workload", "static", 4, ("syn", "real"),
+                             memory_model=False, handoff=handoff)
+            clear_section_memo()
+            before = fresh_metrics.counter_value("replay.sections")
+            served = _predict_point(profile, prophet.overheads, task, ff,
+                                    engine)
+            assert (fresh_metrics.counter_value("replay.sections") - before
+                    == replays), handoff
+            clear_section_memo()
+            eager = _predict_point(profile, prophet.overheads, task, ff,
+                                   engine=None)
+            assert served == eager, handoff
 
     def test_nesting_falls_back(self, prophet, profiles, fresh_metrics):
         """FF and SYN both serve a nested program's point and fall back for
@@ -633,6 +763,198 @@ class TestFallbacks:
         assert fresh_metrics.counter_value("syn.replays") == 4.0
 
 
+class TestLockWalk:
+    """Fixed lock-bearing sections whose kernel replays depend on the
+    event order at a lock: the team walk must reproduce it exactly."""
+
+    HANDOFFS = (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 7))
+
+    def _served_equals_eager(self, profile, overheads, threads, schedules,
+                             metrics):
+        engine = ColumnarEngine(profile, overheads)
+        ff = FastForwardEmulator(overheads)
+        for schedule in schedules:
+            for t in threads:
+                for handoff, seed in self.HANDOFFS:
+                    task = SweepTask("workload", schedule, t, ("syn", "real"),
+                                     memory_model=False, handoff=handoff,
+                                     handoff_seed=seed)
+                    clear_section_memo()
+                    before = metrics.counter_value("replay.sections")
+                    served = _predict_point(profile, overheads, task, ff, engine)
+                    assert metrics.counter_value("replay.sections") == before
+                    clear_section_memo()
+                    eager = _predict_point(profile, overheads, task, ff,
+                                           engine=None)
+                    assert served == eager, (schedule, t, handoff, seed)
+
+    def test_members_reach_the_lock_together(self, fresh_metrics):
+        """The ``npb_ep`` pattern with a free thread start: every member
+        computes the same batch and reaches the tally lock at the same
+        instant, so the kernel's ``(time, core)`` order decides who holds
+        it and in which order the others queue."""
+        overheads = RuntimeOverheads().with_(omp_thread_start=0.0)
+        prophet = ParallelProphet(machine=M4, overheads=overheads)
+
+        def batches(tr):
+            with tr.section("batches"):
+                for _ in range(16):
+                    with tr.task():
+                        tr.compute(40_000.0)
+                        with tr.lock(1):
+                            tr.compute(300.0)
+
+        self._served_equals_eager(
+            prophet.profile(batches), overheads, threads=[2, 3, 4],
+            schedules=["static", "static,1", "dynamic,1"],
+            metrics=fresh_metrics,
+        )
+
+    def test_woken_waiter_migrates_then_ties(self, fresh_metrics):
+        """Member 0 reaches the barrier at 5 and frees core 0; member 3
+        queues on lock 1 at 30 and is woken at 110 onto core 0, the lowest
+        idle core.  At 300 it reaches lock 2 together with member 2 on
+        core 2: the kernel serves core 0 first, so member 3 holds lock 2
+        and the section ends at 1350 (1400 if members went first by
+        index)."""
+        free = RuntimeOverheads().scaled(0.0)
+        prophet = ParallelProphet(machine=M4, overheads=free)
+
+        def migrate(tr):
+            with tr.section("migrate"):
+                with tr.task():
+                    tr.compute(5.0)
+                with tr.task():
+                    tr.compute(10.0)
+                    with tr.lock(1):
+                        tr.compute(100.0)
+                    tr.compute(20.0)
+                with tr.task():
+                    tr.compute(300.0)
+                    with tr.lock(2):
+                        tr.compute(50.0)
+                    tr.compute(10.0)
+                with tr.task():
+                    tr.compute(30.0)
+                    with tr.lock(1):
+                        tr.compute(100.0)
+                    tr.compute(90.0)
+                    with tr.lock(2):
+                        tr.compute(50.0)
+                    tr.compute(1000.0)
+
+        profile = prophet.profile(migrate)
+        (sec,) = profile.tree.top_level_sections()
+        fifo = ParallelExecutor(machine=M4, overheads=free)._execute_section_uncached(
+            sec, 4, ReplayMode.REAL, 1.0
+        )
+        assert fifo.gross_cycles == 1350.0
+        assert fifo.lock_contended == 2
+        engine = ColumnarEngine(profile, free)
+        (sc,) = engine._secs
+        assert engine._walk(sc, Schedule.static(), 4, None,
+                            (len(sc.lock_ids), "fifo", 0)) == (
+            1350.0, 0.0
+        )
+        self._served_equals_eager(
+            profile, free, threads=[4], schedules=["static"],
+            metrics=fresh_metrics,
+        )
+
+
+    def test_migrated_lanes_solve_in_core_order(self, fresh_metrics):
+        """Member 3 is woken onto core 0 and its missy lane then runs
+        beside members 1 and 2: the kernel solves the DRAM multiset in
+        core order (3, 1, 2), and listing the lanes by member instead
+        lands the REAL replay an ulp away."""
+        free = RuntimeOverheads().scaled(0.0)
+        prophet = ParallelProphet(machine=M4, overheads=free)
+
+        def stream(tr, cycles, size):
+            tr.compute(cycles, mem=MemSpec(AccessPattern.STREAMING,
+                                           bytes_touched=size))
+
+        def migrate(tr):
+            with tr.section("lanes"):
+                with tr.task():
+                    tr.compute(5.0)
+                with tr.task():
+                    tr.compute(10.0)
+                    with tr.lock(1):
+                        tr.compute(100.0)
+                    stream(tr, 40_000.0, 421_838)
+                with tr.task():
+                    tr.compute(110.0)
+                    stream(tr, 40_000.0, 333_302)
+                with tr.task():
+                    tr.compute(30.0)
+                    with tr.lock(1):
+                        tr.compute(100.0)
+                    stream(tr, 40_000.0, 42_618)
+
+        profile = prophet.profile(migrate)
+        (sec,) = profile.tree.top_level_sections()
+        real = ParallelExecutor(machine=M4, overheads=free)._execute_section_uncached(
+            sec, 4, ReplayMode.REAL, 1.0
+        )
+        engine = ColumnarEngine(profile, free)
+        (sc,) = engine._secs
+        assert engine._walk(sc, Schedule.static(), 4, None,
+                            (len(sc.lock_ids), "fifo", 0)) == (
+            real.gross_cycles, 0.0
+        )
+        self._served_equals_eager(
+            profile, free, threads=[4], schedules=["static"],
+            metrics=fresh_metrics,
+        )
+
+
+    def test_zero_time_handoffs_use_cores_above_t(self):
+        """Instant lock bodies under free overheads: at 110 members 1 and
+        2 hand lock 1 back and forth within one kernel dispatch round,
+        which places member 1 twice, the second time on core 3 of a
+        3-member team.  At 810 it reaches lock 2 together with member 2
+        on core 1, which goes first: the section ends at 1160 (1210 if
+        the walk kept members on cores below t)."""
+        free = RuntimeOverheads().scaled(0.0)
+        prophet = ParallelProphet(machine=M4, overheads=free)
+
+        def handoffs(tr):
+            with tr.section("handoffs"):
+                with tr.task():
+                    tr.compute(10.0)
+                    with tr.lock(1):
+                        tr.compute(100.0)
+                    tr.compute(1000.0)
+                for start, tail in ((20.0, 100.0), (30.0, 300.0)):
+                    with tr.task():
+                        tr.compute(start)
+                        for _ in range(2):
+                            with tr.lock(1):
+                                tr.compute(5.0)
+                        tr.compute(700.0)
+                        with tr.lock(2):
+                            tr.compute(50.0)
+                        tr.compute(tail)
+
+        profile = prophet.profile(handoffs)
+        (sec,) = profile.tree.top_level_sections()
+        for task in sec.children[1:]:
+            for leaf in task.children:
+                if leaf.kind is NodeKind.L and leaf.lock_id == 1:
+                    leaf.cpu_cycles = 0.0  # an instant REAL lock body
+        real = ParallelExecutor(machine=M4, overheads=free)._execute_section_uncached(
+            sec, 3, ReplayMode.REAL, 1.0
+        )
+        assert real.gross_cycles == 1160.0
+        engine = ColumnarEngine(profile, free)
+        (sc,) = engine._secs
+        assert engine._walk(sc, Schedule.static(), 3, None,
+                            (len(sc.lock_ids), "fifo", 0)) == (
+            1160.0, 0.0
+        )
+
+
 # ------------------------------------------------------- Fig. 12 workloads
 
 
@@ -677,8 +999,10 @@ class TestFig12Walk:
 class TestSectionDelegation:
     """SYN/REAL points of lock-bearing programs — a lock in every section
     (``npb_ep``), in 20 of 50 (``npb_cg``), a Fig. 11 Test1 program — are
-    served under FIFO and a non-FIFO handoff: the executor replays only
-    the delegated sections, and the answer matches the eager reference."""
+    served under FIFO, LIFO and ``adversarial``: the team walk replays
+    the lock-bearing sections except under ``adversarial``, the executor
+    replays only the delegated sections, and the answer matches the eager
+    reference."""
 
     @staticmethod
     def _fig11_test1():
@@ -701,7 +1025,7 @@ class TestSectionDelegation:
         "fig11_test1": _fig11_test1,
     }
 
-    @pytest.mark.parametrize("handoff", ["fifo", "lifo"])
+    @pytest.mark.parametrize("handoff", ["fifo", "lifo", "adversarial"])
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_served_with_delegated_sections(self, name, handoff,
                                             fresh_metrics):
@@ -713,8 +1037,10 @@ class TestSectionDelegation:
                          memory_model=False, handoff=handoff)
         clear_section_memo()
         served = _predict_point(profile, prophet.overheads, task, ff, engine)
-        n_delegated = _delegated_items(engine)
-        assert 0 < n_delegated <= len(profile.tree.top_level_sections())
+        n_delegated = _delegated_items(engine, handoff=handoff)
+        n_locked = _locked_secs(engine)
+        assert 0 < n_locked <= len(profile.tree.top_level_sections())
+        assert n_delegated == (n_locked if handoff == "adversarial" else 0)
         assert fresh_metrics.counter_value("columnar.hits") == 2.0
         assert fresh_metrics.counter_value("replay.sections") == 2 * n_delegated
         clear_section_memo()
@@ -722,16 +1048,19 @@ class TestSectionDelegation:
         assert served == eager
 
     def test_npb_cg_delegates_only_its_lock_sections(self):
+        """Every ``npb_cg`` section is lowered; only ``cg_dot`` holds a
+        lock, so only it replays through the executor under the
+        ``adversarial`` handoff."""
         profile = ParallelProphet(machine=M8).profile(
             self.PROGRAMS["npb_cg"]()
         )
         engine = ColumnarEngine(profile, ParallelProphet(machine=M8).overheads)
-        delegated = [
-            item.name for item in engine._items
-            if not isinstance(item, (float, _SecCols))
-        ]
+        assert all(isinstance(item, (float, _SecCols)) for item in engine._items)
+        delegated = [sc.name for sc in engine._secs if sc.lock_ids]
         assert delegated and set(delegated) == {"cg_dot"}
-        assert {sc.name for sc in engine._secs} == {"cg_matvec", "cg_axpy"}
+        assert {sc.name for sc in engine._secs} == {
+            "cg_matvec", "cg_dot", "cg_axpy"
+        }
 
     def test_multi_socket_missy_real_delegates(self, fresh_metrics):
         """The walk models one DRAM pool; memory-demanding REAL sections on
@@ -955,8 +1284,8 @@ class TestVerifyPoints:
 
     def test_every_point_checked(self, prophet, profiles):
         """Every point of the lock-bearing program is served and verified:
-        its section delegated, the oversubscribed t=16 and the Cilk
-        points included."""
+        its section walked by the OpenMP team at t=2, 4 and delegated at
+        the oversubscribed t=16 and under Cilk."""
         for paradigm in ("omp", "cilk"):
             checked, mismatches = verify_points(
                 prophet, profiles["locked"], threads=[2, 4, 16],
