@@ -444,7 +444,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         # three schedules, so the replay the engine shares across a
         # schedule column is checked at each) and one oversubscribed FT
         # team.  EP's lock walk is also re-verified under the LIFO and a
-        # seeded-random handoff (SYN and REAL; FF reads no handoff).
+        # seeded-random handoff (SYN and REAL; FF reads no handoff), and
+        # the nested-team walk on one seeded Fig. 11 Test2 program on 8
+        # cores under FIFO and LIFO (SYN and REAL).
         from repro.core.columnar import verify_points
 
         # Saved profiles carry no paradigm; they re-verify as OpenMP.
@@ -455,31 +457,44 @@ def cmd_check(args: argparse.Namespace) -> int:
         col_schedules = (
             ("static", "static,1", "dynamic,1") if args.quick else schedules
         )
+        col_methods = ("ff", "syn", "real")
         col_grids = [
             (name, profile, paradigms.get(name, "omp"), threads, col_schedules,
-             ("fifo", 0))
+             ("fifo", 0), col_methods)
             for name, profile in profiles.items()
         ]
         if args.quick:
+            import numpy as np
+
+            from repro.workloads import random_test2, test2_program
+
             fft = get_workload("ompscr_fft")
+            test2 = ParallelProphet(
+                machine=MachineConfig(n_cores=8), overheads=prophet.overheads
+            ).profile(test2_program(
+                random_test2(np.random.default_rng(args.seed), scale=0.4)
+            ))
             col_grids += [
                 (fft.name, prophet.profile(fft.program), fft.paradigm,
-                 [2, 4], col_schedules, ("fifo", 0)),
+                 [2, 4], col_schedules, ("fifo", 0), col_methods),
                 ("npb_ft", profiles["npb_ft"], "omp",
-                 [prophet.machine.n_cores + 2], ("static",), ("fifo", 0)),
+                 [prophet.machine.n_cores + 2], ("static",), ("fifo", 0),
+                 col_methods),
             ] + [
                 ("npb_ep", profiles["npb_ep"], "omp", [2, 4], col_schedules,
-                 handoff)
+                 handoff, ("syn", "real"))
                 for handoff in (("lifo", 0), ("random", 7))
+            ] + [
+                ("test2", test2, "omp", [8], col_schedules, handoff,
+                 ("syn", "real"))
+                for handoff in (("fifo", 0), ("lifo", 0))
             ]
-        col = {m: 0 for m in ("ff", "syn", "real")}
+        col = {m: 0 for m in col_methods}
         for (name, profile, paradigm, col_threads, sched_labels,
-             (handoff, seed)) in col_grids:
+             (handoff, seed), methods) in col_grids:
             if memory_model and profile.sections:
                 prophet.attach_burdens(profile, col_threads)
-            for method in col:
-                if method == "ff" and handoff != "fifo":
-                    continue
+            for method in methods:
                 checked, mismatches = verify_points(
                     prophet, profile, col_threads, sched_labels,
                     methods=(method,), paradigm=paradigm,

@@ -6,39 +6,51 @@ on that section alone.  The eager path nevertheless re-derives every grid
 point through the FF heap walk, the DES kernel's fork/join machinery and a
 fresh tree traversal.  This module lowers a workload's program tree
 **once**, section by section, and evaluates grid points against the
-lowering.  A lowered section (flat: tasks of ``U`` and ``L`` leaves, no
-nesting, no pipeline) has exactly one evaluator per method:
+lowering.  A lowered section (tasks of ``U`` and ``L`` leaves and nested
+sections of the same shape, no pipeline) has exactly one evaluator per
+method:
 
 - FF walks the heap walk's per-CPU arithmetic without the heap when the
-  section is lock-free: it then has no cross-CPU interaction in the FF's
+  section is flat and lock-free: it then has no cross-CPU interaction in
+  the FF's
   abstract machine, so under a static-family schedule each CPU runs its
   ``Schedule.static_chunks`` in order (``_ff_static``), and
   under ``dynamic``/``guided`` each ``Schedule.chunks`` chunk goes to the
   earliest-free CPU (``_ff_greedy``).  Both add the dispatch and then each
   leaf's ``(length*β)*repeat`` step in the heap walk's order.  FF of a
-  lock-bearing section stays on the heap walk.
-- SYN and REAL replay one OpenMP team in ``_team_walk``, a lean event walk
-  over per-member op streams (demand-free segments, missy lanes, lock
-  acquires and releases).  A member's ops are ``OmpRuntime._member_work``'s
-  expanded stream — a dispatch per chunk (per iteration in a one-member
-  team), then the iterations' leaf ops, an ``L`` leaf expanded as
-  ``ParallelExecutor._task_body`` lowers it — from a chain built from the
-  RLE runs, or from a shared ``Schedule.chunks`` cursor for the dynamic
-  family.  Locks follow the kernel's direct handoff under the point's
-  ``fifo``, ``lifo`` or ``random`` policy; a woken member moves to the
-  lowest idle core, as the kernel dispatches it.  Each walk keeps its own
+  lock-bearing or nested section stays on the heap walk.
+- SYN and REAL replay one OpenMP team, and the nested teams its members
+  fork, in ``_team_walk``, a lean event walk over per-thread op streams
+  (demand-free segments, missy lanes, lock acquires and releases, chunk
+  grabs, forks, barriers and joins).  A member's ops are
+  ``OmpRuntime._member_work``'s expanded stream — a dispatch per chunk
+  (per iteration in a one-member team), then the iterations' leaf ops,
+  an ``L`` leaf expanded as ``ParallelExecutor._task_body`` lowers it, a
+  nested section as one fork per activation — from a chain built from
+  the RLE runs, or from the team's shared ``Schedule.chunks`` cursor for
+  the dynamic family.  A fork does what ``OmpRuntime.parallel_loops``
+  does: the forking thread pays the fork cost, spawns ``t - 1`` inner
+  workers and becomes the inner team's member 0; the team passes its
+  barrier and member 0 joins the workers in spawn order and pays the
+  join barrier.  Threads beyond the cores wait in the kernel's one FIFO
+  ready queue.  Locks follow the kernel's direct handoff under the
+  point's ``fifo``, ``lifo`` or ``random`` policy; a woken thread moves
+  to the lowest idle core, as the kernel dispatches it.  The walk does
+  not model preemption: it mirrors the kernel's lazy quanta and hands
+  the section back (``columnar.declined.quantum``) when one would
+  preempt a thread.  Each walk keeps its own
   DRAM-solve memo, as the executor runs one kernel (hence one DRAM pool)
   per section replay, and on a miss runs the pools' scalar bisection,
   :meth:`~repro.simhw.dram.DramModel.solve`.
 
-Sections outside that model are *delegated*: nested and pipeline
-sections, nowait chains, lock-bearing sections under the ``adversarial``
-handoff (it ranks waiters by progress only the kernel tracks), and
-memory-demanding REAL sections on a multi-socket machine — and, for
+Sections outside that model are *delegated*: pipeline sections, nowait
+chains, lock-bearing sections under the ``adversarial`` handoff (it ranks
+waiters by progress only the kernel tracks), sections a walk declines,
+and memory-demanding REAL sections on a multi-socket machine — and, for
 SYN/REAL, every section of a point whose team the walk does not model (a
 Cilk or ``omp_task`` paradigm, ``t > n_cores``, or a context-switch cost
-with ``t > 1``).  FF runs each of them, and every lock-bearing section,
-on the heap walk (``FastForwardEmulator.emulate_section`` /
+with ``t > 1``).  FF runs each of them, and every lock-bearing or nested
+section, on the heap walk (``FastForwardEmulator.emulate_section`` /
 ``emulate_chain``), and one :class:`~repro.core.executor.ParallelExecutor`
 replays each of them for SYN/REAL (``execute_section`` /
 ``execute_chain``, through the section memo) under the point's paradigm,
@@ -84,6 +96,7 @@ from typing import Literal
 
 from repro.core.executor import (
     OVERHEAD_ACCESS_NODE,
+    OVERHEAD_RECURSIVE_CALL,
     ParallelExecutor,
     ReplayMode,
 )
@@ -105,15 +118,26 @@ from repro.validate.invariants import get_checker
 
 
 class _SecCols:
-    """One top-level section lowered to per-run iteration counts and ops."""
+    """One section lowered to per-run iteration counts and ops.
+
+    A nested section lowers to its own ``_SecCols``, which stands in its
+    parent's REAL ops as a *fork* op, once per activation of the nested
+    node.  Every nested section of one top-level section shares the
+    top-level ``lock_ids`` map, as the executor's replay shares one mutex
+    per lock id across the nesting levels of a section."""
 
     __slots__ = (
         "node", "name", "repeat", "n_iters", "counts", "real_ops", "missy",
-        "lock_ids",
+        "lock_ids", "nested", "subs",
     )
 
     def __init__(
-        self, node: Node, machine: MachineConfig, overheads: RuntimeOverheads
+        self,
+        node: Node,
+        machine: MachineConfig,
+        overheads: RuntimeOverheads,
+        lock_ids: dict[int, int] | None = None,
+        subs: dict | None = None,
     ) -> None:
         self.node = node
         self.name = node.name
@@ -121,14 +145,28 @@ class _SecCols:
         stall = machine.base_miss_stall
         #: Dense index of each lock id, in order of first use (the walk's
         #: acquire and release ops carry it).
-        lock_ids: dict[int, int] = {}
+        if lock_ids is None:
+            lock_ids = {}
+        #: One lowering per nested node (compression shares identical ones).
+        if subs is None:
+            subs = {}
         #: Per-run REAL ops of one iteration for the team walk.
         real_ops: list[tuple] = []
-        missy = False
+        missy = nested = False
         for task in node.children:
             ops: list = []
             for leaf in task.children:
-                # Leaf-only eligibility is checked by the caller.
+                # Eligibility is checked by the caller (_lowerable).
+                if leaf.kind is NodeKind.SEC:
+                    sub = subs.get(id(leaf))
+                    if sub is None:
+                        sub = subs[id(leaf)] = _SecCols(
+                            leaf, machine, overheads, lock_ids, subs
+                        )
+                    ops += [sub] * leaf.repeat
+                    missy = missy or sub.missy
+                    nested = True
+                    continue
                 locked = leaf.kind is NodeKind.L
                 # executor._leaf_compute, times the repeat for a U leaf.
                 reps = 1 if locked else leaf.repeat
@@ -151,6 +189,10 @@ class _SecCols:
         #: Whether a timed compute demands memory (REAL replays walk it).
         self.missy = missy
         self.lock_ids = lock_ids
+        #: Whether a task forks a nested team.
+        self.nested = nested
+        #: The nested sections' lowerings, by node id.
+        self.subs = subs
 
 
 def _locked(item: Node) -> bool:
@@ -160,16 +202,20 @@ def _locked(item: Node) -> bool:
 
 
 def _lowerable(item: Node) -> bool:
-    """A flat leaf-only section: SEC -> TASK -> U or L leaves, no nesting,
-    no pipeline.  Its SYN/REAL replay under an OpenMP team is a team walk
-    (locks included, except under the ``adversarial`` handoff); FF walks
-    only a lock-free one and runs a lock-bearing one on the heap walk."""
+    """A section of SEC -> TASK -> (U or L leaves, nested SECs of the same
+    shape) with no pipeline anywhere.  Its SYN/REAL replay under an OpenMP
+    team is a team walk (locks included, except under the ``adversarial``
+    handoff; a nested section forks a nested team of the same size and
+    schedule, as ``ParallelExecutor._omp_bodies`` does); FF walks only a
+    flat lock-free one and runs the others on the heap walk."""
     return (
         item.kind is NodeKind.SEC
         and not item.pipeline
         and all(
             task.kind is NodeKind.TASK
-            and all(leaf.is_leaf for leaf in task.children)
+            and all(
+                child.is_leaf or _lowerable(child) for child in task.children
+            )
             for task in item.children
         )
     )
@@ -266,9 +312,9 @@ class ColumnarEngine:
         ``FastForwardEmulator.emulate_profile`` assembles it (per-section
         repeat scaling, result records, invariant checks); never declines.
 
-        Lock-free lowered sections take the heap-free walks of
-        ``_ff_section``; lock-bearing and delegated items run on the heap
-        walk itself.  Every item's cycles
+        Flat lock-free lowered sections take the heap-free walks of
+        ``_ff_section``; lock-bearing, nested and delegated items run on
+        the heap walk itself.  Every item's cycles
         are cached per (item, schedule, t, β)."""
         get_metrics().inc("columnar.hits")
         inv = get_checker()
@@ -278,7 +324,11 @@ class ColumnarEngine:
             if isinstance(item, float):
                 total += item
                 continue
-            if isinstance(item, _SecCols) and not item.lock_ids:
+            if (
+                isinstance(item, _SecCols)
+                and not item.lock_ids
+                and not item.nested
+            ):
                 name = item.name
                 cycles = self._ff_section(
                     item, schedule, t, burdens.get(name, 1.0)
@@ -429,15 +479,18 @@ class ColumnarEngine:
         [(name, net cycles, activations)] per section replay)``.
 
         A lowered section takes the team walk when the walk models its
-        replay: an OpenMP team the DES kernel runs one member per core,
-        with no preemption and no switch cost, and — for REAL — one DRAM
-        pool or no memory demand; a lock-bearing one also needs a handoff
-        other than ``adversarial``.  Its ``(gross, traversal)`` is cached
-        per (section, schedule, t, β), plus the handoff (and a ``random``
-        one's seed) for a lock-bearing section.  Every other section is
-        delegated to the executor under the point's paradigm, schedule
-        and ``handoff``; the task-pool paradigms replay a nowait chain's
-        sections one at a time, as the executor groups them."""
+        replay: an OpenMP team of at most one member per core (nested
+        teams may oversubscribe the cores), with no switch cost, and — for
+        REAL — one DRAM pool or no memory demand; a lock-bearing one also
+        needs a handoff other than ``adversarial``.  Its ``(gross,
+        traversal)`` is cached per (section, schedule, t, β), plus the
+        handoff (and a ``random`` one's seed) for a lock-bearing section.
+        A walk that finds a quantum could fire hands the section back
+        (``columnar.declined.quantum``; the decline is cached too).  Every
+        other section is delegated to the executor under the point's
+        paradigm, schedule and ``handoff``; the task-pool paradigms replay
+        a nowait chain's sections one at a time, as the executor groups
+        them."""
         machine = self.machine
         omp = paradigm == "omp"
         team = omp and t <= machine.n_cores and (
@@ -477,14 +530,21 @@ class ColumnarEngine:
                 walked = cache.get(key)
                 if walked is None:
                     walked = self._walk(item, schedule, t, beta, locking)
+                    if walked is None:
+                        # A quantum could fire: the kernel replays it.
+                        get_metrics().inc("columnar.declined.quantum")
+                        walked = _DECLINED
                     cache[key] = walked
-                gross, trav = walked
-                # Fig. 8 line 26: subtract the longest per-member traversal
-                # (zero in a REAL walk, so its net is its gross).
-                name, net, repeat = item.name, max(0.0, gross - trav), item.repeat
-                total += net * repeat
-                runs.append((name, net, repeat))
-                continue
+                if walked is not _DECLINED:
+                    gross, trav = walked
+                    # Fig. 8 line 26: subtract the longest per-thread
+                    # traversal (zero in a REAL walk: net is gross).
+                    name, net, repeat = (
+                        item.name, max(0.0, gross - trav), item.repeat
+                    )
+                    total += net * repeat
+                    runs.append((name, net, repeat))
+                    continue
             node = item.node if isinstance(item, _SecCols) else item
             chain = isinstance(node, list)
             for sec in node if chain and not omp else (node,):
@@ -572,53 +632,95 @@ class ColumnarEngine:
               locking=None):
         """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
         t): the REAL replay when ``beta`` is None, else the FAKE replay at
-        burden ``beta``.  ``locking`` is ``_team_walk``'s ``(n_locks,
-        handoff, seed)`` for a lock-bearing section.
+        burden ``beta``; None when the walk finds that a quantum could
+        fire.  ``locking`` is ``_team_walk``'s ``(n_locks, handoff,
+        seed)`` for a lock-bearing section.
 
-        Op streams follow ``OmpRuntime._member_work``'s expanded lowering:
-        a dispatch per chunk (per iteration in a one-member team) followed
-        by the iterations' leaf ops, from a chain, or from a shared chunk
-        cursor under a dynamic-family schedule.  An ``L`` leaf expands as
-        ``ParallelExecutor._task_body`` lowers it (``_critical``)."""
+        The top-level team's plan comes from :meth:`_plan`; a nested
+        section's plan (the same ``t`` and schedule, as
+        ``ParallelExecutor._omp_bodies`` forks it) is built the first time
+        the walk forks it, with the inner team's exit appended: one
+        barrier pass, then member 0 joins the workers in spawn order and
+        pays ``omp_join_barrier``."""
         oh = self.overheads
-        fork = oh.fork_cost(t)
-        start = float(fork) if fork > 0.0 else 0.0
         jb = oh.omp_join_barrier
-        prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
-        trav = [0.0] * t
-        dynamic = schedule.is_dynamic_family
-        disp = float(oh.dispatch_cost(schedule))
-        head = [disp] if disp > 0.0 else []
+        plan = None
+        if sc.nested:
+            master_tail = [_BAR, _JOIN] + ([float(jb)] if jb > 0.0 else [])
+            tails = (master_tail, [_BAR])
+            plans: dict = {}
+
+            def plan(sub: _SecCols) -> tuple:
+                got = plans.get(sub)
+                if got is None:
+                    got = plans[sub] = self._plan(sub, schedule, t, beta, tails)
+                return got
+
+        return _team_walk(
+            self._dram, t, oh.fork_cost(t), jb, float(oh.dispatch_cost(schedule)),
+            self._plan(sc, schedule, t, beta, ([], [])), locking, plan,
+        )
+
+    def _iters(self, sc: _SecCols, beta) -> tuple[list, list]:
+        """Per-iteration ops and FAKE traversal overhead of ``sc``: its REAL
+        ops when ``beta`` is None, else the synthesizer's FakeDelay
+        program at burden ``beta``."""
         iters: list = []
         iter_trav: list = []
         for r, count in enumerate(sc.counts):
             if beta is None:
                 ops, oh_run = sc.real_ops[r], 0.0
             else:
-                # The synthesizer's FakeDelay: a traversal-overhead segment,
-                # then (length*beta)*repeat cycles per U leaf, or one
-                # critical section of length*beta cycles per L leaf pass.
+                # A traversal-overhead segment per child, then
+                # (length*beta)*repeat cycles per U leaf, one critical
+                # section of length*beta cycles per L leaf pass, or one
+                # fork per activation of a nested section (whose visit
+                # also pays the recursive call).
                 ops = []
-                leaves = sc.node.children[r].children
-                for leaf in leaves:
-                    if OVERHEAD_ACCESS_NODE > 0.0:
-                        ops.append(OVERHEAD_ACCESS_NODE)
-                    if leaf.kind is NodeKind.L:
+                oh_run = 0.0
+                for leaf in sc.node.children[r].children:
+                    kind = leaf.kind
+                    cost = OVERHEAD_ACCESS_NODE
+                    if kind is NodeKind.SEC:
+                        cost += OVERHEAD_RECURSIVE_CALL
+                    if cost > 0.0:
+                        ops.append(cost)
+                    oh_run += cost
+                    if kind is NodeKind.U:
+                        cycles = float((leaf.length * beta) * leaf.repeat)
+                        if cycles > 0.0:
+                            ops.append(cycles)
+                    elif kind is NodeKind.L:
                         body = float(leaf.length * beta)
                         ops += _critical(
-                            oh, sc.lock_ids[leaf.lock_id],
+                            self.overheads, sc.lock_ids[leaf.lock_id],
                             body if body > 0.0 else None,
                         ) * leaf.repeat
-                        continue
-                    cycles = float((leaf.length * beta) * leaf.repeat)
-                    if cycles > 0.0:
-                        ops.append(cycles)
-                oh_run = OVERHEAD_ACCESS_NODE * len(leaves)
+                    else:
+                        ops += [sc.subs[id(leaf)]] * leaf.repeat
             iters += [ops] * count
             iter_trav += [oh_run] * count
+        return iters, iter_trav
 
+    def _plan(self, sc: _SecCols, schedule: Schedule, t: int, beta,
+              tails: tuple[list, list]) -> tuple:
+        """One team's ``(chains, traversal, cursor)`` over ``sc``.
+
+        ``chains[w]`` is member ``w``'s op stream as
+        ``OmpRuntime._member_work`` expands it: a worker's
+        ``omp_thread_start``, then a dispatch per chunk (per iteration in
+        a one-member team, which runs inline) followed by the iterations'
+        ops, and then ``tails`` (master's, worker's) in a team of ``t >
+        1``.  Under a dynamic-family schedule the chunks come from the
+        team's shared ``cursor = (chunk ops, chunk traversal)`` through a
+        grab op instead.  ``traversal[w]`` is member ``w``'s FAKE
+        traversal overhead of its static chunks."""
+        oh = self.overheads
+        iters, iter_trav = self._iters(sc, beta)
+        prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
+        master_tail, worker_tail = tails
         n = sc.n_iters
-        if dynamic and t > 1:
+        if schedule.is_dynamic_family and t > 1:
             chunk_ops = []
             chunk_trav = []
             for chunk in schedule.chunks(n, t):
@@ -632,18 +734,19 @@ class ColumnarEngine:
                 for x in iter_trav[lo:hi]:
                     tr += x
                 chunk_trav.append(tr)
-            chains = [[]] + [prefix] * (t - 1)
-            return _team_walk(
-                self._dram, t, start, jb, chains, trav,
-                (chunk_ops, chunk_trav, disp), locking,
-            )
+            chains = [[_GRAB] + master_tail]
+            chains += [prefix + [_GRAB] + worker_tail] * (t - 1)
+            return chains, [0.0] * t, (chunk_ops, chunk_trav)
 
+        disp = float(oh.dispatch_cost(schedule))
+        head = [disp] if disp > 0.0 else []
         if t == 1:
             # The inline team dispatches per iteration.
             owned = [[range(i, i + 1) for i in range(n)]]
         else:
             owned = schedule.static_chunks(n, t)
         chains = []
+        trav = []
         for w, mine in enumerate(owned):
             ops = list(prefix) if w else []
             tr = 0.0
@@ -652,11 +755,11 @@ class ColumnarEngine:
                 ops.extend(_flat(iters[r.start:r.stop]))
                 for x in iter_trav[r.start:r.stop]:
                     tr += x
-            trav[w] = tr
+            if t > 1:
+                ops += worker_tail if w else master_tail
+            trav.append(tr)
             chains.append(ops)
-        return _team_walk(
-            self._dram, t, start, jb, chains, trav, None, locking
-        )
+        return chains, trav, None
 
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
@@ -736,10 +839,56 @@ def _ff_greedy(t: int, start: float, disp: float, chunks, iters) -> float:
 _NEVER = float("inf")
 
 
-def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
-               locking=None):
-    """Replay one OpenMP team over per-member op streams: returns ``(gross
-    cycles, longest per-member traversal overhead)``.
+class _Op:
+    """A structural op of a thread's stream (``_team_walk``)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: Pay the dispatch, then grab the next chunk from the team's cursor.
+_GRAB = _Op("grab")
+#: Wait at the team's barrier.
+_BAR = _Op("barrier")
+#: Join the team's workers, in spawn order.
+_JOIN = _Op("join")
+
+#: ``_replay``'s cache value for a walk that handed its section back.
+_DECLINED = object()
+
+
+def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
+               plan=None):
+    """Replay one OpenMP team, and the nested teams its members fork, over
+    per-thread op streams: returns ``(gross cycles, longest per-thread
+    traversal overhead)``, or None when a quantum could fire.
+
+    ``top = (chains, traversal, cursor)`` is the top-level team's plan
+    (``ColumnarEngine._plan``).  In a thread's stream a float is a
+    demand-free segment, a tuple a missy lane (``_lane``), an int ``ix >=
+    0`` the acquire of lock ``ix`` and ``~ix`` its release (``_critical``),
+    ``_GRAB`` a dispatch of ``disp`` cycles and then a chunk grab from the
+    team's ``cursor = (chunk ops, chunk traversal)`` (the last, failed
+    grab still pays the dispatch), and a :class:`_SecCols` a fork of a nested team over that
+    section, whose plan ``plan(section)`` returns.
+
+    The top-level team forks at ``fork`` (its master's fork segment,
+    dispatched at 0).  A fork op does what ``OmpRuntime.parallel_loops``
+    does: the forking thread pays ``fork``, spawns the ``t - 1`` inner
+    workers onto the tail of the ready queue in order (each pays
+    ``omp_thread_start`` first) and becomes the inner team's member 0;
+    the inner team passes its own barrier once (``_BAR``: ``parallel_for``
+    runs its loop ``nowait``, so only the region's implicit barrier is
+    left), and member 0 then joins each worker in spawn order (``_JOIN``), pays ``jb`` and
+    returns to its own stream.  A one-member team runs inline.  The
+    top-level team's barrier releases at its last arrival and its master
+    then pays ``jb`` (a one-member team runs inline).  Each thread's
+    FAKE traversal overhead is its own sum, inner workers included.
 
     When the DES kernel would solve DRAM contention, the walk looks the
     running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
@@ -748,51 +897,75 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
     the bisection a kernel pool runs on its misses.  The memo's hits and
     misses are added to the ``dram.solve.*`` counters.
 
-    ``chains[w]`` are member ``w``'s ops: a float is a demand-free segment,
-    a tuple a missy lane (``_lane``), an int ``ix >= 0`` the acquire of
-    lock ``ix`` and ``~ix`` its release (``_critical``).  With ``cursor =
-    (chunk_ops, chunk_trav, dispatch)`` a member whose ops run out pays
-    ``dispatch`` and then grabs the next chunk; the grab happens when that
-    dispatch completes, and the last, failed grab still pays it.  The team
-    forks at ``start``; the barrier releases at the last arrival and the
-    master then pays ``jb`` (a one-member team runs inline).
-    ``locking = (n_locks, handoff, seed)`` walks a lock-bearing section.
-
     Mirrors the kernel's arithmetic bit for bit: a segment completes at
     ``now + remaining * s``; demand-free segments (``s == 1``) never
-    interact, so a run of them is summed in order without events, up to
-    the next lane, lock op or barrier arrival of a lock-bearing section; a
-    lane attach or completion re-checks the running multiset against the
-    cached signature and re-solves only when it changed; a continuing lane
+    interact, so a run of them (fork and dispatch costs included) is
+    summed in order without events, up to the next lane, lock, barrier
+    or join op, fork, chunk grab, or the thread's end; a lane attach or
+    completion re-checks the running multiset against the cached
+    signature and re-solves only when it changed; a continuing lane
     re-anchors in absolute form only when its ``s`` changes.  Each core
     has at most one pending event, and same-time events go by ``(time,
     core)``, the kernel's heap order.
 
-    Locks follow ``SimKernel._acquire``/``_release`` and ``SimMutex``: a
-    contended acquire queues the member and frees its core; a release
-    with waiters hands the lock to the one ``SimMutex.pop_waiter`` picks
-    (``fifo`` the head, ``lifo`` the tail, ``random`` a ``randrange``
-    draw from one ``random.Random(seed)`` per walk) and puts it at the
-    front of the ready queue.  Ready members are dispatched as
-    ``SimKernel._dispatch`` does: each round snapshots the idle cores in
-    order and hands each the head of the queue, so a woken member runs on
-    the lowest idle core, not its own, and steps at once.  A member
-    arriving at the barrier frees its core too.
+    Threads wait in one FIFO ready queue, as ``CpuScheduler`` keeps it:
+    spawns and barrier and join wake-ups go to its tail, and a lock
+    handoff to its front.  Locks follow ``SimKernel._acquire``/
+    ``_release`` and ``SimMutex``: a contended acquire queues the thread
+    and frees its core; a release with waiters hands the lock to the one
+    ``SimMutex.pop_waiter`` picks (``fifo`` the head, ``lifo`` the tail,
+    ``random`` a ``randrange`` draw from one ``random.Random(seed)`` per
+    walk).  Ready threads are dispatched as ``SimKernel._dispatch`` does:
+    each round snapshots the idle cores in order and hands each the head
+    of the queue, so a woken thread runs on the lowest idle core, not its
+    own, and steps at once.  A thread that blocks, finishes or (in a
+    lock-bearing or nested section) arrives at the top-level barrier
+    frees its core.
+
+    The walk does not model preemption; it proves none happens by
+    mirroring the kernel's lazy quanta.  A dispatch anchors the core's
+    boundary at ``now + timeslice_cycles`` (the kernel's own float
+    expression).  When an event's dispatch round ends with threads still
+    queued, every busy core without an armed expiry gets one at its first
+    boundary after ``now``, advanced by repeated ``+= timeslice_cycles``
+    as ``SimKernel._ensure_quanta`` advances it.  Expiries go before
+    same-time completions; a dispatch makes the core's pending one stale,
+    one on an idle core does nothing, one that finds the queue empty
+    re-anchors the boundary, and one
+    that finds a waiter would preempt: the walk stops and returns None.
+    With no thread queued no quantum is armed, so a team of at most one
+    member per core never declines.
     """
-    if cursor is None:
-        chunk_ops, chunk_trav, disp = (), (), 0.0
-    else:
-        chunk_ops, chunk_trav, disp = cursor
-    n_chunks = len(chunk_ops)
-    nxt = 0
+    chains, trav, cursor = top
+    n_cores = dram.config.n_cores
+    ts = dram.config.timeslice_cycles
+    fork = float(fork) if fork > 0.0 else 0.0
+    # Per-thread state; threads 0..t-1 are the top-level team's members,
+    # inner workers are appended as they are spawned.
     ops = list(chains)
     pos = [0] * t
+    trav = list(trav)
+    #: Saved ``(ops, pos, team, grab)`` frames: a nested team's member 0
+    #: and a member done grabbing chunks return to them.
+    stack: list = [None] * t
+    #: A team: [next chunk, cursor, barrier arrivals, workers, joined].
+    team = [[0, cursor, None, None, 0]] * t
+    #: Whether a thread grabs its team's chunks when its ops run out, and
+    #: whether it has paid the dispatch or fork cost it is about to act on.
     grab = [False] * t
+    pend = [False] * t
+    done = [False] * t
+    joiner = [-1] * t
     #: Each core's pending event time (a lane completion, the end of a run
-    #: of demand-free segments, or a timed barrier arrival).
+    #: of demand-free segments, or a timed event op).
     times = [_NEVER] * t
-    #: The member on each core; -1 while the core is idle.
+    #: The thread on each core; -1 while the core is idle.
     on = [-1] * t
+    #: Each core's next round-robin boundary (``SimKernel._q_next``) and
+    #: its armed quantum expiry (``_NEVER`` while unarmed).
+    q_next = [ts] * t
+    q_at = [_NEVER] * t
+    armed = 0
     arrival = [0.0] * t
     #: core -> [anchor_time, anchor_remaining, slowdown|None, f, lane op]
     lanes: dict[int, list] = {}
@@ -804,6 +977,9 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
     memo: OrderedDict = OrderedDict()
     hits = misses = 0
     locked = locking is not None
+    # Top-level arrivals free their cores only when another thread could
+    # take them: a lock waiter, or a nested team's thread.
+    shared = locked or plan is not None
     if locked:
         n_locks, policy, seed = locking
         owner = [-1] * n_locks
@@ -812,34 +988,25 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
     ready: deque = deque()
 
     def step(w: int, c: int, now: float) -> bool:
-        """Advance member ``w``, on core ``c``, from ``now`` to its next
+        """Advance thread ``w``, on core ``c``, from ``now`` to its next
         blocking point; True when it attached a missy lane."""
-        nonlocal nxt
+        o = ops[w]
+        p = pos[w]
+        n = len(o)
+        end = now
+        timed = False
         while True:
-            if grab[w]:
-                grab[w] = False
-                if nxt == n_chunks:
-                    arrival[w] = now
-                    on[c] = -1
-                    return False
-                ops[w] = chunk_ops[nxt]
-                trav[w] += chunk_trav[nxt]
-                nxt += 1
-                pos[w] = 0
-            o = ops[w]
-            p = pos[w]
-            n = len(o)
-            end = now
-            timed = False
             while p < n:
                 op = o[p]
-                if op.__class__ is float:
+                cls = op.__class__
+                if cls is float:
                     end += op
                     timed = True
                     p += 1
-                elif timed:
-                    break  # the lane or lock op waits for the segments
-                elif op.__class__ is tuple:
+                    continue
+                if cls is tuple:
+                    if timed:
+                        break  # the lane waits for the segments
                     pos[w] = p + 1
                     fd = op[1]
                     lanes[c] = [now, op[0], None, fd[0], op]
@@ -847,17 +1014,19 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
                     quant[op[2]] = quant.get(op[2], 0) + 1
                     fresh.append(c)
                     return True
-                elif op >= 0:  # acquire
+                if cls is int:
+                    if timed:
+                        break  # a lock op is an event point
                     p += 1
-                    if owner[op] < 0:
-                        owner[op] = w
-                    else:
+                    if op >= 0:  # acquire
+                        if owner[op] < 0:
+                            owner[op] = w
+                            continue
                         waiters[op].append(w)
                         pos[w] = p
                         on[c] = -1
                         return False
-                else:  # release, with direct handoff
-                    p += 1
+                    # release, with direct handoff
                     queue = waiters[~op]
                     if not queue:
                         owner[~op] = -1
@@ -870,49 +1039,177 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
                         heir = queue.pop(rng.randrange(len(queue)))
                     owner[~op] = heir
                     ready.appendleft(heir)
-            pos[w] = p
-            if p < n or cursor is not None:
-                if p == n:
-                    if disp > 0.0:
-                        end += disp
-                        timed = True
+                    continue
+                if op is _GRAB:
+                    # Grab chunks until none is left, then go on with the
+                    # ops after this one.
+                    if p + 1 < n:
+                        frames = stack[w]
+                        if frames is None:
+                            frames = stack[w] = []
+                        frames.append((o, p + 1, team[w], False))
                     grab[w] = True
+                    o = ops[w] = ()
+                    p = n = 0
+                    continue
+                if cls is _SecCols:  # fork a nested team
+                    if not pend[w] and fork > 0.0:
+                        # The fork cost joins the run; the fork happens
+                        # when it completes.
+                        end += fork
+                        timed = True
+                        pend[w] = True
+                        break
+                    if timed:
+                        break
+                    pend[w] = False
+                    sub_chains, sub_trav, sub_cursor = plan(op)
+                    frames = stack[w]
+                    if frames is None:
+                        frames = stack[w] = []
+                    frames.append((o, p + 1, team[w], grab[w]))
+                    grab[w] = False
+                    trav[w] += sub_trav[0]
+                    if t > 1:
+                        tm = [0, sub_cursor, [], [], 0]
+                        workers = tm[3]
+                        for i in range(1, t):
+                            k = len(ops)
+                            ops.append(sub_chains[i])
+                            pos.append(0)
+                            trav.append(sub_trav[i])
+                            stack.append(None)
+                            team.append(tm)
+                            grab.append(False)
+                            pend.append(False)
+                            done.append(False)
+                            joiner.append(-1)
+                            workers.append(k)
+                            ready.append(k)
+                        team[w] = tm
+                    o = ops[w] = sub_chains[0]
+                    p = 0
+                    n = len(o)
+                    continue
+                if timed:
+                    break  # a barrier or join is an event point
+                tm = team[w]
+                if op is _BAR:
+                    arrived = tm[2]
+                    arrived.append(w)
+                    if len(arrived) < t:
+                        pos[w] = p + 1
+                        on[c] = -1
+                        return False
+                    for x in arrived:
+                        if x != w:
+                            ready.append(x)
+                    arrived.clear()
+                    p += 1
+                    continue
+                # _JOIN: the workers in spawn order
+                workers = tm[3]
+                j = tm[4]
+                while j < len(workers) and done[workers[j]]:
+                    j += 1
+                tm[4] = j
+                if j < len(workers):
+                    joiner[workers[j]] = w
+                    pos[w] = p
+                    on[c] = -1
+                    return False
+                p += 1
+            if p < n:
+                pos[w] = p
+                times[c] = end
+                return False
+            if grab[w]:  # between chunks of a dynamic-family schedule
+                if not pend[w] and disp > 0.0:
+                    end += disp  # the grab happens when it completes
+                    timed = True
+                    pend[w] = True
+                if timed:
+                    pos[w] = p
+                    times[c] = end
+                    return False
+                pend[w] = False
+                tm = team[w]
+                k = tm[0]
+                chunk_ops, chunk_trav = tm[1]
+                if k < len(chunk_ops):
+                    tm[0] = k + 1
+                    trav[w] += chunk_trav[k]
+                    o = ops[w] = chunk_ops[k]
+                    p = 0
+                    n = len(o)
+                    continue
+                grab[w] = False  # the last, failed grab
+            frames = stack[w]
+            if frames:
+                o, p, team[w], grab[w] = frames.pop()
+                ops[w] = o
+                n = len(o)
+                continue
+            pos[w] = p
+            if w >= t:  # an inner worker finishes
                 if timed:
                     times[c] = end
                     return False
-                continue  # a zero-cost dispatch grabs at once
-            if timed and locked:
+                done[w] = True
+                if joiner[w] >= 0:
+                    ready.append(joiner[w])
+                on[c] = -1
+                return False
+            # A top-level member arrives at the barrier.
+            if not shared:
+                arrival[w] = end
+                if not timed:
+                    on[c] = -1
+                return False
+            if timed:
                 times[c] = end  # the core frees when the member arrives
                 return False
-            arrival[w] = end
-            if not timed:
-                on[c] = -1
+            arrival[w] = now
+            on[c] = -1
             return False
 
-    n_cores = dram.config.n_cores
-
     def dispatch(now: float) -> bool:
-        """Place ready members on idle cores and step them; True when one
+        """Place ready threads on idle cores and step them; True when one
         attached a missy lane."""
+        nonlocal armed
         dirty = False
         while ready:
-            idle = [c for c, w in enumerate(on) if w < 0]
+            if -1 not in on:
+                if len(on) == n_cores:
+                    break  # every core is busy
+                idle = []
+            else:
+                idle = [c for c, w in enumerate(on) if w < 0]
             idle.extend(range(len(on), n_cores))
             for c in idle:
                 if not ready:
                     break
-                if c == len(on):  # a core no member has run on yet
+                if c == len(on):  # a core no thread has run on yet
                     on.append(-1)
                     times.append(_NEVER)
+                    q_next.append(0.0)
+                    q_at.append(_NEVER)
                 w = ready.popleft()
                 on[c] = w
+                # Re-anchor the boundary; a pending expiry goes stale.
+                q_next[c] = now + ts
+                if q_at[c] != _NEVER:
+                    q_at[c] = _NEVER
+                    armed -= 1
                 dirty = step(w, c, now) or dirty
         return dirty
 
     # The fork: with a fork cost the master steps when its fork segment
-    # completes and the spawned members are dispatched after it; without
-    # one all of them start in the kernel's first dispatch round.
+    # completes and the spawned members are dispatched after it;
+    # without one all of them start in the kernel's first dispatch
+    # round.
     dirty = False
+    start = fork
     if start > 0.0:
         on[0] = 0
         dirty = step(0, 0, start)
@@ -937,10 +1234,12 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
                     else:
                         misses += 1
                         segs = [
-                            SegmentDemand(*lanes[m][4][1]) for m in sorted(lanes)
+                            SegmentDemand(*lanes[m][4][1])
+                            for m in sorted(lanes)
                         ]
                         k = dram.solve(
-                            segs, sum(sd.demand_bytes_per_sec for sd in segs)
+                            segs,
+                            sum(sd.demand_bytes_per_sec for sd in segs),
                         )
                         memo[key] = k
                         if len(memo) > DRAM_SOLVE_CACHE:
@@ -973,6 +1272,17 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
                     times[m] = now + lane[1] * s
                 fresh.clear()
         now = min(times)
+        if armed:
+            q = min(q_at)
+            if q <= now:  # expiries go before same-time completions
+                c = q_at.index(q)
+                q_at[c] = _NEVER
+                armed -= 1
+                if on[c] >= 0:
+                    if ready:
+                        return None  # a preemption
+                    q_next[c] = q + ts
+                continue
         if now == _NEVER:
             break
         c = times.index(now)
@@ -989,6 +1299,17 @@ def _team_walk(dram: DramModel, t, start, jb, chains, trav, cursor=None,
         dirty = step(on[c], c, now) or dirty
         if ready:
             dirty = dispatch(now) or dirty
+            if ready:
+                # Every core is busy and a thread waits: the kernel
+                # arms each unarmed core's quantum at its first
+                # boundary after ``now`` (``_ensure_quanta``).
+                for c in range(n_cores):
+                    if q_at[c] == _NEVER:
+                        nxt = q_next[c]
+                        while nxt <= now:
+                            nxt += ts
+                        q_next[c] = q_at[c] = nxt
+                        armed += 1
     m = get_metrics()
     if hits:
         m.inc("dram.solve.hits", float(hits))

@@ -330,7 +330,8 @@ class TestColumnarParityProperty:
         paradigm: the engine serves every SYN/REAL point, replays exactly
         the sections the team walk does not model through the executor
         (all of them for the task-pool paradigms and for t=5,6 on the
-        4-core machine, lock-bearing ones under ``adversarial``), and is
+        4-core machine, lock-bearing ones under ``adversarial``) and the
+        ones a walk hands back because a quantum would fire, and is
         ``==`` the eager reference.  A task-pool replay never reads the
         schedule, so it runs once across the three schedules."""
         prophet = ParallelProphet(machine=M4)
@@ -347,14 +348,19 @@ class TestColumnarParityProperty:
                                  handoff=handoff)
                 clear_section_memo()
                 before = metrics.counter_value("replay.sections")
+                declined = metrics.counter_value("columnar.declined.quantum")
                 served = _predict_point(
                     profile, prophet.overheads, task, ff, engine
                 )
                 replays = metrics.counter_value("replay.sections") - before
+                declined = (
+                    metrics.counter_value("columnar.declined.quantum")
+                    - declined
+                )
                 shared = i > 0 and paradigm != "omp"
                 assert replays == (0 if shared else 2 * _delegated_items(
                     engine, paradigm, n_threads, handoff
-                ))
+                )) + declined
                 clear_section_memo()
                 eager = _predict_point(
                     profile, prophet.overheads, task, ff, engine=None
@@ -670,11 +676,18 @@ class TestFallbacks:
             assert served == eager, handoff
 
     def test_nesting_falls_back(self, prophet, profiles, fresh_metrics):
-        """FF and SYN both serve a nested program's point and fall back for
-        the nested section only — to the FF heap walk and the executor —
-        so the point is ``==`` eager."""
-        eager, columnar = self._run(
-            prophet, profiles["nested"], threads=[4], methods=("ff", "syn")
+        """FF and SYN both serve a nested program's point: FF falls back
+        to the heap walk for the nested section, and SYN walks it, nested
+        team included, with no executor replay — both ``==`` eager."""
+        clear_section_memo()
+        columnar = BatchPredictor(prophet, jobs=1).sweep(
+            profiles["nested"], threads=[4], methods=("ff", "syn"),
+            memory_model=False,
+        )["workload"]
+        assert fresh_metrics.counter_value("replay.sections") == 0.0
+        eager = _eager_reference(
+            prophet, profiles["nested"], threads=[4], methods=("ff", "syn"),
+            memory_model=False,
         )
         assert columnar.estimates == eager.estimates
         assert fresh_metrics.counter_value("columnar.hits") == 2.0
@@ -953,6 +966,192 @@ class TestLockWalk:
                             (len(sc.lock_ids), "fifo", 0)) == (
             1160.0, 0.0
         )
+
+
+# ------------------------------------------------------ nested team walks
+
+
+def _test2_profile(seed, cores, machine=None):
+    """A seeded Fig. 11 Test2 program (scale 0.4) profiled on ``cores``."""
+    from repro.workloads import random_test2, test2_program
+
+    params = random_test2(np.random.default_rng(seed), scale=0.4)
+    prophet = ParallelProphet(machine=machine or MachineConfig(n_cores=cores))
+    return prophet, prophet.profile(test2_program(params))
+
+
+class TestNestedWalk:
+    """Nested OpenMP teams — Fig. 11 Test2 programs, whose outer tasks fork
+    lock-bearing inner teams that time-share the cores — take the team
+    walk: its fork, barrier and join ops and its single FIFO ready queue
+    reproduce the kernel, and a section on which a quantum fires is handed
+    back to the executor."""
+
+    HANDOFFS = (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 7))
+
+    def _served_vs_eager(self, prophet, profile, schedules, handoffs,
+                         metrics):
+        """Serve every SYN/REAL point; returns the executor replays the
+        served points made.  Each point must be ``==`` eager."""
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        t = profile.machine.n_cores
+        replays = 0.0
+        for schedule in schedules:
+            for handoff, seed in handoffs:
+                task = SweepTask("workload", schedule, t, ("syn", "real"),
+                                 memory_model=False, handoff=handoff,
+                                 handoff_seed=seed)
+                clear_section_memo()
+                before = metrics.counter_value("replay.sections")
+                served = _predict_point(profile, prophet.overheads, task, ff,
+                                        engine)
+                replays += metrics.counter_value("replay.sections") - before
+                clear_section_memo()
+                eager = _predict_point(profile, prophet.overheads, task, ff,
+                                       engine=None)
+                assert served == eager, (schedule, handoff, seed)
+        return replays
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([8, 12]),
+    )
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_test2_programs_walk_exactly(self, seed, cores):
+        """Drawn Test2 programs on 8 and 12 cores under ``static``,
+        ``static,1`` and ``dynamic,1`` and the ``fifo``, ``lifo`` and
+        seeded ``random`` handoffs: every SYN and REAL point is ``==``
+        eager and makes no executor replay."""
+        prophet, profile = _test2_profile(seed, cores)
+        metrics = MetricsRegistry()
+        old = set_metrics(metrics)
+        try:
+            replays = self._served_vs_eager(
+                prophet, profile, ("static", "static,1", "dynamic,1"),
+                self.HANDOFFS, metrics,
+            )
+        finally:
+            set_metrics(old)
+        assert replays == 0
+        assert metrics.counter_value("columnar.declined.quantum") == 0
+
+    def test_forced_preemption_declines(self, fresh_metrics):
+        """A 20,000-cycle timeslice makes the kernel preempt the nested
+        teams: the walk finds the quantum, hands the section back, and the
+        executor's replay answers — still ``==`` eager."""
+        machine = MachineConfig(n_cores=8, timeslice_cycles=20_000)
+        prophet, profile = _test2_profile(3, 8, machine)
+        (sec,) = profile.tree.top_level_sections()
+        run = ParallelExecutor(
+            machine, overheads=prophet.overheads
+        )._execute_section_uncached(sec, 8, ReplayMode.REAL, 1.0)
+        assert run.preemptions > 0
+        replays = self._served_vs_eager(
+            prophet, profile, ("static", "dynamic,1"), (("fifo", 0),),
+            fresh_metrics,
+        )
+        declined = fresh_metrics.counter_value("columnar.declined.quantum")
+        assert declined > 0
+        assert replays == declined
+
+    @staticmethod
+    def _small_nested(seed):
+        """A seeded program of one section whose tasks often fork a nested
+        section, with one lock; on 2 or 3 cores and a timeslice of 5,000
+        to 60,000 cycles, so quanta fire, with and without waiters."""
+        import random
+
+        rng = random.Random(seed)
+
+        def leaf():
+            return ("compute", rng.uniform(1_000, 40_000), None,
+                    rng.choice([None, None, 1]))
+
+        def section(depth):
+            tasks = []
+            for _ in range(rng.randint(1, 4)):
+                ops = [leaf() for _ in range(rng.randint(1, 3))]
+                nested = ([section(depth - 1)]
+                          if depth > 0 and rng.random() < 0.7 else [])
+                tasks.append((ops, nested))
+            return ("sec", tasks)
+
+        items = [section(1)]
+        machine = MachineConfig(n_cores=rng.choice([2, 3]),
+                                timeslice_cycles=rng.uniform(5e3, 6e4))
+        prophet = ParallelProphet(machine=machine)
+        return prophet, prophet.profile(build_program(items))
+
+    @pytest.mark.parametrize("seed", [26, 30] + list(range(8)))
+    def test_short_quanta_served_exactly(self, seed, fresh_metrics):
+        """Short timeslices under oversubscribing nested teams: an expiry
+        that finds no waiter re-anchors the core's boundary, and the walk
+        declines exactly the sections a quantum preempts (seeds 26 and 30
+        preempt at a re-anchored boundary).  Every point is ``==``
+        eager."""
+        prophet, profile = self._small_nested(seed)
+        replays = self._served_vs_eager(
+            prophet, profile, ("static", "dynamic,1"), (("fifo", 0),),
+            fresh_metrics,
+        )
+        assert replays == fresh_metrics.counter_value(
+            "columnar.declined.quantum"
+        )
+
+    def test_kernel_corpus_nested_cases(self, fresh_metrics):
+        """The kernel corpus's nested OpenMP cases through the engine's
+        SYN/REAL path: every total is the recorded kernel ``final``.  A
+        nowait chain, a context-switch machine at t > 1 and missy REAL on
+        the two-socket machine replay through the executor; a section
+        that preempts is handed back by the walk (only in a case whose
+        replay preempted); every other nested section is walked."""
+        from types import SimpleNamespace
+
+        from tests.kernel_corpus import MACHINES, case_tree, load_corpus
+
+        cases = [r for r in load_corpus()
+                 if r.get("nested") and r["paradigm"] == "omp"]
+        assert len(cases) == 36
+        total_declined = 0.0
+        for r in cases:
+            machine = MACHINES[r["machine"]]
+            profile = SimpleNamespace(tree=case_tree(r), machine=machine)
+            engine = ColumnarEngine(profile, RuntimeOverheads())
+            mode = ReplayMode(r["mode"])
+            t = r["n_threads"]
+            team = t == 1 or machine.context_switch_cycles == 0.0
+            structural = sum(
+                1 for item in engine._items
+                if not isinstance(item, float) and not (
+                    team and isinstance(item, _SecCols) and (
+                        mode is ReplayMode.FAKE or machine.n_sockets == 1
+                        or not item.missy
+                    )
+                )
+            )
+            clear_section_memo()
+            before = fresh_metrics.counter_value("replay.sections")
+            declined = fresh_metrics.counter_value("columnar.declined.quantum")
+            total, _ = engine._replay(
+                mode, Schedule.parse(r["schedule"]), t, "omp", {},
+                r["handoff"], r["handoff_seed"],
+            )
+            assert repr(total) == r["final"], r["id"]
+            declined = (
+                fresh_metrics.counter_value("columnar.declined.quantum")
+                - declined
+            )
+            replays = fresh_metrics.counter_value("replay.sections") - before
+            assert replays == structural + declined, r["id"]
+            if r["preemptions"] == 0:
+                assert declined == 0, r["id"]
+            total_declined += declined
+        assert total_declined > 0
 
 
 # ------------------------------------------------------- Fig. 12 workloads
