@@ -7,6 +7,7 @@ of each cache:
 - ``section_memo`` — the process-wide section-replay memo;
 - ``dram_kernel`` — the DES kernels' per-pool DRAM-solve memos;
 - ``walk_memo`` — the columnar team walks' DRAM-solve memos;
+- ``pool_memo`` — the columnar task-pool walks' DRAM-solve memos;
 - ``engines`` — the ``BatchPredictor`` columnar-engine caches;
 - ``predictor`` / ``profile`` / ``response`` — the serve cache classes.
 
@@ -33,27 +34,43 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 import repro.core.columnar as columnar  # noqa: E402
 from repro.obs import MetricsRegistry, get_metrics, set_metrics  # noqa: E402
 
-#: DRAM-solve memo counts of the team walks (the registry's
-#: ``dram.solve.*`` also includes the kernels' pools).
+#: DRAM-solve memo counts of the team walks and of the pool walks (the
+#: registry's ``dram.solve.*`` also includes the kernels' pools).  Both
+#: walks run in ``_team_walk``; a pool walk is one made from
+#: ``ColumnarEngine._pool_walk``.
 _WALK = {"hits": 0.0, "misses": 0.0}
+_POOL = {"hits": 0.0, "misses": 0.0}
 _team_walk = columnar._team_walk
+_pool_walk = columnar.ColumnarEngine._pool_walk
+_in_pool = [False]
 
 
 def _counted_team_walk(*args, **kwargs):
     m = get_metrics()
-    before = {k: m.counter_value(f"dram.solve.{k}") for k in _WALK}
+    counts = _POOL if _in_pool[0] else _WALK
+    before = {k: m.counter_value(f"dram.solve.{k}") for k in counts}
     out = _team_walk(*args, **kwargs)
-    for k in _WALK:
-        _WALK[k] += m.counter_value(f"dram.solve.{k}") - before[k]
+    for k in counts:
+        counts[k] += m.counter_value(f"dram.solve.{k}") - before[k]
     return out
 
 
+def _counted_pool_walk(self, *args, **kwargs):
+    _in_pool[0] = True
+    try:
+        return _pool_walk(self, *args, **kwargs)
+    finally:
+        _in_pool[0] = False
+
+
 columnar._team_walk = _counted_team_walk
+columnar.ColumnarEngine._pool_walk = _counted_pool_walk
 
 
 def _fresh() -> None:
     set_metrics(MetricsRegistry())
-    _WALK["hits"] = _WALK["misses"] = 0.0
+    for counts in (_WALK, _POOL):
+        counts["hits"] = counts["misses"] = 0.0
 
 
 def _engine_counts(predictors: list) -> tuple[int, int]:
@@ -78,10 +95,11 @@ def _census(predictors: list, since: tuple[int, int] = (0, 0)) -> dict:
     )
     pair(
         "dram_kernel",
-        c.get("dram.solve.hits", 0.0) - _WALK["hits"],
-        c.get("dram.solve.misses", 0.0) - _WALK["misses"],
+        c.get("dram.solve.hits", 0.0) - _WALK["hits"] - _POOL["hits"],
+        c.get("dram.solve.misses", 0.0) - _WALK["misses"] - _POOL["misses"],
     )
     pair("walk_memo", _WALK["hits"], _WALK["misses"])
+    pair("pool_memo", _POOL["hits"], _POOL["misses"])
     hits, misses = _engine_counts(predictors)
     pair("engines", hits - since[0], misses - since[1])
     for cls in ("predictor", "profile", "response"):

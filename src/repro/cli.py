@@ -440,11 +440,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         # predictions and REAL ground truth alike.  --quick covers the
         # paper's three schedules whatever the harness ran, so the walks'
         # static, static,1 and dynamic chunk cursors are re-verified, and
-        # adds the points the team walk does not model: Cilk FFT (at the
-        # three schedules, so the replay the engine shares across a
-        # schedule column is checked at each) and one oversubscribed FT
-        # team.  EP's lock walk is also re-verified under the LIFO and a
-        # seeded-random handoff (SYN and REAL; FF reads no handoff), and
+        # adds the task-pool walks: Cilk FFT and QSORT (at the three
+        # schedules, so the walk the engine shares across a schedule
+        # column is checked at each) and FFT under OpenMP tasks (SYN and
+        # REAL), plus one oversubscribed FT team, which the executor
+        # replays.  EP's lock walk is also re-verified under the LIFO and
+        # a seeded-random handoff (SYN and REAL; FF reads no handoff), and
         # the nested-team walk on one seeded Fig. 11 Test2 program on 8
         # cores under FIFO and LIFO (SYN and REAL).
         from repro.core.columnar import verify_points
@@ -469,14 +470,20 @@ def cmd_check(args: argparse.Namespace) -> int:
             from repro.workloads import random_test2, test2_program
 
             fft = get_workload("ompscr_fft")
+            fft_profile = prophet.profile(fft.program)
+            qsort = get_workload("ompscr_qsort")
             test2 = ParallelProphet(
                 machine=MachineConfig(n_cores=8), overheads=prophet.overheads
             ).profile(test2_program(
                 random_test2(np.random.default_rng(args.seed), scale=0.4)
             ))
             col_grids += [
-                (fft.name, prophet.profile(fft.program), fft.paradigm,
+                (fft.name, fft_profile, fft.paradigm,
                  [2, 4], col_schedules, ("fifo", 0), col_methods),
+                (qsort.name, prophet.profile(qsort.program), qsort.paradigm,
+                 [2, 4], col_schedules, ("fifo", 0), col_methods),
+                (fft.name, fft_profile, "omp_task", [2, 4], ("static",),
+                 ("fifo", 0), ("syn", "real")),
                 ("npb_ft", profiles["npb_ft"], "omp",
                  [prophet.machine.n_cores + 2], ("static",), ("fifo", 0),
                  col_methods),

@@ -42,22 +42,31 @@ method:
   DRAM-solve memo, as the executor runs one kernel (hence one DRAM pool)
   per section replay, and on a miss runs the pools' scalar bisection,
   :meth:`~repro.simhw.dram.DramModel.solve`.
+- Under the Cilk and ``omp_task`` paradigms SYN and REAL replay the
+  section on ``runtime/taskpool.py``'s task machine in the same walk:
+  the replaying master runs ``TaskPool.run`` as a one-member team whose
+  start spawns the other workers, and the section is lowered into task
+  bodies (``cilk_for``'s binary range splitting or a taskloop's task per
+  body, spawns, help-first syncs, a nested section as an inline loop of
+  the current task).  One walker serves both queue disciplines:
+  ``CilkPool``'s per-worker deques (own bottom first, else the top of the
+  first non-empty victim round-robin) and ``OmpTaskPool``'s shared FIFO.
 
 Sections outside that model are *delegated*: pipeline sections, nowait
 chains, lock-bearing sections under the ``adversarial`` handoff (it ranks
 waiters by progress only the kernel tracks), sections a walk declines,
 and memory-demanding REAL sections on a multi-socket machine — and, for
-SYN/REAL, every section of a point whose team the walk does not model (a
-Cilk or ``omp_task`` paradigm, ``t > n_cores``, or a context-switch cost
-with ``t > 1``).  FF runs each of them, and every lock-bearing or nested
-section, on the heap walk (``FastForwardEmulator.emulate_section`` /
-``emulate_chain``), and one :class:`~repro.core.executor.ParallelExecutor`
-replays each of them for SYN/REAL (``execute_section`` /
-``execute_chain``, through the section memo) under the point's paradigm,
-schedule and lock-handoff policy; the task-pool paradigms replay a nowait
-chain's sections one at a time, as the executor does.  The point's totals
-and per-section speedups are summed exactly as ``emulate_profile``,
-``execute_profile`` and ``Synthesizer.predict`` sum them.
+SYN/REAL, every section of a point whose team or pool the walk does not
+model (``t > n_cores``, or a context-switch cost with ``t > 1``).  FF
+runs each of them, and every lock-bearing or nested section, on the heap
+walk (``FastForwardEmulator.emulate_section`` / ``emulate_chain``), and
+one :class:`~repro.core.executor.ParallelExecutor` replays each of them
+for SYN/REAL (``execute_section`` / ``execute_chain``, through the
+section memo) under the point's paradigm, schedule and lock-handoff
+policy; the task-pool paradigms replay a nowait chain's sections one at
+a time, as the executor does.  The point's totals and per-section
+speedups are summed exactly as ``emulate_profile``, ``execute_profile``
+and ``Synthesizer.predict`` sum them.
 
 Every result is cached on the engine under a key of the inputs its
 evaluation reads.  Only ``SimMutex`` consults the handoff policy, so the
@@ -66,12 +75,12 @@ policy and its seed key only an item whose subtree holds an ``L`` node
 serve every explored handoff variant from one evaluation.  The schedule
 keys the FF walks, the team walks and an OpenMP worksharing replay
 (paradigm ``omp``, a non-pipeline section or a nowait chain); the task
-pools (``CilkPool``, ``OmpTaskPool``) and ``replay_pipeline_section``
-never read it, so such a replay serves every schedule of its (paradigm,
-t, burden) column.  ``replay_pipeline_section`` reads no paradigm either,
-so a pipeline section's replay serves every paradigm of its (t, burden)
-column.  Both flags are computed once per item when the profile is
-lowered.
+pools (``CilkPool``, ``OmpTaskPool``), their walks and
+``replay_pipeline_section`` never read it, so such a walk or replay
+serves every schedule of its (paradigm, t, burden) column.
+``replay_pipeline_section`` reads no paradigm either, so a pipeline
+section's replay serves every paradigm of its (t, burden) column.  Both
+flags are computed once per item when the profile is lowered.
 
 The engine serves every grid point, and the eager paths remain the parity
 oracles: every served point is ``==`` its oracle.  The FF walks add the
@@ -90,6 +99,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from collections import OrderedDict, deque
 from typing import Literal
@@ -142,7 +152,6 @@ class _SecCols:
         self.node = node
         self.name = node.name
         self.repeat = node.repeat
-        stall = machine.base_miss_stall
         #: Dense index of each lock id, in order of first use (the walk's
         #: acquire and release ops carry it).
         if lock_ids is None:
@@ -167,16 +176,9 @@ class _SecCols:
                     missy = missy or sub.missy
                     nested = True
                     continue
-                locked = leaf.kind is NodeKind.L
-                # executor._leaf_compute, times the repeat for a U leaf.
-                reps = 1 if locked else leaf.repeat
-                cc = (leaf.cpu_cycles + leaf.llc_misses * stall) * reps
-                mm = leaf.llc_misses * reps
-                body = None
-                if cc > 0.0:  # else instant
-                    body = _lane(machine, cc, mm) if mm else float(cc)
-                    missy = missy or bool(mm)
-                if locked:
+                body = _leaf_op(machine, leaf, None)
+                missy = missy or body.__class__ is tuple
+                if leaf.kind is NodeKind.L:
                     ix = lock_ids.setdefault(leaf.lock_id, len(lock_ids))
                     ops += _critical(overheads, ix, body) * leaf.repeat
                 elif body is not None:
@@ -206,8 +208,11 @@ def _lowerable(item: Node) -> bool:
     shape) with no pipeline anywhere.  Its SYN/REAL replay under an OpenMP
     team is a team walk (locks included, except under the ``adversarial``
     handoff; a nested section forks a nested team of the same size and
-    schedule, as ``ParallelExecutor._omp_bodies`` does); FF walks only a
-    flat lock-free one and runs the others on the heap walk."""
+    schedule, as ``ParallelExecutor._omp_bodies`` does), and under a Cilk
+    or ``omp_task`` pool a pool walk (a nested section is an inline loop
+    of the task running it, as ``ParallelExecutor._bodies`` hands it to
+    ``TaskPool.loop``); FF walks only a flat lock-free one and runs the
+    others on the heap walk."""
     return (
         item.kind is NodeKind.SEC
         and not item.pipeline
@@ -478,22 +483,25 @@ class ColumnarEngine:
         ``ParallelExecutor.execute_profile`` assembles it: ``(total cycles,
         [(name, net cycles, activations)] per section replay)``.
 
-        A lowered section takes the team walk when the walk models its
-        replay: an OpenMP team of at most one member per core (nested
-        teams may oversubscribe the cores), with no switch cost, and — for
-        REAL — one DRAM pool or no memory demand; a lock-bearing one also
-        needs a handoff other than ``adversarial``.  Its ``(gross,
-        traversal)`` is cached per (section, schedule, t, β), plus the
-        handoff (and a ``random`` one's seed) for a lock-bearing section.
-        A walk that finds a quantum could fire hands the section back
-        (``columnar.declined.quantum``; the decline is cached too).  Every
-        other section is delegated to the executor under the point's
-        paradigm, schedule and ``handoff``; the task-pool paradigms replay
-        a nowait chain's sections one at a time, as the executor groups
-        them."""
+        A lowered section is walked when the walk models its replay: an
+        OpenMP team (the team walk) or a Cilk or ``omp_task`` pool (the
+        pool walk) of at most one thread per core (nested teams may
+        oversubscribe the cores), with no switch cost, and — for REAL —
+        one DRAM pool or no memory demand; a lock-bearing one also needs
+        a handoff other than ``adversarial``.  Its ``(gross, traversal)``
+        is cached under a flat key: (section, schedule, t, β) for a team
+        walk, (section, paradigm, t, β) for a pool walk, plus the handoff
+        (and a ``random`` one's seed) for a lock-bearing section.  A team
+        walk that finds a quantum could fire hands the section back
+        (``columnar.declined.quantum``; the decline is cached too); a
+        pool walk never does, as its threads never outnumber the cores.
+        Every other section is delegated to the executor under the
+        point's paradigm, schedule and ``handoff``; the task-pool
+        paradigms replay a nowait chain's sections one at a time, as the
+        executor groups them."""
         machine = self.machine
         omp = paradigm == "omp"
-        team = omp and t <= machine.n_cores and (
+        walked = t <= machine.n_cores and (
             t == 1 or machine.context_switch_cycles == 0.0
         )
         fake = mode is ReplayMode.FAKE
@@ -510,33 +518,39 @@ class ColumnarEngine:
                 total += item
                 continue
             if (
-                team
+                walked
                 and isinstance(item, _SecCols)
                 and (fake or one_pool or not item.missy)
                 and (walk_locks or not item.lock_ids)
             ):
                 beta = burdens.get(item.name, 1.0) if fake else None
-                if not item.lock_ids:
-                    key = (mode, id(item), schedule.kind, schedule.chunk, t, beta)
-                    locking = None
-                elif policy == "random":
+                # A team walk reads the schedule, a pool walk the paradigm
+                # instead (the pools never read the schedule).
+                if omp:
                     key = (mode, id(item), schedule.kind, schedule.chunk, t,
-                           beta, policy, handoff_seed)
-                    locking = (len(item.lock_ids), policy, handoff_seed)
+                           beta)
                 else:
-                    key = (mode, id(item), schedule.kind, schedule.chunk, t,
-                           beta, policy)
-                    locking = (len(item.lock_ids), policy, 0)
-                walked = cache.get(key)
-                if walked is None:
-                    walked = self._walk(item, schedule, t, beta, locking)
-                    if walked is None:
+                    key = (mode, id(item), paradigm, t, beta)
+                locking = None
+                if item.lock_ids:
+                    seed = handoff_seed if policy == "random" else 0
+                    locking = (len(item.lock_ids), policy, seed)
+                    key += (policy, seed) if policy == "random" else (policy,)
+                got = cache.get(key)
+                if got is None:
+                    if omp:
+                        got = self._walk(item, schedule, t, beta, locking)
+                    else:
+                        got = self._pool_walk(
+                            item, t, beta, locking, paradigm == "cilk"
+                        )
+                    if got is None:
                         # A quantum could fire: the kernel replays it.
                         get_metrics().inc("columnar.declined.quantum")
-                        walked = _DECLINED
-                    cache[key] = walked
-                if walked is not _DECLINED:
-                    gross, trav = walked
+                        got = _DECLINED
+                    cache[key] = got
+                if got is not _DECLINED:
+                    gross, trav = got
                     # Fig. 8 line 26: subtract the longest per-thread
                     # traversal (zero in a REAL walk: net is gross).
                     name, net, repeat = (
@@ -687,14 +701,13 @@ class ColumnarEngine:
                         ops.append(cost)
                     oh_run += cost
                     if kind is NodeKind.U:
-                        cycles = float((leaf.length * beta) * leaf.repeat)
-                        if cycles > 0.0:
-                            ops.append(cycles)
+                        body = _leaf_op(self.machine, leaf, beta)
+                        if body is not None:
+                            ops.append(body)
                     elif kind is NodeKind.L:
-                        body = float(leaf.length * beta)
                         ops += _critical(
                             self.overheads, sc.lock_ids[leaf.lock_id],
-                            body if body > 0.0 else None,
+                            _leaf_op(self.machine, leaf, beta),
                         ) * leaf.repeat
                     else:
                         ops += [sc.subs[id(leaf)]] * leaf.repeat
@@ -761,6 +774,156 @@ class ColumnarEngine:
             chains.append(ops)
         return chains, trav, None
 
+    # ------------------------------------------------------------ pool walks
+
+    def _pool_walk(self, sc: _SecCols, t: int, beta, locking, cilk: bool):
+        """``(gross, traversal)`` of ``sc``'s replay on a ``t``-worker
+        task pool (:class:`~repro.runtime.taskpool.CilkPool` when ``cilk``,
+        else :class:`~repro.runtime.taskpool.OmpTaskPool`): the REAL replay
+        when ``beta`` is None, else the FAKE replay at burden ``beta``.
+
+        The section is lowered into task bodies as
+        ``ParallelExecutor._bodies`` hands them to the pool, at the
+        pool's own costs, and walked by ``_team_walk`` as a one-member
+        team: the replaying master thread, whose ``_START`` op spawns the
+        pool's other workers as inner threads (:meth:`_pool_plan`)."""
+        top, pool = self._pool_plan(sc, t, beta, cilk)
+        return _team_walk(self._dram, 1, 0.0, 0.0, 0.0, top, locking,
+                          pool=pool)
+
+    def _pool_plan(self, sc: _SecCols, t: int, beta, cilk: bool) -> tuple:
+        """The master's plan and ``_team_walk``'s pool of ``sc`` on ``t``
+        workers.
+
+        A loop over a section's bodies (one per iteration) lowers as the
+        pool's ``loop`` runs it from the current task: ``cilk_for``'s
+        ``_for_range`` — while more than ``grain = ceil(n / (8·t))``
+        bodies are left, a spawn of the upper half as a range task, then
+        the remaining bodies inline and a ``sync`` — or a taskloop, one
+        spawned task per body and a ``sync``.  A spawn is the spawn-cost
+        segment followed by the child's :class:`_PoolTask`; a task ends
+        in ``_END`` (its implicit sync, then its completion).  A body is
+        ``_task_body``'s stream without lock-call costs (the pools pay
+        none): per leaf, in FAKE mode, the traversal-overhead segment,
+        then the leaf's compute, its critical sections, or one inline loop
+        per activation of a nested section.  Each body, loop and range
+        task is lowered once per walk.
+
+        The master runs ``TaskPool.run``: ``_START`` pushes the root task
+        (the top-level loop) and spawns the workers, ``_RUN`` runs tasks
+        until the root is done and then stops the pool, and ``_JOIN``
+        joins the workers in spawn order; ``OmpTaskPool`` adds the fork
+        before and the join barrier after.  A worker pays its start cost
+        and then runs ``_WORK``, the worker loop."""
+        oh = self.overheads
+        machine = self.machine
+        lock_ids = sc.lock_ids
+        spawn = float(oh.cilk_spawn if cilk else oh.omp_task_create)
+        spawn_ops = [spawn] if spawn > 0.0 else []
+        bodies: dict[int, tuple[list, float]] = {}
+        loops: dict[int, tuple[list, float]] = {}
+        tasks: dict[int, _PoolTask] = {}
+
+        def body(task: Node) -> tuple[list, float]:
+            """One iteration's ops and FAKE traversal overhead."""
+            got = bodies.get(id(task))
+            if got is not None:
+                return got
+            ops: list = []
+            trav = 0.0
+            for leaf in task.children:
+                kind = leaf.kind
+                if beta is not None:
+                    cost = OVERHEAD_ACCESS_NODE
+                    if kind is NodeKind.SEC:
+                        cost += OVERHEAD_RECURSIVE_CALL
+                    if cost > 0.0:
+                        ops.append(cost)
+                    trav += cost
+                if kind is NodeKind.SEC:
+                    sub, sub_trav = loop(leaf)
+                    for _ in range(leaf.repeat):
+                        ops += sub
+                        trav += sub_trav
+                    continue
+                work = _leaf_op(machine, leaf, beta)
+                if kind is NodeKind.L:
+                    ix = lock_ids[leaf.lock_id]
+                    crit = [ix, ~ix] if work is None else [ix, work, ~ix]
+                    ops += crit * leaf.repeat
+                elif work is not None:
+                    ops.append(work)
+            got = bodies[id(task)] = (ops, trav)
+            return got
+
+        def pool_task(ops: list, trav: float) -> _PoolTask:
+            return _PoolTask(ops + [_END], trav)
+
+        def cilk_range(its: list, lo: int, hi: int,
+                       grain: int) -> tuple[list, float]:
+            """``CilkPool._for_range`` over bodies ``its[lo:hi]``."""
+            ops: list = []
+            while hi - lo > grain:
+                mid = (lo + hi) // 2
+                ops += spawn_ops
+                ops.append(pool_task(*cilk_range(its, mid, hi, grain)))
+                hi = mid
+            trav = 0.0
+            for i in range(lo, hi):
+                sub, sub_trav = body(its[i])
+                ops += sub
+                trav += sub_trav
+            ops.append(_SYNC)
+            return ops, trav
+
+        def loop(sec: Node) -> tuple[list, float]:
+            """The pool's ``loop`` over ``sec``'s bodies, run inline by the
+            current task."""
+            got = loops.get(id(sec))
+            if got is not None:
+                return got
+            if cilk:
+                its = [task for task in sec.children
+                       for _ in range(task.repeat)]
+                n = len(its)
+                got = ([], 0.0) if n == 0 else cilk_range(
+                    its, 0, n, max(1, math.ceil(n / (8 * t)))
+                )
+            else:
+                ops: list = []
+                for task in sec.children:
+                    child = tasks.get(id(task))
+                    if child is None:
+                        sub, sub_trav = body(task)
+                        child = tasks[id(task)] = pool_task(sub, sub_trav)
+                    ops += (spawn_ops + [child]) * task.repeat
+                ops.append(_SYNC)
+                got = (ops, 0.0)
+            loops[id(sec)] = got
+            return got
+
+        root = pool_task(*loop(sc.node))
+        if cilk:
+            start, fork, jb = oh.cilk_pool_start_per_worker, 0.0, 0.0
+            task_run = float(oh.cilk_task_run)
+            own = (task_run,) if task_run > 0.0 else ()
+            steal = (float(oh.cilk_steal),) if oh.cilk_steal > 0.0 else ()
+            stolen = steal + own
+        else:
+            start, fork, jb = (
+                oh.omp_thread_start, oh.fork_cost(t), oh.omp_join_barrier
+            )
+            disp = float(oh.omp_task_dispatch)
+            own = (disp,) if disp > 0.0 else ()
+            stolen = None
+        master = [float(fork)] if fork > 0.0 else []
+        master += [_START, _RUN, _JOIN]
+        if jb > 0.0:
+            master.append(float(jb))
+        worker = [float(start)] if start > 0.0 else []
+        worker.append(_WORK)
+        return ([master], [0.0], None), _Pool(t, root, worker, own, stolen)
+
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
 _FF: Literal["ff"] = "ff"
@@ -773,6 +936,24 @@ def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
     seconds = machine.cycles_to_seconds(cycles) if cycles > 0 else 0.0
     d = (misses * machine.line_size / seconds) if seconds > 0 else 0.0
     return (float(cycles), (f, d), (_quantize(f), _quantize(d)))
+
+
+def _leaf_op(machine: MachineConfig, leaf: Node, beta):
+    """The compute op of a ``U`` leaf, times its repeat, or of one pass
+    through an ``L`` leaf's body; None when it is instant (a zero-cycle
+    segment, as in ``SimKernel._h_compute``).  With ``beta`` None it is
+    the REAL op ``executor._leaf_compute`` yields — a float, or a missy
+    lane when the leaf misses — else the FAKE delay of
+    ``(length·β)·repeat`` cycles."""
+    reps = 1 if leaf.kind is NodeKind.L else leaf.repeat
+    if beta is None:
+        cycles = (leaf.cpu_cycles + leaf.llc_misses * machine.base_miss_stall) * reps
+        if cycles <= 0.0:
+            return None
+        misses = leaf.llc_misses * reps
+        return _lane(machine, cycles, misses) if misses else float(cycles)
+    cycles = float((leaf.length * beta) * reps)
+    return cycles if cycles > 0.0 else None
 
 
 def _critical(oh: RuntimeOverheads, ix: int, body) -> list:
@@ -862,11 +1043,111 @@ _JOIN = _Op("join")
 _DECLINED = object()
 
 
+class _PoolOp(_Op):
+    """A task-pool op of a thread's stream (``_team_walk``)."""
+
+    __slots__ = ()
+
+
+#: Push the root task and spawn the pool's workers (``TaskPool.run``).
+_START = _PoolOp("start")
+#: Run tasks until the root is done, then stop the pool (the master loop).
+_RUN = _PoolOp("run")
+#: Run tasks until the pool stops (the worker loop).
+_WORK = _PoolOp("work")
+#: Run tasks until the current task's children are done (help-first sync).
+_SYNC = _PoolOp("sync")
+#: The current task's implicit sync, then its completion.
+_END = _PoolOp("end")
+
+
+class _PoolTask:
+    """A lowered pool task body: its ops, ending in ``_END``, and the FAKE
+    traversal overhead of the ops it runs inline.  In a thread's stream it
+    is a spawn of a child task running it."""
+
+    __slots__ = ("ops", "trav")
+
+    def __init__(self, ops: list, trav: float) -> None:
+        self.ops = ops
+        self.trav = trav
+
+
+class _Pool:
+    """The task pool of one pool walk: ``TaskPool``'s state over lowered
+    task bodies (``ColumnarEngine._pool_plan``).
+
+    ``stolen_costs`` None makes it ``OmpTaskPool``'s one shared FIFO
+    queue, else ``CilkPool``'s per-worker deques."""
+
+    __slots__ = (
+        "n_workers", "root_body", "worker_ops", "own_costs", "stolen_costs",
+        "deques", "parked", "cur", "root", "stopping",
+    )
+
+    def __init__(self, n_workers: int, root_body: "_PoolTask",
+                 worker_ops: list, own_costs: tuple,
+                 stolen_costs: "tuple | None") -> None:
+        self.n_workers = n_workers
+        self.root_body = root_body
+        self.worker_ops = worker_ops
+        self.own_costs = own_costs
+        self.stolen_costs = stolen_costs
+        self.deques = (
+            [deque() for _ in range(n_workers)] if stolen_costs is not None
+            else [deque()] * n_workers
+        )
+        #: Threads parked on the pool's event, in park order.
+        self.parked: list[int] = []
+        #: Each thread's current task (None in the master and worker loops).
+        self.cur: list = [None]
+        self.root: "_Task | None" = None
+        self.stopping = False
+
+    def take(self, w: int):
+        """``TaskPool._take``: the next task for worker ``w`` and the costs
+        it pays first, or None."""
+        own = self.deques[w]
+        if self.stolen_costs is None:
+            return (own.popleft(), self.own_costs) if own else None
+        if own:
+            return own.pop(), self.own_costs
+        n = self.n_workers
+        for offset in range(1, n):
+            victim = self.deques[(w + offset) % n]
+            if victim:
+                return victim.popleft(), self.stolen_costs
+        return None
+
+    def notify(self, ready: deque) -> None:
+        """``TaskPool._notify``: wake every parked thread to the ready
+        queue's tail, in park order."""
+        if self.parked:
+            ready.extend(self.parked)
+            self.parked.clear()
+
+
+class _Task:
+    """A spawned task of a pool walk (``taskpool.Task``); ``ret`` is the
+    ``(ops, pos, task)`` its worker returns to when it completes."""
+
+    __slots__ = ("body", "parent", "pending", "waiting", "done", "ret")
+
+    def __init__(self, body: _PoolTask, parent: "_Task | None") -> None:
+        self.body = body
+        self.parent = parent
+        self.pending = 0
+        self.waiting = False
+        self.done = False
+        self.ret = None
+
+
 def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
-               plan=None):
-    """Replay one OpenMP team, and the nested teams its members fork, over
-    per-thread op streams: returns ``(gross cycles, longest per-thread
-    traversal overhead)``, or None when a quantum could fire.
+               plan=None, pool=None):
+    """Replay one OpenMP team, and the nested teams its members fork, or
+    one task pool, over per-thread op streams: returns ``(gross cycles,
+    longest per-thread traversal overhead)``, or None when a quantum could
+    fire.
 
     ``top = (chains, traversal, cursor)`` is the top-level team's plan
     (``ColumnarEngine._plan``).  In a thread's stream a float is a
@@ -890,6 +1171,25 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
     then pays ``jb`` (a one-member team runs inline).  Each thread's
     FAKE traversal overhead is its own sum, inner workers included.
 
+    A :class:`_Pool` ``pool`` walks a task pool
+    (``ColumnarEngine._pool_plan``; ``t`` is then 1, the replaying
+    master).  Its ops replay ``TaskPool``'s one task machine: ``_START``
+    pushes the root task onto the master's queue and spawns the other
+    workers (ready-queue tail, in order; each runs the pool's worker ops,
+    a start cost and ``_WORK``); a
+    :class:`_PoolTask` op spawns a child of the running task onto the
+    spawning worker's queue and wakes every parked thread to the
+    ready-queue tail in park order; ``_SYNC``, ``_END`` (a task's
+    implicit sync, then its completion, which notifies when its parent
+    waits on it or it is the root), ``_RUN`` (until the root is done;
+    then the pool stops and notifies) and ``_WORK`` (until the pool
+    stops) run taken tasks — each pays its take's costs, then runs its
+    body and returns to the op that took it — and park on the pool's
+    event when nothing can be taken (a sync marks its task waiting, as
+    ``_sync_loop`` does).  A take is ``TaskPool._take``'s
+    (:meth:`_Pool.take`).  Every pool op is an event point.  A pool never has more threads than
+    cores, so no quantum fires.
+
     When the DES kernel would solve DRAM contention, the walk looks the
     running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
     entries, keyed like the kernel pool's by the quantized multiset); on a
@@ -900,8 +1200,8 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
     Mirrors the kernel's arithmetic bit for bit: a segment completes at
     ``now + remaining * s``; demand-free segments (``s == 1``) never
     interact, so a run of them (fork and dispatch costs included) is
-    summed in order without events, up to the next lane, lock, barrier
-    or join op, fork, chunk grab, or the thread's end; a lane attach or
+    summed in order without events, up to the next lane, lock, barrier,
+    join or pool op, fork, chunk grab, or the thread's end; a lane attach or
     completion re-checks the running multiset against the cached
     signature and re-solves only when it changed; a continuing lane
     re-anchors in absolute form only when its ``s`` changes.  Each core
@@ -986,7 +1286,6 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
         waiters: list[list[int]] = [[] for _ in range(n_locks)]
         rng = random.Random(seed) if policy == "random" else None
     ready: deque = deque()
-
     def step(w: int, c: int, now: float) -> bool:
         """Advance thread ``w``, on core ``c``, from ``now`` to its next
         blocking point; True when it attached a missy lane."""
@@ -1092,7 +1391,88 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
                     n = len(o)
                     continue
                 if timed:
-                    break  # a barrier or join is an event point
+                    break  # a barrier, join or pool op is an event point
+                if cls is _PoolTask:  # spawn a child of the current task
+                    task = pool.cur[w]
+                    task.pending += 1
+                    pool.deques[w].append(_Task(op, task))
+                    pool.notify(ready)
+                    p += 1
+                    continue
+                if cls is _PoolOp:
+                    task = pool.cur[w]
+                    if op is _SYNC or op is _END:
+                        task.waiting = False
+                        if not task.pending:
+                            if op is _SYNC:
+                                p += 1
+                                continue
+                            # The task completes: its parent's count
+                            # drops, and a parent waiting on it (or the
+                            # root's end) notifies the pool.
+                            task.done = True
+                            parent = task.parent
+                            if parent is None:
+                                pool.notify(ready)
+                            else:
+                                parent.pending -= 1
+                                if not parent.pending and parent.waiting:
+                                    pool.notify(ready)
+                            o, p, pool.cur[w] = task.ret
+                            ops[w] = o
+                            n = len(o)
+                            continue
+                    elif op is _RUN and pool.root.done:
+                        pool.stopping = True
+                        pool.notify(ready)
+                        p += 1
+                        continue
+                    elif op is _START:
+                        # Push the root; spawn the workers, whom the master
+                        # joins in spawn order.
+                        pool.root = _Task(pool.root_body, None)
+                        pool.deques[w].append(pool.root)
+                        tm = team[w] = [0, None, None, [], 0]
+                        for _ in range(1, pool.n_workers):
+                            k = len(ops)
+                            ops.append(pool.worker_ops)
+                            pos.append(0)
+                            trav.append(0.0)
+                            stack.append(None)
+                            team.append(tm)
+                            grab.append(False)
+                            pend.append(False)
+                            done.append(False)
+                            joiner.append(-1)
+                            pool.cur.append(None)
+                            tm[3].append(k)
+                            ready.append(k)
+                        p += 1
+                        continue
+                    taken = pool.take(w)
+                    if taken is None:
+                        if op is _WORK and pool.stopping:
+                            p += 1
+                            continue
+                        # Park on the pool's event.
+                        if task is not None:
+                            task.waiting = True
+                        pool.parked.append(w)
+                        pos[w] = p
+                        on[c] = -1
+                        return False
+                    child, costs = taken
+                    # Run the child, then come back to this op.
+                    child.ret = (o, p, task)
+                    pool.cur[w] = child
+                    for x in costs:
+                        end += x
+                        timed = True
+                    trav[w] += child.body.trav
+                    o = ops[w] = child.body.ops
+                    p = 0
+                    n = len(o)
+                    continue
                 tm = team[w]
                 if op is _BAR:
                     arrived = tm[2]

@@ -11,8 +11,8 @@ Only lock handoffs can tell the variants apart, and only ``SimMutex``
 reads the policy: the columnar engine's point cache keys a section by the
 policy and seed only when its subtree holds an ``L`` node.  Exploring N
 variants of a lock-free section therefore evaluates it once: a walked
-section never reaches the executor, and a delegated one (Cilk, nested,
-``t > n_cores``) replays once per (section, t).  Lock-bearing sections
+section never reaches the executor, and a delegated one (``t >
+n_cores``, a pipeline) replays once per (section, t).  Lock-bearing sections
 replay once per variant (the section memo keys them by policy and seed,
 so explored replays never answer for one another).
 """

@@ -420,7 +420,7 @@ class TestPersistentCaches:
 # -------------------------------------------------- one answer per grid point
 
 #: Registered workloads: locks (EP), memory saturation (FT), the
-#: lock-free MD kernel, and Cilk FFT (every section delegated).
+#: lock-free MD kernel, and Cilk FFT (pool-walked).
 ONE_ANSWER_WORKLOADS = ("npb_ep", "npb_ft", "ompscr_md", "ompscr_fft")
 ONE_ANSWER_GRID = dict(
     threads=[2, 4, 8],

@@ -409,11 +409,12 @@ class TestCheck:
         assert "0 violation(s)" in out
         assert "0 violations" in out  # invariant selfcheck line
         # static / static,1 / dynamic,1 whatever the harness ran, plus
-        # Cilk FFT at t=2,4 under the same three schedules, FT
-        # oversubscribed, npb_ep's lock walk at t=2,4 under LIFO and
-        # seeded-random handoffs, and a Test2 program's nested teams at
-        # t=8 under FIFO and LIFO (SYN and REAL only): every point served.
-        assert "columnar engine: ff 19, syn 37, real 37 grid point(s)" in out
+        # Cilk FFT and QSORT at t=2,4 under the same three schedules, FFT
+        # under omp_task at t=2,4 (SYN and REAL only), FT oversubscribed,
+        # npb_ep's lock walk at t=2,4 under LIFO and seeded-random
+        # handoffs, and a Test2 program's nested teams at t=8 under FIFO
+        # and LIFO (SYN and REAL only): every point served.
+        assert "columnar engine: ff 25, syn 45, real 45 grid point(s)" in out
         assert "fallback" not in out
         assert (get_checker().enabled, get_checker().mode) == before
 

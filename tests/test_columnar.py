@@ -168,23 +168,25 @@ def _assert_parity(eager, columnar):
 def _delegated_items(engine, paradigm="omp", t=1, handoff="fifo"):
     """Distinct items one SYN or REAL point at ``t`` replays through the
     executor on a single-socket machine without switch costs: the
-    delegated items of an OpenMP team that fits the machine (lock-bearing
-    lowered sections too under the ``adversarial`` handoff), every item
-    otherwise, and every top-level section under a task-pool paradigm
-    (nowait chains replay section by section)."""
-    if paradigm != "omp":
-        return len(engine.profile.tree.top_level_sections())
-    team = t <= engine.machine.n_cores
-    return len({
-        id(item.node if isinstance(item, _SecCols) else item)
-        for item in engine._items
-        if not isinstance(item, float)
-        and not (
-            team
+    delegated items of a team or task pool that fits the machine
+    (lock-bearing lowered sections too under the ``adversarial``
+    handoff), every item otherwise; under a task-pool paradigm a nowait
+    chain replays section by section."""
+    walked = t <= engine.machine.n_cores
+    delegated = set()
+    for item in engine._items:
+        if isinstance(item, float) or (
+            walked
             and isinstance(item, _SecCols)
             and (handoff != "adversarial" or not item.lock_ids)
-        )
-    })
+        ):
+            continue
+        node = item.node if isinstance(item, _SecCols) else item
+        if isinstance(node, list) and paradigm != "omp":
+            delegated.update(id(sec) for sec in node)
+        else:
+            delegated.add(id(node))
+    return len(delegated)
 
 
 def _locked_secs(engine):
@@ -328,12 +330,13 @@ class TestColumnarParityProperty:
         """Unstripped programs (locks, nesting, mixed demand signatures)
         under FIFO, LIFO and the ``adversarial`` handoff and every
         paradigm: the engine serves every SYN/REAL point, replays exactly
-        the sections the team walk does not model through the executor
-        (all of them for the task-pool paradigms and for t=5,6 on the
-        4-core machine, lock-bearing ones under ``adversarial``) and the
-        ones a walk hands back because a quantum would fire, and is
-        ``==`` the eager reference.  A task-pool replay never reads the
-        schedule, so it runs once across the three schedules."""
+        the sections the team and pool walks do not model through the
+        executor (all of them for t=5,6 on the 4-core machine,
+        lock-bearing ones under ``adversarial``, a nowait chain's) and
+        the ones a walk hands back because a quantum would fire, and is
+        ``==`` the eager reference.  A task-pool replay or walk never
+        reads the schedule, so it runs once across the three
+        schedules."""
         prophet = ParallelProphet(machine=M4)
         profile = prophet.profile(build_program(items))
         engine = ColumnarEngine(profile, prophet.overheads)
@@ -724,11 +727,11 @@ class TestFallbacks:
 
     def test_former_declines_served(self, profiles, fresh_metrics,
                                     monkeypatch):
-        """Task-pool paradigms, an oversubscribed team and a machine with
-        a context-switch cost: the team walk models none of them, so the
-        engine delegates every section to the executor under the point's
-        paradigm — and still serves the point, ``==`` the eager oracle,
-        without the whole-program emulators."""
+        """Task-pool paradigms (pool-walked), an oversubscribed team or
+        pool and a machine with a context-switch cost (every section
+        delegated to the executor under the point's paradigm): the
+        engine serves each point, ``==`` the eager oracle, without the
+        whole-program emulators."""
         switching = MachineConfig(n_cores=8, context_switch_cycles=500.0)
         switch_profile = ParallelProphet(machine=switching).profile(
             imbalanced_loop
@@ -736,6 +739,7 @@ class TestFallbacks:
         cases = [
             (profiles["mixed"], M8, "cilk", 4),
             (profiles["mixed"], M8, "omp_task", 4),
+            (profiles["mixed"], M8, "cilk", 16),
             (profiles["mixed"], M8, "omp", 16),
             (switch_profile, switching, "omp", 2),
         ]
@@ -1152,6 +1156,117 @@ class TestNestedWalk:
                 assert declined == 0, r["id"]
             total_declined += declined
         assert total_declined > 0
+
+
+class TestPoolWalk:
+    """Cilk and OpenMP-task pools — the paradigms of Fig. 12's recursive
+    benchmarks — take the pool walk: ``_team_walk`` replays
+    ``TaskPool``'s one task machine (Cilk's per-worker deques and steals
+    or the shared FIFO, ``cilk_for`` splitting, help-first sync, the
+    implicit sync at a task's end) over lowered task bodies."""
+
+    HANDOFFS = (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 7))
+
+    def test_kernel_corpus_pool_cases(self, fresh_metrics):
+        """The kernel corpus's flat and nested ``cilk`` and ``omp_task``
+        cases through the engine's SYN/REAL path: every total is the
+        recorded kernel ``final``.  The executor replays exactly the
+        sections the pool walk does not model — every section of an
+        oversubscribed pool or of a context-switch machine at t > 1,
+        missy REAL on the two-socket machine, lock-bearing sections under
+        ``adversarial`` and the members of nowait chains — and the walk
+        never declines."""
+        from types import SimpleNamespace
+
+        from tests.kernel_corpus import MACHINES, case_tree, load_corpus
+
+        cases = [r for r in load_corpus() if r["paradigm"] != "omp"]
+        nested = sum(1 for r in cases if r.get("nested"))
+        assert (len(cases) - nested, nested) == (160, 72)
+        walked_cases = 0
+        for r in cases:
+            machine = MACHINES[r["machine"]]
+            profile = SimpleNamespace(tree=case_tree(r), machine=machine)
+            engine = ColumnarEngine(profile, RuntimeOverheads())
+            mode = ReplayMode(r["mode"])
+            t = r["n_threads"]
+            walked = t <= machine.n_cores and (
+                t == 1 or machine.context_switch_cycles == 0.0
+            )
+            delegated = set()
+            for item in engine._items:
+                if isinstance(item, float) or (
+                    walked
+                    and isinstance(item, _SecCols)
+                    and (mode is ReplayMode.FAKE or machine.n_sockets == 1
+                         or not item.missy)
+                    and (r["handoff"] != "adversarial" or not item.lock_ids)
+                ):
+                    continue
+                node = item.node if isinstance(item, _SecCols) else item
+                if isinstance(node, list):
+                    delegated.update(id(sec) for sec in node)
+                else:
+                    delegated.add(id(node))
+            clear_section_memo()
+            before = fresh_metrics.counter_value("replay.sections")
+            total, _ = engine._replay(
+                mode, Schedule.parse(r["schedule"]), t, r["paradigm"], {},
+                r["handoff"], r["handoff_seed"],
+            )
+            assert repr(total) == r["final"], r["id"]
+            replays = fresh_metrics.counter_value("replay.sections") - before
+            assert replays == len(delegated), r["id"]
+            walked_cases += not delegated
+        assert fresh_metrics.counter_value("columnar.declined.quantum") == 0
+        assert walked_cases > 60
+
+    @given(
+        st.one_of(programs(), locked_programs()),
+        st.sampled_from(["cilk", "omp_task"]),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_pool_programs_walk_exactly(self, items, paradigm, n_threads):
+        """Drawn programs — nested sections, locks, memory demand — on
+        pools of one to four workers under the ``fifo``, ``lifo`` and
+        seeded ``random`` handoffs: every SYN and REAL point is ``==``
+        eager, makes no executor replay, and obeys the span law (speedup
+        at most T1/T∞, Cilkview's parallelism, within the method's
+        slack): a walk that dropped a dependence would break it."""
+        from repro.baselines.cilkview import CilkviewAnalyzer
+        from repro.validate.invariants import SPEEDUP_EPS
+
+        prophet = ParallelProphet(machine=M4)
+        profile = prophet.profile(build_program(items))
+        bound = CilkviewAnalyzer(prophet.overheads).analyze(profile).parallelism
+        engine = ColumnarEngine(profile, prophet.overheads)
+        ff = FastForwardEmulator(prophet.overheads)
+        metrics = MetricsRegistry()
+        old = set_metrics(metrics)
+        try:
+            for handoff, seed in self.HANDOFFS:
+                task = SweepTask("workload", "static", n_threads,
+                                 ("syn", "real"), paradigm=paradigm,
+                                 memory_model=False, handoff=handoff,
+                                 handoff_seed=seed)
+                clear_section_memo()
+                before = metrics.counter_value("replay.sections")
+                served = _predict_point(profile, prophet.overheads, task, ff,
+                                        engine)
+                assert metrics.counter_value("replay.sections") == before
+                clear_section_memo()
+                eager = _predict_point(profile, prophet.overheads, task, ff,
+                                       engine=None)
+                assert served == eager, (handoff, seed)
+                for e in served:
+                    assert e.speedup <= bound * (1.0 + SPEEDUP_EPS[e.method])
+        finally:
+            set_metrics(old)
 
 
 # ------------------------------------------------------- Fig. 12 workloads
