@@ -21,7 +21,10 @@ virtual ``rdtsc`` clock (including DRAM stall time from the machine's memory
 model), charges itself a per-annotation overhead, keeps the running overhead
 total so the profiler can exclude it from interval lengths (the paper's
 Section VI-A problem), collects per-top-level-section hardware counters, and
-builds the program tree on the fly.
+builds the program tree on the fly.  Given an ``rle_tolerance`` it also
+run-length encodes the tree while tracing (Section VI-B), so the full tree
+is never built; the batch passes of :mod:`repro.core.compress` remain for
+loaded and hand-built trees and for lossy mode.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import contextlib
 from typing import Callable, Iterator, Optional
 
 from repro.errors import AnnotationError
+from repro.core.compress import check_tolerance, flush_run, fold_child
 from repro.core.tree import Node, NodeKind
 from repro.simhw.counters import CounterSet
 from repro.simhw.dram import DramModel, SegmentDemand
@@ -52,6 +56,20 @@ class _OpenLeaf:
         self.cpu_cycles = 0.0
         self.instructions = 0.0
         self.misses = 0.0
+
+
+class _Frame:
+    """An open node: where it opened, its raw children's subtree lengths and
+    (when folding) its pending run of similar children."""
+
+    __slots__ = ("node", "clock", "overhead", "lengths", "run")
+
+    def __init__(self, node: Node, clock: float, overhead: float) -> None:
+        self.node = node
+        self.clock = clock
+        self.overhead = overhead
+        self.lengths: list[float] = []
+        self.run: list[Node] = []
 
 
 class _SectionRecord:
@@ -90,6 +108,13 @@ class Tracer:
         huge overhead").  ``trace_seed`` makes the streams reproducible and
         ``trace_max_accesses`` caps per-segment stream length (misses are
         scaled back up proportionally).
+    rle_tolerance:
+        ``None`` (default) records the raw tree.  A number folds §VI-B's
+        run-length encoding in while tracing: each closing node is offered
+        to its parent's pending run and joins it when mergeable with the
+        run's first member at this relative tolerance, exactly as the batch
+        pass of :mod:`repro.core.compress` would fold the raw tree.
+        :attr:`nodes_traced` counts the raw tree's nodes either way.
     """
 
     def __init__(
@@ -99,11 +124,15 @@ class Tracer:
         trace_driven: bool = False,
         trace_seed: int = 0,
         trace_max_accesses: int = 200_000,
+        rle_tolerance: Optional[float] = None,
     ) -> None:
         if not 0.0 <= overhead_subtraction_accuracy <= 1.0:
             raise AnnotationError(
                 "overhead_subtraction_accuracy must be in [0, 1]"
             )
+        if rle_tolerance is not None:
+            check_tolerance(rle_tolerance, "rle_tolerance")
+        self._tolerance = rle_tolerance
         self.machine = machine
         self.accuracy = overhead_subtraction_accuracy
         self.dram = DramModel(machine)
@@ -133,8 +162,10 @@ class Tracer:
         self.overhead_total = 0.0
         self.counters = CounterSet()
         self.root = Node(NodeKind.ROOT, name="root")
-        # Stack entries: (node, clock_at_open, overhead_at_open).
-        self._stack: list[tuple[Node, float, float]] = [(self.root, 0.0, 0.0)]
+        self._stack: list[_Frame] = [_Frame(self.root, 0.0, 0.0)]
+        #: Nodes created so far, the root included (each with repeat 1):
+        #: the raw tree's size, which folding never builds.
+        self.nodes_traced = 1
         self._open_leaf: Optional[_OpenLeaf] = None
         self._current_lock: Optional[int] = None
         self._section_records: dict[str, list[CounterSet]] = {}
@@ -146,7 +177,7 @@ class Tracer:
 
     @property
     def _top(self) -> Node:
-        return self._stack[-1][0]
+        return self._stack[-1].node
 
     @property
     def depth(self) -> int:
@@ -257,8 +288,7 @@ class Tracer:
         self._flush_leaf()
         node = Node(NodeKind.SEC, name=name)
         node.pipeline = pipeline
-        top.add(node)
-        self._stack.append((node, self.clock, self.overhead_total))
+        self._stack.append(_Frame(node, self.clock, self.overhead_total))
         if top.kind is NodeKind.ROOT:
             # Top-level section: start hardware counter collection.
             self._open_top_section = _SectionRecord(
@@ -270,8 +300,7 @@ class Tracer:
         """Close the current parallel section (PAR_SEC_END; ``barrier``
         mirrors the paper's implicit-barrier flag — False records nowait)."""
         self._check_open()
-        node = self._close("PAR_SEC_END", NodeKind.SEC)
-        node.nowait = not barrier
+        self._close("PAR_SEC_END", NodeKind.SEC, nowait=not barrier)
         if self._top.kind is NodeKind.ROOT:
             record = self._open_top_section
             if record is None:  # pragma: no cover - defensive
@@ -294,8 +323,7 @@ class Tracer:
             )
         self._flush_leaf()
         node = Node(NodeKind.TASK, name=name)
-        self._top.add(node)
-        self._stack.append((node, self.clock, self.overhead_total))
+        self._stack.append(_Frame(node, self.clock, self.overhead_total))
         self._charge_annotation()
 
     def par_task_end(self) -> None:
@@ -312,7 +340,7 @@ class Tracer:
         top = self._top
         if top.kind is not NodeKind.TASK:
             raise AnnotationError("STAGE_BEGIN outside a parallel task")
-        parent_sec = self._stack[-2][0] if len(self._stack) >= 2 else None
+        parent_sec = self._stack[-2].node if len(self._stack) >= 2 else None
         if parent_sec is None or not (
             parent_sec.kind is NodeKind.SEC and parent_sec.pipeline
         ):
@@ -323,8 +351,7 @@ class Tracer:
             raise AnnotationError("STAGE_BEGIN inside a critical section")
         self._flush_leaf()
         node = Node(NodeKind.STAGE, name=name)
-        top.add(node)
-        self._stack.append((node, self.clock, self.overhead_total))
+        self._stack.append(_Frame(node, self.clock, self.overhead_total))
         self._charge_annotation()
 
     def stage_end(self) -> None:
@@ -396,19 +423,24 @@ class Tracer:
     # ------------------------------------------------------------- finish
 
     def finish(self) -> Node:
-        """Close the trace; returns the root node.
+        """Close the trace; returns the root node, whose ``length`` is the
+        net program time (the raw tree's total, also when folded).
 
         Raises :class:`AnnotationError` if any annotation pair is still open
         (the paper's stack-matching error check).
         """
         self._check_open()
         if len(self._stack) != 1:
-            open_names = [n.name or n.kind.value for n, _, _ in self._stack[1:]]
+            open_names = [
+                f.node.name or f.node.kind.value for f in self._stack[1:]
+            ]
             raise AnnotationError(f"unclosed annotation pairs at end: {open_names}")
         if self._current_lock is not None:
             raise AnnotationError(f"lock {self._current_lock} still held at end")
         self._flush_leaf()
-        self._fill_internal_lengths(self.root)
+        frame = self._stack[0]
+        flush_run(self.root.children, frame.run)
+        self.root.length = sum(frame.lengths)
         self._finished = True
         return self.root
 
@@ -441,10 +473,22 @@ class Tracer:
             instructions=leaf.instructions,
             llc_misses=leaf.misses,
         )
-        self._top.add(node)
+        self._adopt(node, leaf.measured)
 
-    def _close(self, what: str, expected: NodeKind) -> Node:
-        node, clock_at_open, overhead_at_open = self._stack[-1]
+    def _adopt(self, child: Node, subtree_length: float) -> None:
+        """Hand a closed ``child`` of raw ``subtree_length`` to the open
+        node: append it, or offer it to that node's pending run."""
+        frame = self._stack[-1]
+        frame.lengths.append(subtree_length)
+        self.nodes_traced += 1
+        if self._tolerance is None:
+            frame.node.children.append(child)
+        else:
+            fold_child(frame.node.children, frame.run, child, self._tolerance)
+
+    def _close(self, what: str, expected: NodeKind, nowait: bool = False) -> None:
+        frame = self._stack[-1]
+        node = frame.node
         if node.kind is not expected:
             raise AnnotationError(
                 f"{what} does not match open {node.kind.value} node "
@@ -452,12 +496,11 @@ class Tracer:
             )
         self._flush_leaf()
         self._stack.pop()
-        gross = self.clock - clock_at_open
-        inside_overhead = self.overhead_total - overhead_at_open
+        flush_run(node.children, frame.run)
+        gross = self.clock - frame.clock
+        inside_overhead = self.overhead_total - frame.overhead
         node.length = max(0.0, gross - self.accuracy * inside_overhead)
-        return node
-
-    def _fill_internal_lengths(self, node: Node) -> None:
-        # ROOT length: total net program time.
-        if node.kind is NodeKind.ROOT:
-            node.length = sum(c.subtree_length() for c in node.children)
+        node.nowait = nowait
+        # Every traced node has repeat 1, so its raw subtree length is
+        # Node.subtree_length's ``1 * sum(...)`` over the same children.
+        self._adopt(node, sum(frame.lengths))

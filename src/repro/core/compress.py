@@ -15,6 +15,14 @@ reduction, for NPB-CG).  Two lossless-within-tolerance passes fix this:
    pass has averaged near-identical runs, repeated sections usually become
    exactly identical, which is what makes this pass effective.
 
+The profiler never builds the full tree: its tracer folds each closing node
+into its parent's pending run (:func:`fold_child`, :func:`flush_run`) while
+the program runs, and :func:`compress_folded` then shares subtrees of the
+short tree.  The batch passes, :func:`compress_tree` and
+:func:`compress_tree_lossy`, fold runs with the same two helpers; they serve
+loaded and hand-built trees and the lossy mode.  Both routes give the same
+tree.
+
 The total tree length is preserved exactly at any tolerance: RLE replaces
 each run by its repeat-weighted average (sum-preserving) and dictionary
 sharing only merges exact duplicates.
@@ -30,10 +38,10 @@ totals drift by at most the same relative bound.
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 
-from repro.core.tree import NODE_BYTES, Node, NodeKind, ProgramTree
+from repro.core.tree import NODE_BYTES, Node, NodeKind, ProgramTree, nodes_similar
 from repro.errors import ConfigurationError
 
 
@@ -63,10 +71,23 @@ class CompressionStats:
         return 1.0 - self.nodes_after / self.nodes_before
 
 
+def check_tolerance(tolerance: float, name: str = "tolerance") -> float:
+    """``tolerance`` if it is a finite number >= 0; else
+    :class:`ConfigurationError` (a NaN tolerance would merge nothing)."""
+    try:
+        ok = math.isfinite(tolerance) and tolerance >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigurationError(
+            f"{name} must be a finite number >= 0, got {tolerance!r}"
+        )
+    return tolerance
+
+
 def compress_tree(tree: ProgramTree, tolerance: float = 0.05) -> CompressionStats:
     """Compress ``tree`` in place; returns statistics."""
-    if tolerance < 0:
-        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance!r}")
+    check_tolerance(tolerance)
     logical = tree.logical_nodes()
     before = tree.unique_nodes()
     _rle(tree.root, tolerance)
@@ -74,6 +95,17 @@ def compress_tree(tree: ProgramTree, tolerance: float = 0.05) -> CompressionStat
     after = tree.unique_nodes()
     return CompressionStats(
         logical_nodes=logical, nodes_before=before, nodes_after=after
+    )
+
+
+def compress_folded(tree: ProgramTree, traced_nodes: int) -> CompressionStats:
+    """Finish compressing a tree whose runs the tracer folded while tracing
+    ``traced_nodes`` nodes (each with ``repeat`` 1): share its subtrees."""
+    _dictionary(tree.root)
+    return CompressionStats(
+        logical_nodes=traced_nodes,
+        nodes_before=traced_nodes,
+        nodes_after=tree.unique_nodes(),
     )
 
 
@@ -87,7 +119,8 @@ def compress_tree_lossy(
     Each leaf length moves by at most ``lossy_tolerance`` relative; work
     composition fields are scaled along so REAL replays stay consistent.
     """
-    if lossy_tolerance <= 0:
+    check_tolerance(lossy_tolerance, "lossy_tolerance")
+    if lossy_tolerance == 0:
         raise ConfigurationError(
             f"lossy_tolerance must be > 0, got {lossy_tolerance!r}"
         )
@@ -106,8 +139,6 @@ def compress_tree_lossy(
 
 
 def _quantize_leaves(node: Node, tolerance: float) -> None:
-    import math
-
     log_step = math.log1p(tolerance)
 
     def grid(value: float) -> float:
@@ -145,21 +176,39 @@ def _refresh_internal_lengths(node: Node) -> float:
 # ---------------------------------------------------------------- RLE pass
 
 
+def fold_child(
+    children: list[Node], run: list[Node], child: Node, tolerance: float
+) -> None:
+    """Offer an already-folded ``child`` to its parent's pending ``run``.
+
+    The child joins the run when it is mergeable with the run's first
+    member; otherwise the run is flushed into ``children`` and the child
+    starts a new one.
+    """
+    if run and not _mergeable(run[0], child, tolerance):
+        children.append(_merge_run(run))
+        run.clear()
+    run.append(child)
+
+
+def flush_run(children: list[Node], run: list[Node]) -> None:
+    """Flush the pending ``run`` (if any) into ``children``."""
+    if run:
+        children.append(_merge_run(run))
+        run.clear()
+
+
 def _rle(node: Node, tolerance: float) -> None:
     for child in node.children:
         _rle(child, tolerance)
     if len(node.children) < 2:
         return
-    new_children: list[Node] = []
-    run: list[Node] = [node.children[0]]
-    for child in node.children[1:]:
-        if _mergeable(run[0], child, tolerance):
-            run.append(child)
-        else:
-            new_children.append(_merge_run(run))
-            run = [child]
-    new_children.append(_merge_run(run))
-    node.children = new_children
+    children: list[Node] = []
+    run: list[Node] = []
+    for child in node.children:
+        fold_child(children, run, child, tolerance)
+    flush_run(children, run)
+    node.children = children
 
 
 def _mergeable(a: Node, b: Node, tolerance: float) -> bool:
@@ -175,8 +224,6 @@ def _mergeable(a: Node, b: Node, tolerance: float) -> bool:
         return False
     if a.is_leaf and not _close(a.length, b.length, tolerance):
         return False
-    from repro.core.tree import nodes_similar
-
     return all(
         nodes_similar(ca, cb, tolerance) for ca, cb in zip(a.children, b.children)
     )
@@ -223,40 +270,35 @@ def _weighted_copy(run: list[Node]) -> Node:
 
 
 def _dictionary(root: Node) -> None:
+    # A node's signature holds its children's ids, not their signatures:
+    # children are made canonical first, so equal subtrees have equal
+    # signatures and no lookup rehashes a whole subtree.
     table: dict[tuple, Node] = {}
-    sig_cache: dict[int, tuple] = {}
-
-    def signature(node: Node) -> tuple:
-        cached = sig_cache.get(id(node))
-        if cached is not None:
-            return cached
-        sig = (
-            node.kind.value,
-            # Section names carry identity (burden factors and per-section
-            # reports key on them); merging same-shape sections of different
-            # names would silently rename one.
-            node.name if node.kind is NodeKind.SEC else "",
-            node.lock_id,
-            node.nowait,
-            node.pipeline,
-            node.repeat,
-            node.length,
-            node.cpu_cycles,
-            node.instructions,
-            node.llc_misses,
-            tuple(signature(c) for c in node.children),
-        )
-        sig_cache[id(node)] = sig
-        return sig
+    sec = NodeKind.SEC
 
     def dedup(node: Node) -> None:
-        for i, child in enumerate(node.children):
+        children = node.children
+        for i, child in enumerate(children):
             dedup(child)
-            sig = signature(child)
-            canonical = table.get(sig)
-            if canonical is None:
-                table[sig] = child
-            elif canonical is not child:
-                node.children[i] = canonical
+            kind = child.kind
+            sig = (
+                kind,
+                # Section names carry identity (burden factors and
+                # per-section reports key on them); merging same-shape
+                # sections of different names would silently rename one.
+                child.name if kind is sec else "",
+                child.lock_id,
+                child.nowait,
+                child.pipeline,
+                child.repeat,
+                child.length,
+                child.cpu_cycles,
+                child.instructions,
+                child.llc_misses,
+                tuple(map(id, child.children)),
+            )
+            canonical = table.setdefault(sig, child)
+            if canonical is not child:
+                children[i] = canonical
 
     dedup(root)

@@ -4,6 +4,13 @@ This is step 2 of the paper's workflow (Fig. 3): run the annotated serial
 program once under the tracer, collect the program tree and per-top-level-
 section hardware counters, optionally compress the tree, and package the
 result for the emulators and the memory model.
+
+Compression (Section VI-B) happens while tracing: the tracer run-length
+encodes each node as it closes, so the full tree is never built, and the
+dictionary pass then shares subtrees of the short tree.  The batch
+:func:`~repro.core.compress.compress_tree` gives the same tree from the raw
+one (``compress=False``) and serves loaded and hand-built trees;
+:func:`~repro.core.compress.compress_tree_lossy` is batch only.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.annotations import AnnotationProgram, Tracer
-from repro.core.compress import CompressionStats, compress_tree
+from repro.core.compress import CompressionStats, check_tolerance, compress_folded
 from repro.core.tree import ProgramTree
 from repro.simhw.counters import CounterSet
 from repro.simhw.machine import MachineConfig
@@ -97,7 +104,13 @@ class ProgramProfile:
 
 
 class IntervalProfiler:
-    """Profiles an annotated serial program on a given machine."""
+    """Profiles an annotated serial program on a given machine.
+
+    ``compress=True`` run-length encodes the tree while tracing, at relative
+    ``tolerance``, then shares subtrees; ``compress=False`` keeps the raw
+    tree.  A negative or non-finite ``tolerance`` raises
+    :class:`~repro.errors.ConfigurationError` here, before any tracing.
+    """
 
     def __init__(
         self,
@@ -110,7 +123,7 @@ class IntervalProfiler:
     ) -> None:
         self.machine = machine
         self.compress = compress
-        self.tolerance = tolerance
+        self.tolerance = check_tolerance(tolerance)
         self.accuracy = overhead_subtraction_accuracy
         self.trace_driven = trace_driven
         self.trace_seed = trace_seed
@@ -122,20 +135,23 @@ class IntervalProfiler:
             overhead_subtraction_accuracy=self.accuracy,
             trace_driven=self.trace_driven,
             trace_seed=self.trace_seed,
+            rle_tolerance=self.tolerance if self.compress else None,
         )
         program(tracer)
-        root = tracer.finish()
-        tree = ProgramTree(root)
+        # Run-length encoding keeps node kinds and each pipeline task's
+        # stage count, so validating the folded tree equals validating the
+        # raw one.
+        tree = ProgramTree(tracer.finish())
 
         stats = ProfileStats(
-            net_program_cycles=tree.serial_cycles(),
+            net_program_cycles=tree.root.length,
             gross_tracer_cycles=tracer.clock,
             annotation_events=tracer.annotation_events,
         )
 
         compression: Optional[CompressionStats] = None
         if self.compress:
-            compression = compress_tree(tree, tolerance=self.tolerance)
+            compression = compress_folded(tree, tracer.nodes_traced)
 
         sections: dict[str, SectionCounters] = {}
         for name, deltas in tracer.section_counters().items():

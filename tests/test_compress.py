@@ -1,10 +1,19 @@
 """Tests for RLE + dictionary tree compression (paper Section VI-B)."""
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compress import compress_tree
+from repro.core.profiler import IntervalProfiler
+from repro.core.serialize import tree_to_dict
 from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import ConfigurationError
+from repro.simhw import MachineConfig
+from repro.simhw.memtrace import AccessPattern, MemSpec
 
 
 def uniform_loop_tree(n_tasks=100, length=1000.0) -> ProgramTree:
@@ -72,6 +81,18 @@ class TestRLE:
         assert len(sec.children) == 1
         assert sec.children[0].repeat == 90
 
+    def test_run_compares_with_its_first_member(self):
+        # 104 is within 5 % of 100 and 107 of 104, but 107 is not of 100.
+        root = Node(NodeKind.ROOT)
+        sec = root.add(Node(NodeKind.SEC))
+        for length in (100.0, 104.0, 107.0):
+            sec.add(Node(NodeKind.TASK)).add(Node(NodeKind.U, length=length))
+        tree = ProgramTree(root)
+        compress_tree(tree, tolerance=0.05)
+        tasks = tree.top_level_sections()[0].children
+        assert [t.repeat for t in tasks] == [2, 1]
+        assert [t.children[0].length for t in tasks] == [102.0, 107.0]
+
     def test_lock_nodes_not_merged_across_ids(self):
         root = Node(NodeKind.ROOT)
         sec = root.add(Node(NodeKind.SEC))
@@ -121,6 +142,24 @@ class TestEdgeCases:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ConfigurationError):
             compress_tree(uniform_loop_tree(5), tolerance=-0.1)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ConfigurationError, match="finite"):
+            compress_tree(uniform_loop_tree(5), tolerance=tolerance)
+
+    def test_nan_tolerance_does_not_merge_silently(self):
+        # A 100/101/102-cycle loop: 8 nodes raw, which a NaN tolerance
+        # used to keep while claiming to have compressed.
+        root = Node(NodeKind.ROOT)
+        sec = root.add(Node(NodeKind.SEC, name="loop"))
+        for length in (100.0, 101.0, 102.0):
+            sec.add(Node(NodeKind.TASK)).add(Node(NodeKind.U, length=length))
+        tree = ProgramTree(root)
+        with pytest.raises(ConfigurationError):
+            compress_tree(tree, tolerance=math.nan)
+        assert tree.unique_nodes() == 8
+        assert compress_tree(tree, tolerance=0.05).nodes_after == 4
 
     def test_empty_tree(self):
         tree = ProgramTree(Node(NodeKind.ROOT))
@@ -253,3 +292,156 @@ class TestLossyCompression:
 
         with pytest.raises(ConfigurationError):
             compress_tree_lossy(self._is_like_tree(), lossy_tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [-0.2, math.nan, math.inf])
+    def test_bad_tolerance_is_a_configuration_error(self, tolerance):
+        from repro.core.compress import compress_tree_lossy
+
+        with pytest.raises(ConfigurationError, match="lossy_tolerance"):
+            compress_tree_lossy(self._is_like_tree(), lossy_tolerance=tolerance)
+
+
+# ------------------------------------------- compression while tracing
+
+M = MachineConfig(n_cores=4)
+#: Nearby lengths merge at 5 % or 50 % but not at 0, and chains such as
+#: 100/104/107 tell a run compared with its first member from one compared
+#: with its last; the memory spec gives leaves non-zero miss counts.
+CYCLES = st.sampled_from([0, 100, 101.5, 104, 107, 130, 180, 300])
+MEM = MemSpec(AccessPattern.STREAMING, bytes_touched=64 * 500)
+
+
+@st.composite
+def leaves(draw):
+    """("U", cycles, mem) or ("L", lock, cycles, mem)."""
+    cycles, mem = draw(CYCLES), draw(st.booleans())
+    if draw(st.booleans()):
+        return ("U", cycles, mem)
+    return ("L", draw(st.integers(1, 2)), cycles, mem)
+
+
+@st.composite
+def sections(draw, depth):
+    """("SEC", name, nowait, runs, tasks): ``runs`` back-to-back copies."""
+    name = draw(st.sampled_from(["a", "b"]))
+    nowait = draw(st.booleans())
+    runs = draw(st.integers(1, 3))
+    n_tasks = draw(st.integers(1, 4))
+    body = st.lists(
+        leaves() | sections(depth - 1) if depth > 0 else leaves(),
+        min_size=0,
+        max_size=3,
+    )
+    tasks = [draw(body) for _ in range(n_tasks)]
+    return ("SEC", name, nowait, runs, tasks)
+
+
+@st.composite
+def pipelines(draw, stage_counts=None):
+    """("PIPE", name, tasks): each task a list of stages of leaves."""
+    if stage_counts is None:
+        n_tasks = draw(st.integers(1, 4))
+        stage_counts = [draw(st.integers(1, 3))] * n_tasks
+    stage = st.lists(leaves(), min_size=1, max_size=2)
+    tasks = [[draw(stage) for _ in range(n)] for n in stage_counts]
+    return ("PIPE", draw(st.sampled_from(["p", "q"])), tasks)
+
+
+def programs(top=None):
+    """Top-level serial leaves, sections (nested, nowait, repeated) and
+    pipelines."""
+    if top is None:
+        top = st.tuples(st.just("U"), CYCLES, st.booleans()) | sections(2)
+        top |= pipelines()
+    return st.lists(top, min_size=0, max_size=5)
+
+
+def _leaf(tr, item):
+    if item[0] == "U":
+        _, cycles, mem = item
+        tr.compute(cycles, mem=MEM if mem else None)
+    else:
+        _, lock, cycles, mem = item
+        with tr.lock(lock):
+            tr.compute(cycles, mem=MEM if mem else None)
+
+
+def _run(tr, item):
+    if item[0] == "SEC":
+        _, name, nowait, runs, tasks = item
+        for _ in range(runs):
+            with tr.section(name, barrier=not nowait):
+                for body in tasks:
+                    with tr.task():
+                        for sub in body:
+                            _run(tr, sub)
+    elif item[0] == "PIPE":
+        _, name, tasks = item
+        with tr.section(name, pipeline=True):
+            for stages in tasks:
+                with tr.task():
+                    for stage in stages:
+                        with tr.stage():
+                            for sub in stage:
+                                _leaf(tr, sub)
+    else:
+        _leaf(tr, item)
+
+
+def _program(items):
+    def program(tr):
+        for item in items:
+            _run(tr, item)
+
+    return program
+
+
+def _serialized(tree):
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
+
+
+class TestFoldWhileTracing:
+    """The profiler's fold while tracing equals the batch pass over the raw
+    tree: same stored tree, same counts, bit-equal net cycles."""
+
+    @given(
+        programs(),
+        st.sampled_from([0.0, 0.05, 0.5]),
+        st.sampled_from([1.0, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_equals_batch_pass(self, items, tolerance, accuracy):
+        # At accuracy < 1 a node's measured length keeps some tracer
+        # overhead, so it differs from the sum of its children's lengths.
+        program = _program(items)
+        folded = IntervalProfiler(
+            M, tolerance=tolerance, overhead_subtraction_accuracy=accuracy
+        ).profile(program)
+        raw = IntervalProfiler(
+            M, compress=False, overhead_subtraction_accuracy=accuracy
+        ).profile(program)
+        net_raw = raw.tree.serial_cycles()
+        stats = compress_tree(raw.tree, tolerance=tolerance)
+        assert _serialized(folded.tree) == _serialized(raw.tree)
+        assert folded.compression == stats
+        assert repr(folded.stats.net_program_cycles) == repr(net_raw)
+
+    @given(
+        programs(sections(1) | pipelines()),
+        st.lists(st.integers(1, 3), min_size=2, max_size=5).filter(
+            lambda counts: len(set(counts)) > 1
+        ),
+        st.data(),
+        st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage_count_error_is_the_same(self, items, counts, data, tolerance):
+        bad = data.draw(pipelines(stage_counts=counts))
+        at = data.draw(st.integers(0, len(items)))
+        program = _program(items[:at] + [bad] + items[at:])
+        with pytest.raises(ConfigurationError) as folded:
+            IntervalProfiler(M, tolerance=tolerance).profile(program)
+        with pytest.raises(ConfigurationError) as raw:
+            IntervalProfiler(M, compress=False).profile(program)
+        assert "disagree on stage count" in str(raw.value)
+        assert str(folded.value) == str(raw.value)

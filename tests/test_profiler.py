@@ -1,8 +1,11 @@
 """Tests for the interval profiler and ProgramProfile."""
 
+import math
+
 import pytest
 
 from repro.core.profiler import IntervalProfiler
+from repro.errors import ConfigurationError
 from repro.simhw import MachineConfig
 from repro.simhw.memtrace import AccessPattern, MemSpec
 
@@ -70,6 +73,51 @@ class TestProfile:
 
         profile = IntervalProfiler(M).profile(program)
         assert profile.sections["rep"].invocations == 5
+
+
+class TestCompressWhileTracing:
+    def test_profiler_never_runs_the_batch_pass(self, monkeypatch):
+        import repro.core.compress as compress
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the batch RLE pass walked a full tree")
+
+        monkeypatch.setattr(compress, "_rle", forbidden)
+        profile = IntervalProfiler(M).profile(memory_program)
+        sec = profile.tree.top_level_sections()[0]
+        assert [t.repeat for t in sec.children] == [4]
+
+    def test_counts_are_the_raw_tree_size(self):
+        profile = IntervalProfiler(M).profile(memory_program)
+        raw = IntervalProfiler(M, compress=False).profile(memory_program)
+        nodes = raw.tree.unique_nodes()
+        assert nodes == 2 + 4 * 2
+        assert profile.compression.logical_nodes == nodes
+        assert profile.compression.nodes_before == nodes
+        assert profile.compression.nodes_after == profile.tree.unique_nodes()
+
+    def test_net_cycles_equal_the_raw_tree(self):
+        profile = IntervalProfiler(M).profile(simple_program)
+        raw = IntervalProfiler(M, compress=False).profile(simple_program)
+        assert profile.stats.net_program_cycles == raw.tree.serial_cycles()
+        assert profile.tree.root.length == profile.stats.net_program_cycles
+
+
+class TestToleranceChecks:
+    @pytest.mark.parametrize("tolerance", [-0.1, math.nan, math.inf, "5%"])
+    def test_bad_tolerance_rejected_before_tracing(self, tolerance):
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            IntervalProfiler(M, tolerance=tolerance)
+
+    def test_prophet_rejects_bad_tolerance(self):
+        from repro import ParallelProphet
+
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            ParallelProphet(machine=M, compression_tolerance=math.nan)
+
+    def test_zero_tolerance_accepted(self):
+        profile = IntervalProfiler(M, tolerance=0.0).profile(memory_program)
+        assert profile.compression is not None
 
 
 class TestBurdenLookup:
