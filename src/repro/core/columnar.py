@@ -4,11 +4,12 @@ The paper's emulators replay a program one top-level parallel section at a
 time (Fig. 8, ``EmulTopLevelParSec``), and each section's result depends
 on that section alone.  The eager path nevertheless re-derives every grid
 point through the FF heap walk, the DES kernel's fork/join machinery and a
-fresh tree traversal.  This module lowers a workload's program tree
-**once**, section by section, and evaluates grid points against the
-lowering.  A lowered section (tasks of ``U`` and ``L`` leaves and nested
-sections of the same shape, no pipeline) has exactly one evaluator per
-method:
+fresh tree traversal.  This module evaluates grid points section by
+section against one lowering of each section (:mod:`repro.core.lower`),
+cached on the engine per (section, β, team or pool) and shared with the
+executors of its delegated replays.  A walkable section (tasks of ``U``
+and ``L`` leaves and nested sections of the same shape, no pipeline) has
+exactly one evaluator per method:
 
 - FF walks the heap walk's per-CPU arithmetic without the heap when the
   section is flat and lock-free: it then has no cross-CPU interaction in
@@ -24,33 +25,33 @@ method:
   (demand-free segments, missy lanes, lock acquires and releases, chunk
   grabs, forks, barriers and joins).  A member's ops are
   ``OmpRuntime._member_work``'s expanded stream — a dispatch per chunk
-  (per iteration in a one-member team), then the iterations' leaf ops,
-  an ``L`` leaf expanded as ``ParallelExecutor._task_body`` lowers it, a
-  nested section as one fork per activation — from a chain built from
-  the RLE runs, or from the team's shared ``Schedule.chunks`` cursor for
-  the dynamic family.  A fork does what ``OmpRuntime.parallel_loops``
-  does: the forking thread pays the fork cost, spawns ``t - 1`` inner
-  workers and becomes the inner team's member 0; the team passes its
-  barrier and member 0 joins the workers in spawn order and pays the
-  join barrier.  Threads beyond the cores wait in the kernel's one FIFO
-  ready queue.  Locks follow the kernel's direct handoff under the
-  point's ``fifo``, ``lifo`` or ``random`` policy; a woken thread moves
-  to the lowest idle core, as the kernel dispatches it.  The walk does
-  not model preemption: it mirrors the kernel's lazy quanta and hands
-  the section back (``columnar.declined.quantum``) when one would
-  preempt a thread.  Each walk keeps its own
-  DRAM-solve memo, as the executor runs one kernel (hence one DRAM pool)
-  per section replay, and on a miss runs the pools' scalar bisection,
-  :meth:`~repro.simhw.dram.DramModel.solve`.
+  (per iteration in a one-member team), then the iterations' ops from
+  the section's team lowering, a nested section as one fork per
+  activation — from a chain built from the RLE runs, or from the team's
+  shared ``Schedule.chunks`` cursor for the dynamic family.  A fork does
+  what ``OmpRuntime.parallel_loops`` does: the forking thread pays the
+  fork cost, spawns ``t - 1`` inner workers and becomes the inner team's
+  member 0; the team passes its barrier and member 0 joins the workers
+  in spawn order and pays the join barrier.  Threads beyond the cores
+  wait in the kernel's one FIFO ready queue.  Locks follow the kernel's
+  direct handoff under the point's ``fifo``, ``lifo`` or ``random``
+  policy; a woken thread moves to the lowest idle core, as the kernel
+  dispatches it.  The walk does not model preemption: it mirrors the
+  kernel's lazy quanta and hands the section back
+  (``columnar.declined.quantum``) when one would preempt a thread.  Each
+  walk keeps its own DRAM-solve memo, as the executor runs one kernel
+  (hence one DRAM pool) per section replay, and on a miss runs the
+  pools' scalar bisection, :meth:`~repro.simhw.dram.DramModel.solve`.
 - Under the Cilk and ``omp_task`` paradigms SYN and REAL replay the
   section on ``runtime/taskpool.py``'s task machine in the same walk:
   the replaying master runs ``TaskPool.run`` as a one-member team whose
-  start spawns the other workers, and the section is lowered into task
-  bodies (``cilk_for``'s binary range splitting or a taskloop's task per
-  body, spawns, help-first syncs, a nested section as an inline loop of
-  the current task).  One walker serves both queue disciplines:
-  ``CilkPool``'s per-worker deques (own bottom first, else the top of the
-  first non-empty victim round-robin) and ``OmpTaskPool``'s shared FIFO.
+  start spawns the other workers, and the section's pool lowering is
+  planned into task bodies (``cilk_for``'s binary range splitting or a
+  taskloop's task per body, spawns, help-first syncs, a nested section
+  as an inline loop of the current task).  One walker serves both queue
+  disciplines: ``CilkPool``'s per-worker deques (own bottom first, else
+  the top of the first non-empty victim round-robin) and
+  ``OmpTaskPool``'s shared FIFO.
 
 Sections outside that model are *delegated*: pipeline sections, nowait
 chains, lock-bearing sections under the ``adversarial`` handoff (it ranks
@@ -104,97 +105,18 @@ import random
 from collections import OrderedDict, deque
 from typing import Literal
 
-from repro.core.executor import (
-    OVERHEAD_ACCESS_NODE,
-    OVERHEAD_RECURSIVE_CALL,
-    ParallelExecutor,
-    ReplayMode,
-)
+from repro.core.executor import ParallelExecutor, ReplayMode
 from repro.core.ffemu import FastForwardEmulator, FFSectionResult
+from repro.core.lower import Section, lower
 from repro.core.report import SpeedupEstimate
 from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
 from repro.runtime.tasks import Schedule
-from repro.simhw.dram import (
-    DRAM_SOLVE_CACHE,
-    DramModel,
-    SegmentDemand,
-    _quantize,
-)
+from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, SegmentDemand
 from repro.simhw.machine import MachineConfig
 from repro.simos import normalize_handoff
 from repro.validate.invariants import get_checker
-
-
-class _SecCols:
-    """One section lowered to per-run iteration counts and ops.
-
-    A nested section lowers to its own ``_SecCols``, which stands in its
-    parent's REAL ops as a *fork* op, once per activation of the nested
-    node.  Every nested section of one top-level section shares the
-    top-level ``lock_ids`` map, as the executor's replay shares one mutex
-    per lock id across the nesting levels of a section."""
-
-    __slots__ = (
-        "node", "name", "repeat", "n_iters", "counts", "real_ops", "missy",
-        "lock_ids", "nested", "subs",
-    )
-
-    def __init__(
-        self,
-        node: Node,
-        machine: MachineConfig,
-        overheads: RuntimeOverheads,
-        lock_ids: dict[int, int] | None = None,
-        subs: dict | None = None,
-    ) -> None:
-        self.node = node
-        self.name = node.name
-        self.repeat = node.repeat
-        #: Dense index of each lock id, in order of first use (the walk's
-        #: acquire and release ops carry it).
-        if lock_ids is None:
-            lock_ids = {}
-        #: One lowering per nested node (compression shares identical ones).
-        if subs is None:
-            subs = {}
-        #: Per-run REAL ops of one iteration for the team walk.
-        real_ops: list[tuple] = []
-        missy = nested = False
-        for task in node.children:
-            ops: list = []
-            for leaf in task.children:
-                # Eligibility is checked by the caller (_lowerable).
-                if leaf.kind is NodeKind.SEC:
-                    sub = subs.get(id(leaf))
-                    if sub is None:
-                        sub = subs[id(leaf)] = _SecCols(
-                            leaf, machine, overheads, lock_ids, subs
-                        )
-                    ops += [sub] * leaf.repeat
-                    missy = missy or sub.missy
-                    nested = True
-                    continue
-                body = _leaf_op(machine, leaf, None)
-                missy = missy or body.__class__ is tuple
-                if leaf.kind is NodeKind.L:
-                    ix = lock_ids.setdefault(leaf.lock_id, len(lock_ids))
-                    ops += _critical(overheads, ix, body) * leaf.repeat
-                elif body is not None:
-                    ops.append(body)
-            real_ops.append(tuple(ops))
-        #: Iterations per run (the runs' TASK repeats).
-        self.counts = [task.repeat for task in node.children]
-        self.n_iters = sum(self.counts)
-        self.real_ops = real_ops
-        #: Whether a timed compute demands memory (REAL replays walk it).
-        self.missy = missy
-        self.lock_ids = lock_ids
-        #: Whether a task forks a nested team.
-        self.nested = nested
-        #: The nested sections' lowerings, by node id.
-        self.subs = subs
 
 
 def _locked(item: Node) -> bool:
@@ -208,11 +130,11 @@ def _lowerable(item: Node) -> bool:
     shape) with no pipeline anywhere.  Its SYN/REAL replay under an OpenMP
     team is a team walk (locks included, except under the ``adversarial``
     handoff; a nested section forks a nested team of the same size and
-    schedule, as ``ParallelExecutor._omp_bodies`` does), and under a Cilk
-    or ``omp_task`` pool a pool walk (a nested section is an inline loop
-    of the task running it, as ``ParallelExecutor._bodies`` hands it to
-    ``TaskPool.loop``); FF walks only a flat lock-free one and runs the
-    others on the heap walk."""
+    schedule, as the executor's replay does), and under a Cilk or
+    ``omp_task`` pool a pool walk (a nested section is an inline loop of
+    the task running it, as the replay hands it to ``TaskPool.loop``);
+    both walk the section's lowering (:mod:`repro.core.lower`).  FF walks
+    only a flat lock-free one and runs the others on the heap walk."""
     return (
         item.kind is NodeKind.SEC
         and not item.pipeline
@@ -245,10 +167,11 @@ class ColumnarEngine:
         self.profile = profile
         self.machine: MachineConfig = profile.machine
         self.overheads = overheads
-        #: Program in tree order: floats (serial U cycles), _SecCols, and
-        #: delegated items (a section Node or a nowait chain list).
+        #: Program in tree order: floats (serial U cycles), walkable
+        #: sections (each one's REAL team lowering, a :class:`Section`),
+        #: and delegated items (a section Node or a nowait chain list).
         self._items: list = []
-        self._secs: list[_SecCols] = []
+        self._secs: list[Section] = []
         #: Serial cycles of each section item, by id (FF result records).
         self._serial_of: dict[int, float] = {}
         #: What each delegated item's replay reads, by id (a nowait
@@ -267,9 +190,11 @@ class ColumnarEngine:
         # lengths in the order ``serial_cycles`` and the emulators do.
         top = tree.root.children
         length = {id(node): node.subtree_length() for node in top}
-        #: One lowering per section node: compression shares the node of
-        #: identical sections, so their walks share cache entries too.
-        lowered: dict[int, _SecCols] = {}
+        #: Each section lowered once per (node, β, team or pool)
+        #: (:func:`~repro.core.lower.lower`); compression shares the node
+        #: of identical sections, so their walks share cache entries too.
+        #: The executors of delegated replays read it as well.
+        self._lowered: dict[tuple, Section] = {}
         for item in group_nowait_chains(top):
             if isinstance(item, list):  # a nowait chain: delegated
                 serial = sum(length[id(sec)] for sec in item)
@@ -286,13 +211,11 @@ class ColumnarEngine:
                 # A lowered section is delegated when its point's team is
                 # not walked.
                 self._reads[id(item)] = (item.pipeline, _locked(item))
-                if id(item) in lowered:
-                    item = lowered[id(item)]
-                elif _lowerable(item):
-                    item = lowered[id(item)] = _SecCols(
-                        item, self.machine, overheads
-                    )
-                    self._secs.append(item)
+                if _lowerable(item):
+                    item = lower(self._lowered, item, self.machine, overheads,
+                                 None, True)
+                    if item not in self._secs:
+                        self._secs.append(item)
                 # else nesting or a pipeline: delegated
             self._serial_of[id(item)] = serial
             self._items.append(item)
@@ -330,7 +253,7 @@ class ColumnarEngine:
                 total += item
                 continue
             if (
-                isinstance(item, _SecCols)
+                isinstance(item, Section)
                 and not item.lock_ids
                 and not item.nested
             ):
@@ -342,7 +265,7 @@ class ColumnarEngine:
                 # FF ignores the paradigm and the lock-handoff policy;
                 # omp and fifo key its cache.
                 name, cycles = self._delegate(
-                    item.node if isinstance(item, _SecCols) else item,
+                    item.node if isinstance(item, Section) else item,
                     schedule, t, _FF, "omp", burdens, "fifo", 0,
                 )
             serial = self._serial_of[id(item)]
@@ -366,7 +289,7 @@ class ColumnarEngine:
         return total, results
 
     def _ff_section(
-        self, sc: _SecCols, schedule: Schedule, t: int, beta: float
+        self, sc: Section, schedule: Schedule, t: int, beta: float
     ) -> float:
         """FF cycles of one activation of a lowered section, cached: the
         heap walk's arithmetic (``_Engine.run``) without the heap."""
@@ -378,9 +301,10 @@ class ColumnarEngine:
         fork = oh.fork_cost(t)
         disp = oh.dispatch_cost(schedule)
         iters: list = []
-        for task, count in zip(sc.node.children, sc.counts):
+        for task in sc.node.children:
             # The heap walk's per-leaf step: (length*β)*repeat.
-            iters += [[(u.length * beta) * u.repeat for u in task.children]] * count
+            steps = [(u.length * beta) * u.repeat for u in task.children]
+            iters += [steps] * task.repeat
         n = sc.n_iters
         if schedule.is_dynamic_family:
             chunks = [range(c[0], c[-1] + 1) for c in schedule.chunks(n, t)]
@@ -461,6 +385,7 @@ class ColumnarEngine:
                 handoff=handoff,
                 handoff_seed=handoff_seed,
             )
+            executor.lowered = self._lowered
             if chain:
                 run = executor.execute_chain(item, t, mode, burdens)
             else:
@@ -519,7 +444,7 @@ class ColumnarEngine:
                 continue
             if (
                 walked
-                and isinstance(item, _SecCols)
+                and isinstance(item, Section)
                 and (fake or one_pool or not item.missy)
                 and (walk_locks or not item.lock_ids)
             ):
@@ -559,7 +484,7 @@ class ColumnarEngine:
                     total += net * repeat
                     runs.append((name, net, repeat))
                     continue
-            node = item.node if isinstance(item, _SecCols) else item
+            node = item.node if isinstance(item, Section) else item
             chain = isinstance(node, list)
             for sec in node if chain and not omp else (node,):
                 name, net = self._delegate(
@@ -642,7 +567,7 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------ team walks
 
-    def _walk(self, sc: _SecCols, schedule: Schedule, t: int, beta,
+    def _walk(self, sc: Section, schedule: Schedule, t: int, beta,
               locking=None):
         """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
         t): the REAL replay when ``beta`` is None, else the FAKE replay at
@@ -650,74 +575,36 @@ class ColumnarEngine:
         fire.  ``locking`` is ``_team_walk``'s ``(n_locks, handoff,
         seed)`` for a lock-bearing section.
 
-        The top-level team's plan comes from :meth:`_plan`; a nested
-        section's plan (the same ``t`` and schedule, as
-        ``ParallelExecutor._omp_bodies`` forks it) is built the first time
-        the walk forks it, with the inner team's exit appended: one
-        barrier pass, then member 0 joins the workers in spawn order and
-        pays ``omp_join_barrier``."""
+        The top-level team's plan comes from :meth:`_plan` over the
+        section's team lowering; a nested section's plan (the same ``t``
+        and schedule, as the executor's replay forks it) is built the
+        first time the walk forks it, with the inner team's exit appended:
+        one barrier pass, then member 0 joins the workers in spawn order
+        and pays ``omp_join_barrier``."""
         oh = self.overheads
         jb = oh.omp_join_barrier
+        low = lower(self._lowered, sc.node, self.machine, oh, beta, True)
         plan = None
-        if sc.nested:
+        if low.nested:
             master_tail = [_BAR, _JOIN] + ([float(jb)] if jb > 0.0 else [])
             tails = (master_tail, [_BAR])
             plans: dict = {}
 
-            def plan(sub: _SecCols) -> tuple:
+            def plan(sub: Section) -> tuple:
                 got = plans.get(sub)
                 if got is None:
-                    got = plans[sub] = self._plan(sub, schedule, t, beta, tails)
+                    got = plans[sub] = self._plan(sub, schedule, t, tails)
                 return got
 
         return _team_walk(
             self._dram, t, oh.fork_cost(t), jb, float(oh.dispatch_cost(schedule)),
-            self._plan(sc, schedule, t, beta, ([], [])), locking, plan,
+            self._plan(low, schedule, t, ([], [])), locking, plan,
         )
 
-    def _iters(self, sc: _SecCols, beta) -> tuple[list, list]:
-        """Per-iteration ops and FAKE traversal overhead of ``sc``: its REAL
-        ops when ``beta`` is None, else the synthesizer's FakeDelay
-        program at burden ``beta``."""
-        iters: list = []
-        iter_trav: list = []
-        for r, count in enumerate(sc.counts):
-            if beta is None:
-                ops, oh_run = sc.real_ops[r], 0.0
-            else:
-                # A traversal-overhead segment per child, then
-                # (length*beta)*repeat cycles per U leaf, one critical
-                # section of length*beta cycles per L leaf pass, or one
-                # fork per activation of a nested section (whose visit
-                # also pays the recursive call).
-                ops = []
-                oh_run = 0.0
-                for leaf in sc.node.children[r].children:
-                    kind = leaf.kind
-                    cost = OVERHEAD_ACCESS_NODE
-                    if kind is NodeKind.SEC:
-                        cost += OVERHEAD_RECURSIVE_CALL
-                    if cost > 0.0:
-                        ops.append(cost)
-                    oh_run += cost
-                    if kind is NodeKind.U:
-                        body = _leaf_op(self.machine, leaf, beta)
-                        if body is not None:
-                            ops.append(body)
-                    elif kind is NodeKind.L:
-                        ops += _critical(
-                            self.overheads, sc.lock_ids[leaf.lock_id],
-                            _leaf_op(self.machine, leaf, beta),
-                        ) * leaf.repeat
-                    else:
-                        ops += [sc.subs[id(leaf)]] * leaf.repeat
-            iters += [ops] * count
-            iter_trav += [oh_run] * count
-        return iters, iter_trav
-
-    def _plan(self, sc: _SecCols, schedule: Schedule, t: int, beta,
+    def _plan(self, low: Section, schedule: Schedule, t: int,
               tails: tuple[list, list]) -> tuple:
-        """One team's ``(chains, traversal, cursor)`` over ``sc``.
+        """One team's ``(chains, traversal, cursor)`` over the lowered
+        section ``low``.
 
         ``chains[w]`` is member ``w``'s op stream as
         ``OmpRuntime._member_work`` expands it: a worker's
@@ -729,10 +616,14 @@ class ColumnarEngine:
         grab op instead.  ``traversal[w]`` is member ``w``'s FAKE
         traversal overhead of its static chunks."""
         oh = self.overheads
-        iters, iter_trav = self._iters(sc, beta)
+        iters: list = []
+        iter_trav: list = []
+        for task, ops, trav in zip(low.node.children, low.ops, low.trav):
+            iters += [ops] * task.repeat
+            iter_trav += [trav] * task.repeat
         prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
         master_tail, worker_tail = tails
-        n = sc.n_iters
+        n = low.n_iters
         if schedule.is_dynamic_family and t > 1:
             chunk_ops = []
             chunk_trav = []
@@ -776,26 +667,28 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------ pool walks
 
-    def _pool_walk(self, sc: _SecCols, t: int, beta, locking, cilk: bool):
+    def _pool_walk(self, sc: Section, t: int, beta, locking, cilk: bool):
         """``(gross, traversal)`` of ``sc``'s replay on a ``t``-worker
         task pool (:class:`~repro.runtime.taskpool.CilkPool` when ``cilk``,
         else :class:`~repro.runtime.taskpool.OmpTaskPool`): the REAL replay
         when ``beta`` is None, else the FAKE replay at burden ``beta``.
 
-        The section is lowered into task bodies as
-        ``ParallelExecutor._bodies`` hands them to the pool, at the
-        pool's own costs, and walked by ``_team_walk`` as a one-member
-        team: the replaying master thread, whose ``_START`` op spawns the
-        pool's other workers as inner threads (:meth:`_pool_plan`)."""
-        top, pool = self._pool_plan(sc, t, beta, cilk)
+        The section's pool lowering is planned into task bodies as the
+        executor's replay hands them to the pool, at the pool's own
+        costs, and walked by ``_team_walk`` as a one-member team: the
+        replaying master thread, whose ``_START`` op spawns the pool's
+        other workers as inner threads (:meth:`_pool_plan`)."""
+        low = lower(self._lowered, sc.node, self.machine, self.overheads,
+                    beta, False)
+        top, pool = self._pool_plan(low, t, cilk)
         return _team_walk(self._dram, 1, 0.0, 0.0, 0.0, top, locking,
                           pool=pool)
 
-    def _pool_plan(self, sc: _SecCols, t: int, beta, cilk: bool) -> tuple:
-        """The master's plan and ``_team_walk``'s pool of ``sc`` on ``t``
-        workers.
+    def _pool_plan(self, low: Section, t: int, cilk: bool) -> tuple:
+        """The master's plan and ``_team_walk``'s pool of the lowered
+        section ``low`` on ``t`` workers.
 
-        A loop over a section's bodies (one per iteration) lowers as the
+        A loop over a section's bodies (one per iteration) runs as the
         pool's ``loop`` runs it from the current task: ``cilk_for``'s
         ``_for_range`` — while more than ``grain = ceil(n / (8·t))``
         bodies are left, a spawn of the upper half as a range task, then
@@ -803,11 +696,9 @@ class ColumnarEngine:
         spawned task per body and a ``sync``.  A spawn is the spawn-cost
         segment followed by the child's :class:`_PoolTask`; a task ends
         in ``_END`` (its implicit sync, then its completion).  A body is
-        ``_task_body``'s stream without lock-call costs (the pools pay
-        none): per leaf, in FAKE mode, the traversal-overhead segment,
-        then the leaf's compute, its critical sections, or one inline loop
-        per activation of a nested section.  Each body, loop and range
-        task is lowered once per walk.
+        its lowered task's ops with each fork replaced by an inline loop
+        over the nested section.  Each body, loop and range task is
+        planned once per walk.
 
         The master runs ``TaskPool.run``: ``_START`` pushes the root task
         (the top-level loop) and spawns the workers, ``_RUN`` runs tasks
@@ -816,44 +707,26 @@ class ColumnarEngine:
         before and the join barrier after.  A worker pays its start cost
         and then runs ``_WORK``, the worker loop."""
         oh = self.overheads
-        machine = self.machine
-        lock_ids = sc.lock_ids
         spawn = float(oh.cilk_spawn if cilk else oh.omp_task_create)
         spawn_ops = [spawn] if spawn > 0.0 else []
         bodies: dict[int, tuple[list, float]] = {}
         loops: dict[int, tuple[list, float]] = {}
         tasks: dict[int, _PoolTask] = {}
 
-        def body(task: Node) -> tuple[list, float]:
+        def body(task_ops: tuple, trav: float) -> tuple[list, float]:
             """One iteration's ops and FAKE traversal overhead."""
-            got = bodies.get(id(task))
+            got = bodies.get(id(task_ops))
             if got is not None:
                 return got
             ops: list = []
-            trav = 0.0
-            for leaf in task.children:
-                kind = leaf.kind
-                if beta is not None:
-                    cost = OVERHEAD_ACCESS_NODE
-                    if kind is NodeKind.SEC:
-                        cost += OVERHEAD_RECURSIVE_CALL
-                    if cost > 0.0:
-                        ops.append(cost)
-                    trav += cost
-                if kind is NodeKind.SEC:
-                    sub, sub_trav = loop(leaf)
-                    for _ in range(leaf.repeat):
-                        ops += sub
-                        trav += sub_trav
-                    continue
-                work = _leaf_op(machine, leaf, beta)
-                if kind is NodeKind.L:
-                    ix = lock_ids[leaf.lock_id]
-                    crit = [ix, ~ix] if work is None else [ix, work, ~ix]
-                    ops += crit * leaf.repeat
-                elif work is not None:
-                    ops.append(work)
-            got = bodies[id(task)] = (ops, trav)
+            for op in task_ops:
+                if op.__class__ is Section:
+                    sub, sub_trav = loop(op)
+                    ops += sub
+                    trav += sub_trav
+                else:
+                    ops.append(op)
+            got = bodies[id(task_ops)] = (ops, trav)
             return got
 
         def pool_task(ops: list, trav: float) -> _PoolTask:
@@ -870,39 +743,44 @@ class ColumnarEngine:
                 hi = mid
             trav = 0.0
             for i in range(lo, hi):
-                sub, sub_trav = body(its[i])
+                sub, sub_trav = body(*its[i])
                 ops += sub
                 trav += sub_trav
             ops.append(_SYNC)
             return ops, trav
 
-        def loop(sec: Node) -> tuple[list, float]:
+        def loop(sec: Section) -> tuple[list, float]:
             """The pool's ``loop`` over ``sec``'s bodies, run inline by the
             current task."""
             got = loops.get(id(sec))
             if got is not None:
                 return got
             if cilk:
-                its = [task for task in sec.children
-                       for _ in range(task.repeat)]
+                its = [
+                    (ops, trav)
+                    for task, ops, trav in zip(sec.node.children, sec.ops, sec.trav)
+                    for _ in range(task.repeat)
+                ]
                 n = len(its)
                 got = ([], 0.0) if n == 0 else cilk_range(
                     its, 0, n, max(1, math.ceil(n / (8 * t)))
                 )
             else:
                 ops: list = []
-                for task in sec.children:
-                    child = tasks.get(id(task))
+                for task, task_ops, trav in zip(sec.node.children, sec.ops,
+                                                sec.trav):
+                    child = tasks.get(id(task_ops))
                     if child is None:
-                        sub, sub_trav = body(task)
-                        child = tasks[id(task)] = pool_task(sub, sub_trav)
+                        child = tasks[id(task_ops)] = pool_task(
+                            *body(task_ops, trav)
+                        )
                     ops += (spawn_ops + [child]) * task.repeat
                 ops.append(_SYNC)
                 got = (ops, 0.0)
             loops[id(sec)] = got
             return got
 
-        root = pool_task(*loop(sc.node))
+        root = pool_task(*loop(low))
         if cilk:
             start, fork, jb = oh.cilk_pool_start_per_worker, 0.0, 0.0
             task_run = float(oh.cilk_task_run)
@@ -927,51 +805,6 @@ class ColumnarEngine:
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
 _FF: Literal["ff"] = "ff"
-
-def _lane(machine: MachineConfig, cycles: float, misses: float) -> tuple:
-    """A missy lane op: ``(cycles, (f, d), memo key)``.  ``(f, d)`` are the
-    exact formulas of ``SimKernel._attach_segment`` (zero switch debt); the
-    key is quantized once here rather than per DRAM solve."""
-    f = min(1.0, misses * machine.base_miss_stall / cycles) if cycles > 0 else 0.0
-    seconds = machine.cycles_to_seconds(cycles) if cycles > 0 else 0.0
-    d = (misses * machine.line_size / seconds) if seconds > 0 else 0.0
-    return (float(cycles), (f, d), (_quantize(f), _quantize(d)))
-
-
-def _leaf_op(machine: MachineConfig, leaf: Node, beta):
-    """The compute op of a ``U`` leaf, times its repeat, or of one pass
-    through an ``L`` leaf's body; None when it is instant (a zero-cycle
-    segment, as in ``SimKernel._h_compute``).  With ``beta`` None it is
-    the REAL op ``executor._leaf_compute`` yields — a float, or a missy
-    lane when the leaf misses — else the FAKE delay of
-    ``(length·β)·repeat`` cycles."""
-    reps = 1 if leaf.kind is NodeKind.L else leaf.repeat
-    if beta is None:
-        cycles = (leaf.cpu_cycles + leaf.llc_misses * machine.base_miss_stall) * reps
-        if cycles <= 0.0:
-            return None
-        misses = leaf.llc_misses * reps
-        return _lane(machine, cycles, misses) if misses else float(cycles)
-    cycles = float((leaf.length * beta) * reps)
-    return cycles if cycles > 0.0 else None
-
-
-def _critical(oh: RuntimeOverheads, ix: int, body) -> list:
-    """The ops of one pass through an ``L`` leaf under an OpenMP team, as
-    ``ParallelExecutor._task_body`` yields them: the ``omp_lock_acquire``
-    segment, the acquire of lock ``ix`` (an int ``>= 0``), the ``body``
-    op (None when instant), the release (``~ix``) and the
-    ``omp_lock_release`` segment.  A zero-cycle segment is instant, as in
-    ``SimKernel._h_compute``."""
-    ops: list = [float(oh.omp_lock_acquire)] if oh.omp_lock_acquire > 0.0 else []
-    ops.append(ix)
-    if body is not None:
-        ops.append(body)
-    ops.append(~ix)
-    if oh.omp_lock_release > 0.0:
-        ops.append(float(oh.omp_lock_release))
-    return ops
-
 
 #: Concatenation of iterations' op or step lists, in order.
 _flat = itertools.chain.from_iterable
@@ -1150,13 +983,14 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
     fire.
 
     ``top = (chains, traversal, cursor)`` is the top-level team's plan
-    (``ColumnarEngine._plan``).  In a thread's stream a float is a
-    demand-free segment, a tuple a missy lane (``_lane``), an int ``ix >=
-    0`` the acquire of lock ``ix`` and ``~ix`` its release (``_critical``),
-    ``_GRAB`` a dispatch of ``disp`` cycles and then a chunk grab from the
-    team's ``cursor = (chunk ops, chunk traversal)`` (the last, failed
-    grab still pays the dispatch), and a :class:`_SecCols` a fork of a nested team over that
-    section, whose plan ``plan(section)`` returns.
+    (``ColumnarEngine._plan``).  A thread's stream holds the ops of
+    :mod:`repro.core.lower` — a float is a demand-free segment, a tuple a
+    missy lane, an int ``ix >= 0`` the acquire of lock ``ix`` and ``~ix``
+    its release, and a :class:`~repro.core.lower.Section` a fork of a
+    nested team over that section, whose plan ``plan(section)`` returns —
+    and ``_GRAB``, a dispatch of ``disp`` cycles and then a chunk grab
+    from the team's ``cursor = (chunk ops, chunk traversal)`` (the last,
+    failed grab still pays the dispatch).
 
     The top-level team forks at ``fork`` (its master's fork segment,
     dispatched at 0).  A fork op does what ``OmpRuntime.parallel_loops``
@@ -1351,7 +1185,7 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
                     o = ops[w] = ()
                     p = n = 0
                     continue
-                if cls is _SecCols:  # fork a nested team
+                if cls is Section:  # fork a nested team
                     if not pend[w] and fork > 0.0:
                         # The fork cost joins the run; the fork happens
                         # when it completes.

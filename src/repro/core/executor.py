@@ -25,8 +25,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Optional
 
+from repro.core.lower import Section, lower
 from repro.core.lru import LRUCache
-from repro.core.tree import Node, NodeKind, ProgramTree
+from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.errors import EmulationError
 from repro.obs import get_metrics, get_tracer
 from repro.runtime.taskpool import CilkPool, OmpTaskPool
@@ -51,34 +52,6 @@ class ReplayMode(enum.Enum):
 
     REAL = "real"
     FAKE = "fake"
-
-
-#: Synthesizer per-node traversal costs (paper Section IV-E: "these two units
-#: of overhead on our machine are both approximately 50 cycles").
-OVERHEAD_ACCESS_NODE = 50.0
-OVERHEAD_RECURSIVE_CALL = 50.0
-
-
-def _node_fingerprint(node: Node) -> tuple:
-    """Structural identity of a subtree (all timing-relevant fields).
-
-    Two nodes with equal fingerprints replay identically on equal
-    machine/runtime configurations, which is what makes the cross-grid
-    section memo sound: the simulation is deterministic in these inputs.
-    """
-    return (
-        node.kind.value,
-        node.name,
-        node.length,
-        node.lock_id,
-        node.repeat,
-        node.cpu_cycles,
-        node.instructions,
-        node.llc_misses,
-        node.nowait,
-        node.pipeline,
-        tuple(_node_fingerprint(c) for c in node.children),
-    )
 
 
 #: Bound of the process-wide section memo (entries).
@@ -218,6 +191,10 @@ class ParallelExecutor:
         #: deterministic sample of section-memo hits is re-verified against
         #: an exact uncached replay.
         self.inv = get_checker()
+        #: The sections this executor has lowered (:mod:`repro.core.lower`),
+        #: so every replay and repeat of a section reads one lowering; the
+        #: columnar engine hands its delegated replays its own cache.
+        self.lowered: dict = {}
 
     def _make_kernel(self) -> SimKernel:
         return SimKernel(
@@ -344,8 +321,6 @@ class ParallelExecutor:
         paradigms keep per-section execution with implicit barriers."""
         if self.paradigm != "omp":
             return list(children)
-        from repro.core.tree import group_nowait_chains
-
         return group_nowait_chains(children)
 
     def execute_chain(
@@ -366,7 +341,7 @@ class ParallelExecutor:
         loops = []
         for sec in secs:
             beta = burdens.get(sec.name, 1.0) if mode is ReplayMode.FAKE else 1.0
-            bodies = self._omp_bodies(sec, omp, n_threads, locks, mode, beta, ohmgr)
+            bodies = self._bodies(sec, mode, beta, omp, n_threads, locks, ohmgr)
             loops.append((bodies, self.schedule, sec.nowait))
 
         def master() -> Generator[Any, Any, None]:
@@ -416,7 +391,7 @@ class ParallelExecutor:
                 # seeded-random run must never answer for the fifo point.
                 self.handoff,
                 self.handoff_seed,
-                _node_fingerprint(sec),
+                sec.fingerprint(),
             )
             run = _SECTION_MEMO.get(memo_key)
             m = get_metrics()
@@ -469,11 +444,9 @@ class ParallelExecutor:
 
         elif self.paradigm == "omp":
             omp = OmpRuntime(kernel, self.overheads)
+            bodies = self._bodies(sec, mode, burden, omp, n_threads, locks, ohmgr)
 
             def master() -> Generator[Any, Any, None]:
-                bodies = self._omp_bodies(
-                    sec, omp, n_threads, locks, mode, burden, ohmgr
-                )
                 yield from omp.parallel_for(
                     bodies, n_threads=n_threads, schedule=self.schedule
                 )
@@ -481,7 +454,7 @@ class ParallelExecutor:
         else:
             pool_cls = CilkPool if self.paradigm == "cilk" else OmpTaskPool
             pool = pool_cls(kernel, n_threads, self.overheads)
-            bodies = self._bodies(sec, pool.loop, locks, mode, burden, ohmgr, None)
+            bodies = self._bodies(sec, mode, burden, pool, n_threads, locks, ohmgr)
 
             def master() -> Generator[Any, Any, None]:
                 yield from pool.run(lambda ctx: pool.loop(ctx, bodies))
@@ -499,146 +472,94 @@ class ParallelExecutor:
             lock_contended=kernel.lock_contended,
         )
 
-    # ------------------------------------------------------------- lowering
-
-    def _leaf_compute(self, node: Node, mode: ReplayMode, burden: float) -> Compute:
-        if mode is ReplayMode.REAL:
-            base = node.cpu_cycles + node.llc_misses * self.machine.base_miss_stall
-            return Compute(
-                cycles=base,
-                instructions=node.instructions,
-                llc_misses=node.llc_misses,
-            )
-        # FakeDelay(node.length * burden): spins without touching memory.
-        return Compute(cycles=node.length * burden)
-
-    def _omp_bodies(
-        self,
-        sec: Node,
-        omp: OmpRuntime,
-        n_threads: int,
-        locks: dict[int, SimMutex],
-        mode: ReplayMode,
-        burden: float,
-        ohmgr: _OverheadManager,
-    ) -> list[Callable[[], Generator[Any, Any, None]]]:
-        """:meth:`_bodies` under an OpenMP team: a nested section forks a
-        nested team of ``n_threads``, and each lock pays the OpenMP lock
-        calls."""
-
-        def nested(ctx, sub: list) -> Generator[Any, Any, None]:
-            return omp.parallel_for(
-                sub, n_threads=n_threads, schedule=self.schedule
-            )
-
-        oh = self.overheads
-        return self._bodies(
-            sec, nested, locks, mode, burden, ohmgr,
-            (oh.omp_lock_acquire, oh.omp_lock_release),
-        )
+    # --------------------------------------------------------------- bodies
 
     def _bodies(
         self,
         sec: Node,
-        nested: Callable[[Any, list], Generator[Any, Any, None]],
-        locks: dict[int, SimMutex],
         mode: ReplayMode,
         burden: float,
+        runtime: Any,
+        n_threads: int,
+        locks: dict[int, SimMutex],
         ohmgr: _OverheadManager,
-        lock_costs: Optional[tuple[float, float]],
     ) -> list[Callable[..., Generator[Any, Any, None]]]:
-        """Loop bodies of ``sec``, one per iteration (a task repeated
-        ``r`` times gives ``r`` references to one body).
+        """Loop bodies of ``sec``, one per iteration (a task repeated ``r``
+        times gives ``r`` references to one body), over its lowering for
+        ``mode`` under ``runtime``: an :class:`OmpRuntime` team of
+        ``n_threads`` or a task pool.
 
         A body takes the executing task-pool context, or nothing under an
-        OpenMP team.  ``nested(ctx, sub)`` runs a nested section's bodies
-        from that context: an OpenMP ``parallel_for`` team, a nested
-        ``cilk_for`` or an OpenMP task group.  ``lock_costs`` are the
-        ``(acquire, release)`` cycles the OpenMP lock calls pay around
-        each lock; the task pools pay none.  Nested sections are lowered
-        here, once per task body, not on every body run.
+        OpenMP team.  Each op of the lowering maps here, once per replay,
+        to the request a body run yields: a lock op to an ``Acquire`` or
+        ``Release`` of this replay's mutex of the lock id (``locks``,
+        shared across a nowait chain), a traversal visit to its segment,
+        which first charges the running thread's overhead, and a fork to
+        the nested section's bodies, run from that context: a nested
+        OpenMP team of ``n_threads``, a nested ``cilk_for`` or an OpenMP
+        task group.
         """
-        bodies: list[Callable[..., Generator[Any, Any, None]]] = []
-        for task in sec.children:
-            body = self._task_body(
-                task, nested, locks, mode, burden, ohmgr, lock_costs
-            )
-            bodies.extend([body] * task.repeat)
-        return bodies
+        team = isinstance(runtime, OmpRuntime)
+        if team:
 
-    def _task_body(
-        self,
-        task: Node,
-        nested: Callable[[Any, list], Generator[Any, Any, None]],
-        locks: dict[int, SimMutex],
-        mode: ReplayMode,
-        burden: float,
-        ohmgr: _OverheadManager,
-        lock_costs: Optional[tuple[float, float]],
-    ) -> Callable[..., Generator[Any, Any, None]]:
-        # Every request a body run yields is built here, once per task
-        # body: the kernel only reads requests, so runs share them.
-        fake = mode is ReplayMode.FAKE
-        current = GetCurrentThread()
-        lock_reqs = (
-            None if lock_costs is None
-            else (Compute(cycles=lock_costs[0]), Compute(cycles=lock_costs[1]))
+            def nested(ctx, sub: list) -> Generator[Any, Any, None]:
+                return runtime.parallel_for(
+                    sub, n_threads=n_threads, schedule=self.schedule
+                )
+
+        else:
+            nested = runtime.loop
+        low = lower(
+            self.lowered, sec, self.machine, self.overheads,
+            burden if mode is ReplayMode.FAKE else None, team,
         )
-        steps = []
-        for node in task.children:
-            # The synthesizer's per-node traversal overhead (FAKE only).
-            cost = OVERHEAD_ACCESS_NODE + (
-                OVERHEAD_RECURSIVE_CALL if node.kind is NodeKind.SEC else 0.0
-            )
-            visit = Compute(cycles=cost) if fake else None
-            if node.kind is NodeKind.U:
-                req = self._leaf_compute(node, mode, burden)
-                work = Compute(
-                    cycles=req.cycles * node.repeat,
-                    instructions=req.instructions * node.repeat,
-                    llc_misses=req.llc_misses * node.repeat,
-                )
-            elif node.kind is NodeKind.L:
-                mutex = locks.get(node.lock_id)
-                if mutex is None:
-                    mutex = locks[node.lock_id] = SimMutex(f"lock{node.lock_id}")
-                work = (
-                    Acquire(mutex),
-                    self._leaf_compute(node, mode, burden),
-                    Release(mutex),
-                )
-            elif node.kind is NodeKind.SEC:
-                work = self._bodies(
-                    node, nested, locks, mode, burden, ohmgr, lock_costs
-                )
-            else:  # pragma: no cover - validated trees
-                raise EmulationError(f"bad node inside task: {node!r}")
-            steps.append((node.kind, node.repeat, cost, visit, work))
+        acquire: list[Acquire] = []
+        release: list[Release] = []
+        for lock_id in low.lock_ids:
+            mutex = locks.get(lock_id)
+            if mutex is None:
+                mutex = locks[lock_id] = SimMutex(f"lock{lock_id}")
+            acquire.append(Acquire(mutex))
+            release.append(Release(mutex))
+        current = GetCurrentThread()
+        built: dict[int, list] = {}
 
-        def body(ctx=None) -> Generator[Any, Any, None]:
-            for kind, repeat, cost, visit, work in steps:
-                if visit is not None:
-                    me = yield current
-                    ohmgr.add(me.tid, cost)
-                    yield visit
-                if kind is NodeKind.U:
-                    yield work
-                elif kind is NodeKind.L:
-                    acquire, held, release = work
-                    for _ in range(repeat):
-                        if lock_reqs is not None:
-                            yield lock_reqs[0]
-                        yield acquire
-                        yield held
-                        yield release
-                        if lock_reqs is not None:
-                            yield lock_reqs[1]
-                else:
-                    # Nested parallelism from the context executing this
-                    # body: OpenMP forks a nested physical team; the task
-                    # pools schedule the group on their workers (why they
-                    # shine on Fig. 1(b) patterns).
-                    for _ in range(repeat):
-                        yield from nested(ctx, work)
+        def bodies(sub: Section) -> list:
+            got = built.get(id(sub))
+            if got is None:
+                got = built[id(sub)] = []
+                for i, task in enumerate(sub.node.children):
+                    got += [body(sub.requests(i))] * task.repeat
+            return got
 
-        return body
+        def body(ops: list) -> Callable[..., Generator[Any, Any, None]]:
+            reqs = []
+            for op in ops:
+                cls = op.__class__
+                if cls is int:
+                    op = acquire[op] if op >= 0 else release[~op]
+                elif cls is float:
+                    op = (op, Compute(cycles=op))
+                elif cls is Section:
+                    op = bodies(op)
+                reqs.append(op)
+
+            def run(ctx=None) -> Generator[Any, Any, None]:
+                for req in reqs:
+                    cls = req.__class__
+                    if cls is tuple:  # a traversal visit
+                        me = yield current
+                        ohmgr.add(me.tid, req[0])
+                        yield req[1]
+                    elif cls is list:
+                        # Nested parallelism from the context running this
+                        # body: OpenMP forks a nested physical team; the
+                        # task pools schedule the group on their workers
+                        # (why they shine on Fig. 1(b) patterns).
+                        yield from nested(ctx, req)
+                    else:
+                        yield req
+
+            return run
+
+        return bodies(low)

@@ -116,10 +116,35 @@ class Node:
         return child
 
     def walk(self) -> Iterator["Node"]:
-        """Depth-first iteration over *unique* nodes (repeats not expanded)."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Depth-first pre-order iteration over *unique* nodes (repeats not
+        expanded; a shared node comes once per parent), on an explicit stack
+        rather than a generator per ancestor."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def fingerprint(self) -> tuple:
+        """Structural identity of a subtree (all timing-relevant fields).
+
+        Two nodes with equal fingerprints replay identically on equal
+        machine/runtime configurations, which is what makes the cross-grid
+        section memo sound: the simulation is deterministic in these inputs.
+        """
+        return (
+            self.kind.value,
+            self.name,
+            self.length,
+            self.lock_id,
+            self.repeat,
+            self.cpu_cycles,
+            self.instructions,
+            self.llc_misses,
+            self.nowait,
+            self.pipeline,
+            tuple(c.fingerprint() for c in self.children),
+        )
 
     def subtree_length(self) -> float:
         """Total serial cycles of this subtree, expanding repeats."""

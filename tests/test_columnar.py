@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from repro import ParallelProphet
 from repro.core.batch import BatchPredictor, SweepTask, _predict_point
-from repro.core.columnar import ColumnarEngine, _SecCols, verify_points
+from repro.core.columnar import ColumnarEngine, verify_points
 from repro.core.executor import ReplayMode, clear_section_memo
 from repro.core.ffemu import FastForwardEmulator
 from repro.core.executor import ParallelExecutor
+from repro.core.lower import Section
 from repro.core.report import SpeedupReport
 from repro.core.synthesizer import Synthesizer
 from repro.core.tree import NodeKind
@@ -177,11 +178,11 @@ def _delegated_items(engine, paradigm="omp", t=1, handoff="fifo"):
     for item in engine._items:
         if isinstance(item, float) or (
             walked
-            and isinstance(item, _SecCols)
+            and isinstance(item, Section)
             and (handoff != "adversarial" or not item.lock_ids)
         ):
             continue
-        node = item.node if isinstance(item, _SecCols) else item
+        node = item.node if isinstance(item, Section) else item
         if isinstance(node, list) and paradigm != "omp":
             delegated.update(id(sec) for sec in node)
         else:
@@ -1132,7 +1133,7 @@ class TestNestedWalk:
             structural = sum(
                 1 for item in engine._items
                 if not isinstance(item, float) and not (
-                    team and isinstance(item, _SecCols) and (
+                    team and isinstance(item, Section) and (
                         mode is ReplayMode.FAKE or machine.n_sockets == 1
                         or not item.missy
                     )
@@ -1197,13 +1198,13 @@ class TestPoolWalk:
             for item in engine._items:
                 if isinstance(item, float) or (
                     walked
-                    and isinstance(item, _SecCols)
+                    and isinstance(item, Section)
                     and (mode is ReplayMode.FAKE or machine.n_sockets == 1
                          or not item.missy)
                     and (r["handoff"] != "adversarial" or not item.lock_ids)
                 ):
                     continue
-                node = item.node if isinstance(item, _SecCols) else item
+                node = item.node if isinstance(item, Section) else item
                 if isinstance(node, list):
                     delegated.update(id(sec) for sec in node)
                 else:
@@ -1369,7 +1370,7 @@ class TestSectionDelegation:
             self.PROGRAMS["npb_cg"]()
         )
         engine = ColumnarEngine(profile, ParallelProphet(machine=M8).overheads)
-        assert all(isinstance(item, (float, _SecCols)) for item in engine._items)
+        assert all(isinstance(item, (float, Section)) for item in engine._items)
         delegated = [sc.name for sc in engine._secs if sc.lock_ids]
         assert delegated and set(delegated) == {"cg_dot"}
         assert {sc.name for sc in engine._secs} == {

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.executor import (
-    OVERHEAD_ACCESS_NODE,
-    ParallelExecutor,
-    ReplayMode,
-)
+from repro.core.executor import ParallelExecutor, ReplayMode
+from repro.core.lower import OVERHEAD_ACCESS_NODE
 from repro.core.profiler import IntervalProfiler
 from repro.core.tree import Node, NodeKind
 from repro.errors import EmulationError

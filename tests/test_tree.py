@@ -165,3 +165,34 @@ class TestWalk:
         seen = []
         tree.map_leaves(lambda n: seen.append(n.length))
         assert sorted(seen) == [50.0, 100.0, 200.0, 300.0]
+
+    def test_walk_preorder_with_shared_children(self):
+        """The iterative walk yields the recursive definition's pre-order on
+        a nested tree whose dictionary-compressed subtrees are shared: a
+        shared node, and its whole subtree, once per parent."""
+
+        def recursive(node):
+            yield node
+            for child in node.children:
+                yield from recursive(child)
+
+        shared_leaf = leaf(7.0, repeat=3)
+        inner = Node(NodeKind.SEC, name="inner", repeat=2)
+        for length in (1.0, 2.0):
+            inner.add(Node(NodeKind.TASK)).add(leaf(length))
+        inner.children[1].add(shared_leaf)
+        root = Node(NodeKind.ROOT)
+        for name in ("a", "b"):
+            sec = root.add(Node(NodeKind.SEC, name=name))
+            for _ in range(2):
+                task = sec.add(Node(NodeKind.TASK))
+                task.add(shared_leaf)
+                task.add(inner)
+                task.add(leaf(5.0, lock_id=1))
+        root.add(leaf(9.0))
+        tree = ProgramTree(root)
+        order = [id(node) for node in tree.root.walk()]
+        assert order == [id(node) for node in recursive(tree.root)]
+        assert order.count(id(inner)) == 4
+        assert order.count(id(shared_leaf)) == 8
+        assert len(set(order)) == tree.unique_nodes() < len(order)
