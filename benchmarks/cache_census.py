@@ -8,8 +8,14 @@ of each cache:
 - ``dram_kernel`` — the DES kernels' per-pool DRAM-solve memos;
 - ``walk_memo`` — the columnar team walks' DRAM-solve memos;
 - ``pool_memo`` — the columnar task-pool walks' DRAM-solve memos;
+- ``engine_solves`` — each columnar engine's exact DRAM-solve cache,
+  which the walks' memo misses consult before solving;
 - ``engines`` — the ``BatchPredictor`` columnar-engine caches;
 - ``predictor`` / ``profile`` / ``response`` — the serve cache classes.
+
+Each row also counts the sections the columnar engines replayed:
+``summed`` teams whose members never interact (added up per member, no
+walk), and ``team_walks`` and ``pool_walks`` made.
 
 Passes: ``fig12_cold`` one cold Fig. 12 pass; ``sweep_warm`` one pass after
 the warm-up pass; ``fig11_random`` 96 programs; ``serve_mix`` 12 request
@@ -38,8 +44,8 @@ from repro.obs import MetricsRegistry, get_metrics, set_metrics  # noqa: E402
 #: registry's ``dram.solve.*`` also includes the kernels' pools).  Both
 #: walks run in ``_team_walk``; a pool walk is one made from
 #: ``ColumnarEngine._pool_walk``.
-_WALK = {"hits": 0.0, "misses": 0.0}
-_POOL = {"hits": 0.0, "misses": 0.0}
+_WALK = {"hits": 0.0, "misses": 0.0, "calls": 0}
+_POOL = {"hits": 0.0, "misses": 0.0, "calls": 0}
 _team_walk = columnar._team_walk
 _pool_walk = columnar.ColumnarEngine._pool_walk
 _in_pool = [False]
@@ -48,10 +54,11 @@ _in_pool = [False]
 def _counted_team_walk(*args, **kwargs):
     m = get_metrics()
     counts = _POOL if _in_pool[0] else _WALK
-    before = {k: m.counter_value(f"dram.solve.{k}") for k in counts}
+    before = {k: m.counter_value(f"dram.solve.{k}") for k in ("hits", "misses")}
     out = _team_walk(*args, **kwargs)
-    for k in counts:
-        counts[k] += m.counter_value(f"dram.solve.{k}") - before[k]
+    for k, v in before.items():
+        counts[k] += m.counter_value(f"dram.solve.{k}") - v
+    counts["calls"] += 1
     return out
 
 
@@ -71,6 +78,7 @@ def _fresh() -> None:
     set_metrics(MetricsRegistry())
     for counts in (_WALK, _POOL):
         counts["hits"] = counts["misses"] = 0.0
+        counts["calls"] = 0
 
 
 def _engine_counts(predictors: list) -> tuple[int, int]:
@@ -100,6 +108,11 @@ def _census(predictors: list, since: tuple[int, int] = (0, 0)) -> dict:
     )
     pair("walk_memo", _WALK["hits"], _WALK["misses"])
     pair("pool_memo", _POOL["hits"], _POOL["misses"])
+    pair(
+        "engine_solves",
+        c.get("columnar.solves.hits", 0.0),
+        c.get("columnar.solves.misses", 0.0),
+    )
     hits, misses = _engine_counts(predictors)
     pair("engines", hits - since[0], misses - since[1])
     for cls in ("predictor", "profile", "response"):
@@ -108,6 +121,9 @@ def _census(predictors: list, since: tuple[int, int] = (0, 0)) -> dict:
             c.get(f"serve.cache.{cls}.hits", 0.0),
             c.get(f"serve.cache.{cls}.misses", 0.0),
         )
+    row["summed"] = int(c.get("columnar.summed", 0.0))
+    row["team_walks"] = _WALK["calls"]
+    row["pool_walks"] = _POOL["calls"]
     return row
 
 

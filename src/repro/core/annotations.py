@@ -29,8 +29,7 @@ loaded and hand-built trees and for lossy mode.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.errors import AnnotationError
 from repro.core.compress import check_tolerance, flush_run, fold_child
@@ -42,6 +41,11 @@ from repro.simhw.memtrace import MemSpec, analytic_llc_misses
 
 #: A serial annotated program: a callable that drives a tracer.
 AnnotationProgram = Callable[["Tracer"], None]
+
+_INF = float("inf")
+
+#: Bound of each tracer's serial-slowdown memo (entries).
+SLOWDOWN_MEMO = 1024
 
 
 class _OpenLeaf:
@@ -172,6 +176,8 @@ class Tracer:
         self._open_top_section: Optional[_SectionRecord] = None
         self.annotation_events = 0
         self._finished = False
+        #: Serial slowdown by exact ``(base cycles, misses)``.
+        self._slowdowns: dict[tuple[float, float], float] = {}
 
     # ------------------------------------------------------------- inspection
 
@@ -197,11 +203,20 @@ class Tracer:
         This is the reproduction's stand-in for running real code under the
         tracer: the clock advances by compute time plus DRAM stall time
         (single-threaded contention level), and the simulated hardware
-        counters accumulate instructions and LLC misses.
+        counters accumulate instructions and LLC misses.  ``cpu_cycles``
+        and ``instructions`` must be finite and non-negative.
         """
         self._check_open()
-        if cpu_cycles < 0:
-            raise AnnotationError(f"cpu_cycles must be >= 0, got {cpu_cycles!r}")
+        if not 0.0 <= cpu_cycles < _INF:
+            raise AnnotationError(
+                f"cpu_cycles must be finite and >= 0, got {cpu_cycles!r}"
+            )
+        if instructions is None:
+            instructions = cpu_cycles
+        elif not 0.0 <= instructions < _INF:
+            raise AnnotationError(
+                f"instructions must be finite and >= 0, got {instructions!r}"
+            )
         if cpu_cycles == 0 and mem is None:
             return 0.0
         top = self._top
@@ -210,8 +225,6 @@ class Tracer:
                 "computation directly inside a parallel section is not "
                 "annotatable; wrap it in a PAR_TASK"
             )
-        if instructions is None:
-            instructions = cpu_cycles
         if mem is None:
             misses = 0.0
         elif self.trace_driven:
@@ -264,12 +277,28 @@ class Tracer:
         return misses * (full_accesses / trace.size)
 
     def _serial_slowdown(self, base_cycles: float, misses: float) -> float:
+        """The one-segment DRAM slowdown of a compute call, memoized per
+        tracer on the exact ``(base_cycles, misses)`` pair (uniform loops
+        repeat them; :data:`SLOWDOWN_MEMO` entries, then no more are
+        kept).
+
+        The DRAM model's own LRU, keyed by the quantized pair, already
+        returns the first answer for a pair.  The memo differs from it
+        only if that LRU evicts the pair during one trace and another
+        exact pair that quantizes alike is solved before it recurs."""
         if misses <= 0 or base_cycles <= 0:
             return 1.0
+        key = (base_cycles, misses)
+        s = self._slowdowns.get(key)
+        if s is not None:
+            return s
         mem_fraction = min(1.0, misses * self.machine.base_miss_stall / base_cycles)
         seconds = self.machine.cycles_to_seconds(base_cycles)
         demand = misses * self.machine.line_size / seconds
-        return self.dram.slowdowns([SegmentDemand(mem_fraction, demand)])[0]
+        s = self.dram.slowdowns([SegmentDemand(mem_fraction, demand)])[0]
+        if len(self._slowdowns) < SLOWDOWN_MEMO:
+            self._slowdowns[key] = s
+        return s
 
     # ------------------------------------------------------------- annotations
 
@@ -390,35 +419,23 @@ class Tracer:
 
     # ------------------------------------------------------------- sugar
 
-    @contextlib.contextmanager
     def section(
         self, name: str, barrier: bool = True, pipeline: bool = False
-    ) -> Iterator[None]:
+    ) -> _Section:
         """``with tracer.section(name):`` sugar for PAR_SEC_BEGIN/END."""
-        self.par_sec_begin(name, pipeline=pipeline)
-        yield
-        self.par_sec_end(barrier=barrier)
+        return _Section(self, name, barrier, pipeline)
 
-    @contextlib.contextmanager
-    def stage(self, name: str = "") -> Iterator[None]:
+    def stage(self, name: str = "") -> _Stage:
         """``with tracer.stage():`` sugar for STAGE_BEGIN/END."""
-        self.stage_begin(name)
-        yield
-        self.stage_end()
+        return _Stage(self, name)
 
-    @contextlib.contextmanager
-    def task(self, name: str = "") -> Iterator[None]:
+    def task(self, name: str = "") -> _Task:
         """``with tracer.task():`` sugar for PAR_TASK_BEGIN/END."""
-        self.par_task_begin(name)
-        yield
-        self.par_task_end()
+        return _Task(self, name)
 
-    @contextlib.contextmanager
-    def lock(self, lock_id: int) -> Iterator[None]:
+    def lock(self, lock_id: int) -> _Lock:
         """``with tracer.lock(id):`` sugar for LOCK_BEGIN/END."""
-        self.lock_begin(lock_id)
-        yield
-        self.lock_end(lock_id)
+        return _Lock(self, lock_id)
 
     # ------------------------------------------------------------- finish
 
@@ -504,3 +521,66 @@ class Tracer:
         # Every traced node has repeat 1, so its raw subtree length is
         # Node.subtree_length's ``1 * sum(...)`` over the same children.
         self._adopt(node, sum(frame.lengths))
+
+
+class _Annotation:
+    """``with`` sugar for one annotation pair: entering begins it and a
+    clean exit ends it.  An exception in the body propagates and leaves
+    the pair open (:meth:`Tracer.finish` then reports it)."""
+
+    __slots__ = ("tracer", "arg")
+
+    def __init__(self, tracer: Tracer, arg) -> None:
+        self.tracer = tracer
+        self.arg = arg
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self._end()
+        return False
+
+
+class _Section(_Annotation):
+    __slots__ = ("barrier", "pipeline")
+
+    def __init__(self, tracer: Tracer, name: str, barrier: bool,
+                 pipeline: bool) -> None:
+        super().__init__(tracer, name)
+        self.barrier = barrier
+        self.pipeline = pipeline
+
+    def __enter__(self) -> None:
+        self.tracer.par_sec_begin(self.arg, pipeline=self.pipeline)
+
+    def _end(self) -> None:
+        self.tracer.par_sec_end(barrier=self.barrier)
+
+
+class _Stage(_Annotation):
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self.tracer.stage_begin(self.arg)
+
+    def _end(self) -> None:
+        self.tracer.stage_end()
+
+
+class _Task(_Annotation):
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self.tracer.par_task_begin(self.arg)
+
+    def _end(self) -> None:
+        self.tracer.par_task_end()
+
+
+class _Lock(_Annotation):
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self.tracer.lock_begin(self.arg)
+
+    def _end(self) -> None:
+        self.tracer.lock_end(self.arg)

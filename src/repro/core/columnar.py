@@ -20,7 +20,16 @@ exactly one evaluator per method:
   earliest-free CPU (``_ff_greedy``).  Both add the dispatch and then each
   leaf's ``(length*β)*repeat`` step in the heap walk's order.  FF of a
   lock-bearing or nested section stays on the heap walk.
-- SYN and REAL replay one OpenMP team, and the nested teams its members
+- SYN and REAL of a flat lock-free OpenMP section are *summed*
+  (``ColumnarEngine._sum``) when no member can interact with another: a
+  FAKE replay, whose fake delays touch no memory, or a REAL one without
+  memory demand, at most one member per core.  No member then blocks,
+  shares a DRAM rate or waits for a core, so the team walk's answer is
+  the same per-member arithmetic as FF's, run by ``_ff_static`` and
+  ``_ff_greedy`` over the walk's op streams (its lead-in, dispatch and
+  join costs, and its ``(time, member)`` order of same-time grabs).
+- SYN and REAL of every other walkable section replay one OpenMP team,
+  and the nested teams its members
   fork, in ``_team_walk``, a lean event walk over per-thread op streams
   (demand-free segments, missy lanes, lock acquires and releases, chunk
   grabs, forks, barriers and joins).  A member's ops are
@@ -40,8 +49,11 @@ exactly one evaluator per method:
   kernel's lazy quanta and hands the section back
   (``columnar.declined.quantum``) when one would preempt a thread.  Each
   walk keeps its own DRAM-solve memo, as the executor runs one kernel
-  (hence one DRAM pool) per section replay, and on a miss runs the
-  pools' scalar bisection, :meth:`~repro.simhw.dram.DramModel.solve`.
+  (hence one DRAM pool) per section replay.  On a miss it looks the
+  exact running set up in the engine's solve cache, shared by all its
+  team and pool walks, and solves only a set the engine has not seen
+  with the pools' scalar bisection,
+  :meth:`~repro.simhw.dram.DramModel.solve`.
 - Under the Cilk and ``omp_task`` paradigms SYN and REAL replay the
   section on ``runtime/taskpool.py``'s task machine in the same walk:
   the replaying master runs ``TaskPool.run`` as a one-member team whose
@@ -85,8 +97,8 @@ flags are computed once per item when the profile is lowered.
 
 The engine serves every grid point, and the eager paths remain the parity
 oracles: every served point is ``==`` its oracle.  The FF walks add the
-heap walk's terms in its order, and the team walk reproduces the DES
-kernel's arithmetic bit for bit (``simos.kernel``'s absolute-form segment
+heap walk's terms in its order, a summed team adds the team walk's, and
+the team walk reproduces the DES kernel's arithmetic bit for bit (``simos.kernel``'s absolute-form segment
 rating, its demand-signature cache, its ``(time, core)`` event order, and
 ``simos.sync``'s handoff policies).  ``columnar.hits`` counts the served
 points.
@@ -103,16 +115,19 @@ import itertools
 import math
 import random
 from collections import OrderedDict, deque
+from functools import reduce
+from operator import add
 from typing import Literal
 
 from repro.core.executor import ParallelExecutor, ReplayMode
 from repro.core.ffemu import FastForwardEmulator, FFSectionResult
 from repro.core.lower import Section, lower
+from repro.core.lru import LRUCache
 from repro.core.report import SpeedupEstimate
 from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
-from repro.runtime.tasks import Schedule
+from repro.runtime.tasks import Schedule, ScheduleKind
 from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, SegmentDemand
 from repro.simhw.machine import MachineConfig
 from repro.simos import normalize_handoff
@@ -185,6 +200,12 @@ class ColumnarEngine:
             self.machine,
             peak_bytes_per_sec=self.machine.dram_peak_bytes_per_sec_per_socket,
         )
+        #: The solver's answers by exact running set, as the walks pass it
+        #: (core-ordered ``(f, d)`` pairs): shared by every team and pool
+        #: walk of this engine behind their own quantized memos.  Exact
+        #: keys make it a pure cache, so no answer depends on which points
+        #: ran first.
+        self._solves = LRUCache("columnar.solves", ENGINE_SOLVE_CACHE)
         tree: ProgramTree = profile.tree
         # One tree walk per top-level node; the sums below add these
         # lengths in the order ``serial_cycles`` and the emulators do.
@@ -292,7 +313,9 @@ class ColumnarEngine:
         self, sc: Section, schedule: Schedule, t: int, beta: float
     ) -> float:
         """FF cycles of one activation of a lowered section, cached: the
-        heap walk's arithmetic (``_Engine.run``) without the heap."""
+        heap walk's arithmetic (``_Engine.run``) without the heap.  Every
+        CPU starts at the fork cost; the result is the latest chunk
+        finish plus the join barrier."""
         key = ("ff", id(sc), schedule.kind, schedule.chunk, t, beta)
         cycles = self._point_cache.get(key)
         if cycles is not None:
@@ -306,12 +329,10 @@ class ColumnarEngine:
             steps = [(u.length * beta) * u.repeat for u in task.children]
             iters += [steps] * task.repeat
         n = sc.n_iters
-        if schedule.is_dynamic_family:
-            chunks = [range(c[0], c[-1] + 1) for c in schedule.chunks(n, t)]
-            end = _ff_greedy(t, fork, disp, chunks, iters)
-        else:
-            end = _ff_static(fork, disp, schedule.static_chunks(n, t), iters)
-        cycles = end + oh.omp_join_barrier
+        run = _ff_greedy if schedule.is_dynamic_family else _ff_static
+        spans = _spans(schedule, n, t)
+        ends, _ = run(fork, [()] * t, disp, spans, iters)
+        cycles = max(ends) + oh.omp_join_barrier
         self._point_cache[key] = cycles
         return cycles
 
@@ -408,22 +429,25 @@ class ColumnarEngine:
         ``ParallelExecutor.execute_profile`` assembles it: ``(total cycles,
         [(name, net cycles, activations)] per section replay)``.
 
-        A lowered section is walked when the walk models its replay: an
-        OpenMP team (the team walk) or a Cilk or ``omp_task`` pool (the
-        pool walk) of at most one thread per core (nested teams may
-        oversubscribe the cores), with no switch cost, and — for REAL —
-        one DRAM pool or no memory demand; a lock-bearing one also needs
-        a handoff other than ``adversarial``.  Its ``(gross, traversal)``
-        is cached under a flat key: (section, schedule, t, β) for a team
-        walk, (section, paradigm, t, β) for a pool walk, plus the handoff
-        (and a ``random`` one's seed) for a lock-bearing section.  A team
-        walk that finds a quantum could fire hands the section back
-        (``columnar.declined.quantum``; the decline is cached too); a
-        pool walk never does, as its threads never outnumber the cores.
-        Every other section is delegated to the executor under the
-        point's paradigm, schedule and ``handoff``; the task-pool
-        paradigms replay a nowait chain's sections one at a time, as the
-        executor groups them."""
+        A lowered section is replayed here when the walk models its
+        replay: an OpenMP team (the team walk) or a Cilk or ``omp_task``
+        pool (the pool walk) of at most one thread per core (nested teams
+        may oversubscribe the cores), with no switch cost, and — for REAL
+        — one DRAM pool or no memory demand; a lock-bearing one also
+        needs a handoff other than ``adversarial``.  Of those, an OpenMP
+        team that is flat and lock-free, replayed FAKE or without memory
+        demand, is summed per member (:meth:`_sum`, counted by
+        ``columnar.summed``): its members never interact.  The others are
+        walked.  The ``(gross, traversal)`` is cached under a flat key:
+        (section, schedule, t, β) for a team, (section, paradigm, t, β)
+        for a pool walk, plus the handoff (and a ``random`` one's seed)
+        for a lock-bearing section.  A team walk that finds a quantum
+        could fire hands the section back (``columnar.declined.quantum``;
+        the decline is cached too); a pool walk never does, as its
+        threads never outnumber the cores.  Every other section is
+        delegated to the executor under the point's paradigm, schedule
+        and ``handoff``; the task-pool paradigms replay a nowait chain's
+        sections one at a time, as the executor groups them."""
         machine = self.machine
         omp = paradigm == "omp"
         walked = t <= machine.n_cores and (
@@ -463,7 +487,14 @@ class ColumnarEngine:
                     key += (policy, seed) if policy == "random" else (policy,)
                 got = cache.get(key)
                 if got is None:
-                    if omp:
+                    if omp and not (
+                        item.lock_ids or item.nested or (item.missy and not fake)
+                    ):
+                        # No member ever waits on another or shares a
+                        # DRAM rate: its replay is per-member arithmetic.
+                        get_metrics().inc("columnar.summed")
+                        got = self._sum(item, schedule, t, beta)
+                    elif omp:
                         got = self._walk(item, schedule, t, beta, locking)
                     else:
                         got = self._pool_walk(
@@ -567,6 +598,48 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------ team walks
 
+    def _sum(self, sc: Section, schedule: Schedule, t: int, beta) -> tuple:
+        """``(gross, traversal)`` of the team replay of ``sc`` at (schedule,
+        t) when its members never interact: a flat lock-free section whose
+        team lowering holds no missy lane (every FAKE one, a demand-free
+        REAL one), at most one member per core.  No member blocks, none
+        shares a DRAM rate and none waits for a core, so no quantum is
+        armed and ``_team_walk``'s answer is the FF walks' per-member
+        arithmetic (:func:`_ff_static`, :func:`_ff_greedy`) over the
+        walk's streams: each member starts at the fork cost (a worker
+        after its ``omp_thread_start``) and adds each chunk's dispatch and
+        then its iterations' ops in order.
+
+        A one-member team dispatches per iteration and its gross is its
+        finish.  A larger team's is its last arrival plus
+        ``omp_join_barrier``; under ``dynamic``/``guided`` a member
+        arrives when its last, failed grab has paid its dispatch.  The
+        traversal is the largest per-member sum."""
+        oh = self.overheads
+        low = lower(self._lowered, sc.node, self.machine, oh, beta, True)
+        iters, trav = _iters(low)
+        if beta is None:
+            trav = None  # the REAL replay visits no node
+        fork = oh.fork_cost(t)
+        start = float(fork) if fork > 0.0 else 0.0
+        disp = float(oh.dispatch_cost(schedule))
+        n = low.n_iters
+        if t == 1:
+            ends, travs = _ff_static(
+                start, [()], disp, [((i, i + 1) for i in range(n))], iters, trav
+            )
+            return ends[0], travs[0]
+        lead = (float(oh.omp_thread_start),) if oh.omp_thread_start > 0.0 else ()
+        leads = [()] + [lead] * (t - 1)
+        spans = _spans(schedule, n, t)
+        if schedule.is_dynamic_family:
+            ends, travs = _ff_greedy(start, leads, disp, spans, iters, trav)
+            end = max(ends) + disp
+        else:
+            ends, travs = _ff_static(start, leads, disp, spans, iters, trav)
+            end = max(ends)
+        return end + oh.omp_join_barrier, max(travs)
+
     def _walk(self, sc: Section, schedule: Schedule, t: int, beta,
               locking=None):
         """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
@@ -597,7 +670,8 @@ class ColumnarEngine:
                 return got
 
         return _team_walk(
-            self._dram, t, oh.fork_cost(t), jb, float(oh.dispatch_cost(schedule)),
+            self._dram, self._solves, t, oh.fork_cost(t), jb,
+            float(oh.dispatch_cost(schedule)),
             self._plan(low, schedule, t, ([], [])), locking, plan,
         )
 
@@ -616,11 +690,7 @@ class ColumnarEngine:
         grab op instead.  ``traversal[w]`` is member ``w``'s FAKE
         traversal overhead of its static chunks."""
         oh = self.overheads
-        iters: list = []
-        iter_trav: list = []
-        for task, ops, trav in zip(low.node.children, low.ops, low.trav):
-            iters += [ops] * task.repeat
-            iter_trav += [trav] * task.repeat
+        iters, iter_trav = _iters(low)
         prefix = [float(oh.omp_thread_start)] if oh.omp_thread_start > 0.0 else []
         master_tail, worker_tail = tails
         n = low.n_iters
@@ -681,8 +751,8 @@ class ColumnarEngine:
         low = lower(self._lowered, sc.node, self.machine, self.overheads,
                     beta, False)
         top, pool = self._pool_plan(low, t, cilk)
-        return _team_walk(self._dram, 1, 0.0, 0.0, 0.0, top, locking,
-                          pool=pool)
+        return _team_walk(self._dram, self._solves, 1, 0.0, 0.0, 0.0, top,
+                          locking, pool=pool)
 
     def _pool_plan(self, low: Section, t: int, cilk: bool) -> tuple:
         """The master's plan and ``_team_walk``'s pool of the lowered
@@ -806,45 +876,123 @@ class ColumnarEngine:
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
 _FF: Literal["ff"] = "ff"
 
+#: Bound of each engine's exact DRAM-solve cache (entries).  A Fig. 12
+#: engine sees at most a few hundred distinct running sets.
+ENGINE_SOLVE_CACHE = 1024
+
 #: Concatenation of iterations' op or step lists, in order.
 _flat = itertools.chain.from_iterable
 
 
-def _ff_static(start: float, disp: float, owned, iters) -> float:
-    """The FF heap walk of a lowered section under a static-family
-    schedule: CPU ``w`` starts at ``start`` and runs its chunks
-    ``owned[w]`` (``Schedule.static_chunks`` ranges) in order, paying
-    ``disp`` and then the chunk's leaf steps ``iters[chunk]``.  Returns
-    the latest finish (``start`` at least)."""
-    end = start
-    for mine in owned:
-        f = start
-        for r in mine:
-            f += disp
-            for x in _flat(iters[r.start:r.stop]):
-                f += x
-        if f > end:
-            end = f
-    return end
+def _iters(low: Section) -> tuple[list, list]:
+    """Each iteration's ops and FAKE traversal overhead in the lowered
+    section ``low``, in iteration order (a task's repeats share its
+    ops)."""
+    iters: list = []
+    trav: list = []
+    for task, ops, tr in zip(low.node.children, low.ops, low.trav):
+        iters += [ops] * task.repeat
+        trav += [tr] * task.repeat
+    return iters, trav
 
 
-def _ff_greedy(t: int, start: float, disp: float, chunks, iters) -> float:
-    """The FF heap walk of a lowered section under a dynamic-family
-    schedule: ``t`` CPUs free at ``start``; each chunk (a range) goes to
-    the earliest-free CPU, which pays ``disp`` and then the chunk's leaf
-    steps ``iters[chunk]`` in order.  Returns the latest finish
-    (``start`` at least).  The heap walk pops chunk finishes in time order
-    and its CPUs are interchangeable, so ties cannot change the result."""
-    free = [start] * t
-    end = start
-    for r in chunks:
-        c = free[0] + disp
-        for x in _flat(iters[r.start:r.stop]):
-            c += x
-        heapq.heapreplace(free, c)
-        if c > end:
-            end = c
-    return end
+def _spans(schedule: Schedule, n: int, t: int):
+    """The chunks of ``n`` iterations on ``t`` members as ``(lo, hi)``
+    spans, computed as they are read rather than stored: under a
+    static-family schedule each member's, as ``Schedule.static_chunks``
+    deals them; under ``dynamic``/``guided`` the team's one sequence, as
+    ``Schedule.chunks`` cuts it."""
+    c = schedule.chunk
+    if schedule.kind is ScheduleKind.STATIC:
+        base, extra = divmod(n, t)
+        owned = []
+        lo = 0
+        for w in range(t):
+            hi = lo + base + (1 if w < extra else 0)
+            owned.append(((lo, hi),) if hi > lo else ())
+            lo = hi
+        return owned
+    if schedule.kind is ScheduleKind.STATIC_CHUNK:
+        return [
+            ((lo, min(lo + c, n)) for lo in range(w * c, n, t * c))
+            for w in range(t)
+        ]
+    if schedule.kind is ScheduleKind.DYNAMIC:
+        return ((lo, min(lo + c, n)) for lo in range(0, n, c))
+    return _guided_spans(c, n, t)
+
+
+def _guided_spans(c: int, n: int, t: int):
+    """``Schedule.chunks``' guided cut: ``max(c, ceil(remaining / t))``."""
+    lo = 0
+    while lo < n:
+        hi = lo + max(c, -(-(n - lo) // t))
+        yield lo, min(hi, n)
+        lo = hi
+
+
+def _ff_static(start, leads, disp, owned, iters, trav=None) -> tuple:
+    """A team whose members never interact under a static-family
+    schedule: member ``w`` starts at ``start``, adds its lead-in ops
+    ``leads[w]``, then runs its chunks ``owned[w]`` (``(lo, hi)`` spans)
+    in order, paying ``disp`` and then adding the chunk's ops
+    ``iters[lo:hi]`` one by one (``functools.reduce``: the same float
+    additions in the same order as a loop).  Returns each member's finish
+    and its sum of the iterations' traversal overheads ``trav`` (zero
+    when None).
+
+    The FF heap walk of a flat lock-free section is this with no lead-in
+    and the heap walk's leaf steps, and ``ColumnarEngine._sum`` replays a
+    team with the walk's op streams."""
+    ends = []
+    travs = []
+    for lead, mine in zip(leads, owned):
+        f = reduce(add, lead, start)
+        tr = 0.0
+        for lo, hi in mine:
+            one = hi - lo == 1  # the common case: no slice, no chain
+            f = reduce(add, iters[lo] if one else _flat(iters[lo:hi]), f + disp)
+            if trav is not None:
+                tr = tr + trav[lo] if one else reduce(add, trav[lo:hi], tr)
+        ends.append(f)
+        travs.append(tr)
+    return ends, travs
+
+
+def _ff_greedy(start, leads, disp, spans, iters, trav=None) -> tuple:
+    """A team whose members never interact under a dynamic-family
+    schedule.  Member ``w`` starts at ``start`` and adds its lead-in ops
+    ``leads[w]``; from then on each of its grabs costs ``disp``.  The
+    chunk spans ``(lo, hi)`` go in turn to the member whose next grab
+    ends first, which adds the chunk's ops ``iters[lo:hi]`` one by one
+    from there.  Returns each member's last finish (its start if it ran
+    no chunk) and its traversal sum, as :func:`_ff_static` does.
+
+    Same-time grabs go by member, as ``_team_walk`` takes same-time
+    events by core (member ``w`` runs on core ``w``).  A member that pays
+    nothing before its first grab (no lead-in, no ``disp``) takes it in
+    the fork's dispatch round, before any event, and keeps grabbing there
+    while its chunks hold no op.  The FF heap walk's CPUs are
+    interchangeable, so neither order changes its latest finish."""
+    ends = []
+    heap = []
+    for w, lead in enumerate(leads):
+        f = reduce(add, lead, start)
+        ends.append(f)
+        heap.append((f + disp, 1 if lead or disp else 0, w))
+    heapq.heapify(heap)
+    travs = [0.0] * len(leads)
+    for lo, hi in spans:
+        now, late, w = heap[0]
+        one = hi - lo == 1
+        f = ends[w] = reduce(add, iters[lo] if one else _flat(iters[lo:hi]), now)
+        if trav is not None:
+            tr = travs[w]
+            travs[w] = tr + trav[lo] if one else reduce(add, trav[lo:hi], tr)
+        if not late and any(iters[lo:hi]):
+            late = 1  # its next grab is an event
+        heapq.heapreplace(heap, (f + disp, late, w))
+    return ends, travs
 
 
 # ------------------------------------------------------------- the team walk
@@ -975,8 +1123,8 @@ class _Task:
         self.ret = None
 
 
-def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
-               plan=None, pool=None):
+def _team_walk(dram: DramModel, solves: LRUCache, t, fork, jb, disp, top,
+               locking=None, plan=None, pool=None):
     """Replay one OpenMP team, and the nested teams its members fork, or
     one task pool, over per-thread op streams: returns ``(gross cycles,
     longest per-thread traversal overhead)``, or None when a quantum could
@@ -1026,10 +1174,14 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
 
     When the DES kernel would solve DRAM contention, the walk looks the
     running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
-    entries, keyed like the kernel pool's by the quantized multiset); on a
-    miss it solves the multiset, in core order, with ``dram.solve`` —
-    the bisection a kernel pool runs on its misses.  The memo's hits and
-    misses are added to the ``dram.solve.*`` counters.
+    entries, keyed like the kernel pool's by the quantized multiset, so a
+    walk's answers are the first-answer-wins ones of one kernel pool); on
+    a miss it takes the solve of the exact running set, in core order,
+    from ``solves`` (the engine's, keyed by the ``(f, d)`` pairs), and
+    only on a miss there runs ``dram.solve`` — the bisection a kernel
+    pool runs on its misses.  The memo's hits and misses are added to the
+    ``dram.solve.*`` counters, the engine cache's to
+    ``columnar.solves.*``.
 
     Mirrors the kernel's arithmetic bit for bit: a segment completes at
     ``now + remaining * s``; demand-free segments (``s == 1``) never
@@ -1109,7 +1261,7 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
     exact: dict = {}
     quant: dict = {}
     memo: OrderedDict = OrderedDict()
-    hits = misses = 0
+    hits = misses = solved = 0
     locked = locking is not None
     # Top-level arrivals free their cores only when another thread could
     # take them: a lock waiter, or a nested team's thread.
@@ -1447,14 +1599,16 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
                         memo.move_to_end(key)
                     else:
                         misses += 1
-                        segs = [
-                            SegmentDemand(*lanes[m][4][1])
-                            for m in sorted(lanes)
-                        ]
-                        k = dram.solve(
-                            segs,
-                            sum(sd.demand_bytes_per_sec for sd in segs),
-                        )
+                        running = tuple(lanes[m][4][1] for m in sorted(lanes))
+                        k = solves.get(running)
+                        if k is None:
+                            solved += 1
+                            segs = [SegmentDemand(*fd) for fd in running]
+                            k = dram.solve(
+                                segs,
+                                sum(sd.demand_bytes_per_sec for sd in segs),
+                            )
+                            solves.put(running, k)
                         memo[key] = k
                         if len(memo) > DRAM_SOLVE_CACHE:
                             memo.popitem(last=False)
@@ -1529,6 +1683,9 @@ def _team_walk(dram: DramModel, t, fork, jb, disp, top, locking=None,
         m.inc("dram.solve.hits", float(hits))
     if misses:
         m.inc("dram.solve.misses", float(misses))
+        m.inc("columnar.solves.hits", float(misses - solved))
+    if solved:
+        m.inc("columnar.solves.misses", float(solved))
     gross = arrival[0] if t == 1 else max(arrival) + jb
     return gross, max(trav)
 

@@ -2,8 +2,9 @@
 
 Every cache shared across ``repro serve --workers N`` threads is one of
 these: the process-wide section-replay memo, each
-:class:`~repro.core.batch.BatchPredictor`'s columnar-engine cache and the
-serve layer's ``predictor``/``profile``/``response`` classes.  A lookup
+:class:`~repro.core.batch.BatchPredictor`'s columnar-engine cache, each
+columnar engine's exact DRAM-solve cache and the serve layer's
+``predictor``/``profile``/``response`` classes.  A lookup
 and its recency refresh happen under one lock, so a concurrent eviction
 can never interleave between them.
 

@@ -174,8 +174,9 @@ class DramModel:
     def solve(self, segments: Sequence[SegmentDemand], total: float) -> float:
         """The stall multiplier ``k`` of ``segments``, whose demands sum to
         ``total`` (> 0), solved without the memo.  :meth:`stall_multiplier`
-        runs it on a memo miss; the columnar team walks, which keep their
-        own memos, call it directly."""
+        runs it on a memo miss; the columnar walks, which keep their own
+        memos and share their engine's exact cache, call it directly on a
+        miss of both."""
         k_queue = self.queue_factor(self.utilisation(total))
         if self._achieved(segments, k_queue) <= self._peak:
             return k_queue

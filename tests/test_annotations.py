@@ -258,6 +258,37 @@ class TestErrorChecking:
         with pytest.raises(AnnotationError):
             tr.compute(-5)
 
+    @pytest.mark.parametrize("cycles", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_compute(self, cycles):
+        """A NaN or infinite compute would profile to a NaN serial time
+        and NaN speedups."""
+        tr = make_tracer()
+        with tr.section("s"), tr.task():
+            with pytest.raises(AnnotationError, match="cpu_cycles"):
+                tr.compute(cycles)
+            tr.compute(100)
+        tr.finish()
+        assert tr.counters.cycles == 100
+
+    @pytest.mark.parametrize(
+        "instructions", [-1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_bad_instructions(self, instructions):
+        tr = make_tracer()
+        with tr.section("s"), tr.task():
+            with pytest.raises(AnnotationError, match="instructions"):
+                tr.compute(100, instructions=instructions)
+            with pytest.raises(AnnotationError, match="instructions"):
+                tr.compute(0, instructions=instructions)
+        assert tr.counters.instructions == 0.0
+
+    def test_zero_compute_is_valid(self):
+        tr = make_tracer()
+        with tr.section("s"), tr.task():
+            assert tr.compute(0) == 0.0
+            tr.compute(10, instructions=0)
+        assert tr.finish().length > 0
+
     def test_invalid_accuracy(self):
         with pytest.raises(AnnotationError):
             make_tracer(overhead_subtraction_accuracy=1.5)
