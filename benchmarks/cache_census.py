@@ -42,11 +42,11 @@ from repro.obs import MetricsRegistry, get_metrics, set_metrics  # noqa: E402
 
 #: DRAM-solve memo counts of the team walks and of the pool walks (the
 #: registry's ``dram.solve.*`` also includes the kernels' pools).  Both
-#: walks run in ``_team_walk``; a pool walk is one made from
+#: walks run in ``team_walk``; a pool walk is one made from
 #: ``ColumnarEngine._pool_walk``.
 _WALK = {"hits": 0.0, "misses": 0.0, "calls": 0}
 _POOL = {"hits": 0.0, "misses": 0.0, "calls": 0}
-_team_walk = columnar._team_walk
+_team_walk = columnar.team_walk
 _pool_walk = columnar.ColumnarEngine._pool_walk
 _in_pool = [False]
 
@@ -70,7 +70,7 @@ def _counted_pool_walk(self, *args, **kwargs):
         _in_pool[0] = False
 
 
-columnar._team_walk = _counted_team_walk
+columnar.team_walk = _counted_team_walk
 columnar.ColumnarEngine._pool_walk = _counted_pool_walk
 
 

@@ -28,42 +28,13 @@ exactly one evaluator per method:
   the same per-member arithmetic as FF's, run by ``_ff_static`` and
   ``_ff_greedy`` over the walk's op streams (its lead-in, dispatch and
   join costs, and its ``(time, member)`` order of same-time grabs).
-- SYN and REAL of every other walkable section replay one OpenMP team,
-  and the nested teams its members
-  fork, in ``_team_walk``, a lean event walk over per-thread op streams
-  (demand-free segments, missy lanes, lock acquires and releases, chunk
-  grabs, forks, barriers and joins).  A member's ops are
-  ``OmpRuntime._member_work``'s expanded stream — a dispatch per chunk
-  (per iteration in a one-member team), then the iterations' ops from
-  the section's team lowering, a nested section as one fork per
-  activation — from a chain built from the RLE runs, or from the team's
-  shared ``Schedule.chunks`` cursor for the dynamic family.  A fork does
-  what ``OmpRuntime.parallel_loops`` does: the forking thread pays the
-  fork cost, spawns ``t - 1`` inner workers and becomes the inner team's
-  member 0; the team passes its barrier and member 0 joins the workers
-  in spawn order and pays the join barrier.  Threads beyond the cores
-  wait in the kernel's one FIFO ready queue.  Locks follow the kernel's
-  direct handoff under the point's ``fifo``, ``lifo`` or ``random``
-  policy; a woken thread moves to the lowest idle core, as the kernel
-  dispatches it.  The walk does not model preemption: it mirrors the
-  kernel's lazy quanta and hands the section back
-  (``columnar.declined.quantum``) when one would preempt a thread.  Each
-  walk keeps its own DRAM-solve memo, as the executor runs one kernel
-  (hence one DRAM pool) per section replay.  On a miss it looks the
-  exact running set up in the engine's solve cache, shared by all its
-  team and pool walks, and solves only a set the engine has not seen
-  with the pools' scalar bisection,
-  :meth:`~repro.simhw.dram.DramModel.solve`.
-- Under the Cilk and ``omp_task`` paradigms SYN and REAL replay the
-  section on ``runtime/taskpool.py``'s task machine in the same walk:
-  the replaying master runs ``TaskPool.run`` as a one-member team whose
-  start spawns the other workers, and the section's pool lowering is
-  planned into task bodies (``cilk_for``'s binary range splitting or a
-  taskloop's task per body, spawns, help-first syncs, a nested section
-  as an inline loop of the current task).  One walker serves both queue
-  disciplines: ``CilkPool``'s per-worker deques (own bottom first, else
-  the top of the first non-empty victim round-robin) and
-  ``OmpTaskPool``'s shared FIFO.
+- SYN and REAL of every other walkable section are walked: an OpenMP
+  team, and the nested teams its members fork, or a Cilk or ``omp_task``
+  task pool, replayed by :func:`~repro.core.walk.team_walk` over op
+  streams that ``ColumnarEngine._plan`` and ``_pool_plan`` build from
+  the section's lowering.  A walk that finds a quantum could preempt a
+  thread hands the section back (``columnar.declined.quantum``).  Each
+  engine keeps one exact DRAM-solve cache shared by all its walks.
 
 Sections outside that model are *delegated*: pipeline sections, nowait
 chains, lock-bearing sections under the ``adversarial`` handoff (it ranks
@@ -98,10 +69,8 @@ flags are computed once per item when the profile is lowered.
 The engine serves every grid point, and the eager paths remain the parity
 oracles: every served point is ``==`` its oracle.  The FF walks add the
 heap walk's terms in its order, a summed team adds the team walk's, and
-the team walk reproduces the DES kernel's arithmetic bit for bit (``simos.kernel``'s absolute-form segment
-rating, its demand-signature cache, its ``(time, core)`` event order, and
-``simos.sync``'s handoff policies).  ``columnar.hits`` counts the served
-points.
+the team walk reproduces the DES kernel's arithmetic bit for bit
+(:mod:`repro.core.walk`).  ``columnar.hits`` counts the served points.
 
 Determinism: results are pure functions of (profile, paradigm, schedule,
 t, handoff);
@@ -113,8 +82,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
-from collections import OrderedDict, deque
 from functools import reduce
 from operator import add
 from typing import Literal
@@ -125,10 +92,13 @@ from repro.core.lower import Section, lower
 from repro.core.lru import LRUCache
 from repro.core.report import SpeedupEstimate
 from repro.core.tree import Node, NodeKind, ProgramTree, group_nowait_chains
+from repro.core.walk import (
+    BAR, END, GRAB, JOIN, RUN, START, SYNC, WORK, Pool, PoolTask, team_walk,
+)
 from repro.obs import get_metrics
 from repro.runtime.overhead import RuntimeOverheads
-from repro.runtime.tasks import Schedule, ScheduleKind
-from repro.simhw.dram import DRAM_SOLVE_CACHE, DramModel, SegmentDemand
+from repro.runtime.tasks import Schedule
+from repro.simhw.dram import DramModel
 from repro.simhw.machine import MachineConfig
 from repro.simos import normalize_handoff
 from repro.validate.invariants import get_checker
@@ -329,9 +299,12 @@ class ColumnarEngine:
             steps = [(u.length * beta) * u.repeat for u in task.children]
             iters += [steps] * task.repeat
         n = sc.n_iters
-        run = _ff_greedy if schedule.is_dynamic_family else _ff_static
-        spans = _spans(schedule, n, t)
-        ends, _ = run(fork, [()] * t, disp, spans, iters)
+        if schedule.is_dynamic_family:
+            ends, _ = _ff_greedy(fork, [()] * t, disp, schedule.chunks(n, t), iters)
+        else:
+            ends, _ = _ff_static(
+                fork, [()] * t, disp, schedule.static_chunks(n, t), iters
+            )
         cycles = max(ends) + oh.omp_join_barrier
         self._point_cache[key] = cycles
         return cycles
@@ -604,7 +577,7 @@ class ColumnarEngine:
         team lowering holds no missy lane (every FAKE one, a demand-free
         REAL one), at most one member per core.  No member blocks, none
         shares a DRAM rate and none waits for a core, so no quantum is
-        armed and ``_team_walk``'s answer is the FF walks' per-member
+        armed and ``team_walk``'s answer is the FF walks' per-member
         arithmetic (:func:`_ff_static`, :func:`_ff_greedy`) over the
         walk's streams: each member starts at the fork cost (a worker
         after its ``omp_thread_start``) and adds each chunk's dispatch and
@@ -626,17 +599,20 @@ class ColumnarEngine:
         n = low.n_iters
         if t == 1:
             ends, travs = _ff_static(
-                start, [()], disp, [((i, i + 1) for i in range(n))], iters, trav
+                start, [()], disp, _INLINE.static_chunks(n, 1), iters, trav
             )
             return ends[0], travs[0]
         lead = (float(oh.omp_thread_start),) if oh.omp_thread_start > 0.0 else ()
         leads = [()] + [lead] * (t - 1)
-        spans = _spans(schedule, n, t)
         if schedule.is_dynamic_family:
-            ends, travs = _ff_greedy(start, leads, disp, spans, iters, trav)
+            ends, travs = _ff_greedy(
+                start, leads, disp, schedule.chunks(n, t), iters, trav
+            )
             end = max(ends) + disp
         else:
-            ends, travs = _ff_static(start, leads, disp, spans, iters, trav)
+            ends, travs = _ff_static(
+                start, leads, disp, schedule.static_chunks(n, t), iters, trav
+            )
             end = max(ends)
         return end + oh.omp_join_barrier, max(travs)
 
@@ -645,7 +621,7 @@ class ColumnarEngine:
         """``(gross, traversal)`` of the team walk of ``sc`` at (schedule,
         t): the REAL replay when ``beta`` is None, else the FAKE replay at
         burden ``beta``; None when the walk finds that a quantum could
-        fire.  ``locking`` is ``_team_walk``'s ``(n_locks, handoff,
+        fire.  ``locking`` is ``team_walk``'s ``(n_locks, handoff,
         seed)`` for a lock-bearing section.
 
         The top-level team's plan comes from :meth:`_plan` over the
@@ -659,8 +635,8 @@ class ColumnarEngine:
         low = lower(self._lowered, sc.node, self.machine, oh, beta, True)
         plan = None
         if low.nested:
-            master_tail = [_BAR, _JOIN] + ([float(jb)] if jb > 0.0 else [])
-            tails = (master_tail, [_BAR])
+            master_tail = [BAR, JOIN] + ([float(jb)] if jb > 0.0 else [])
+            tails = (master_tail, [BAR])
             plans: dict = {}
 
             def plan(sub: Section) -> tuple:
@@ -669,7 +645,7 @@ class ColumnarEngine:
                     got = plans[sub] = self._plan(sub, schedule, t, tails)
                 return got
 
-        return _team_walk(
+        return team_walk(
             self._dram, self._solves, t, oh.fork_cost(t), jb,
             float(oh.dispatch_cost(schedule)),
             self._plan(low, schedule, t, ([], [])), locking, plan,
@@ -698,27 +674,23 @@ class ColumnarEngine:
             chunk_ops = []
             chunk_trav = []
             for chunk in schedule.chunks(n, t):
-                if len(chunk) == 1:  # share the iteration's ops, no copy
-                    chunk_ops.append(iters[chunk[0]])
-                    chunk_trav.append(iter_trav[chunk[0]])
+                lo, hi = chunk.start, chunk.stop
+                if hi - lo == 1:  # share the iteration's ops, no copy
+                    chunk_ops.append(iters[lo])
+                    chunk_trav.append(iter_trav[lo])
                     continue
-                lo, hi = chunk[0], chunk[-1] + 1
                 chunk_ops.append(list(_flat(iters[lo:hi])))
                 tr = 0.0
                 for x in iter_trav[lo:hi]:
                     tr += x
                 chunk_trav.append(tr)
-            chains = [[_GRAB] + master_tail]
-            chains += [prefix + [_GRAB] + worker_tail] * (t - 1)
+            chains = [[GRAB] + master_tail]
+            chains += [prefix + [GRAB] + worker_tail] * (t - 1)
             return chains, [0.0] * t, (chunk_ops, chunk_trav)
 
         disp = float(oh.dispatch_cost(schedule))
         head = [disp] if disp > 0.0 else []
-        if t == 1:
-            # The inline team dispatches per iteration.
-            owned = [[range(i, i + 1) for i in range(n)]]
-        else:
-            owned = schedule.static_chunks(n, t)
+        owned = (_INLINE if t == 1 else schedule).static_chunks(n, t)
         chains = []
         trav = []
         for w, mine in enumerate(owned):
@@ -745,17 +717,17 @@ class ColumnarEngine:
 
         The section's pool lowering is planned into task bodies as the
         executor's replay hands them to the pool, at the pool's own
-        costs, and walked by ``_team_walk`` as a one-member team: the
-        replaying master thread, whose ``_START`` op spawns the pool's
+        costs, and walked by ``team_walk`` as a one-member team: the
+        replaying master thread, whose ``START`` op spawns the pool's
         other workers as inner threads (:meth:`_pool_plan`)."""
         low = lower(self._lowered, sc.node, self.machine, self.overheads,
                     beta, False)
         top, pool = self._pool_plan(low, t, cilk)
-        return _team_walk(self._dram, self._solves, 1, 0.0, 0.0, 0.0, top,
-                          locking, pool=pool)
+        return team_walk(self._dram, self._solves, 1, 0.0, 0.0, 0.0, top,
+                         locking, pool=pool)
 
     def _pool_plan(self, low: Section, t: int, cilk: bool) -> tuple:
-        """The master's plan and ``_team_walk``'s pool of the lowered
+        """The master's plan and ``team_walk``'s pool of the lowered
         section ``low`` on ``t`` workers.
 
         A loop over a section's bodies (one per iteration) runs as the
@@ -764,24 +736,24 @@ class ColumnarEngine:
         bodies are left, a spawn of the upper half as a range task, then
         the remaining bodies inline and a ``sync`` — or a taskloop, one
         spawned task per body and a ``sync``.  A spawn is the spawn-cost
-        segment followed by the child's :class:`_PoolTask`; a task ends
-        in ``_END`` (its implicit sync, then its completion).  A body is
+        segment followed by the child's :class:`PoolTask`; a task ends
+        in ``END`` (its implicit sync, then its completion).  A body is
         its lowered task's ops with each fork replaced by an inline loop
         over the nested section.  Each body, loop and range task is
         planned once per walk.
 
-        The master runs ``TaskPool.run``: ``_START`` pushes the root task
-        (the top-level loop) and spawns the workers, ``_RUN`` runs tasks
-        until the root is done and then stops the pool, and ``_JOIN``
+        The master runs ``TaskPool.run``: ``START`` pushes the root task
+        (the top-level loop) and spawns the workers, ``RUN`` runs tasks
+        until the root is done and then stops the pool, and ``JOIN``
         joins the workers in spawn order; ``OmpTaskPool`` adds the fork
         before and the join barrier after.  A worker pays its start cost
-        and then runs ``_WORK``, the worker loop."""
+        and then runs ``WORK``, the worker loop."""
         oh = self.overheads
         spawn = float(oh.cilk_spawn if cilk else oh.omp_task_create)
         spawn_ops = [spawn] if spawn > 0.0 else []
         bodies: dict[int, tuple[list, float]] = {}
         loops: dict[int, tuple[list, float]] = {}
-        tasks: dict[int, _PoolTask] = {}
+        tasks: dict[int, PoolTask] = {}
 
         def body(task_ops: tuple, trav: float) -> tuple[list, float]:
             """One iteration's ops and FAKE traversal overhead."""
@@ -799,8 +771,8 @@ class ColumnarEngine:
             got = bodies[id(task_ops)] = (ops, trav)
             return got
 
-        def pool_task(ops: list, trav: float) -> _PoolTask:
-            return _PoolTask(ops + [_END], trav)
+        def pool_task(ops: list, trav: float) -> PoolTask:
+            return PoolTask(ops + [END], trav)
 
         def cilk_range(its: list, lo: int, hi: int,
                        grain: int) -> tuple[list, float]:
@@ -816,7 +788,7 @@ class ColumnarEngine:
                 sub, sub_trav = body(*its[i])
                 ops += sub
                 trav += sub_trav
-            ops.append(_SYNC)
+            ops.append(SYNC)
             return ops, trav
 
         def loop(sec: Section) -> tuple[list, float]:
@@ -845,7 +817,7 @@ class ColumnarEngine:
                             *body(task_ops, trav)
                         )
                     ops += (spawn_ops + [child]) * task.repeat
-                ops.append(_SYNC)
+                ops.append(SYNC)
                 got = (ops, 0.0)
             loops[id(sec)] = got
             return got
@@ -865,12 +837,12 @@ class ColumnarEngine:
             own = (disp,) if disp > 0.0 else ()
             stolen = None
         master = [float(fork)] if fork > 0.0 else []
-        master += [_START, _RUN, _JOIN]
+        master += [START, RUN, JOIN]
         if jb > 0.0:
             master.append(float(jb))
         worker = [float(start)] if start > 0.0 else []
-        worker.append(_WORK)
-        return ([master], [0.0], None), _Pool(t, root, worker, own, stolen)
+        worker.append(WORK)
+        return ([master], [0.0], None), Pool(t, root, worker, own, stolen)
 
 
 #: ``_delegate``'s mode for the FF heap walk (beside the ReplayModes).
@@ -879,6 +851,13 @@ _FF: Literal["ff"] = "ff"
 #: Bound of each engine's exact DRAM-solve cache (entries).  A Fig. 12
 #: engine sees at most a few hundred distinct running sets.
 ENGINE_SOLVE_CACHE = 1024
+
+#: ``_replay``'s cache value for a walk that handed its section back.
+_DECLINED = object()
+
+#: A one-member team runs inline and dispatches per iteration: the chunks
+#: of ``static,1`` on one thread.
+_INLINE = Schedule.static_chunk(1)
 
 #: Concatenation of iterations' op or step lists, in order.
 _flat = itertools.chain.from_iterable
@@ -896,50 +875,15 @@ def _iters(low: Section) -> tuple[list, list]:
     return iters, trav
 
 
-def _spans(schedule: Schedule, n: int, t: int):
-    """The chunks of ``n`` iterations on ``t`` members as ``(lo, hi)``
-    spans, computed as they are read rather than stored: under a
-    static-family schedule each member's, as ``Schedule.static_chunks``
-    deals them; under ``dynamic``/``guided`` the team's one sequence, as
-    ``Schedule.chunks`` cuts it."""
-    c = schedule.chunk
-    if schedule.kind is ScheduleKind.STATIC:
-        base, extra = divmod(n, t)
-        owned = []
-        lo = 0
-        for w in range(t):
-            hi = lo + base + (1 if w < extra else 0)
-            owned.append(((lo, hi),) if hi > lo else ())
-            lo = hi
-        return owned
-    if schedule.kind is ScheduleKind.STATIC_CHUNK:
-        return [
-            ((lo, min(lo + c, n)) for lo in range(w * c, n, t * c))
-            for w in range(t)
-        ]
-    if schedule.kind is ScheduleKind.DYNAMIC:
-        return ((lo, min(lo + c, n)) for lo in range(0, n, c))
-    return _guided_spans(c, n, t)
-
-
-def _guided_spans(c: int, n: int, t: int):
-    """``Schedule.chunks``' guided cut: ``max(c, ceil(remaining / t))``."""
-    lo = 0
-    while lo < n:
-        hi = lo + max(c, -(-(n - lo) // t))
-        yield lo, min(hi, n)
-        lo = hi
-
-
 def _ff_static(start, leads, disp, owned, iters, trav=None) -> tuple:
     """A team whose members never interact under a static-family
     schedule: member ``w`` starts at ``start``, adds its lead-in ops
-    ``leads[w]``, then runs its chunks ``owned[w]`` (``(lo, hi)`` spans)
-    in order, paying ``disp`` and then adding the chunk's ops
-    ``iters[lo:hi]`` one by one (``functools.reduce``: the same float
-    additions in the same order as a loop).  Returns each member's finish
-    and its sum of the iterations' traversal overheads ``trav`` (zero
-    when None).
+    ``leads[w]``, then runs its chunks ``owned[w]`` (``range(lo, hi)``,
+    as ``Schedule.static_chunks`` deals them) in order, paying ``disp``
+    and then adding the chunk's ops ``iters[lo:hi]`` one by one
+    (``functools.reduce``: the same float additions in the same order as
+    a loop).  Returns each member's finish and its sum of the iterations'
+    traversal overheads ``trav`` (zero when None).
 
     The FF heap walk of a flat lock-free section is this with no lead-in
     and the heap walk's leaf steps, and ``ColumnarEngine._sum`` replays a
@@ -949,7 +893,8 @@ def _ff_static(start, leads, disp, owned, iters, trav=None) -> tuple:
     for lead, mine in zip(leads, owned):
         f = reduce(add, lead, start)
         tr = 0.0
-        for lo, hi in mine:
+        for r in mine:
+            lo, hi = r.start, r.stop
             one = hi - lo == 1  # the common case: no slice, no chain
             f = reduce(add, iters[lo] if one else _flat(iters[lo:hi]), f + disp)
             if trav is not None:
@@ -959,16 +904,17 @@ def _ff_static(start, leads, disp, owned, iters, trav=None) -> tuple:
     return ends, travs
 
 
-def _ff_greedy(start, leads, disp, spans, iters, trav=None) -> tuple:
+def _ff_greedy(start, leads, disp, chunks, iters, trav=None) -> tuple:
     """A team whose members never interact under a dynamic-family
     schedule.  Member ``w`` starts at ``start`` and adds its lead-in ops
     ``leads[w]``; from then on each of its grabs costs ``disp``.  The
-    chunk spans ``(lo, hi)`` go in turn to the member whose next grab
-    ends first, which adds the chunk's ops ``iters[lo:hi]`` one by one
-    from there.  Returns each member's last finish (its start if it ran
-    no chunk) and its traversal sum, as :func:`_ff_static` does.
+    ``chunks`` (``range(lo, hi)``, as ``Schedule.chunks`` cuts them) go
+    in turn to the member whose next grab ends first, which adds the
+    chunk's ops ``iters[lo:hi]`` one by one from there.  Returns each
+    member's last finish (its start if it ran no chunk) and its traversal
+    sum, as :func:`_ff_static` does.
 
-    Same-time grabs go by member, as ``_team_walk`` takes same-time
+    Same-time grabs go by member, as ``team_walk`` takes same-time
     events by core (member ``w`` runs on core ``w``).  A member that pays
     nothing before its first grab (no lead-in, no ``disp``) takes it in
     the fork's dispatch round, before any event, and keeps grabbing there
@@ -982,7 +928,8 @@ def _ff_greedy(start, leads, disp, spans, iters, trav=None) -> tuple:
         heap.append((f + disp, 1 if lead or disp else 0, w))
     heapq.heapify(heap)
     travs = [0.0] * len(leads)
-    for lo, hi in spans:
+    for r in chunks:
+        lo, hi = r.start, r.stop
         now, late, w = heap[0]
         one = hi - lo == 1
         f = ends[w] = reduce(add, iters[lo] if one else _flat(iters[lo:hi]), now)
@@ -993,701 +940,6 @@ def _ff_greedy(start, leads, disp, spans, iters, trav=None) -> tuple:
             late = 1  # its next grab is an event
         heapq.heapreplace(heap, (f + disp, late, w))
     return ends, travs
-
-
-# ------------------------------------------------------------- the team walk
-
-
-_NEVER = float("inf")
-
-
-class _Op:
-    """A structural op of a thread's stream (``_team_walk``)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-#: Pay the dispatch, then grab the next chunk from the team's cursor.
-_GRAB = _Op("grab")
-#: Wait at the team's barrier.
-_BAR = _Op("barrier")
-#: Join the team's workers, in spawn order.
-_JOIN = _Op("join")
-
-#: ``_replay``'s cache value for a walk that handed its section back.
-_DECLINED = object()
-
-
-class _PoolOp(_Op):
-    """A task-pool op of a thread's stream (``_team_walk``)."""
-
-    __slots__ = ()
-
-
-#: Push the root task and spawn the pool's workers (``TaskPool.run``).
-_START = _PoolOp("start")
-#: Run tasks until the root is done, then stop the pool (the master loop).
-_RUN = _PoolOp("run")
-#: Run tasks until the pool stops (the worker loop).
-_WORK = _PoolOp("work")
-#: Run tasks until the current task's children are done (help-first sync).
-_SYNC = _PoolOp("sync")
-#: The current task's implicit sync, then its completion.
-_END = _PoolOp("end")
-
-
-class _PoolTask:
-    """A lowered pool task body: its ops, ending in ``_END``, and the FAKE
-    traversal overhead of the ops it runs inline.  In a thread's stream it
-    is a spawn of a child task running it."""
-
-    __slots__ = ("ops", "trav")
-
-    def __init__(self, ops: list, trav: float) -> None:
-        self.ops = ops
-        self.trav = trav
-
-
-class _Pool:
-    """The task pool of one pool walk: ``TaskPool``'s state over lowered
-    task bodies (``ColumnarEngine._pool_plan``).
-
-    ``stolen_costs`` None makes it ``OmpTaskPool``'s one shared FIFO
-    queue, else ``CilkPool``'s per-worker deques."""
-
-    __slots__ = (
-        "n_workers", "root_body", "worker_ops", "own_costs", "stolen_costs",
-        "deques", "parked", "cur", "root", "stopping",
-    )
-
-    def __init__(self, n_workers: int, root_body: "_PoolTask",
-                 worker_ops: list, own_costs: tuple,
-                 stolen_costs: "tuple | None") -> None:
-        self.n_workers = n_workers
-        self.root_body = root_body
-        self.worker_ops = worker_ops
-        self.own_costs = own_costs
-        self.stolen_costs = stolen_costs
-        self.deques = (
-            [deque() for _ in range(n_workers)] if stolen_costs is not None
-            else [deque()] * n_workers
-        )
-        #: Threads parked on the pool's event, in park order.
-        self.parked: list[int] = []
-        #: Each thread's current task (None in the master and worker loops).
-        self.cur: list = [None]
-        self.root: "_Task | None" = None
-        self.stopping = False
-
-    def take(self, w: int):
-        """``TaskPool._take``: the next task for worker ``w`` and the costs
-        it pays first, or None."""
-        own = self.deques[w]
-        if self.stolen_costs is None:
-            return (own.popleft(), self.own_costs) if own else None
-        if own:
-            return own.pop(), self.own_costs
-        n = self.n_workers
-        for offset in range(1, n):
-            victim = self.deques[(w + offset) % n]
-            if victim:
-                return victim.popleft(), self.stolen_costs
-        return None
-
-    def notify(self, ready: deque) -> None:
-        """``TaskPool._notify``: wake every parked thread to the ready
-        queue's tail, in park order."""
-        if self.parked:
-            ready.extend(self.parked)
-            self.parked.clear()
-
-
-class _Task:
-    """A spawned task of a pool walk (``taskpool.Task``); ``ret`` is the
-    ``(ops, pos, task)`` its worker returns to when it completes."""
-
-    __slots__ = ("body", "parent", "pending", "waiting", "done", "ret")
-
-    def __init__(self, body: _PoolTask, parent: "_Task | None") -> None:
-        self.body = body
-        self.parent = parent
-        self.pending = 0
-        self.waiting = False
-        self.done = False
-        self.ret = None
-
-
-def _team_walk(dram: DramModel, solves: LRUCache, t, fork, jb, disp, top,
-               locking=None, plan=None, pool=None):
-    """Replay one OpenMP team, and the nested teams its members fork, or
-    one task pool, over per-thread op streams: returns ``(gross cycles,
-    longest per-thread traversal overhead)``, or None when a quantum could
-    fire.
-
-    ``top = (chains, traversal, cursor)`` is the top-level team's plan
-    (``ColumnarEngine._plan``).  A thread's stream holds the ops of
-    :mod:`repro.core.lower` — a float is a demand-free segment, a tuple a
-    missy lane, an int ``ix >= 0`` the acquire of lock ``ix`` and ``~ix``
-    its release, and a :class:`~repro.core.lower.Section` a fork of a
-    nested team over that section, whose plan ``plan(section)`` returns —
-    and ``_GRAB``, a dispatch of ``disp`` cycles and then a chunk grab
-    from the team's ``cursor = (chunk ops, chunk traversal)`` (the last,
-    failed grab still pays the dispatch).
-
-    The top-level team forks at ``fork`` (its master's fork segment,
-    dispatched at 0).  A fork op does what ``OmpRuntime.parallel_loops``
-    does: the forking thread pays ``fork``, spawns the ``t - 1`` inner
-    workers onto the tail of the ready queue in order (each pays
-    ``omp_thread_start`` first) and becomes the inner team's member 0;
-    the inner team passes its own barrier once (``_BAR``: ``parallel_for``
-    runs its loop ``nowait``, so only the region's implicit barrier is
-    left), and member 0 then joins each worker in spawn order (``_JOIN``), pays ``jb`` and
-    returns to its own stream.  A one-member team runs inline.  The
-    top-level team's barrier releases at its last arrival and its master
-    then pays ``jb`` (a one-member team runs inline).  Each thread's
-    FAKE traversal overhead is its own sum, inner workers included.
-
-    A :class:`_Pool` ``pool`` walks a task pool
-    (``ColumnarEngine._pool_plan``; ``t`` is then 1, the replaying
-    master).  Its ops replay ``TaskPool``'s one task machine: ``_START``
-    pushes the root task onto the master's queue and spawns the other
-    workers (ready-queue tail, in order; each runs the pool's worker ops,
-    a start cost and ``_WORK``); a
-    :class:`_PoolTask` op spawns a child of the running task onto the
-    spawning worker's queue and wakes every parked thread to the
-    ready-queue tail in park order; ``_SYNC``, ``_END`` (a task's
-    implicit sync, then its completion, which notifies when its parent
-    waits on it or it is the root), ``_RUN`` (until the root is done;
-    then the pool stops and notifies) and ``_WORK`` (until the pool
-    stops) run taken tasks — each pays its take's costs, then runs its
-    body and returns to the op that took it — and park on the pool's
-    event when nothing can be taken (a sync marks its task waiting, as
-    ``_sync_loop`` does).  A take is ``TaskPool._take``'s
-    (:meth:`_Pool.take`).  Every pool op is an event point.  A pool never has more threads than
-    cores, so no quantum fires.
-
-    When the DES kernel would solve DRAM contention, the walk looks the
-    running missy multiset up in its own LRU memo (``DRAM_SOLVE_CACHE``
-    entries, keyed like the kernel pool's by the quantized multiset, so a
-    walk's answers are the first-answer-wins ones of one kernel pool); on
-    a miss it takes the solve of the exact running set, in core order,
-    from ``solves`` (the engine's, keyed by the ``(f, d)`` pairs), and
-    only on a miss there runs ``dram.solve`` — the bisection a kernel
-    pool runs on its misses.  The memo's hits and misses are added to the
-    ``dram.solve.*`` counters, the engine cache's to
-    ``columnar.solves.*``.
-
-    Mirrors the kernel's arithmetic bit for bit: a segment completes at
-    ``now + remaining * s``; demand-free segments (``s == 1``) never
-    interact, so a run of them (fork and dispatch costs included) is
-    summed in order without events, up to the next lane, lock, barrier,
-    join or pool op, fork, chunk grab, or the thread's end; a lane attach or
-    completion re-checks the running multiset against the cached
-    signature and re-solves only when it changed; a continuing lane
-    re-anchors in absolute form only when its ``s`` changes.  Each core
-    has at most one pending event, and same-time events go by ``(time,
-    core)``, the kernel's heap order.
-
-    Threads wait in one FIFO ready queue, as ``CpuScheduler`` keeps it:
-    spawns and barrier and join wake-ups go to its tail, and a lock
-    handoff to its front.  Locks follow ``SimKernel._acquire``/
-    ``_release`` and ``SimMutex``: a contended acquire queues the thread
-    and frees its core; a release with waiters hands the lock to the one
-    ``SimMutex.pop_waiter`` picks (``fifo`` the head, ``lifo`` the tail,
-    ``random`` a ``randrange`` draw from one ``random.Random(seed)`` per
-    walk).  Ready threads are dispatched as ``SimKernel._dispatch`` does:
-    each round snapshots the idle cores in order and hands each the head
-    of the queue, so a woken thread runs on the lowest idle core, not its
-    own, and steps at once.  A thread that blocks, finishes or (in a
-    lock-bearing or nested section) arrives at the top-level barrier
-    frees its core.
-
-    The walk does not model preemption; it proves none happens by
-    mirroring the kernel's lazy quanta.  A dispatch anchors the core's
-    boundary at ``now + timeslice_cycles`` (the kernel's own float
-    expression).  When an event's dispatch round ends with threads still
-    queued, every busy core without an armed expiry gets one at its first
-    boundary after ``now``, advanced by repeated ``+= timeslice_cycles``
-    as ``SimKernel._ensure_quanta`` advances it.  Expiries go before
-    same-time completions; a dispatch makes the core's pending one stale,
-    one on an idle core does nothing, one that finds the queue empty
-    re-anchors the boundary, and one
-    that finds a waiter would preempt: the walk stops and returns None.
-    With no thread queued no quantum is armed, so a team of at most one
-    member per core never declines.
-    """
-    chains, trav, cursor = top
-    n_cores = dram.config.n_cores
-    ts = dram.config.timeslice_cycles
-    fork = float(fork) if fork > 0.0 else 0.0
-    # Per-thread state; threads 0..t-1 are the top-level team's members,
-    # inner workers are appended as they are spawned.
-    ops = list(chains)
-    pos = [0] * t
-    trav = list(trav)
-    #: Saved ``(ops, pos, team, grab)`` frames: a nested team's member 0
-    #: and a member done grabbing chunks return to them.
-    stack: list = [None] * t
-    #: A team: [next chunk, cursor, barrier arrivals, workers, joined].
-    team = [[0, cursor, None, None, 0]] * t
-    #: Whether a thread grabs its team's chunks when its ops run out, and
-    #: whether it has paid the dispatch or fork cost it is about to act on.
-    grab = [False] * t
-    pend = [False] * t
-    done = [False] * t
-    joiner = [-1] * t
-    #: Each core's pending event time (a lane completion, the end of a run
-    #: of demand-free segments, or a timed event op).
-    times = [_NEVER] * t
-    #: The thread on each core; -1 while the core is idle.
-    on = [-1] * t
-    #: Each core's next round-robin boundary (``SimKernel._q_next``) and
-    #: its armed quantum expiry (``_NEVER`` while unarmed).
-    q_next = [ts] * t
-    q_at = [_NEVER] * t
-    armed = 0
-    arrival = [0.0] * t
-    #: core -> [anchor_time, anchor_remaining, slowdown|None, f, lane op]
-    lanes: dict[int, list] = {}
-    fresh: list[int] = []
-    #: The running multiset, kept as counts: exact (f, d) pairs for the
-    #: kernel's signature check, quantized pairs for the memo key.
-    exact: dict = {}
-    quant: dict = {}
-    memo: OrderedDict = OrderedDict()
-    hits = misses = solved = 0
-    locked = locking is not None
-    # Top-level arrivals free their cores only when another thread could
-    # take them: a lock waiter, or a nested team's thread.
-    shared = locked or plan is not None
-    if locked:
-        n_locks, policy, seed = locking
-        owner = [-1] * n_locks
-        waiters: list[list[int]] = [[] for _ in range(n_locks)]
-        rng = random.Random(seed) if policy == "random" else None
-    ready: deque = deque()
-    def step(w: int, c: int, now: float) -> bool:
-        """Advance thread ``w``, on core ``c``, from ``now`` to its next
-        blocking point; True when it attached a missy lane."""
-        o = ops[w]
-        p = pos[w]
-        n = len(o)
-        end = now
-        timed = False
-        while True:
-            while p < n:
-                op = o[p]
-                cls = op.__class__
-                if cls is float:
-                    end += op
-                    timed = True
-                    p += 1
-                    continue
-                if cls is tuple:
-                    if timed:
-                        break  # the lane waits for the segments
-                    pos[w] = p + 1
-                    fd = op[1]
-                    lanes[c] = [now, op[0], None, fd[0], op]
-                    exact[fd] = exact.get(fd, 0) + 1
-                    quant[op[2]] = quant.get(op[2], 0) + 1
-                    fresh.append(c)
-                    return True
-                if cls is int:
-                    if timed:
-                        break  # a lock op is an event point
-                    p += 1
-                    if op >= 0:  # acquire
-                        if owner[op] < 0:
-                            owner[op] = w
-                            continue
-                        waiters[op].append(w)
-                        pos[w] = p
-                        on[c] = -1
-                        return False
-                    # release, with direct handoff
-                    queue = waiters[~op]
-                    if not queue:
-                        owner[~op] = -1
-                        continue
-                    if policy == "fifo":
-                        heir = queue.pop(0)
-                    elif policy == "lifo":
-                        heir = queue.pop()
-                    else:
-                        heir = queue.pop(rng.randrange(len(queue)))
-                    owner[~op] = heir
-                    ready.appendleft(heir)
-                    continue
-                if op is _GRAB:
-                    # Grab chunks until none is left, then go on with the
-                    # ops after this one.
-                    if p + 1 < n:
-                        frames = stack[w]
-                        if frames is None:
-                            frames = stack[w] = []
-                        frames.append((o, p + 1, team[w], False))
-                    grab[w] = True
-                    o = ops[w] = ()
-                    p = n = 0
-                    continue
-                if cls is Section:  # fork a nested team
-                    if not pend[w] and fork > 0.0:
-                        # The fork cost joins the run; the fork happens
-                        # when it completes.
-                        end += fork
-                        timed = True
-                        pend[w] = True
-                        break
-                    if timed:
-                        break
-                    pend[w] = False
-                    sub_chains, sub_trav, sub_cursor = plan(op)
-                    frames = stack[w]
-                    if frames is None:
-                        frames = stack[w] = []
-                    frames.append((o, p + 1, team[w], grab[w]))
-                    grab[w] = False
-                    trav[w] += sub_trav[0]
-                    if t > 1:
-                        tm = [0, sub_cursor, [], [], 0]
-                        workers = tm[3]
-                        for i in range(1, t):
-                            k = len(ops)
-                            ops.append(sub_chains[i])
-                            pos.append(0)
-                            trav.append(sub_trav[i])
-                            stack.append(None)
-                            team.append(tm)
-                            grab.append(False)
-                            pend.append(False)
-                            done.append(False)
-                            joiner.append(-1)
-                            workers.append(k)
-                            ready.append(k)
-                        team[w] = tm
-                    o = ops[w] = sub_chains[0]
-                    p = 0
-                    n = len(o)
-                    continue
-                if timed:
-                    break  # a barrier, join or pool op is an event point
-                if cls is _PoolTask:  # spawn a child of the current task
-                    task = pool.cur[w]
-                    task.pending += 1
-                    pool.deques[w].append(_Task(op, task))
-                    pool.notify(ready)
-                    p += 1
-                    continue
-                if cls is _PoolOp:
-                    task = pool.cur[w]
-                    if op is _SYNC or op is _END:
-                        task.waiting = False
-                        if not task.pending:
-                            if op is _SYNC:
-                                p += 1
-                                continue
-                            # The task completes: its parent's count
-                            # drops, and a parent waiting on it (or the
-                            # root's end) notifies the pool.
-                            task.done = True
-                            parent = task.parent
-                            if parent is None:
-                                pool.notify(ready)
-                            else:
-                                parent.pending -= 1
-                                if not parent.pending and parent.waiting:
-                                    pool.notify(ready)
-                            o, p, pool.cur[w] = task.ret
-                            ops[w] = o
-                            n = len(o)
-                            continue
-                    elif op is _RUN and pool.root.done:
-                        pool.stopping = True
-                        pool.notify(ready)
-                        p += 1
-                        continue
-                    elif op is _START:
-                        # Push the root; spawn the workers, whom the master
-                        # joins in spawn order.
-                        pool.root = _Task(pool.root_body, None)
-                        pool.deques[w].append(pool.root)
-                        tm = team[w] = [0, None, None, [], 0]
-                        for _ in range(1, pool.n_workers):
-                            k = len(ops)
-                            ops.append(pool.worker_ops)
-                            pos.append(0)
-                            trav.append(0.0)
-                            stack.append(None)
-                            team.append(tm)
-                            grab.append(False)
-                            pend.append(False)
-                            done.append(False)
-                            joiner.append(-1)
-                            pool.cur.append(None)
-                            tm[3].append(k)
-                            ready.append(k)
-                        p += 1
-                        continue
-                    taken = pool.take(w)
-                    if taken is None:
-                        if op is _WORK and pool.stopping:
-                            p += 1
-                            continue
-                        # Park on the pool's event.
-                        if task is not None:
-                            task.waiting = True
-                        pool.parked.append(w)
-                        pos[w] = p
-                        on[c] = -1
-                        return False
-                    child, costs = taken
-                    # Run the child, then come back to this op.
-                    child.ret = (o, p, task)
-                    pool.cur[w] = child
-                    for x in costs:
-                        end += x
-                        timed = True
-                    trav[w] += child.body.trav
-                    o = ops[w] = child.body.ops
-                    p = 0
-                    n = len(o)
-                    continue
-                tm = team[w]
-                if op is _BAR:
-                    arrived = tm[2]
-                    arrived.append(w)
-                    if len(arrived) < t:
-                        pos[w] = p + 1
-                        on[c] = -1
-                        return False
-                    for x in arrived:
-                        if x != w:
-                            ready.append(x)
-                    arrived.clear()
-                    p += 1
-                    continue
-                # _JOIN: the workers in spawn order
-                workers = tm[3]
-                j = tm[4]
-                while j < len(workers) and done[workers[j]]:
-                    j += 1
-                tm[4] = j
-                if j < len(workers):
-                    joiner[workers[j]] = w
-                    pos[w] = p
-                    on[c] = -1
-                    return False
-                p += 1
-            if p < n:
-                pos[w] = p
-                times[c] = end
-                return False
-            if grab[w]:  # between chunks of a dynamic-family schedule
-                if not pend[w] and disp > 0.0:
-                    end += disp  # the grab happens when it completes
-                    timed = True
-                    pend[w] = True
-                if timed:
-                    pos[w] = p
-                    times[c] = end
-                    return False
-                pend[w] = False
-                tm = team[w]
-                k = tm[0]
-                chunk_ops, chunk_trav = tm[1]
-                if k < len(chunk_ops):
-                    tm[0] = k + 1
-                    trav[w] += chunk_trav[k]
-                    o = ops[w] = chunk_ops[k]
-                    p = 0
-                    n = len(o)
-                    continue
-                grab[w] = False  # the last, failed grab
-            frames = stack[w]
-            if frames:
-                o, p, team[w], grab[w] = frames.pop()
-                ops[w] = o
-                n = len(o)
-                continue
-            pos[w] = p
-            if w >= t:  # an inner worker finishes
-                if timed:
-                    times[c] = end
-                    return False
-                done[w] = True
-                if joiner[w] >= 0:
-                    ready.append(joiner[w])
-                on[c] = -1
-                return False
-            # A top-level member arrives at the barrier.
-            if not shared:
-                arrival[w] = end
-                if not timed:
-                    on[c] = -1
-                return False
-            if timed:
-                times[c] = end  # the core frees when the member arrives
-                return False
-            arrival[w] = now
-            on[c] = -1
-            return False
-
-    def dispatch(now: float) -> bool:
-        """Place ready threads on idle cores and step them; True when one
-        attached a missy lane."""
-        nonlocal armed
-        dirty = False
-        while ready:
-            if -1 not in on:
-                if len(on) == n_cores:
-                    break  # every core is busy
-                idle = []
-            else:
-                idle = [c for c, w in enumerate(on) if w < 0]
-            idle.extend(range(len(on), n_cores))
-            for c in idle:
-                if not ready:
-                    break
-                if c == len(on):  # a core no thread has run on yet
-                    on.append(-1)
-                    times.append(_NEVER)
-                    q_next.append(0.0)
-                    q_at.append(_NEVER)
-                w = ready.popleft()
-                on[c] = w
-                # Re-anchor the boundary; a pending expiry goes stale.
-                q_next[c] = now + ts
-                if q_at[c] != _NEVER:
-                    q_at[c] = _NEVER
-                    armed -= 1
-                dirty = step(w, c, now) or dirty
-        return dirty
-
-    # The fork: with a fork cost the master steps when its fork segment
-    # completes and the spawned members are dispatched after it;
-    # without one all of them start in the kernel's first dispatch
-    # round.
-    dirty = False
-    start = fork
-    if start > 0.0:
-        on[0] = 0
-        dirty = step(0, 0, start)
-        ready.extend(range(1, t))
-    else:
-        ready.extend(range(t))
-    dirty = dispatch(start) or dirty
-    now = start
-    sig: dict = {}
-    k = 1.0
-    while True:
-        if lanes:
-            if dirty:
-                dirty = False
-                if exact != sig:
-                    sig = dict(exact)
-                    key = frozenset(quant.items())
-                    k = memo.get(key)
-                    if k is not None:
-                        hits += 1
-                        memo.move_to_end(key)
-                    else:
-                        misses += 1
-                        running = tuple(lanes[m][4][1] for m in sorted(lanes))
-                        k = solves.get(running)
-                        if k is None:
-                            solved += 1
-                            segs = [SegmentDemand(*fd) for fd in running]
-                            k = dram.solve(
-                                segs,
-                                sum(sd.demand_bytes_per_sec for sd in segs),
-                            )
-                            solves.put(running, k)
-                        memo[key] = k
-                        if len(memo) > DRAM_SOLVE_CACHE:
-                            memo.popitem(last=False)
-                    for m, lane in lanes.items():
-                        f = lane[3]
-                        s = 1.0 - f + f * k
-                        s_old = lane[2]
-                        if s_old is None:
-                            lane[0] = now
-                            lane[2] = s
-                            times[m] = now + lane[1] * s
-                        elif s != s_old:
-                            # Rate change: advance in absolute form.
-                            rem = lane[1] - (now - lane[0]) / s_old
-                            if rem < 0.0:
-                                rem = 0.0
-                            lane[0] = now
-                            lane[1] = rem
-                            lane[2] = s
-                            times[m] = now + rem * s
-                    fresh.clear()
-            if fresh:
-                # Unchanged multiset: rate only the new lanes.
-                for m in fresh:
-                    lane = lanes[m]
-                    f = lane[3]
-                    s = 1.0 - f + f * k
-                    lane[2] = s
-                    times[m] = now + lane[1] * s
-                fresh.clear()
-        now = min(times)
-        if armed:
-            q = min(q_at)
-            if q <= now:  # expiries go before same-time completions
-                c = q_at.index(q)
-                q_at[c] = _NEVER
-                armed -= 1
-                if on[c] >= 0:
-                    if ready:
-                        return None  # a preemption
-                    q_next[c] = q + ts
-                continue
-        if now == _NEVER:
-            break
-        c = times.index(now)
-        times[c] = _NEVER
-        lane = lanes.pop(c, None)
-        if lane is not None:
-            op = lane[4]
-            for counts, x in ((exact, op[1]), (quant, op[2])):
-                if counts[x] == 1:
-                    del counts[x]
-                else:
-                    counts[x] -= 1
-            dirty = True
-        dirty = step(on[c], c, now) or dirty
-        if ready:
-            dirty = dispatch(now) or dirty
-            if ready:
-                # Every core is busy and a thread waits: the kernel
-                # arms each unarmed core's quantum at its first
-                # boundary after ``now`` (``_ensure_quanta``).
-                for c in range(n_cores):
-                    if q_at[c] == _NEVER:
-                        nxt = q_next[c]
-                        while nxt <= now:
-                            nxt += ts
-                        q_next[c] = q_at[c] = nxt
-                        armed += 1
-    m = get_metrics()
-    if hits:
-        m.inc("dram.solve.hits", float(hits))
-    if misses:
-        m.inc("dram.solve.misses", float(misses))
-        m.inc("columnar.solves.hits", float(misses - solved))
-    if solved:
-        m.inc("columnar.solves.misses", float(solved))
-    gross = arrival[0] if t == 1 else max(arrival) + jb
-    return gross, max(trav)
 
 
 # --------------------------------------------------------------- verification

@@ -330,8 +330,8 @@ class _Engine:
 
         if self.schedule.is_dynamic_family:
             self.top_chunks = deque(
-                [tasks[i] for i in chunk]
-                for chunk in self.schedule.chunks(len(tasks), self.t)
+                tasks[r.start : r.stop]
+                for r in self.schedule.chunks(len(tasks), self.t)
             )
         else:
             chunks = self.schedule.static_chunks(len(tasks), self.t)

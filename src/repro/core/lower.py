@@ -44,7 +44,7 @@ OVERHEAD_RECURSIVE_CALL = 50.0
 class Section:
     """A section lowered for one ``(β, team or pool)``.
 
-    ``ops[i]`` is its ``i``-th task node's stream as ``columnar._team_walk``
+    ``ops[i]`` is its ``i``-th task node's stream as ``walk.team_walk``
     reads it: a float is a demand-free segment or a visit of that many
     cycles, a tuple a missy lane (:func:`_lane`), an int ``ix >= 0`` the
     acquire of the section's lock ``ix`` and ``~ix`` its release, and a

@@ -44,11 +44,11 @@ class _DynamicState:
 
     __slots__ = ("chunks", "next")
 
-    def __init__(self, chunks: list[list[int]]) -> None:
+    def __init__(self, chunks: list[range]) -> None:
         self.chunks = chunks
         self.next = 0
 
-    def grab(self) -> Optional[list[int]]:
+    def grab(self) -> Optional[range]:
         if self.next >= len(self.chunks):
             return None
         chunk = self.chunks[self.next]

@@ -137,24 +137,24 @@ class Schedule:
             for chunks in self.static_chunks(n_iters, n_threads)
         ]
 
-    def chunks(self, n_iters: int, n_threads: int = 1) -> list[list[int]]:
-        """The iteration space cut into dispatch chunks.
+    def chunks(self, n_iters: int, n_threads: int = 1) -> list[range]:
+        """The iteration space cut into dispatch chunks, in order, as
+        ranges of iteration indices (as :meth:`static_chunks` deals them).
 
         For ``guided`` the chunk sizes shrink with the remaining iteration
         count (libgomp semantics: ``max(chunk, remaining / n_threads)``),
         so ``n_threads`` matters; other kinds ignore it.
         """
         if self.kind is ScheduleKind.GUIDED:
-            out: list[list[int]] = []
+            out: list[range] = []
             start = 0
             while start < n_iters:
                 remaining = n_iters - start
                 size = max(self.chunk, -(-remaining // max(1, n_threads)))
-                out.append(list(range(start, min(start + size, n_iters))))
+                out.append(range(start, min(start + size, n_iters)))
                 start += size
             return out
         c = self.chunk if self.kind is not ScheduleKind.STATIC else n_iters
         return [
-            list(range(s, min(s + c, n_iters)))
-            for s in range(0, n_iters, max(1, c))
+            range(s, min(s + c, n_iters)) for s in range(0, n_iters, max(1, c))
         ]

@@ -54,7 +54,7 @@ _SOLVE_TOL = 1e-9
 _K_MAX = 1e12
 
 #: Bound of every DRAM-solve memo (entries): each :class:`DramModel`'s
-#: and each columnar team walk's (``repro.core.columnar``), which sits in
+#: and each columnar team walk's (``repro.core.walk``), which sits in
 #: front of :meth:`DramModel.solve` the way a pool's sits in front of it.
 DRAM_SOLVE_CACHE = 256
 

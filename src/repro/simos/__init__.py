@@ -36,9 +36,10 @@ from repro.simos.sync import (
     SimMutex,
     SimBarrier,
     SimEvent,
+    handoff_index,
     normalize_handoff,
 )
-from repro.simos.scheduler import CpuScheduler
+from repro.simos.scheduler import CpuScheduler, next_boundary
 from repro.simos.kernel import SimKernel
 
 __all__ = [
@@ -62,5 +63,7 @@ __all__ = [
     "SimEvent",
     "CpuScheduler",
     "SimKernel",
+    "handoff_index",
+    "next_boundary",
     "normalize_handoff",
 ]

@@ -38,7 +38,7 @@ from repro.simhw.clock import VirtualClock
 from repro.simhw.counters import CounterSet
 from repro.simhw.dram import DramModel, SegmentDemand
 from repro.simhw.machine import MachineConfig
-from repro.simos.scheduler import CpuScheduler
+from repro.simos.scheduler import CpuScheduler, next_boundary
 from repro.simos.sync import SimBarrier, SimEvent, SimMutex, normalize_handoff
 from repro.validate.invariants import get_checker
 from repro.simos.thread import (
@@ -135,10 +135,9 @@ class SimKernel:
         self._epoch = 0
         # Lazy-quantum state: the next round-robin boundary per core and
         # whether an expiry event is currently in the heap.  Boundaries
-        # advance by repeated ``+= timeslice`` from the dispatch anchor,
-        # never by a multiply: the float accumulation fixes the preemption
-        # times, so changing it moves answers (the golden schedule corpus
-        # in ``tests/data/kernel_corpus.json`` pins them).
+        # advance from the dispatch anchor by ``next_boundary``, whose float
+        # accumulation fixes the preemption times (the golden schedule
+        # corpus in ``tests/data/kernel_corpus.json`` pins them).
         self._q_next = [0.0] * config.n_cores
         self._q_armed = [False] * config.n_cores
         # Incremental-reconfigure state: per-socket demand-multiset
@@ -301,7 +300,7 @@ class SimKernel:
         before segment completions, then by the core involved.  Keying ties
         by push sequence instead would leak the *history* of pushes (which
         passes re-pushed which completions) into the schedule.  The
-        columnar team walk (``repro.core.columnar``) orders its same-time
+        columnar team walk (``repro.core.walk``) orders its same-time
         member events by the same ``(time, core)`` key, so changing the key
         moves answers.
         """
@@ -610,10 +609,10 @@ class SimKernel:
         """Lazily arm quantum expiry events for busy cores with waiters.
 
         Called after every dispatch fixed point (the only place waiters can
-        appear).  Boundaries skipped while a core ran uncontended advance by
-        repeated ``+= timeslice`` from the dispatch anchor, so a preemption
+        appear).  Boundaries skipped while a core ran uncontended advance
+        from the dispatch anchor by :func:`next_boundary`, so a preemption
         lands on the boundary a per-slice timer would have reached, bit for
-        bit; the accumulation order is part of the answer.
+        bit.
         """
         if not self._quanta_dirty:
             return
@@ -629,10 +628,7 @@ class SimKernel:
                 continue
             if not sched.has_waiter_for(core):
                 continue
-            nxt = q_next[core]
-            while nxt <= now:
-                nxt += q
-            q_next[core] = nxt
+            q_next[core] = nxt = next_boundary(q_next[core], now, q)
             armed[core] = True
             self._quantum_arm[core] += 1
             self._push(nxt, "quantum", (core, self._quantum_arm[core]))

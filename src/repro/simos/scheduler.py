@@ -19,6 +19,19 @@ from repro.obs import get_tracer
 from repro.simos.thread import SimThread, ThreadState
 
 
+def next_boundary(anchor: float, now: float, timeslice: float) -> float:
+    """A core's first round-robin boundary after ``now``: its boundary
+    ``anchor`` advanced by repeated ``+= timeslice``, never by a multiply.
+
+    The float accumulation fixes the preemption times, so its order is
+    part of the answer.  The kernel arms a quantum there
+    (``SimKernel._ensure_quanta``), and the columnar team walk
+    (:mod:`repro.core.walk`) arms its mirror of it there too."""
+    while anchor <= now:
+        anchor += timeslice
+    return anchor
+
+
 class CpuScheduler:
     """Ready-queue plus core-assignment bookkeeping.
 

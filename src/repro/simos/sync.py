@@ -48,6 +48,29 @@ def normalize_handoff(policy: str) -> str:
     return policy
 
 
+def handoff_index(policy: str, n: int, rng=None) -> int:
+    """Index of the waiter that the ``fifo``, ``lifo`` or ``random``
+    handoff ``policy`` picks from a queue of ``n`` (``n >= 1``): the head,
+    the tail, or one ``rng.randrange(n)`` draw.
+
+    The kernel's mutexes (:meth:`SimMutex.pop_waiter`) and the columnar
+    team walk (:mod:`repro.core.walk`) both pick through it, so the same
+    seeded stream hands a lock to the same waiter in both.
+    ``adversarial`` ranks waiters by progress, which only the kernel's
+    threads carry, so :meth:`SimMutex.pop_waiter` picks it itself; any
+    other policy raises :class:`ConfigurationError`."""
+    if policy == "fifo":
+        return 0
+    if policy == "lifo":
+        return n - 1
+    if policy == "random":
+        return rng.randrange(n)
+    raise ConfigurationError(
+        f"unknown handoff policy {policy!r} "
+        f"(expected one of {HANDOFF_POLICIES})"
+    )
+
+
 class SimMutex:
     """A direct-handoff mutex with a pluggable wait-queue discipline."""
 
@@ -90,24 +113,16 @@ class SimMutex:
           totals, so least-progressed ≈ longest-remaining).  Ties break in
           arrival order, keeping the choice deterministic.
 
-        The caller must guarantee the queue is non-empty.
+        The caller must guarantee the queue is non-empty.  The first three
+        picks are :func:`handoff_index`'s.
         """
         waiters = self.waiters
-        if policy == "fifo":
-            return waiters.popleft()
-        if policy == "lifo":
-            return waiters.pop()
-        if policy == "random":
-            index = rng.randrange(len(waiters))
-        elif policy == "adversarial":
+        if policy == "adversarial":
             index = min(
                 range(len(waiters)), key=lambda i: (waiters[i].work_done, i)
             )
         else:
-            raise ConfigurationError(
-                f"unknown handoff policy {policy!r} "
-                f"(expected one of {HANDOFF_POLICIES})"
-            )
+            index = handoff_index(policy, len(waiters), rng)
         chosen = waiters[index]
         del waiters[index]
         return chosen

@@ -6,9 +6,11 @@ tests, so documentation cannot silently rot.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,32 @@ class TestExports:
     def test_unknown_top_level_attribute(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
+
+
+class TestLayering:
+    #: The simulated machine, OS and runtimes: the kernel side of the line.
+    #: The evaluators of ``repro.core`` (the team walk included) import
+    #: them, never the other way round.
+    BELOW_CORE = ("repro.simhw", "repro.simos", "repro.runtime")
+
+    def test_lower_layers_never_import_core(self):
+        offenders = []
+        for pkg_name in self.BELOW_CORE:
+            pkg = importlib.import_module(pkg_name)
+            for path in sorted(Path(pkg.__path__[0]).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        base = node.module or ""
+                        names = [base] + [
+                            f"{base}.{alias.name}" for alias in node.names
+                        ]
+                    else:
+                        continue
+                    if any(
+                        name == "repro.core" or name.startswith("repro.core.")
+                        for name in names
+                    ):
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, f"imports of repro.core below it: {offenders}"

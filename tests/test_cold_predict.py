@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import ParallelProphet
 from repro.core.annotations import Tracer
-from repro.core.columnar import ColumnarEngine, _spans, verify_points
+from repro.core.columnar import ColumnarEngine, verify_points
 from repro.core.tree import Node, NodeKind, ProgramTree
 from repro.errors import AnnotationError
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
@@ -47,21 +47,50 @@ def fresh_metrics():
 # ------------------------------------------------------------ chunk spans
 
 
+def _libgomp_spans(label: str, n: int, t: int):
+    """libgomp's cut of ``n`` iterations on ``t`` threads as ``(lo, hi)``
+    spans, written out as the reference: each thread's under a static
+    schedule, the team's one sequence under ``dynamic``/``guided``."""
+    kind, _, chunk = label.partition(",")
+    c = int(chunk or 1)
+    if label == "static":
+        base, extra = divmod(n, t)
+        owned, lo = [], 0
+        for w in range(t):
+            hi = lo + base + (w < extra)
+            owned.append([(lo, hi)] if hi > lo else [])
+            lo = hi
+        return owned
+    if kind == "static":
+        return [
+            [(lo, min(lo + c, n)) for lo in range(w * c, n, t * c)]
+            for w in range(t)
+        ]
+    spans, lo = [], 0
+    while lo < n:
+        hi = lo + (c if kind == "dynamic" else max(c, -(-(n - lo) // t)))
+        spans.append((lo, min(hi, n)))
+        lo = hi
+    return spans
+
+
 @pytest.mark.parametrize("label", SCHEDULES)
 def test_spans_are_the_schedules_chunks(label):
+    """``Schedule`` is the one chunker that the runtime, the FF heap walk,
+    the summed teams and the team walk's plans read: its ranges are
+    libgomp's spans."""
     schedule = Schedule.parse(label)
     for n in range(0, 40):
         for t in range(1, 8):
-            got = _spans(schedule, n, t)
+            want = _libgomp_spans(label, n, t)
             if schedule.is_dynamic_family:
-                want = [(c[0], c[-1] + 1) for c in schedule.chunks(n, t)]
-                assert list(got) == want
+                got = [(r.start, r.stop) for r in schedule.chunks(n, t)]
             else:
-                want = [
+                got = [
                     [(r.start, r.stop) for r in mine]
                     for mine in schedule.static_chunks(n, t)
                 ]
-                assert [list(mine) for mine in got] == want
+            assert got == want
 
 
 # ------------------------------------------------------------ summed teams

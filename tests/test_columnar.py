@@ -1161,7 +1161,7 @@ class TestNestedWalk:
 
 class TestPoolWalk:
     """Cilk and OpenMP-task pools — the paradigms of Fig. 12's recursive
-    benchmarks — take the pool walk: ``_team_walk`` replays
+    benchmarks — take the pool walk: ``walk.team_walk`` replays
     ``TaskPool``'s one task machine (Cilk's per-worker deques and steals
     or the shared FIFO, ``cilk_for`` splitting, help-first sync, the
     implicit sync at a task's end) over lowered task bodies."""
